@@ -1,8 +1,11 @@
 """Grid classification of quaternionic functions into nested classes.
 
-Per grid node the probe takes one central (or Richardson) stencil along
-each of t, x, y, z, r, alpha, beta and derives every residual from those
-shared samples:
+Every grid node takes one central (or Richardson) stencil along each of
+t, x, y, z, r, alpha, beta, and every residual derives from those shared
+samples.  The nodes go through as one batch: one axis at a time, the
+shifted coordinates of all nodes are sampled together (through the
+function's array evaluator when it has one, else point by point) and
+differenced at once, and the verdicts reduce over arrays.
 
 * Class I   : |d/dt f + iota d/dr f|
 * Class II  : |fueter_left f + 2 v / r|
@@ -23,9 +26,7 @@ factorization check for Class II functions live here too.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,15 +37,18 @@ from .quaternion_core import (
     DomainError,
     Quaternion,
     SphericalPoint,
-    iota,
+    from_spherical_array,
+    iota_array,
+    qabs_array,
+    qmul_array,
+    to_spherical_array,
 )
 
 PASS_FRACTION = 0.999
 HARD_FAIL_FACTOR = 100.0
 
-I_UNIT = Quaternion(0, 1, 0, 0)
-J_UNIT = Quaternion(0, 0, 1, 0)
-K_UNIT = Quaternion(0, 0, 0, 1)
+# the imaginary units as quaternion rows that broadcast against (4, N)
+I, J, K = (np.eye(4)[:, k, None] for k in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -102,181 +106,159 @@ class ClassificationReport:
         return stats.verdict == "pass"
 
 
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker count for grid sweeps; FUETERLAB_THREADS acts as a hard cap."""
-    cap = os.environ.get("FUETERLAB_THREADS")
-    cap = int(cap) if cap else None
-    if threads is None:
-        threads = cap if cap is not None else 1
-    if cap is not None:
-        threads = min(threads, cap)
-    return max(1, threads)
-
-
-def _offsets(cfg: DiffConfig) -> tuple:
+def _offsets(cfg: DiffConfig) -> np.ndarray:
     if cfg.scheme == "richardson":
-        return (cfg.h, -cfg.h, cfg.h / 2.0, -cfg.h / 2.0)
-    return (cfg.h, -cfg.h)
+        return np.array([cfg.h, -cfg.h, cfg.h / 2.0, -cfg.h / 2.0])
+    return np.array([cfg.h, -cfg.h])
 
 
-def _diff(samples: dict, cfg: DiffConfig, extract):
-    """Finish a stencil: samples maps offset -> raw value."""
+def _diff(samples: np.ndarray, cfg: DiffConfig) -> np.ndarray:
+    """Finish a stencil: samples[k] is the value at offset _offsets(cfg)[k]."""
     h = cfg.h
-    d1 = (extract(h, samples[h]) - extract(-h, samples[-h])) / (2.0 * h)
+    d1 = (samples[0] - samples[1]) / (2.0 * h)
     if cfg.scheme == "central":
         return d1
-    d2 = (extract(h / 2.0, samples[h / 2.0]) - extract(-h / 2.0, samples[-h / 2.0])) / h
+    d2 = (samples[2] - samples[3]) / h
     return (d2 * 4.0 - d1) / 3.0
 
 
-class _NodeProbe:
-    """Shared stencil samples and derived residuals at one grid node."""
+def _fill_points(evaluate, args) -> np.ndarray:
+    """Value rows of evaluate over args, one call per point.
 
-    def __init__(self, f: QFunction, s: SphericalPoint, cfg: DiffConfig):
-        self.s = s
+    A point whose evaluation raises a math or domain error gets a NaN
+    column, which marks its node singular.
+    """
+    rows = []
+    for arg in args:
+        try:
+            val = evaluate(arg)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            rows.append((math.nan,) * 4)
+            continue
+        rows.append((val.t, val.x, val.y, val.z))
+    return np.array(rows, dtype=float).reshape(-1, 4).T
+
+
+def _sample_chart(f: QFunction, chart: np.ndarray) -> np.ndarray:
+    """ value rows of f at chart rows (t, r, alpha, beta) """
+    if f.array_evaluator is not None:
+        return f.array_evaluator(chart)
+    return _fill_points(f.at_spherical, (SphericalPoint(*col) for col in chart.T.tolist()))
+
+
+def _sample_cartesian(f: QFunction, points: np.ndarray) -> np.ndarray:
+    """ value rows of f at quaternion rows (t, x, y, z) """
+    if f.array_evaluator is not None:
+        return f.array_evaluator(to_spherical_array(points))
+    return _fill_points(f, (Quaternion(*col) for col in points.T.tolist()))
+
+
+class _Stencils:
+    """Per-node derivatives along t, x, y, z, r, alpha, beta, one axis at a
+    time, with the running max |f| over every stencil sample."""
+
+    def __init__(self, f: QFunction, nodes: np.ndarray, cfg: DiffConfig):
+        self.f = f
         self.cfg = cfg
-        p = s.to_quaternion()
-        self.center = f.at_spherical(s)
-        self.scale = abs(self.center)
+        self.offsets = _offsets(cfg)
+        self.center = _sample_chart(f, nodes)
+        with np.errstate(all="ignore"):
+            self.scale = qabs_array(self.center)
 
-        def cart(axis):
-            out = {}
-            for d in _offsets(cfg):
-                q = Quaternion(p.t + (d if axis == 0 else 0.0),
-                               p.x + (d if axis == 1 else 0.0),
-                               p.y + (d if axis == 2 else 0.0),
-                               p.z + (d if axis == 3 else 0.0))
-                val = f(q)
-                self.scale = max(self.scale, abs(val))
-                out[d] = val
-            return out
+    def along(self, base: np.ndarray, row: int, sample) -> tuple:
+        """(shifted coordinates, samples), each of shape (4, n_offsets, N)."""
+        shifted = np.repeat(base[:, None, :], len(self.offsets), axis=1)
+        shifted[row] += self.offsets[:, None]
+        values = sample(self.f, shifted.reshape(4, -1)).reshape(shifted.shape)
+        with np.errstate(all="ignore"):
+            self.scale = np.maximum(self.scale, qabs_array(values).max(axis=0))
+        return shifted, values
 
-        def chart(axis):
-            out = {}
-            for d in _offsets(cfg):
-                val = f.at_spherical(replace(s, **{axis: getattr(s, axis) + d}))
-                self.scale = max(self.scale, abs(val))
-                out[d] = val
-            return out
-
-        take = lambda d, v: v
-        self.d_t = _diff(cart(0), cfg, take)
-        self.d_x = _diff(cart(1), cfg, take)
-        self.d_y = _diff(cart(2), cfg, take)
-        self.d_z = _diff(cart(3), cfg, take)
-        self.d_r = _diff(chart("r"), cfg, take)
-
-        alpha_samples = chart("alpha")
-        beta_samples = chart("beta")
-        self.d_alpha = _diff(alpha_samples, cfg, take)
-        self.d_beta = _diff(beta_samples, cfg, take)
-
-        # scalar u, v stencils reuse the same chart samples; v must be
-        # extracted against the iota of the shifted angles
-        def u_of(_d, val):
-            return val.t
-
-        def v_alpha(d, val):
-            io = iota(s.alpha + d, s.beta)
-            return val.x * io.x + val.y * io.y + val.z * io.z
-
-        def v_beta(d, val):
-            io = iota(s.alpha, s.beta + d)
-            return val.x * io.x + val.y * io.y + val.z * io.z
-
-        self.du_da = _diff(alpha_samples, cfg, u_of)
-        self.du_db = _diff(beta_samples, cfg, u_of)
-        self.dv_da = _diff(alpha_samples, cfg, v_alpha)
-        self.dv_db = _diff(beta_samples, cfg, v_beta)
-
-        io = iota(s.alpha, s.beta)
-        self.u = self.center.t
-        self.v = (self.center.x * io.x + self.center.y * io.y + self.center.z * io.z)
-        self.fueter_left = self.d_t + I_UNIT * self.d_x + J_UNIT * self.d_y + K_UNIT * self.d_z
-        self.fueter_right = self.d_t + self.d_x * I_UNIT + self.d_y * J_UNIT + self.d_z * K_UNIT
-        self.iota = io
-
-    def residual_class1(self) -> float:
-        return abs(self.d_t + self.iota * self.d_r)
-
-    def residual_class2(self) -> float:
-        return abs(self.fueter_left + 2.0 * self.v / self.s.r)
-
-    def residual_class3_angular(self) -> float:
-        return max(abs(self.du_da), abs(self.du_db), abs(self.dv_da), abs(self.dv_db))
-
-    def residual_regular(self) -> float:
-        return abs(self.fueter_left)
-
-    def residual_centrality(self) -> float:
-        return abs(self.fueter_left - self.fueter_right)
+    def derivative(self, base: np.ndarray, row: int, sample) -> np.ndarray:
+        values = self.along(base, row, sample)[1]
+        with np.errstate(all="ignore"):
+            return _diff(values.swapaxes(0, 1), self.cfg)
 
 
-def _chart_ok(s: SphericalPoint, cfg: DiffConfig) -> bool:
-    return (s.r - cfg.h > 0.0 and s.beta - cfg.h > 0.0
-            and s.beta + cfg.h < math.pi
-            and math.sin(s.beta) > POLE_SIN_BETA_FLOOR)
+def _dot3(q: np.ndarray, io: np.ndarray) -> np.ndarray:
+    """ coefficient of iota in the imaginary part of q """
+    return q[1] * io[1] + q[2] * io[2] + q[3] * io[3]
 
 
-def _verdict(residuals, tolerances, pass_word="pass", fail_word="fail") -> str:
-    n = len(residuals)
-    below = sum(1 for r, tol in zip(residuals, tolerances) if r <= tol)
-    hard = all(r <= HARD_FAIL_FACTOR * tol for r, tol in zip(residuals, tolerances))
-    return pass_word if (below >= PASS_FRACTION * n and hard) else fail_word
+def _chart_ok(nodes: np.ndarray, cfg: DiffConfig) -> np.ndarray:
+    _, r, _, beta = nodes
+    return ((r - cfg.h > 0.0) & (beta - cfg.h > 0.0) & (beta + cfg.h < math.pi)
+            & (np.sin(beta) > POLE_SIN_BETA_FLOOR))
 
 
-def _stats(residuals, tolerances, pass_word="pass", fail_word="fail"):
-    if not residuals:
+def _stats(residuals: np.ndarray, tolerances: np.ndarray, singular: bool,
+           pass_word: str = "pass", fail_word: str = "fail") -> tuple:
+    if residuals.size == 0:
         return None, None, "singular"
-    return (max(residuals), sum(residuals) / len(residuals),
-            _verdict(residuals, tolerances, pass_word, fail_word))
+    below = np.count_nonzero(residuals <= tolerances)
+    hard = bool(np.all(residuals <= HARD_FAIL_FACTOR * tolerances))
+    verdict = pass_word if (below >= PASS_FRACTION * residuals.size and hard) else fail_word
+    if singular:
+        verdict = "singular"
+    return float(np.max(residuals)), float(np.mean(residuals)), verdict
 
 
 def classify(f: QFunction, grid: Optional[SampleGrid] = None,
-             cfg: DiffConfig = DiffConfig(),
-             threads: Optional[int] = None) -> ClassificationReport:
+             cfg: DiffConfig = DiffConfig()) -> ClassificationReport:
     """Classify f on the grid and return the full report.
 
     Raw-kind functions get "not-CE" verdicts for Class II and Class III,
-    whose residuals need the u/v split.  Nodes where evaluation leaves the
-    function's domain mark the report "singular".
+    whose residuals need the u/v split.  A node whose stencil leaves the
+    chart margins, or where some sample raises a math or domain error or
+    is not finite, marks the report "singular"; the statistics then cover
+    the remaining nodes.
     """
     grid = grid or f.domain or DEFAULT_GRID
-    points = [s for s in grid.points() if _chart_ok(s, cfg)]
-    n_workers = resolve_threads(threads)
+    nodes = grid.chart_array()
+    nodes = nodes[:, _chart_ok(nodes, cfg)]
+    st = _Stencils(f, nodes, cfg)
 
-    def probe(s: SphericalPoint):
-        try:
-            return _NodeProbe(f, s, cfg)
-        except DomainError:
-            return None
+    cart = from_spherical_array(nodes)
+    d_t, d_x, d_y, d_z = (st.derivative(cart, row, _sample_cartesian) for row in range(4))
+    d_r = st.derivative(nodes, 1, _sample_chart)
+    alpha_at, alpha_vals = st.along(nodes, 2, _sample_chart)
+    beta_at, beta_vals = st.along(nodes, 3, _sample_chart)
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            probes = list(pool.map(probe, points))
-    else:
-        probes = [probe(s) for s in points]
+    with np.errstate(all="ignore"):
+        io = iota_array(nodes)
+        fueter_left = d_t + qmul_array(I, d_x) + qmul_array(J, d_y) + qmul_array(K, d_z)
+        fueter_right = d_t + qmul_array(d_x, I) + qmul_array(d_y, J) + qmul_array(d_z, K)
+        residuals = {
+            "class_I": qabs_array(d_t + qmul_array(io, d_r)),
+            "regular": qabs_array(fueter_left),
+            "centrality": qabs_array(fueter_left - fueter_right),
+        }
+        if f.is_ce:
+            v = _dot3(st.center, io)
+            class2 = fueter_left.copy()
+            class2[0] += 2.0 * v / nodes[1]
+            residuals["class_II"] = qabs_array(class2)
+            # v is extracted against the iota of each shifted sample's own angles
+            residuals["class_III"] = np.max(np.abs([
+                _diff(alpha_vals[0], cfg), _diff(beta_vals[0], cfg),
+                _diff(_dot3(alpha_vals, iota_array(alpha_at)), cfg),
+                _diff(_dot3(beta_vals, iota_array(beta_at)), cfg)]), axis=0)
+        tolerances = cfg.tol_abs + cfg.tol_rel * st.scale
 
-    singular = any(pr is None for pr in probes) or len(probes) < grid.size
-    probes = [pr for pr in probes if pr is not None]
+    finite = np.isfinite(tolerances)
+    for values in residuals.values():
+        finite &= np.isfinite(values)
+    singular = nodes.shape[1] < grid.size or not finite.all()
+    tolerances = tolerances[finite]
 
-    tolerances = [cfg.point_tolerance(pr.scale) for pr in probes]
+    def build(key):
+        return ClassStats(*_stats(residuals[key][finite], tolerances, singular))
 
-    def build(values, verdict_override=None):
-        mx, mean, verdict = _stats(values, tolerances)
-        if singular:
-            verdict = "singular"
-        if verdict_override is not None:
-            verdict = verdict_override
-        return ClassStats(mx, mean, verdict)
-
-    res1 = [pr.residual_class1() for pr in probes]
-    class_I = build(res1)
-    regular = build([pr.residual_regular() for pr in probes])
-
+    class_I = build("class_I")
+    regular = build("regular")
     if f.is_ce:
-        class_II = build([pr.residual_class2() for pr in probes])
-        angular = build([pr.residual_class3_angular() for pr in probes])
+        class_II = build("class_II")
+        angular = build("class_III")
         class3_verdict = angular.verdict
         if class3_verdict == "pass" and class_I.verdict != "pass":
             class3_verdict = "fail"
@@ -285,11 +267,8 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
         class_II = ClassStats(None, None, "not-CE")
         class_III = ClassStats(None, None, "not-CE")
 
-    cent = [pr.residual_centrality() for pr in probes]
-    cmax, cmean, cverdict = _stats(cent, tolerances, "central", "not-central")
-    if singular:
-        cverdict = "singular"
-    centrality = CentralityStats(cmax, cmean, cverdict)
+    centrality = CentralityStats(*_stats(residuals["centrality"][finite], tolerances,
+                                         singular, "central", "not-central"))
 
     ok = True
     if class_III.verdict == "pass" and class_II.verdict == "fail":
@@ -304,10 +283,9 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
 
 
 def centrality_check(f: QFunction, grid: Optional[SampleGrid] = None,
-                     cfg: DiffConfig = DiffConfig(),
-                     threads: Optional[int] = None) -> CentralityStats:
+                     cfg: DiffConfig = DiffConfig()) -> CentralityStats:
     """Left/right Fueter agreement on the grid (central iff Class III)."""
-    return classify(f, grid, cfg, threads).centrality
+    return classify(f, grid, cfg).centrality
 
 
 @dataclass(frozen=True)

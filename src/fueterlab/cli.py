@@ -95,7 +95,11 @@ def cmd_verify_props(args) -> int:
 
 
 def _probe_points(region: AnnulusRegion, n: int = 24) -> list:
-    """Deterministic probe points spread through the region interior."""
+    """Deterministic probe points spread through the region interior.
+
+    Every fraction is taken at k + 0.5, so no probe sits on the window
+    boundary, where the chart round trip in reconstruct could move it out.
+    """
     a0, a1 = region.alpha_window
     b0, b1 = region.beta_window
     points = []
@@ -104,8 +108,8 @@ def _probe_points(region: AnnulusRegion, n: int = 24) -> list:
         dist = region.inner + (region.outer - region.inner) * frac
         angle = 2.0 * math.pi * ((k * 0.381966) % 1.0)
         z = region.center + dist * complex(math.cos(angle), math.sin(angle))
-        alpha = a0 + (a1 - a0) * ((k * 0.7548776662) % 1.0)
-        beta = b0 + (b1 - b0) * ((k * 0.5698402909) % 1.0)
+        alpha = a0 + (a1 - a0) * (((k + 0.5) * 0.7548776662) % 1.0)
+        beta = b0 + (b1 - b0) * (((k + 0.5) * 0.5698402909) % 1.0)
         points.append(SphericalPoint(z.real, z.imag, alpha, beta))
     return points
 

@@ -13,6 +13,18 @@ Complex profiles ("stems") feed two constructions:
   f(p) = Re g(t + i r) + iota * Im g(t + i r), kind "CI";
 * the slice restriction of a CE function at fixed (alpha, beta), which
   recovers a complex function of z = t + i r.
+
+A QFunction may also carry an array evaluator, the batched chart view used
+by grid sweeps:
+
+* input: chart rows (t, r, alpha, beta) as an array of shape (4, N);
+* output: value rows (t, x, y, z) as an array of shape (4, N), column k
+  equal to at_spherical of column k;
+* off the domain, where the scalar views raise, the column is NaN, and no
+  numpy floating-point warning escapes.
+
+It is optional; without it sweeps call the scalar views one point at a
+time.  The constructors here supply it whenever their inputs allow.
 """
 
 from __future__ import annotations
@@ -22,11 +34,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .quaternion_core import (
     ChartSingularityError,
     DomainError,
     Quaternion,
     SphericalPoint,
+    qmul_array,
     to_spherical,
 )
 
@@ -46,7 +61,9 @@ class QFunction:
     evaluates directly in chart coordinates and must agree with the
     Cartesian view through the chart; constructors here guarantee that by
     deriving one view from the other.  classes optionally records the
-    expected classification verdicts for catalog entries.
+    expected classification verdicts for catalog entries.  array_evaluator,
+    when given, is the batched chart view described in the module
+    docstring.
     """
 
     name: str
@@ -55,6 +72,7 @@ class QFunction:
     spherical_evaluator: Optional[Callable[[SphericalPoint], Quaternion]] = None
     classes: Optional[Mapping[str, bool]] = None
     domain: "SampleGrid" = None  # filled in __post_init__
+    array_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
@@ -122,6 +140,11 @@ class SampleGrid:
         return (self._axis(*self.t_range), self._axis(*self.r_range),
                 self._axis(*self.alpha_range), self._axis(*self.beta_range))
 
+    def chart_array(self) -> np.ndarray:
+        """ chart rows (t, r, alpha, beta) of every node, beta fastest """
+        mesh = np.meshgrid(*(np.array(axis) for axis in self.axes()), indexing="ij")
+        return np.stack(mesh).reshape(4, -1)
+
     def points(self):
         """ yield SphericalPoint nodes, beta fastest """
         ts, rs, alphas, betas = self.axes()
@@ -182,12 +205,25 @@ def uv_at(f: QFunction, p: Quaternion) -> tuple:
     return val.t, v
 
 
+def _uv_rows(chart: np.ndarray, u, v) -> np.ndarray:
+    """ value rows of u + iota v at chart rows, as in the scalar views """
+    _, _, alpha, beta = chart
+    sb = np.sin(beta)
+    return np.stack((u, v * np.cos(alpha) * sb, v * np.sin(alpha) * sb, v * np.cos(beta)))
+
+
 def from_uv(u: Callable[[SphericalPoint], float],
             v: Callable[[SphericalPoint], float],
             name: str = "from_uv",
             classes: Optional[Mapping[str, bool]] = None,
-            domain: Optional[SampleGrid] = None) -> QFunction:
-    """CE function u(s) + iota(s) * v(s) from two chart-coordinate scalar fields."""
+            domain: Optional[SampleGrid] = None,
+            uv_array: Optional[Callable[[np.ndarray], tuple]] = None) -> QFunction:
+    """CE function u(s) + iota(s) * v(s) from two chart-coordinate scalar fields.
+
+    uv_array, when given, maps chart rows to the pair of arrays (u, v) and
+    becomes the function's array evaluator; it must agree with u and v and
+    return NaN where they raise.
+    """
 
     def at_spherical(s: SphericalPoint) -> Quaternion:
         uu = u(s)
@@ -199,9 +235,15 @@ def from_uv(u: Callable[[SphericalPoint], float],
     def evaluator(p: Quaternion) -> Quaternion:
         return at_spherical(to_spherical(p))
 
+    array_evaluator = None
+    if uv_array is not None:
+        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+            with np.errstate(all="ignore"):
+                return _uv_rows(chart, *uv_array(chart))
+
     return QFunction(name=name, evaluator=evaluator, kind="CE",
                      spherical_evaluator=at_spherical, classes=classes,
-                     domain=domain or DEFAULT_GRID)
+                     domain=domain or DEFAULT_GRID, array_evaluator=array_evaluator)
 
 
 class ComplexStem:
@@ -246,6 +288,22 @@ class ComplexStem:
         return self._func(z)
 
     __call__ = eval
+
+    @property
+    def has_array_form(self) -> bool:
+        """ True for Laurent stems, which eval_array can evaluate """
+        return self.terms is not None and self._domain_ok is None
+
+    def eval_array(self, z: np.ndarray) -> np.ndarray:
+        """ eval over a complex array, NaN where domain_ok fails """
+        if not self.has_array_form:
+            raise TypeError(f"stem {self.label!r} has no array form")
+        with np.errstate(all="ignore"):
+            w = sum(c * z ** n for n, c in self.terms)
+        ok = z.imag > 0.0
+        if any(n < 0 for n, _ in self.terms):
+            ok &= np.abs(z) > 1e-12
+        return np.where(ok, w, np.nan)
 
     def derivative(self, z: complex) -> complex:
         if self._derivative is not None:
@@ -335,9 +393,18 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         scale = w.imag / r
         return Quaternion(w.real, scale * p.x, scale * p.y, scale * p.z)
 
+    array_evaluator = None
+    if stem.has_array_form:
+        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+            z = chart[0].astype(complex)
+            z.imag = chart[1]
+            w = stem.eval_array(z)
+            with np.errstate(all="ignore"):
+                return _uv_rows(chart, w.real, w.imag)
+
     return QFunction(name=name or stem.label, evaluator=evaluator, kind="CI",
                      spherical_evaluator=at_spherical, classes=classes,
-                     domain=domain or DEFAULT_GRID)
+                     domain=domain or DEFAULT_GRID, array_evaluator=array_evaluator)
 
 
 def power_function(n: int) -> QFunction:
@@ -389,9 +456,16 @@ def pointwise_product(f: QFunction, g: QFunction, name: Optional[str] = None) ->
         def spherical(s: SphericalPoint) -> Quaternion:
             return f.at_spherical(s) * g.at_spherical(s)
 
+    array_evaluator = None
+    if f.array_evaluator is not None and g.array_evaluator is not None:
+        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+            a, b = f.array_evaluator(chart), g.array_evaluator(chart)
+            with np.errstate(all="ignore"):
+                return qmul_array(a, b)
+
     return QFunction(name=name or f"product:{f.name}*{g.name}", evaluator=evaluator,
                      kind=_combine_kind(f, g), spherical_evaluator=spherical,
-                     domain=f.domain)
+                     domain=f.domain, array_evaluator=array_evaluator)
 
 
 def pointwise_sum(f: QFunction, g: QFunction, name: Optional[str] = None) -> QFunction:
@@ -403,6 +477,13 @@ def pointwise_sum(f: QFunction, g: QFunction, name: Optional[str] = None) -> QFu
         def spherical(s: SphericalPoint) -> Quaternion:
             return f.at_spherical(s) + g.at_spherical(s)
 
+    array_evaluator = None
+    if f.array_evaluator is not None and g.array_evaluator is not None:
+        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+            a, b = f.array_evaluator(chart), g.array_evaluator(chart)
+            with np.errstate(all="ignore"):
+                return a + b
+
     return QFunction(name=name or f"sum:{f.name}+{g.name}", evaluator=evaluator,
                      kind=_combine_kind(f, g), spherical_evaluator=spherical,
-                     domain=f.domain)
+                     domain=f.domain, array_evaluator=array_evaluator)

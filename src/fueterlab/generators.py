@@ -29,6 +29,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
+import numpy as np
+
 from .classify import classify
 from .diffops import DiffConfig
 from .function_model import (
@@ -71,11 +73,17 @@ def _atanh(x: float) -> float:
     return math.atanh(x)
 
 
+def _atanh_array(x: np.ndarray) -> np.ndarray:
+    """ artanh with NaN wherever _atanh raises """
+    return np.where(np.abs(x) < 1.0, np.arctanh(x), np.nan)
+
+
 def _make_rho() -> QFunction:
     expected = {"class_I": True, "class_II": True, "class_III": False, "regular": False}
     return from_uv(lambda s: s.alpha,
                    lambda s: math.log(math.tan(s.beta / 2.0)),
-                   name="rho", classes=expected)
+                   name="rho", classes=expected,
+                   uv_array=lambda c: (c[2], np.log(np.tan(c[3] / 2.0))))
 
 
 def _make_varrho() -> QFunction:
@@ -87,7 +95,12 @@ def _make_varrho() -> QFunction:
     def v(s: SphericalPoint) -> float:
         return _atanh(math.cos(s.alpha) * math.sin(s.beta))
 
-    return from_uv(u, v, name="varrho", classes=expected)
+    def uv_array(c):
+        _, _, alpha, beta = c
+        return (np.arctan2(np.sin(alpha) * np.sin(beta), np.cos(beta)),
+                _atanh_array(np.cos(alpha) * np.sin(beta)))
+
+    return from_uv(u, v, name="varrho", classes=expected, uv_array=uv_array)
 
 
 def _make_sigma() -> QFunction:
@@ -99,14 +112,20 @@ def _make_sigma() -> QFunction:
     def v(s: SphericalPoint) -> float:
         return _atanh(math.sin(s.alpha) * math.sin(s.beta))
 
-    return from_uv(u, v, name="sigma", classes=expected)
+    def uv_array(c):
+        _, _, alpha, beta = c
+        return (np.arctan2(np.cos(beta), np.cos(alpha) * np.sin(beta)),
+                _atanh_array(np.sin(alpha) * np.sin(beta)))
+
+    return from_uv(u, v, name="sigma", classes=expected, uv_array=uv_array)
 
 
 def _make_xri() -> QFunction:
     expected = {"class_I": True, "class_II": False, "class_III": False, "regular": False}
     return from_uv(lambda s: 0.0,
                    lambda s: math.cos(s.alpha) * math.sin(s.beta),
-                   name="x-over-r-iota", classes=expected)
+                   name="x-over-r-iota", classes=expected,
+                   uv_array=lambda c: (np.zeros_like(c[2]), np.cos(c[2]) * np.sin(c[3])))
 
 
 CATALOG: Dict[str, WitnessEntry] = {}
@@ -243,6 +262,9 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig(),
                      domain=f.domain)
 
 
+_CONJUGATE = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
+
+
 def _wrap_angle(a: float) -> float:
     if a > 0.0:
         return a - math.pi
@@ -262,11 +284,19 @@ def mirror(f: QFunction) -> QFunction:
             antipode = SphericalPoint(s.t, s.r, _wrap_angle(s.alpha), math.pi - s.beta)
             return f.at_spherical(antipode).conjugate()
 
+    array_evaluator = None
+    if f.array_evaluator is not None:
+        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+            t, r, alpha, beta = chart
+            wrapped = np.where(alpha > 0.0, alpha - math.pi, alpha + math.pi)
+            return f.array_evaluator(np.stack((t, r, wrapped, math.pi - beta))) * _CONJUGATE
+
     # left-handed class expectations do not transfer unless the function is
     # a pure slice sweep, which mirror fixes pointwise
     classes = f.classes if f.kind == "CI" else None
     return QFunction(name=f"mirror:{f.name}", evaluator=evaluator, kind=f.kind,
-                     spherical_evaluator=spherical, classes=classes, domain=f.domain)
+                     spherical_evaluator=spherical, classes=classes, domain=f.domain,
+                     array_evaluator=array_evaluator)
 
 
 _STEM_TERM_RE = re.compile(r"^(-?\d+):(-?[\d.eE+-]+):(-?[\d.eE+-]+)$")

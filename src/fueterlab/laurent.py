@@ -1,4 +1,4 @@
-"""Slice-wise Laurent expansion with angle-dependent coefficients.
+r"""Slice-wise Laurent expansion with angle-dependent coefficients.
 
 A Class I function restricted to the slice through iota(alpha, beta) is a
 holomorphic function of z = t + i r, so on an annulus

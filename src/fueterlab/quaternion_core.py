@@ -11,12 +11,19 @@ axis (r = 0) and at the poles (sin(beta) = 0, i.e. the imaginary part
 parallel to k); both raise ChartSingularityError.  Everything downstream
 (difference stencils, classification grids, series windows) keeps a margin
 away from those sets.
+
+The *_array functions are the batched twins used by grid sweeps: a
+quaternion batch is an array of shape (4, ...) with rows (t, x, y, z), a
+chart batch has rows (t, r, alpha, beta), and points where the scalar form
+raises come back as NaN columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -213,3 +220,46 @@ def to_spherical(p: Quaternion) -> SphericalPoint:
 def from_spherical(s: SphericalPoint) -> Quaternion:
     """ inverse chart map """
     return s.to_quaternion()
+
+
+def qmul_array(a, b) -> np.ndarray:
+    """ Hamilton product of quaternion rows; shapes broadcast after axis 0 """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack((a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0))
+
+
+def qabs_array(q) -> np.ndarray:
+    """ norms of quaternion rows, summed in the order Quaternion.norm uses """
+    return np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+
+
+def iota_array(chart: np.ndarray) -> np.ndarray:
+    """ quaternion rows of iota at the angles of chart rows """
+    alpha, beta = chart[2], chart[3]
+    sb = np.sin(beta)
+    return np.stack((np.zeros_like(sb), np.cos(alpha) * sb, np.sin(alpha) * sb, np.cos(beta)))
+
+
+def to_spherical_array(q: np.ndarray) -> np.ndarray:
+    """Chart rows (t, r, alpha, beta) of quaternion rows (t, x, y, z).
+
+    Columns where to_spherical raises (real axis, poles) are NaN.
+    """
+    t, x, y, z = q
+    r = np.sqrt(x * x + y * y + z * z)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        beta = np.arccos(np.clip(z / r, -1.0, 1.0))
+    chart = np.stack((t, r, np.arctan2(y, x), beta))
+    chart[:, (x == 0.0) & (y == 0.0)] = np.nan
+    return chart
+
+
+def from_spherical_array(chart: np.ndarray) -> np.ndarray:
+    """ quaternion rows of chart rows; the inverse of to_spherical_array """
+    t, r, alpha, beta = chart
+    sb = np.sin(beta)
+    return np.stack((t, r * np.cos(alpha) * sb, r * np.sin(alpha) * sb, r * np.cos(beta)))

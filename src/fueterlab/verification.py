@@ -144,7 +144,6 @@ def check_closure(cfg: DiffConfig = DiffConfig(),
 
 def catalog_reports(grid: Optional[SampleGrid] = None,
                     cfg: DiffConfig = DiffConfig(),
-                    threads: Optional[int] = None,
                     names: Optional[Sequence[str]] = None
                     ) -> Dict[str, ClassificationReport]:
     """Classify the witness catalog plus the standard power range."""
@@ -153,7 +152,7 @@ def catalog_reports(grid: Optional[SampleGrid] = None,
     out = {}
     for name in names:
         f = get_witness(name).function
-        out[name] = classify(f, grid, cfg, threads)
+        out[name] = classify(f, grid, cfg)
     return out
 
 
@@ -455,10 +454,9 @@ def check_convergence_order(cfg: DiffConfig = DiffConfig()) -> CheckResult:
 
 
 def run_all_checks(seed: int = 0, cfg: DiffConfig = DiffConfig(),
-                   grid: Optional[SampleGrid] = None,
-                   threads: Optional[int] = None) -> List[CheckResult]:
+                   grid: Optional[SampleGrid] = None) -> List[CheckResult]:
     """Run the full invariant suite in a stable order."""
-    reports = catalog_reports(grid, cfg, threads)
+    reports = catalog_reports(grid, cfg)
     results = [
         check_operator_equivalence(seed, cfg),
         check_closure(cfg),

@@ -1,8 +1,9 @@
 """Grid classification, verdict policy, Jacobian and centrality checks."""
 
 import math
-import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fueterlab.classify import (
@@ -10,12 +11,12 @@ from fueterlab.classify import (
     centrality_check,
     classify,
     jacobian_check,
-    resolve_threads,
 )
 from fueterlab.diffops import DiffConfig
 from fueterlab.function_model import (
     QFunction,
     SampleGrid,
+    from_uv,
     pointwise_product,
     pointwise_sum,
 )
@@ -103,6 +104,33 @@ def test_domain_error_inside_grid_gives_singular():
     assert rep.centrality.verdict == "singular"
 
 
+def _assert_singular(rep):
+    for stats in (rep.class_I, rep.class_II, rep.class_III, rep.regular, rep.centrality):
+        assert stats.verdict == "singular"
+        assert stats.max is None or math.isfinite(stats.max)
+
+
+@pytest.mark.parametrize("u", [
+    lambda s: math.log(s.alpha + 1),           # ValueError for alpha < -1
+    lambda s: 1.0 / (s.t - s.t),               # ZeroDivisionError everywhere
+    lambda s: math.exp(1000.0 * s.r),          # OverflowError for r > 0.71
+    lambda s: math.inf if s.t > 0.5 else 0.0,  # non-finite value
+])
+def test_evaluator_failure_gives_singular(u):
+    _assert_singular(classify(from_uv(u, lambda s: 0.0), grid=FAST_GRID))
+
+
+def test_non_finite_array_samples_give_singular():
+    f = from_uv(lambda s: math.log(s.alpha + 1), lambda s: 0.0,
+                uv_array=lambda c: (np.log(c[2] + 1), np.zeros_like(c[2])))
+    rep = classify(f, grid=FAST_GRID)
+    _assert_singular(rep)
+    # both fill paths drop the same nodes
+    scalar = classify(replace(f, array_evaluator=None), grid=FAST_GRID)
+    for key in ("class_I", "class_II", "class_III", "regular", "centrality"):
+        assert getattr(scalar, key).max == pytest.approx(getattr(rep, key).max, rel=1e-9)
+
+
 def test_report_dict_shape():
     rep = classify(get_witness("pow:2").function, grid=FAST_GRID, cfg=CFG)
     d = rep.to_dict()
@@ -186,24 +214,3 @@ def test_centrality_check_standalone():
                             grid=FAST_GRID).verdict == "not-central"
     assert centrality_check(get_witness("pow:0").function,
                             grid=FAST_GRID).verdict == "central"
-
-
-# ---------------------------------------------------------------------------
-# threading
-
-
-def test_resolve_threads_env_cap(monkeypatch):
-    monkeypatch.delenv("FUETERLAB_THREADS", raising=False)
-    assert resolve_threads() == 1
-    assert resolve_threads(3) == 3
-    monkeypatch.setenv("FUETERLAB_THREADS", "2")
-    assert resolve_threads() == 2
-    assert resolve_threads(8) == 2  # env is a hard cap
-    assert resolve_threads(1) == 1
-
-
-def test_threaded_classification_is_deterministic():
-    f = get_witness("rho").function
-    a = classify(f, grid=FAST_GRID, threads=1).to_dict()
-    b = classify(f, grid=FAST_GRID, threads=2).to_dict()
-    assert a == b

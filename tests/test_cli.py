@@ -114,6 +114,15 @@ def test_laurent_identity_shifted_center(capsys):
     assert coeffs["1"][0][0] == pytest.approx([1.0, 0.0], abs=1e-10)
 
 
+def test_laurent_probes_stay_inside_window(capsys):
+    # with this center the chart round trip moved a probe placed on the
+    # window corner just outside the window, and the command exited 2
+    rc, doc, err = run_cli(capsys, ["laurent", "pow:2", "--center=0.993,1.909",
+                                    "--radii=0.2,0.6"])
+    assert rc == 0, err
+    assert doc["max_reconstruction_error"] < 1e-8
+
+
 def test_laurent_class_check(capsys):
     rc, doc, _ = run_cli(capsys, ["laurent", "rho", "--n-range=-2,2",
                                   "--quad-points", "64", "--check-class"])
