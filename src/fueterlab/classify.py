@@ -243,7 +243,7 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
                 _diff(alpha_vals[0], cfg), _diff(beta_vals[0], cfg),
                 _diff(_dot3(alpha_vals, iota_array(alpha_at)), cfg),
                 _diff(_dot3(beta_vals, iota_array(beta_at)), cfg)]), axis=0)
-        tolerances = cfg.tol_abs + cfg.tol_rel * st.scale
+        tolerances = cfg.point_tolerance(st.scale)
 
     finite = np.isfinite(tolerances)
     for values in residuals.values():

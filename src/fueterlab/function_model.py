@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -131,8 +132,6 @@ class SampleGrid:
 
     def _axis(self, lo: float, hi: float) -> list:
         n = self.n_per_axis
-        if n == 1:
-            return [0.5 * (lo + hi)]
         step = (hi - lo) / (n - 1)
         return [lo + k * step for k in range(n)]
 
@@ -289,15 +288,8 @@ class ComplexStem:
 
     __call__ = eval
 
-    @property
-    def has_array_form(self) -> bool:
-        """ True for Laurent stems, which eval_array can evaluate """
-        return self.terms is not None and self._domain_ok is None
-
     def eval_array(self, z: np.ndarray) -> np.ndarray:
-        """ eval over a complex array, NaN where domain_ok fails """
-        if not self.has_array_form:
-            raise TypeError(f"stem {self.label!r} has no array form")
+        """ eval of a Laurent stem over a complex array, NaN where domain_ok fails """
         with np.errstate(all="ignore"):
             w = sum(c * z ** n for n, c in self.terms)
         ok = z.imag > 0.0
@@ -394,7 +386,7 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         return Quaternion(w.real, scale * p.x, scale * p.y, scale * p.z)
 
     array_evaluator = None
-    if stem.has_array_form:
+    if stem.terms is not None:
         def array_evaluator(chart: np.ndarray) -> np.ndarray:
             z = chart[0].astype(complex)
             z.imag = chart[1]
@@ -437,53 +429,37 @@ def restrict_to_slice(f: QFunction, alpha: float, beta: float) -> Callable[[comp
     return slice_fn
 
 
-def _combine_kind(a: QFunction, b: QFunction) -> str:
-    if a.kind == "CI" and b.kind == "CI":
-        return "CI"
-    if a.is_ce and b.is_ce:
-        return "CE"
-    return "raw"
+def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction:
+    """f op g pointwise, in every view that both inputs have."""
+
+    def evaluator(p: Quaternion) -> Quaternion:
+        return op(f(p), g(p))
+
+    spherical = None
+    if f.spherical_evaluator is not None and g.spherical_evaluator is not None:
+        def spherical(s: SphericalPoint) -> Quaternion:
+            return op(f.at_spherical(s), g.at_spherical(s))
+
+    array_evaluator = None
+    if f.array_evaluator is not None and g.array_evaluator is not None:
+        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+            a, b = f.array_evaluator(chart), g.array_evaluator(chart)
+            with np.errstate(all="ignore"):
+                return array_op(a, b)
+
+    if f.kind == "CI" and g.kind == "CI":
+        kind = "CI"
+    else:
+        kind = "CE" if f.is_ce and g.is_ce else "raw"
+    return QFunction(name=name, evaluator=evaluator, kind=kind,
+                     spherical_evaluator=spherical, domain=f.domain,
+                     array_evaluator=array_evaluator)
 
 
 def pointwise_product(f: QFunction, g: QFunction, name: Optional[str] = None) -> QFunction:
     """ pointwise Hamilton product f(p) g(p); CE is closed under it """
-
-    def evaluator(p: Quaternion) -> Quaternion:
-        return f(p) * g(p)
-
-    spherical = None
-    if f.spherical_evaluator is not None and g.spherical_evaluator is not None:
-        def spherical(s: SphericalPoint) -> Quaternion:
-            return f.at_spherical(s) * g.at_spherical(s)
-
-    array_evaluator = None
-    if f.array_evaluator is not None and g.array_evaluator is not None:
-        def array_evaluator(chart: np.ndarray) -> np.ndarray:
-            a, b = f.array_evaluator(chart), g.array_evaluator(chart)
-            with np.errstate(all="ignore"):
-                return qmul_array(a, b)
-
-    return QFunction(name=name or f"product:{f.name}*{g.name}", evaluator=evaluator,
-                     kind=_combine_kind(f, g), spherical_evaluator=spherical,
-                     domain=f.domain, array_evaluator=array_evaluator)
+    return _pointwise(f, g, name or f"product:{f.name}*{g.name}", operator.mul, qmul_array)
 
 
 def pointwise_sum(f: QFunction, g: QFunction, name: Optional[str] = None) -> QFunction:
-    def evaluator(p: Quaternion) -> Quaternion:
-        return f(p) + g(p)
-
-    spherical = None
-    if f.spherical_evaluator is not None and g.spherical_evaluator is not None:
-        def spherical(s: SphericalPoint) -> Quaternion:
-            return f.at_spherical(s) + g.at_spherical(s)
-
-    array_evaluator = None
-    if f.array_evaluator is not None and g.array_evaluator is not None:
-        def array_evaluator(chart: np.ndarray) -> np.ndarray:
-            a, b = f.array_evaluator(chart), g.array_evaluator(chart)
-            with np.errstate(all="ignore"):
-                return a + b
-
-    return QFunction(name=name or f"sum:{f.name}+{g.name}", evaluator=evaluator,
-                     kind=_combine_kind(f, g), spherical_evaluator=spherical,
-                     domain=f.domain, array_evaluator=array_evaluator)
+    return _pointwise(f, g, name or f"sum:{f.name}+{g.name}", operator.add, operator.add)

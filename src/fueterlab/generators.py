@@ -46,11 +46,7 @@ from .function_model import (
     pointwise_sum,
     power_function,
 )
-from .quaternion_core import DomainError, Quaternion, SphericalPoint
-
-I_UNIT = Quaternion(0, 1, 0, 0)
-J_UNIT = Quaternion(0, 0, 1, 0)
-K_UNIT = Quaternion(0, 0, 0, 1)
+from .quaternion_core import I, J, K, DomainError, Quaternion, SphericalPoint
 
 
 class SpecError(ValueError):
@@ -254,9 +250,7 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig(),
             diffs.append(d1)
         dx, dy, dz = diffs
         # the time derivative cancels; only the unit commutators survive
-        return (I_UNIT * dx - dx * I_UNIT
-                + J_UNIT * dy - dy * J_UNIT
-                + K_UNIT * dz - dz * K_UNIT)
+        return I * dx - dx * I + J * dy - dy * J + K * dz - dz * K
 
     return QFunction(name=f"chiral:{f.name}", evaluator=evaluator, kind="raw",
                      domain=f.domain)

@@ -144,7 +144,6 @@ class Quaternion:
         return (self - other).norm() <= tol
 
 
-ZERO = Quaternion()
 ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
