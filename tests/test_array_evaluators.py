@@ -26,12 +26,12 @@ def _witness(name):
     return get_witness(name).function
 
 
-BUILDERS = {name: (lambda name=name: _witness(name))
+MAKERS = {name: (lambda name=name: _witness(name))
             for name in ("rho", "varrho", "sigma", "x-over-r-iota")}
-BUILDERS.update({f"pow:{n}": (lambda n=n: _witness(f"pow:{n}")) for n in range(-2, 5)})
-BUILDERS["product:rho*pow:2"] = lambda: pointwise_product(_witness("rho"), _witness("pow:2"))
-BUILDERS["sum:pow:2+pow:-1"] = lambda: pointwise_sum(_witness("pow:2"), _witness("pow:-1"))
-BUILDERS["mirror:pow:3"] = lambda: mirror(_witness("pow:3"))
+MAKERS.update({f"pow:{n}": (lambda n=n: _witness(f"pow:{n}")) for n in range(-2, 5)})
+MAKERS["product:rho*pow:2"] = lambda: pointwise_product(_witness("rho"), _witness("pow:2"))
+MAKERS["sum:pow:2+pow:-1"] = lambda: pointwise_sum(_witness("pow:2"), _witness("pow:-1"))
+MAKERS["mirror:pow:3"] = lambda: mirror(_witness("pow:3"))
 
 # chart points where some catalog function leaves its domain: the real
 # axis and below it, a near-zero argument of a negative power, the poles
@@ -73,9 +73,9 @@ def _assert_agrees(got, want, col):
     assert np.linalg.norm(got - want) <= REL_TOL * np.linalg.norm(want), col
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(MAKERS))
 def test_array_matches_scalar_inside_grid(name):
-    f = BUILDERS[name]()
+    f = MAKERS[name]()
     assert f.array_evaluator is not None
     chart = _seeded_chart()
     values = _array_values(f, chart)
@@ -85,9 +85,9 @@ def test_array_matches_scalar_inside_grid(name):
         _assert_agrees(values[:, k], want, col)
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(MAKERS))
 def test_array_is_non_finite_where_scalar_raises(name):
-    f = BUILDERS[name]()
+    f = MAKERS[name]()
     chart = np.array(OFF_DOMAIN).T
     values = _array_values(f, chart)
     for k, col in enumerate(OFF_DOMAIN):
@@ -101,6 +101,6 @@ def test_array_is_non_finite_where_scalar_raises(name):
 def test_off_domain_points_reach_every_family():
     # the off-domain cases exercise the NaN path of each kind of evaluator
     for name in ("pow:-2", "rho", "varrho", "sigma", "mirror:pow:3"):
-        f = BUILDERS[name]()
+        f = MAKERS[name]()
         values = _array_values(f, np.array(OFF_DOMAIN).T)
         assert not np.all(np.isfinite(values)), name
