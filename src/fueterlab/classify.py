@@ -31,17 +31,16 @@ from typing import Optional
 
 import numpy as np
 
-from .diffops import DiffConfig, POLE_SIN_BETA_FLOOR
-from .function_model import DEFAULT_GRID, QFunction, SampleGrid
+from .diffops import DiffConfig, POLE_SIN_BETA_FLOOR, finish_stencil, stencil_offsets
+from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
+                             sample_chart)
 from .quaternion_core import (
     DomainError,
     Quaternion,
-    SphericalPoint,
     from_spherical_array,
     iota_array,
     qabs_array,
     qmul_array,
-    to_spherical_array,
 )
 
 PASS_FRACTION = 0.999
@@ -106,53 +105,6 @@ class ClassificationReport:
         return stats.verdict == "pass"
 
 
-def _offsets(cfg: DiffConfig) -> np.ndarray:
-    if cfg.scheme == "richardson":
-        return np.array([cfg.h, -cfg.h, cfg.h / 2.0, -cfg.h / 2.0])
-    return np.array([cfg.h, -cfg.h])
-
-
-def _diff(samples: np.ndarray, cfg: DiffConfig) -> np.ndarray:
-    """Finish a stencil: samples[k] is the value at offset _offsets(cfg)[k]."""
-    h = cfg.h
-    d1 = (samples[0] - samples[1]) / (2.0 * h)
-    if cfg.scheme == "central":
-        return d1
-    d2 = (samples[2] - samples[3]) / h
-    return (d2 * 4.0 - d1) / 3.0
-
-
-def _fill_points(evaluate, args) -> np.ndarray:
-    """Value rows of evaluate over args, one call per point.
-
-    A point whose evaluation raises a math or domain error gets a NaN
-    column, which marks its node singular.
-    """
-    rows = []
-    for arg in args:
-        try:
-            val = evaluate(arg)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            rows.append((math.nan,) * 4)
-            continue
-        rows.append((val.t, val.x, val.y, val.z))
-    return np.array(rows, dtype=float).reshape(-1, 4).T
-
-
-def _sample_chart(f: QFunction, chart: np.ndarray) -> np.ndarray:
-    """ value rows of f at chart rows (t, r, alpha, beta) """
-    if f.array_evaluator is not None:
-        return f.array_evaluator(chart)
-    return _fill_points(f.at_spherical, (SphericalPoint(*col) for col in chart.T.tolist()))
-
-
-def _sample_cartesian(f: QFunction, points: np.ndarray) -> np.ndarray:
-    """ value rows of f at quaternion rows (t, x, y, z) """
-    if f.array_evaluator is not None:
-        return f.array_evaluator(to_spherical_array(points))
-    return _fill_points(f, (Quaternion(*col) for col in points.T.tolist()))
-
-
 class _Stencils:
     """Per-node derivatives along t, x, y, z, r, alpha, beta, one axis at a
     time, with the running max |f| over every stencil sample."""
@@ -160,8 +112,8 @@ class _Stencils:
     def __init__(self, f: QFunction, nodes: np.ndarray, cfg: DiffConfig):
         self.f = f
         self.cfg = cfg
-        self.offsets = _offsets(cfg)
-        self.center = _sample_chart(f, nodes)
+        self.offsets = stencil_offsets(cfg)
+        self.center = sample_chart(f, nodes)
         with np.errstate(all="ignore"):
             self.scale = qabs_array(self.center)
 
@@ -177,7 +129,7 @@ class _Stencils:
     def derivative(self, base: np.ndarray, row: int, sample) -> np.ndarray:
         values = self.along(base, row, sample)[1]
         with np.errstate(all="ignore"):
-            return _diff(values.swapaxes(0, 1), self.cfg)
+            return finish_stencil(values.swapaxes(0, 1), self.cfg)
 
 
 def _dot3(q: np.ndarray, io: np.ndarray) -> np.ndarray:
@@ -219,10 +171,10 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     st = _Stencils(f, nodes, cfg)
 
     cart = from_spherical_array(nodes)
-    d_t, d_x, d_y, d_z = (st.derivative(cart, row, _sample_cartesian) for row in range(4))
-    d_r = st.derivative(nodes, 1, _sample_chart)
-    alpha_at, alpha_vals = st.along(nodes, 2, _sample_chart)
-    beta_at, beta_vals = st.along(nodes, 3, _sample_chart)
+    d_t, d_x, d_y, d_z = (st.derivative(cart, row, sample_cartesian) for row in range(4))
+    d_r = st.derivative(nodes, 1, sample_chart)
+    alpha_at, alpha_vals = st.along(nodes, 2, sample_chart)
+    beta_at, beta_vals = st.along(nodes, 3, sample_chart)
 
     with np.errstate(all="ignore"):
         io = iota_array(nodes)
@@ -240,9 +192,9 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
             residuals["class_II"] = qabs_array(class2)
             # v is extracted against the iota of each shifted sample's own angles
             residuals["class_III"] = np.max(np.abs([
-                _diff(alpha_vals[0], cfg), _diff(beta_vals[0], cfg),
-                _diff(_dot3(alpha_vals, iota_array(alpha_at)), cfg),
-                _diff(_dot3(beta_vals, iota_array(beta_at)), cfg)]), axis=0)
+                finish_stencil(alpha_vals[0], cfg), finish_stencil(beta_vals[0], cfg),
+                finish_stencil(_dot3(alpha_vals, iota_array(alpha_at)), cfg),
+                finish_stencil(_dot3(beta_vals, iota_array(beta_at)), cfg)]), axis=0)
         tolerances = cfg.point_tolerance(st.scale)
 
     finite = np.isfinite(tolerances)
@@ -321,11 +273,7 @@ def jacobian_check(f: QFunction, p: Quaternion, cfg: DiffConfig = DiffConfig()) 
                            p.z + (delta if axis == 3 else 0.0))
             return f(q)
 
-        h = cfg.h
-        d1 = (sample(h) - sample(-h)) / (2.0 * h)
-        if cfg.scheme == "richardson":
-            d2 = (sample(h / 2.0) - sample(-h / 2.0)) / h
-            d1 = (d2 * 4.0 - d1) / 3.0
+        d1 = finish_stencil([sample(d) for d in stencil_offsets(cfg).tolist()], cfg)
         jac[:, axis] = (d1.t, d1.x, d1.y, d1.z)
     det_numeric = float(np.linalg.det(jac))
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .classify import classify
 from .diffops import DiffConfig
-from .function_model import SampleGrid
+from .function_model import FunctionKindError, SampleGrid
 from .generators import SpecError, resolve_function_spec
 from .laurent import (AnnulusRegion, coefficient_class_check,
                       laurent_coefficients, reconstruct)
@@ -40,6 +40,13 @@ def _parse_floats(text: str, n: int, label: str) -> list:
         return [float(x) for x in parts]
     except ValueError as exc:
         raise SpecError(f"bad {label} value in {text!r}") from exc
+
+
+def _parse_ints(text: str, n: int, label: str) -> list:
+    values = _parse_floats(text, n, label)
+    if not all(v.is_integer() for v in values):
+        raise SpecError(f"{label} needs integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _grid_from_arg(text: Optional[str]) -> Optional[SampleGrid]:
@@ -119,11 +126,11 @@ def cmd_laurent(args) -> int:
     cfg = _config_from_args(args)
     c1, c2 = _parse_floats(args.center, 2, "--center")
     inner, outer = _parse_floats(args.radii, 2, "--radii")
-    n_lo, n_hi = (int(v) for v in _parse_floats(args.n_range, 2, "--n-range"))
+    n_lo, n_hi = _parse_ints(args.n_range, 2, "--n-range")
     try:
         region = AnnulusRegion(c1, c2, inner, outer)
         series = laurent_coefficients(f, region, (n_lo, n_hi), args.quad_points)
-    except (ValueError, DomainError) as exc:
+    except (ValueError, FunctionKindError) as exc:
         raise SpecError(str(exc)) from exc
 
     recon_err = 0.0

@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .function_model import QFunction
 from .quaternion_core import (
     ChartSingularityError,
@@ -64,6 +66,23 @@ class DiffConfig:
     def point_tolerance(self, scale: float) -> float:
         """ absolute-plus-relative threshold for one residual sample """
         return self.tol_abs + self.tol_rel * scale
+
+
+def stencil_offsets(cfg: DiffConfig) -> np.ndarray:
+    """ sample offsets of one stencil: (h, -h), plus (h/2, -h/2) for Richardson """
+    if cfg.scheme == "richardson":
+        return np.array([cfg.h, -cfg.h, cfg.h / 2.0, -cfg.h / 2.0])
+    return np.array([cfg.h, -cfg.h])
+
+
+def finish_stencil(samples, cfg: DiffConfig):
+    """Derivative from samples[k], the value at offset stencil_offsets(cfg)[k]."""
+    h = cfg.h
+    d1 = (samples[0] - samples[1]) / (2.0 * h)
+    if cfg.scheme == "central":
+        return d1
+    d2 = (samples[2] - samples[3]) / h
+    return (d2 * 4.0 - d1) / 3.0
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ by grid sweeps:
   numpy floating-point warning escapes.
 
 It is optional; without it sweeps call the scalar views one point at a
-time.  The constructors here supply it whenever their inputs allow.
+time.  The constructors here supply it whenever their inputs allow, and
+sample_chart/sample_cartesian pick the array or the point-by-point path
+for the grid sweeps and the Laurent contours alike.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .quaternion_core import (
     SphericalPoint,
     qmul_array,
     to_spherical,
+    to_spherical_array,
 )
 
 
@@ -186,6 +189,37 @@ class SampleGrid:
 
 
 DEFAULT_GRID = SampleGrid()
+
+
+def _fill_points(evaluate, args) -> np.ndarray:
+    """Value rows of evaluate over args, one call per point.
+
+    A point whose evaluation raises a math or domain error gets a NaN
+    column, as the array evaluators give off their domain.
+    """
+    rows = []
+    for arg in args:
+        try:
+            val = evaluate(arg)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            rows.append((math.nan,) * 4)
+            continue
+        rows.append((val.t, val.x, val.y, val.z))
+    return np.array(rows, dtype=float).reshape(-1, 4).T
+
+
+def sample_chart(f: QFunction, chart: np.ndarray) -> np.ndarray:
+    """ value rows of f at chart rows (t, r, alpha, beta), NaN where it fails """
+    if f.array_evaluator is not None:
+        return f.array_evaluator(chart)
+    return _fill_points(f.at_spherical, (SphericalPoint(*col) for col in chart.T.tolist()))
+
+
+def sample_cartesian(f: QFunction, points: np.ndarray) -> np.ndarray:
+    """ value rows of f at quaternion rows (t, x, y, z), NaN where it fails """
+    if f.array_evaluator is not None:
+        return f.array_evaluator(to_spherical_array(points))
+    return _fill_points(f, (Quaternion(*col) for col in points.T.tolist()))
 
 
 def uv_at(f: QFunction, p: Quaternion) -> tuple:

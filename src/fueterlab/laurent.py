@@ -12,7 +12,9 @@ vary with the slice.  Coefficients are contour integrals
 
 taken on the mid-circle of the annulus.  With equispaced angles the
 trapezoid rule is exponentially accurate for analytic F and reduces to an
-FFT, which yields every order from one ring of samples.
+FFT, which yields every order from one ring of samples.  The rings of many
+slices are sampled together, through the function's array evaluator when
+it has one.
 
 The slice plane is treated with a signed radius: z with Im z < 0 addresses
 the quaternion t + (Im z) iota, i.e. the antipodal half of the same plane.
@@ -28,13 +30,17 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .diffops import DiffConfig
-from .function_model import FunctionKindError, QFunction
-from .quaternion_core import DomainError, Quaternion, iota, to_spherical
+from .diffops import DiffConfig, finish_stencil, stencil_offsets
+from .function_model import FunctionKindError, QFunction, sample_cartesian
+from .quaternion_core import (DomainError, Quaternion, iota, iota_array, qabs_array,
+                              to_spherical)
 
 MIN_QUADRATURE_POINTS = 16
 SIN_BETA_MARGIN = 0.1
 ALIGNMENT_TOL = 1e-6
+# contour points per evaluator call (at least one whole contour): large
+# enough to amortize the call, small enough to keep the temporaries small
+QUAD_CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,11 @@ class AnnulusRegion:
     def betas(self) -> np.ndarray:
         return np.linspace(self.beta_window[0], self.beta_window[1], self.n_beta)
 
+    def window_angles(self) -> Tuple[np.ndarray, np.ndarray]:
+        """ (alpha, beta) of every window node, beta fastest """
+        alphas, betas = np.meshgrid(self.alphas(), self.betas(), indexing="ij")
+        return alphas.ravel(), betas.ravel()
+
     def contains(self, t: float, r: float, alpha: float, beta: float) -> bool:
         dist = abs(complex(t, r) - self.center)
         return (self.inner < dist < self.outer
@@ -96,6 +107,55 @@ class AnnulusRegion:
         }
 
 
+def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
+                       center: complex, radius: float, n_range: Tuple[int, int],
+                       quadrature_points: int) -> Dict[int, np.ndarray]:
+    """Laurent coefficients of f on the slices through iota(alphas[m], betas[m])
+    by FFT contour quadrature, as {n: (M,) complex array}.
+
+    The contours of all M slices are sampled in batches of whole contours
+    through the function's array evaluator (point by point without one).
+    A sample that is not finite, or whose value leaves the slice plane,
+    raises DomainError.
+    """
+    if abs(center.imag) <= radius:
+        raise DomainError("contour crosses the real axis")
+    npts = quadrature_points
+    orders = range(n_range[0], n_range[1] + 1)
+    columns = [n % npts for n in orders]
+    thetas = 2.0 * math.pi * np.arange(npts) / npts
+    ring = center + radius * (np.cos(thetas) + 1j * np.sin(thetas))
+    per_call = max(1, QUAD_CHUNK_POINTS // npts)
+    modes = []
+    for start in range(0, len(alphas), per_call):
+        alpha, beta = alphas[start:start + per_call], betas[start:start + per_call]
+        # iota of each slice, from the chart of its unit point, as quaternion
+        # rows (4, m, 1); the contour points t + (Im z) iota have shape
+        # (4, m, Q), and Im z < 0 reaches the antipodal half of the slice
+        unit = np.stack((np.zeros_like(alpha), np.ones_like(alpha), alpha, beta))
+        io = iota_array(unit)[:, :, None]
+        points = ring.imag * io
+        points[0] = ring.real
+        w = sample_cartesian(f, points.reshape(4, -1)).reshape(points.shape)
+        with np.errstate(all="ignore"):
+            v = np.sum(w[1:] * io[1:], axis=0)
+            misalign = np.sqrt(np.maximum(0.0, np.sum(w[1:] * w[1:], axis=0) - v * v))
+            finite = np.isfinite(w).all(axis=0)
+            bad = ~finite | (misalign > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
+        if bad.any():
+            m, k = np.unravel_index(np.argmax(bad), bad.shape)
+            where = (f"z={ring[k]:.4f} on the slice (alpha, beta) = "
+                     f"({alpha[m]:.4f}, {beta[m]:.4f})")
+            if not finite[m, k]:
+                raise DomainError(f"{f.name}: no finite value at {where}")
+            raise DomainError(
+                f"{f.name}: values leave the slice plane at {where} "
+                f"(misalignment {misalign[m, k]:.3e}); not a CE function there")
+        modes.append(np.fft.fft(w[0] + 1j * v, axis=1)[:, columns])
+    modes = np.concatenate(modes)
+    return {n: modes[:, k] / (npts * radius ** n) for k, n in enumerate(orders)}
+
+
 def slice_laurent_coefficients(f: QFunction, alpha: float, beta: float,
                                center: complex, radius: float,
                                n_range: Tuple[int, int],
@@ -106,31 +166,9 @@ def slice_laurent_coefficients(f: QFunction, alpha: float, beta: float,
     part addresses the antipodal side); the contour must not touch the
     real axis.
     """
-    n_min, n_max = n_range
-    npts = quadrature_points
-    if abs(center.imag) <= radius:
-        raise DomainError("contour crosses the real axis")
-    io = iota(alpha, beta)
-    thetas = 2.0 * math.pi * np.arange(npts) / npts
-    vals = np.empty(npts, dtype=complex)
-    for k in range(npts):
-        z = center + radius * complex(math.cos(thetas[k]), math.sin(thetas[k]))
-        rho = z.imag
-        q = Quaternion(z.real, rho * io.x, rho * io.y, rho * io.z)
-        w = f(q)
-        v = w.x * io.x + w.y * io.y + w.z * io.z
-        imag_sq = w.x * w.x + w.y * w.y + w.z * w.z
-        misalign = math.sqrt(max(0.0, imag_sq - v * v))
-        if misalign > ALIGNMENT_TOL * (1.0 + abs(w)):
-            raise DomainError(
-                f"{f.name}: values leave the slice plane at z={z:.4f} "
-                f"(misalignment {misalign:.3e}); not a CE function there")
-        vals[k] = complex(w.t, v)
-    modes = np.fft.fft(vals)
-    out = {}
-    for n in range(n_min, n_max + 1):
-        out[n] = complex(modes[n % npts]) / (npts * radius ** n)
-    return out
+    coeffs = _ring_coefficients(f, np.array([alpha]), np.array([beta]), center,
+                                radius, n_range, quadrature_points)
+    return {n: complex(c[0]) for n, c in coeffs.items()}
 
 
 def _validate_orders(n_range: Tuple[int, int], quadrature_points: int):
@@ -219,23 +257,22 @@ class LaurentSeries:
         return doc
 
 
+def _window_grids(f: QFunction, region: AnnulusRegion, center: complex,
+                  n_range: Tuple[int, int], quadrature_points: int) -> Dict[int, np.ndarray]:
+    """ (n_alpha, n_beta) coefficient grids of f about center on every window slice """
+    if not f.is_ce:
+        raise FunctionKindError(f"{f.name}: Laurent expansion needs a CE/CI function")
+    _validate_orders(n_range, quadrature_points)
+    coeffs = _ring_coefficients(f, *region.window_angles(), center,
+                                region.mid_radius, n_range, quadrature_points)
+    return {n: c.reshape(region.n_alpha, region.n_beta) for n, c in coeffs.items()}
+
+
 def laurent_coefficients(f: QFunction, region: AnnulusRegion,
                          n_range: Tuple[int, int] = (-8, 8),
                          quadrature_points: int = 128) -> LaurentSeries:
     """Expand f on every window slice of the region."""
-    if not f.is_ce:
-        raise FunctionKindError(f"{f.name}: Laurent expansion needs a CE/CI function")
-    _validate_orders(n_range, quadrature_points)
-    alphas = region.alphas()
-    betas = region.betas()
-    grids = {n: np.empty((region.n_alpha, region.n_beta), dtype=complex)
-             for n in range(n_range[0], n_range[1] + 1)}
-    for ia, a in enumerate(alphas):
-        for ib, b in enumerate(betas):
-            coeffs = slice_laurent_coefficients(
-                f, a, b, region.center, region.mid_radius, n_range, quadrature_points)
-            for n, c in coeffs.items():
-                grids[n][ia, ib] = c
+    grids = _window_grids(f, region, region.center, n_range, quadrature_points)
     return LaurentSeries(function=f.name, region=region, n_range=n_range,
                          quadrature_points=quadrature_points, coefficients=grids,
                          source=f)
@@ -250,19 +287,7 @@ def mirrored_center_coefficients(f: QFunction, region: AnnulusRegion,
     mirror involution sends the ordinary expansion of f to the conjugate of
     this one.
     """
-    if not f.is_ce:
-        raise FunctionKindError(f"{f.name}: Laurent expansion needs a CE/CI function")
-    _validate_orders(n_range, quadrature_points)
-    center = complex(region.center_t, -region.center_r)
-    grids = {n: np.empty((region.n_alpha, region.n_beta), dtype=complex)
-             for n in range(n_range[0], n_range[1] + 1)}
-    for ia, a in enumerate(region.alphas()):
-        for ib, b in enumerate(region.betas()):
-            coeffs = slice_laurent_coefficients(
-                f, a, b, center, region.mid_radius, n_range, quadrature_points)
-            for n, c in coeffs.items():
-                grids[n][ia, ib] = c
-    return grids
+    return _window_grids(f, region, region.center.conjugate(), n_range, quadrature_points)
 
 
 def reconstruct(series: LaurentSeries, p: Quaternion) -> Quaternion:
@@ -289,17 +314,15 @@ def coefficient_class_check(series: LaurentSeries,
     membership reduces to the sphere-direction CR system
         (sin b)^-1 dv/da + du/db = 0,   (sin b)^-1 du/da - dv/db = 0,
     which is evaluated with central (or Richardson) stencils in the angles;
-    the stencil shifts re-run the contour quadrature, so the window grid
-    spacing does not limit the accuracy.  Returns per-order statistics and
-    verdicts.
+    the stencil shifts re-run the contour quadrature, all shifted windows in
+    one batch, so the window grid spacing does not limit the accuracy.  The
+    tolerance scale of order n is max |a_n| over the series' window nodes.
+    Returns per-order statistics and verdicts.
     """
     if series.source is None:
         raise ValueError("series does not carry its source function; "
                          "build it with laurent_coefficients")
-    f = series.source
     region = series.region
-    n_range = series.n_range
-    quadrature_points = series.quadrature_points
     h = cfg.h
     b_lo = region.beta_window[0] - h
     b_hi = region.beta_window[1] + h
@@ -309,36 +332,22 @@ def coefficient_class_check(series: LaurentSeries,
             f"window {region.beta_window} too close to the poles for "
             f"angle stencils of width {h}")
 
-    orders = list(range(n_range[0], n_range[1] + 1))
-    offsets = (h, -h, h / 2.0, -h / 2.0) if cfg.scheme == "richardson" else (h, -h)
+    # one batch of shifted windows: the alpha stencils, then the beta stencils
+    offsets = stencil_offsets(cfg)
+    alphas, betas = region.window_angles()
+    shift = np.repeat(offsets, alphas.size)
+    at_alpha, at_beta = np.tile(alphas, len(offsets)), np.tile(betas, len(offsets))
+    coeffs = _ring_coefficients(
+        series.source, np.concatenate((at_alpha + shift, at_alpha)),
+        np.concatenate((at_beta, at_beta + shift)), region.center, region.mid_radius,
+        series.n_range, series.quadrature_points)
 
-    def coeffs_at(a: float, b: float) -> Dict[int, complex]:
-        return slice_laurent_coefficients(
-            f, a, b, region.center, region.mid_radius, n_range, quadrature_points)
-
-    worst = {n: 0.0 for n in orders}
-    scale = {n: 0.0 for n in orders}
-    for a in region.alphas():
-        for b in region.betas():
-            center_c = coeffs_at(a, b)
-            a_shift = {d: coeffs_at(a + d, b) for d in offsets}
-            b_shift = {d: coeffs_at(a, b + d) for d in offsets}
-            sb = math.sin(b)
-            for n in orders:
-                def diff(shifted):
-                    d1 = (shifted[h][n] - shifted[-h][n]) / (2.0 * h)
-                    if cfg.scheme == "richardson":
-                        d2 = (shifted[h / 2.0][n] - shifted[-h / 2.0][n]) / h
-                        d1 = (4.0 * d2 - d1) / 3.0
-                    return d1
-
-                da = diff(a_shift)
-                db = diff(b_shift)
-                s1 = da.imag / sb + db.real
-                s2 = da.real / sb - db.imag
-                worst[n] = max(worst[n], abs(s1), abs(s2))
-                scale[n] = max(scale[n], abs(center_c[n]))
-
-    return {n: {"max_residual": worst[n],
-                "verdict": "pass" if worst[n] <= cfg.point_tolerance(scale[n]) else "fail"}
-            for n in orders}
+    sb = np.sin(betas)
+    out = {}
+    for n, shifted in coeffs.items():
+        da, db = (finish_stencil(s, cfg) for s in shifted.reshape(2, len(offsets), -1))
+        worst = float(np.max(np.abs((da.imag / sb + db.real, da.real / sb - db.imag))))
+        scale = float(np.max(np.abs(series.coefficients[n])))
+        out[n] = {"max_residual": worst,
+                  "verdict": "pass" if worst <= cfg.point_tolerance(scale) else "fail"}
+    return out

@@ -153,6 +153,25 @@ def test_laurent_malformed_center_exits_2(capsys):
     assert "error:" in err
 
 
+def test_laurent_fractional_order_range_exits_2(capsys):
+    rc, doc, err = run_cli(capsys, ["laurent", "pow:2", "--n-range=-2.7,2"])
+    assert rc == 2 and doc is None
+    assert "error:" in err and "--n-range" in err
+
+
+def test_laurent_evaluator_failure_on_contour_exits_2(capsys):
+    # arctan is left undefined near its branch cut, which the contour crosses
+    rc, doc, err = run_cli(capsys, ["laurent", "stem:arctan", "--quad-points", "32"])
+    assert rc == 2 and doc is None
+    assert "error: arctan: no finite value at z=" in err
+
+
+def test_laurent_non_ce_function_exits_2(capsys):
+    rc, doc, err = run_cli(capsys, ["laurent", "chiral:rho", "--quad-points", "32"])
+    assert rc == 2 and doc is None
+    assert "error:" in err and "CE/CI" in err
+
+
 # ---------------------------------------------------------------------------
 # verify-props
 

@@ -1,12 +1,13 @@
 """Slice-wise Laurent extraction, reconstruction, and coefficient classhood."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fueterlab.diffops import DiffConfig
-from fueterlab.function_model import FunctionKindError, QFunction
+from fueterlab.function_model import FunctionKindError, QFunction, from_uv
 from fueterlab.generators import get_witness, mirror, resolve_function_spec
 from fueterlab.laurent import (
     AnnulusRegion,
@@ -146,6 +147,14 @@ def test_misaligned_values_are_rejected():
         laurent_coefficients(skew, REGION, n_range=(0, 1), quadrature_points=32)
 
 
+def test_evaluator_failure_on_contour_is_domain_error():
+    # the u field divides by zero on the part of each contour with |t| <= 0.35
+    f = from_uv(lambda s: 1 / 0 if abs(s.t) <= 0.35 else 1 / s.t, lambda s: 0.0,
+                name="broken")
+    with pytest.raises(DomainError, match="broken: no finite value at z="):
+        laurent_coefficients(f, AnnulusRegion(0.0, 1.0, 0.2, 0.6))
+
+
 def test_order_window_validation():
     f = get_witness("pow:2").function
     with pytest.raises(ValueError):
@@ -281,3 +290,43 @@ def test_mirror_conjugates_coefficients_about_mirrored_center():
     for n, grid_vals in mirrored.items():
         dev = np.max(np.abs(grid_vals - np.conj(series.coefficients[n])))
         assert dev < 1e-8, n
+
+
+# ---------------------------------------------------------------------------
+# array path against the point-by-point path
+
+
+def _scalar_only(f):
+    return dataclasses.replace(f, array_evaluator=None)
+
+
+def _assert_grids_agree(got, want):
+    assert set(got) == set(want)
+    for n in want:
+        dev = np.abs(got[n] - want[n])
+        assert np.all(dev <= 1e-12 * (1.0 + np.abs(want[n]))), (n, dev.max())
+
+
+@pytest.mark.parametrize("spec", ["rho", "pow:3", "stem:-1:0.5:-0.25,2:1:0.75"])
+def test_array_and_scalar_paths_agree(spec):
+    f = resolve_function_spec(spec)
+    assert f.array_evaluator is not None
+    batched = laurent_coefficients(f, REGION, n_range=(-4, 4), quadrature_points=64)
+    pointwise = laurent_coefficients(_scalar_only(f), REGION, n_range=(-4, 4),
+                                     quadrature_points=64)
+    _assert_grids_agree(batched.coefficients, pointwise.coefficients)
+    for scheme in ("central", "richardson"):
+        cfg = DiffConfig(scheme=scheme)
+        got = coefficient_class_check(batched, cfg)
+        want = coefficient_class_check(pointwise, cfg)
+        assert {n: v["verdict"] for n, v in got.items()} == \
+            {n: v["verdict"] for n, v in want.items()}
+
+
+def test_array_and_scalar_paths_agree_about_mirrored_center():
+    f = mirror(get_witness("rho").function)
+    assert f.array_evaluator is not None
+    _assert_grids_agree(
+        mirrored_center_coefficients(f, REGION, n_range=(-4, 4), quadrature_points=64),
+        mirrored_center_coefficients(_scalar_only(f), REGION, n_range=(-4, 4),
+                                     quadrature_points=64))
