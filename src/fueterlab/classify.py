@@ -2,8 +2,8 @@
 
 Every grid node takes one central (or Richardson) stencil along each of
 t, x, y, z, r, alpha, beta, and every residual derives from those shared
-samples.  The nodes go through as one batch: one axis at a time, the
-shifted coordinates of all nodes are sampled together (through the
+samples.  The nodes go through the diffops stencil engine as one batch:
+the shifted coordinates of all nodes are sampled together (through the
 function's array evaluator when it has one, else point by point) and
 differenced at once, and the verdicts reduce over arrays.
 
@@ -25,29 +25,20 @@ factorization check for Class II functions live here too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .diffops import DiffConfig, POLE_SIN_BETA_FLOOR, finish_stencil, stencil_offsets
+from .diffops import (DiffConfig, Stencils, chart_ok, fueter_rows, iota_coefficient,
+                      point_rows, require_finite)
 from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
                              sample_chart)
-from .quaternion_core import (
-    DomainError,
-    Quaternion,
-    from_spherical_array,
-    iota_array,
-    qabs_array,
-    qmul_array,
-)
+from .quaternion_core import (DomainError, Quaternion, from_spherical_array, iota_array,
+                              qabs_array, qmul_array)
 
 PASS_FRACTION = 0.999
 HARD_FAIL_FACTOR = 100.0
-
-# the imaginary units as quaternion rows that broadcast against (4, N)
-I, J, K = (np.eye(4)[:, k, None] for k in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -105,44 +96,6 @@ class ClassificationReport:
         return stats.verdict == "pass"
 
 
-class _Stencils:
-    """Per-node derivatives along t, x, y, z, r, alpha, beta, one axis at a
-    time, with the running max |f| over every stencil sample."""
-
-    def __init__(self, f: QFunction, nodes: np.ndarray, cfg: DiffConfig):
-        self.f = f
-        self.cfg = cfg
-        self.offsets = stencil_offsets(cfg)
-        self.center = sample_chart(f, nodes)
-        with np.errstate(all="ignore"):
-            self.scale = qabs_array(self.center)
-
-    def along(self, base: np.ndarray, row: int, sample) -> tuple:
-        """(shifted coordinates, samples), each of shape (4, n_offsets, N)."""
-        shifted = np.repeat(base[:, None, :], len(self.offsets), axis=1)
-        shifted[row] += self.offsets[:, None]
-        values = sample(self.f, shifted.reshape(4, -1)).reshape(shifted.shape)
-        with np.errstate(all="ignore"):
-            self.scale = np.maximum(self.scale, qabs_array(values).max(axis=0))
-        return shifted, values
-
-    def derivative(self, base: np.ndarray, row: int, sample) -> np.ndarray:
-        values = self.along(base, row, sample)[1]
-        with np.errstate(all="ignore"):
-            return finish_stencil(values.swapaxes(0, 1), self.cfg)
-
-
-def _dot3(q: np.ndarray, io: np.ndarray) -> np.ndarray:
-    """ coefficient of iota in the imaginary part of q """
-    return q[1] * io[1] + q[2] * io[2] + q[3] * io[3]
-
-
-def _chart_ok(nodes: np.ndarray, cfg: DiffConfig) -> np.ndarray:
-    _, r, _, beta = nodes
-    return ((r - cfg.h > 0.0) & (beta - cfg.h > 0.0) & (beta + cfg.h < math.pi)
-            & (np.sin(beta) > POLE_SIN_BETA_FLOOR))
-
-
 def _stats(residuals: np.ndarray, tolerances: np.ndarray, singular: bool,
            pass_word: str = "pass", fail_word: str = "fail") -> tuple:
     if residuals.size == 0:
@@ -167,34 +120,27 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     """
     grid = grid or f.domain or DEFAULT_GRID
     nodes = grid.chart_array()
-    nodes = nodes[:, _chart_ok(nodes, cfg)]
-    st = _Stencils(f, nodes, cfg)
-
-    cart = from_spherical_array(nodes)
-    d_t, d_x, d_y, d_z = (st.derivative(cart, row, sample_cartesian) for row in range(4))
-    d_r = st.derivative(nodes, 1, sample_chart)
-    alpha_at, alpha_vals = st.along(nodes, 2, sample_chart)
-    beta_at, beta_vals = st.along(nodes, 3, sample_chart)
+    nodes = nodes[:, chart_ok(nodes, cfg)]
 
     with np.errstate(all="ignore"):
+        center = sample_chart(f, nodes)
+        st = Stencils(f, cfg, scale=qabs_array(center))
+        cart = from_spherical_array(nodes)
+        d_cart = st.partials(cart, range(4), sample_cartesian)[0].swapaxes(0, 1)
+        d_r = st.partials(nodes, (1,), sample_chart)[0][:, 0]
+        angular = np.concatenate(st.uv_partials(nodes, (2, 3)))
         io = iota_array(nodes)
-        fueter_left = d_t + qmul_array(I, d_x) + qmul_array(J, d_y) + qmul_array(K, d_z)
-        fueter_right = d_t + qmul_array(d_x, I) + qmul_array(d_y, J) + qmul_array(d_z, K)
+        fueter_left = fueter_rows(d_cart)
         residuals = {
-            "class_I": qabs_array(d_t + qmul_array(io, d_r)),
+            "class_I": qabs_array(d_cart[0] + qmul_array(io, d_r)),
             "regular": qabs_array(fueter_left),
-            "centrality": qabs_array(fueter_left - fueter_right),
+            "centrality": qabs_array(fueter_left - fueter_rows(d_cart, right=True)),
         }
         if f.is_ce:
-            v = _dot3(st.center, io)
             class2 = fueter_left.copy()
-            class2[0] += 2.0 * v / nodes[1]
+            class2[0] += 2.0 * iota_coefficient(center, io) / nodes[1]
             residuals["class_II"] = qabs_array(class2)
-            # v is extracted against the iota of each shifted sample's own angles
-            residuals["class_III"] = np.max(np.abs([
-                finish_stencil(alpha_vals[0], cfg), finish_stencil(beta_vals[0], cfg),
-                finish_stencil(_dot3(alpha_vals, iota_array(alpha_at)), cfg),
-                finish_stencil(_dot3(beta_vals, iota_array(beta_at)), cfg)]), axis=0)
+            residuals["class_III"] = np.max(np.abs(angular), axis=0)
         tolerances = cfg.point_tolerance(st.scale)
 
     finite = np.isfinite(tolerances)
@@ -264,32 +210,16 @@ def jacobian_check(f: QFunction, p: Quaternion, cfg: DiffConfig = DiffConfig()) 
     if r == 0.0:
         raise DomainError("Jacobian factorization undefined on the real axis")
 
-    jac = np.empty((4, 4))
-    for axis in range(4):
-        def sample(delta):
-            q = Quaternion(p.t + (delta if axis == 0 else 0.0),
-                           p.x + (delta if axis == 1 else 0.0),
-                           p.y + (delta if axis == 2 else 0.0),
-                           p.z + (delta if axis == 3 else 0.0))
-            return f(q)
-
-        d1 = finish_stencil([sample(d) for d in stencil_offsets(cfg).tolist()], cfg)
-        jac[:, axis] = (d1.t, d1.x, d1.y, d1.z)
+    point = point_rows(p)
+    with np.errstate(all="ignore"):
+        jac = Stencils(f, cfg).partials(point, range(4), sample_cartesian)[0][:, :, 0]
+        value = sample_cartesian(f, point)
+    require_finite(f, point, np.hstack((jac, value)))
     det_numeric = float(np.linalg.det(jac))
 
-    io_vec = (p.x / r, p.y / r, p.z / r)
-
-    def uv(delta):
-        val = f(Quaternion(p.t + delta, p.x, p.y, p.z))
-        return (val.t, val.x * io_vec[0] + val.y * io_vec[1] + val.z * io_vec[2])
-
-    h = cfg.h
-    up, vp = uv(h)
-    um, vm = uv(-h)
-    du_dt = (up - um) / (2.0 * h)
-    dv_dt = (vp - vm) / (2.0 * h)
-    _, v = uv(0.0)
-    det_formula = (du_dt ** 2 + dv_dt ** 2) * v * v / (r * r)
+    # v against the iota of p, and its t derivative from the t column
+    dv_dt, v = iota_coefficient(np.hstack((jac[:, :1], value)), point / r)
+    det_formula = float((jac[0, 0] ** 2 + dv_dt ** 2) * v * v / (r * r))
 
     advisory = not (f.classes or {}).get("class_II", False)
     return JacobianResult(det_numeric, det_formula, advisory)

@@ -5,9 +5,13 @@ sharpened to 4th order by one Richardson extrapolation step (combining the
 h and h/2 stencils; the magnitude of their disagreement is reported as the
 error estimate).  Cartesian partials differentiate the raw evaluator;
 (t, r, alpha, beta) partials differentiate the function composed with the
-chart.  The two views agree because the chart round-trips.
+chart.  The two views agree because the chart round-trips.  One stencil
+engine, Stencils, takes every derivative, for a whole batch of points.
 
-Operators:
+The operators take point rows (4, N), Cartesian (t, x, y, z) for
+fueter_left/fueter_right and chart (t, r, alpha, beta) for the rest, and
+return value rows (4, N) with an (N,) error estimate; given one Quaternion
+or SphericalPoint, they return a Quaternion and a float.
 
 * fueter_left   : d/dt f + i d/dx f + j d/dy f + k d/dz f
 * fueter_right  : d/dt f + (d/dx f) i + (d/dy f) j + (d/dz f) k
@@ -26,26 +30,24 @@ Operators:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .function_model import QFunction
-from .quaternion_core import (
-    ChartSingularityError,
-    Quaternion,
-    SphericalPoint,
-    iota,
-    iota_alpha_inv,
-    iota_beta_inv,
-)
+from .function_model import QFunction, sample_cartesian, sample_chart
+from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, iota_array,
+                              qabs_array, qmul_array)
 
 SCHEMES = ("central", "richardson")
 
 # operators refuse points this close to the chart's singular sets, where
 # the inverse tangent factors blow up faster than stencils can resolve
 POLE_SIN_BETA_FLOOR = 0.01
+
+# the imaginary units i, j, k as quaternion rows that broadcast against (4, N)
+UNIT_ROWS = tuple(np.eye(4)[:, k, None] for k in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class DiffConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
-    def point_tolerance(self, scale: float) -> float:
+    def point_tolerance(self, scale):
         """ absolute-plus-relative threshold for one residual sample """
         return self.tol_abs + self.tol_rel * scale
 
@@ -75,165 +77,229 @@ def stencil_offsets(cfg: DiffConfig) -> np.ndarray:
     return np.array([cfg.h, -cfg.h])
 
 
-def finish_stencil(samples, cfg: DiffConfig):
-    """Derivative from samples[k], the value at offset stencil_offsets(cfg)[k]."""
+def finish_stencil(samples, cfg: DiffConfig) -> tuple:
+    """(derivative, d2 - d1) from samples[k], the value at offset
+    stencil_offsets(cfg)[k].
+
+    d1 and d2 are the central differences at steps h and h/2; their
+    disagreement is the Richardson error estimate, 0.0 under central.
+    """
     h = cfg.h
     d1 = (samples[0] - samples[1]) / (2.0 * h)
     if cfg.scheme == "central":
-        return d1
+        return d1, 0.0
     d2 = (samples[2] - samples[3]) / h
-    return (d2 * 4.0 - d1) / 3.0
+    return (d2 * 4.0 - d1) / 3.0, d2 - d1
+
+
+def iota_coefficient(q: np.ndarray, io: np.ndarray) -> np.ndarray:
+    """ coefficient of iota in the imaginary part of quaternion rows q (the v of u + iota v) """
+    return q[1] * io[1] + q[2] * io[2] + q[3] * io[3]
+
+
+class Stencils:
+    """Derivatives of f at a batch of points along some coordinate rows.
+
+    The shifted points of all requested rows go to sample in one call:
+    sample_cartesian for Cartesian base rows, sample_chart for chart rows.
+    Given a starting scale, it becomes the running max |f| over all samples.
+    """
+
+    def __init__(self, f: QFunction, cfg: DiffConfig, scale=None):
+        self.f = f
+        self.cfg = cfg
+        self.offsets = stencil_offsets(cfg)
+        self.scale = scale
+
+    def along(self, base: np.ndarray, rows, sample) -> tuple:
+        """(shifted coordinates, samples), each of shape (4, len(rows), n_offsets, N)."""
+        shape = (4, len(rows), len(self.offsets), base.shape[1])
+        shifted = np.empty(shape)
+        shifted[...] = base[:, None, None, :]
+        for k, row in enumerate(rows):
+            shifted[row, k] += self.offsets[:, None]
+        values = sample(self.f, shifted.reshape(4, -1)).reshape(shape)
+        if self.scale is not None:
+            self.scale = np.maximum(self.scale, qabs_array(values).max(axis=(0, 1)))
+        return shifted, values
+
+    def partials(self, base: np.ndarray, rows, sample) -> tuple:
+        """(derivative rows (4, len(rows), N), error estimates (len(rows), N))."""
+        values = self.along(base, rows, sample)[1].transpose(2, 0, 1, 3)
+        d, spread = finish_stencil(values, self.cfg)
+        if self.cfg.scheme == "central":
+            return d, np.zeros(d.shape[1:])
+        return d, qabs_array(spread)
+
+    def uv_partials(self, chart: np.ndarray, rows) -> tuple:
+        """(du, dv), each of shape (len(rows), N), along chart rows; v is taken
+        against the iota of each shifted sample's own angles."""
+        at, values = self.along(chart, rows, sample_chart)
+        uv = np.array((values[0], iota_coefficient(values, iota_array(at))))
+        return finish_stencil(uv.transpose(2, 0, 1, 3), self.cfg)[0]
+
+
+def _times(a: np.ndarray, b: np.ndarray, right: bool) -> np.ndarray:
+    """ a b, or b a when right """
+    return qmul_array(b, a) if right else qmul_array(a, b)
+
+
+def fueter_rows(d, right: bool = False) -> np.ndarray:
+    """ d[0] + the units times d[1], d[2], d[3], multiplying from the left (or right) """
+    out = d[0]
+    for unit, dk in zip(UNIT_ROWS, d[1:]):
+        out = out + _times(unit, dk, right)
+    return out
+
+
+def chart_ok(chart: np.ndarray, cfg: DiffConfig) -> np.ndarray:
+    """ columns whose chart stencils keep r > h, h < beta < pi - h, sin(beta) > the pole floor """
+    _, r, _, beta = chart
+    return ((r - cfg.h > 0.0) & (beta - cfg.h > 0.0) & (beta + cfg.h < math.pi)
+            & (np.sin(beta) > POLE_SIN_BETA_FLOOR))
+
+
+def _require_chart_margins(chart: np.ndarray, cfg: DiffConfig):
+    ok = chart_ok(chart, cfg)
+    if not ok.all():
+        t, r, alpha, beta = chart[:, np.argmin(ok)].tolist()
+        raise ChartSingularityError(
+            f"chart stencil of width {cfg.h} at (t, r, alpha, beta) = ({t}, {r}, {alpha}, "
+            f"{beta}) leaves r > h, h < beta < pi - h, sin(beta) > {POLE_SIN_BETA_FLOOR}")
+
+
+def require_finite(f: QFunction, points: np.ndarray, values: np.ndarray):
+    """ DomainError naming f and the first point whose value rows are not all finite """
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        raise DomainError(f"{f.name}: no finite value at {tuple(points[:, np.argmax(bad)].tolist())}")
 
 
 @dataclass(frozen=True)
 class OperatorValue:
     """An operator sample and the stencil-disagreement error estimate.
 
-    estimated_error is the summed magnitude of the h vs h/2 Richardson
-    differences when that scheme is active, 0.0 for plain central
-    differences.
+    value is a Quaternion for a single point and value rows (4, N) for a
+    batch.  estimated_error is the summed magnitude of the h vs h/2
+    Richardson differences when that scheme is active, 0.0 for plain
+    central differences.
     """
 
     value: Quaternion
     estimated_error: float = 0.0
 
 
-def directional_diff(sample, cfg: DiffConfig):
-    """Differentiate delta -> sample(delta) at delta = 0.
-
-    sample may return Quaternion, complex, or float; returns (derivative,
-    estimated_error) under the configured scheme.
-    """
-    h = cfg.h
-    d1 = (sample(h) - sample(-h)) / (2.0 * h)
-    if cfg.scheme == "central":
-        return d1, 0.0
-    d2 = (sample(h / 2.0) - sample(-h / 2.0)) / h
-    return (d2 * 4.0 - d1) / 3.0, abs(d2 - d1)
+def point_rows(p) -> np.ndarray:
+    """ the (4, 1) rows of a Quaternion (t, x, y, z) or a SphericalPoint (t, r, alpha, beta) """
+    if isinstance(p, Quaternion):
+        return np.array([[p.t], [p.x], [p.y], [p.z]])
+    return np.array([[p.t], [p.r], [p.alpha], [p.beta]])
 
 
-def _cartesian_partial(f: QFunction, p: Quaternion, axis: int, cfg: DiffConfig):
-    offsets = [0.0, 0.0, 0.0, 0.0]
+def _operator(body):
+    """body over point rows (4, N), which also answers for a single point
+    with the N = 1 column as scalars; a non-finite result raises DomainError."""
 
-    def sample(delta: float) -> Quaternion:
-        offsets[axis] = delta
-        q = Quaternion(p.t + offsets[0], p.x + offsets[1],
-                       p.y + offsets[2], p.z + offsets[3])
-        return f(q)
+    @functools.wraps(body)
+    def operator(f: QFunction, points, cfg: DiffConfig = DiffConfig()):
+        single = not isinstance(points, np.ndarray)
+        rows = point_rows(points) if single else points
+        with np.errstate(all="ignore"):
+            out = body(f, rows, cfg)
+        values = out.value if isinstance(out, OperatorValue) else np.array(out)
+        require_finite(f, rows, values)
+        if not single:
+            return out
+        if isinstance(out, OperatorValue):
+            return OperatorValue(Quaternion(*values[:, 0].tolist()), float(out.estimated_error[0]))
+        return tuple(values[:, 0].tolist())
 
-    return directional_diff(sample, cfg)
-
-
-def _chart_partial(f: QFunction, s: SphericalPoint, axis: str, cfg: DiffConfig):
-    def sample(delta: float) -> Quaternion:
-        return f.at_spherical(replace(s, **{axis: getattr(s, axis) + delta}))
-
-    return directional_diff(sample, cfg)
-
-
-def _require_chart_margins(s: SphericalPoint, cfg: DiffConfig):
-    if s.r - cfg.h <= 0.0:
-        raise ChartSingularityError(f"r stencil at r={s.r} crosses the real axis")
-    if s.beta - cfg.h <= 0.0 or s.beta + cfg.h >= math.pi:
-        raise ChartSingularityError(f"beta stencil at beta={s.beta} leaves (0, pi)")
-    if math.sin(s.beta) <= POLE_SIN_BETA_FLOOR:
-        raise ChartSingularityError(
-            f"sin(beta)={math.sin(s.beta):.3g} below pole margin {POLE_SIN_BETA_FLOOR}")
+    return operator
 
 
-def fueter_left(f: QFunction, p: Quaternion, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
-    """Left Fueter operator at p, with the units multiplying from the left."""
-    dt, et = _cartesian_partial(f, p, 0, cfg)
-    dx, ex = _cartesian_partial(f, p, 1, cfg)
-    dy, ey = _cartesian_partial(f, p, 2, cfg)
-    dz, ez = _cartesian_partial(f, p, 3, cfg)
-    value = (dt + Quaternion(0, 1, 0, 0) * dx
-             + Quaternion(0, 0, 1, 0) * dy + Quaternion(0, 0, 0, 1) * dz)
-    return OperatorValue(value, et + ex + ey + ez)
+def _flat(f: QFunction, points: np.ndarray, cfg: DiffConfig, right: bool) -> OperatorValue:
+    d, err = Stencils(f, cfg).partials(points, range(4), sample_cartesian)
+    return OperatorValue(fueter_rows(d.swapaxes(0, 1), right), err[0] + err[1] + err[2] + err[3])
 
 
-def fueter_right(f: QFunction, p: Quaternion, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
-    """Right Fueter operator at p, with the units multiplying from the right."""
-    dt, et = _cartesian_partial(f, p, 0, cfg)
-    dx, ex = _cartesian_partial(f, p, 1, cfg)
-    dy, ey = _cartesian_partial(f, p, 2, cfg)
-    dz, ez = _cartesian_partial(f, p, 3, cfg)
-    value = (dt + dx * Quaternion(0, 1, 0, 0)
-             + dy * Quaternion(0, 0, 1, 0) + dz * Quaternion(0, 0, 0, 1))
-    return OperatorValue(value, et + ex + ey + ez)
+@_operator
+def fueter_left(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
+    """Left Fueter operator at Cartesian points, the units multiplying from the left."""
+    return _flat(f, points, cfg, right=False)
 
 
-def class1_residual(f: QFunction, s: SphericalPoint, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
+@_operator
+def fueter_right(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
+    """Right Fueter operator at Cartesian points, the units multiplying from the right."""
+    return _flat(f, points, cfg, right=True)
+
+
+def _chart_partials(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows) -> tuple:
+    _require_chart_margins(chart, cfg)
+    return Stencils(f, cfg).partials(chart, rows, sample_chart)
+
+
+def _slice_part(chart: np.ndarray, d: np.ndarray, err: np.ndarray, right: bool) -> tuple:
+    """ d/dt f + iota d/dr f from the (t, r) partials, with its error estimate """
+    return d[:, 0] + _times(iota_array(chart), d[:, 1], right), err[0] + err[1]
+
+
+def _angular_part(chart: np.ndarray, d: np.ndarray, err: np.ndarray, right: bool) -> tuple:
+    """ iota_alpha^-1 d/da f + iota_beta^-1 d/db f, with its error estimate """
+    alpha, beta = chart[2], chart[3]
+    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    zero = np.zeros_like(sb)
+    # the rows of iota_alpha^-1 and iota_beta^-1 side by side, shaped like d
+    inverses = np.array(((zero, zero), (sa / sb, -ca * cb), (-ca / sb, -sa * cb), (zero, sb)))
+    # the inverse alpha-tangent has norm 1/sin(beta): scale its share of the
+    # error estimate accordingly
+    return _times(inverses, d, right).sum(axis=1), err[0] / sb + err[1]
+
+
+@_operator
+def class1_residual(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """d/dt f + iota d/dr f: zero iff the slice restrictions are holomorphic."""
-    _require_chart_margins(s, cfg)
-    dt, et = _chart_partial(f, s, "t", cfg)
-    dr, er = _chart_partial(f, s, "r", cfg)
-    return OperatorValue(dt + s.iota() * dr, et + er)
+    return OperatorValue(*_slice_part(chart, *_chart_partials(f, chart, cfg, (0, 1)), False))
 
 
-def imaginary_derivative(f: QFunction, s: SphericalPoint, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
+@_operator
+def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """iota_alpha^-1 d/da f + iota_beta^-1 d/db f (left multiplication).
 
     For Class II functions this collapses to the scalar 2 v.
     """
-    _require_chart_margins(s, cfg)
-    da, ea = _chart_partial(f, s, "alpha", cfg)
-    db, eb = _chart_partial(f, s, "beta", cfg)
-    value = iota_alpha_inv(s.alpha, s.beta) * da + iota_beta_inv(s.alpha, s.beta) * db
-    # the inverse alpha-tangent has norm 1/sin(beta): scale its share of the
-    # error estimate accordingly
-    return OperatorValue(value, ea / math.sin(s.beta) + eb)
+    return OperatorValue(*_angular_part(chart, *_chart_partials(f, chart, cfg, (2, 3)), False))
 
 
-def fueter_spherical(f: QFunction, s: SphericalPoint, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
-    """Left Fueter operator assembled in chart coordinates."""
-    hol = class1_residual(f, s, cfg)
-    imag = imaginary_derivative(f, s, cfg)
-    return OperatorValue(hol.value - imag.value / s.r,
-                         hol.estimated_error + imag.estimated_error / s.r)
+def _spherical(f: QFunction, chart: np.ndarray, cfg: DiffConfig, right: bool) -> OperatorValue:
+    d, err = _chart_partials(f, chart, cfg, range(4))
+    hol, hol_err = _slice_part(chart, d[:, :2], err[:2], right)
+    imag, imag_err = _angular_part(chart, d[:, 2:], err[2:], right)
+    r = chart[1]
+    return OperatorValue(hol - imag / r, hol_err + imag_err / r)
 
 
-def fueter_spherical_right(f: QFunction, s: SphericalPoint, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
+@_operator
+def fueter_spherical(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
+    """Left Fueter operator assembled in chart coordinates: class1_residual
+    minus imaginary_derivative over r."""
+    return _spherical(f, chart, cfg, right=False)
+
+
+@_operator
+def fueter_spherical_right(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Right Fueter operator assembled in chart coordinates (mirrored order)."""
-    _require_chart_margins(s, cfg)
-    dt, et = _chart_partial(f, s, "t", cfg)
-    dr, er = _chart_partial(f, s, "r", cfg)
-    da, ea = _chart_partial(f, s, "alpha", cfg)
-    db, eb = _chart_partial(f, s, "beta", cfg)
-    value = (dt + dr * s.iota()
-             - (da * iota_alpha_inv(s.alpha, s.beta)
-                + db * iota_beta_inv(s.alpha, s.beta)) / s.r)
-    err = et + er + (ea / math.sin(s.beta) + eb) / s.r
-    return OperatorValue(value, err)
+    return _spherical(f, chart, cfg, right=True)
 
 
-def _uv_at_spherical(f: QFunction, s: SphericalPoint) -> tuple:
-    val = f.at_spherical(s)
-    io = iota(s.alpha, s.beta)
-    return val.t, val.x * io.x + val.y * io.y + val.z * io.z
-
-
-def spherical_cr_residuals(f: QFunction, s: SphericalPoint, cfg: DiffConfig = DiffConfig()) -> tuple:
+@_operator
+def spherical_cr_residuals(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> tuple:
     """The two sphere-direction Cauchy-Riemann residuals (S1, S2).
 
     S1 = (sin b)^-1 dv/da + du/db, S2 = (sin b)^-1 du/da - dv/db; both
     vanish wherever f is Class II.
     """
-    _require_chart_margins(s, cfg)
-
-    def u_sample(axis):
-        def sample(delta):
-            return _uv_at_spherical(f, replace(s, **{axis: getattr(s, axis) + delta}))[0]
-        return sample
-
-    def v_sample(axis):
-        def sample(delta):
-            return _uv_at_spherical(f, replace(s, **{axis: getattr(s, axis) + delta}))[1]
-        return sample
-
-    du_da, _ = directional_diff(u_sample("alpha"), cfg)
-    du_db, _ = directional_diff(u_sample("beta"), cfg)
-    dv_da, _ = directional_diff(v_sample("alpha"), cfg)
-    dv_db, _ = directional_diff(v_sample("beta"), cfg)
-    sb = math.sin(s.beta)
-    return dv_da / sb + du_db, du_da / sb - dv_db
+    _require_chart_margins(chart, cfg)
+    du, dv = Stencils(f, cfg).uv_partials(chart, (2, 3))
+    sb = np.sin(chart[3])
+    return dv[0] / sb + du[1], du[0] / sb - dv[1]

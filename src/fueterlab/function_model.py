@@ -148,26 +148,22 @@ class SampleGrid:
         return np.stack(mesh).reshape(4, -1)
 
     def points(self):
-        """ yield SphericalPoint nodes, beta fastest """
-        ts, rs, alphas, betas = self.axes()
-        for t in ts:
-            for r in rs:
-                for a in alphas:
-                    for b in betas:
-                        yield SphericalPoint(t, r, a, b)
+        """ yield the columns of chart_array as SphericalPoint nodes """
+        for col in self.chart_array().T.tolist():
+            yield SphericalPoint(*col)
 
     @property
     def size(self) -> int:
         return self.n_per_axis ** 4
 
+    def random_chart(self, rng, n: int) -> np.ndarray:
+        """ chart rows of n uniform samples from the grid box (seeded generator) """
+        ranges = (self.t_range, self.r_range, self.alpha_range, self.beta_range)
+        return np.array([[rng.uniform(*rg) for rg in ranges] for _ in range(n)]).reshape(n, 4).T
+
     def random_points(self, rng, n: int) -> list:
-        """ n uniform samples from the grid box (seeded numpy Generator) """
-        out = []
-        for _ in range(n):
-            out.append(SphericalPoint(
-                rng.uniform(*self.t_range), rng.uniform(*self.r_range),
-                rng.uniform(*self.alpha_range), rng.uniform(*self.beta_range)))
-        return out
+        """ the columns of random_chart as SphericalPoint objects """
+        return [SphericalPoint(*col) for col in self.random_chart(rng, n).T.tolist()]
 
     def to_dict(self) -> dict:
         return {
@@ -242,7 +238,7 @@ def _uv_rows(chart: np.ndarray, u, v) -> np.ndarray:
     """ value rows of u + iota v at chart rows, as in the scalar views """
     _, _, alpha, beta = chart
     sb = np.sin(beta)
-    return np.stack((u, v * np.cos(alpha) * sb, v * np.sin(alpha) * sb, v * np.cos(beta)))
+    return np.array((u, v * np.cos(alpha) * sb, v * np.sin(alpha) * sb, v * np.cos(beta)))
 
 
 def from_uv(u: Callable[[SphericalPoint], float],

@@ -32,7 +32,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from .classify import classify
-from .diffops import DiffConfig
+from .diffops import DiffConfig, Stencils, fueter_rows, point_rows, require_finite
 from .function_model import (
     DEFAULT_GRID,
     ComplexStem,
@@ -45,8 +45,10 @@ from .function_model import (
     pointwise_product,
     pointwise_sum,
     power_function,
+    sample_cartesian,
 )
-from .quaternion_core import I, J, K, DomainError, Quaternion, SphericalPoint
+from .quaternion_core import (DomainError, Quaternion, SphericalPoint, from_spherical_array,
+                              qconj_array)
 
 
 class SpecError(ValueError):
@@ -230,39 +232,27 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig(),
                 f"{f.name} failed the Class II spot check "
                 f"(max residual {report.class_II.max}); chiral difference undefined")
 
-    h_offsets = (inner.h, -inner.h, inner.h / 2.0, -inner.h / 2.0) \
-        if inner.scheme == "richardson" else (inner.h, -inner.h)
+    def chiral_rows(points: np.ndarray) -> np.ndarray:
+        # the time derivative cancels; only the unit commutators survive
+        with np.errstate(all="ignore"):
+            d = Stencils(f, inner).partials(points, (1, 2, 3), sample_cartesian)[0]
+            d = (0.0, *d.swapaxes(0, 1))
+            return fueter_rows(d) - fueter_rows(d, right=True)
 
     def evaluator(p: Quaternion) -> Quaternion:
-        diffs = []
-        for axis in range(1, 4):
-            samples = {}
-            for d in h_offsets:
-                q = Quaternion(p.t,
-                               p.x + (d if axis == 1 else 0.0),
-                               p.y + (d if axis == 2 else 0.0),
-                               p.z + (d if axis == 3 else 0.0))
-                samples[d] = f(q)
-            d1 = (samples[inner.h] - samples[-inner.h]) / (2.0 * inner.h)
-            if inner.scheme == "richardson":
-                d2 = (samples[inner.h / 2.0] - samples[-inner.h / 2.0]) / inner.h
-                d1 = (d2 * 4.0 - d1) / 3.0
-            diffs.append(d1)
-        dx, dy, dz = diffs
-        # the time derivative cancels; only the unit commutators survive
-        return I * dx - dx * I + J * dy - dy * J + K * dz - dz * K
+        point = point_rows(p)
+        value = chiral_rows(point)
+        require_finite(delta, point, value)
+        return Quaternion(*value[:, 0].tolist())
 
-    return QFunction(name=f"chiral:{f.name}", evaluator=evaluator, kind="raw",
-                     domain=f.domain)
-
-
-_CONJUGATE = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
+    delta = QFunction(name=f"chiral:{f.name}", evaluator=evaluator, kind="raw", domain=f.domain,
+                      array_evaluator=lambda chart: chiral_rows(from_spherical_array(chart)))
+    return delta
 
 
 def _wrap_angle(a: float) -> float:
-    if a > 0.0:
-        return a - math.pi
-    return a + math.pi
+    """ the antipodal azimuth, a - pi or a + pi; -0.0 maps to +pi as atan2 does """
+    return a - math.copysign(math.pi, a)
 
 
 def mirror(f: QFunction) -> QFunction:
@@ -282,8 +272,8 @@ def mirror(f: QFunction) -> QFunction:
     if f.array_evaluator is not None:
         def array_evaluator(chart: np.ndarray) -> np.ndarray:
             t, r, alpha, beta = chart
-            wrapped = np.where(alpha > 0.0, alpha - math.pi, alpha + math.pi)
-            return f.array_evaluator(np.stack((t, r, wrapped, math.pi - beta))) * _CONJUGATE
+            wrapped = alpha - np.copysign(math.pi, alpha)
+            return qconj_array(f.array_evaluator(np.stack((t, r, wrapped, math.pi - beta))))
 
     # left-handed class expectations do not transfer unless the function is
     # a pure slice sweep, which mirror fixes pointwise

@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .diffops import DiffConfig, finish_stencil, stencil_offsets
+from .diffops import DiffConfig, finish_stencil, iota_coefficient, stencil_offsets
 from .function_model import FunctionKindError, QFunction, sample_cartesian
 from .quaternion_core import (DomainError, Quaternion, iota, iota_array, qabs_array,
                               to_spherical)
@@ -138,7 +138,7 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
         points[0] = ring.real
         w = sample_cartesian(f, points.reshape(4, -1)).reshape(points.shape)
         with np.errstate(all="ignore"):
-            v = np.sum(w[1:] * io[1:], axis=0)
+            v = iota_coefficient(w, io)
             misalign = np.sqrt(np.maximum(0.0, np.sum(w[1:] * w[1:], axis=0) - v * v))
             finite = np.isfinite(w).all(axis=0)
             bad = ~finite | (misalign > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
@@ -345,7 +345,7 @@ def coefficient_class_check(series: LaurentSeries,
     sb = np.sin(betas)
     out = {}
     for n, shifted in coeffs.items():
-        da, db = (finish_stencil(s, cfg) for s in shifted.reshape(2, len(offsets), -1))
+        da, db = (finish_stencil(s, cfg)[0] for s in shifted.reshape(2, len(offsets), -1))
         worst = float(np.max(np.abs((da.imag / sb + db.real, da.real / sb - db.imag))))
         scale = float(np.max(np.abs(series.coefficients[n])))
         out[n] = {"max_residual": worst,

@@ -225,10 +225,15 @@ def qmul_array(a, b) -> np.ndarray:
     """ Hamilton product of quaternion rows; shapes broadcast after axis 0 """
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    return np.stack((a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+    return np.array((a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
                      a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
                      a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
                      a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0))
+
+
+def qconj_array(q) -> np.ndarray:
+    """ conjugates of quaternion rows """
+    return np.concatenate((q[:1], -q[1:]))
 
 
 def qabs_array(q) -> np.ndarray:
@@ -240,7 +245,7 @@ def iota_array(chart: np.ndarray) -> np.ndarray:
     """ quaternion rows of iota at the angles of chart rows """
     alpha, beta = chart[2], chart[3]
     sb = np.sin(beta)
-    return np.stack((np.zeros_like(sb), np.cos(alpha) * sb, np.sin(alpha) * sb, np.cos(beta)))
+    return np.array((np.zeros_like(sb), np.cos(alpha) * sb, np.sin(alpha) * sb, np.cos(beta)))
 
 
 def to_spherical_array(q: np.ndarray) -> np.ndarray:
@@ -252,7 +257,7 @@ def to_spherical_array(q: np.ndarray) -> np.ndarray:
     r = np.sqrt(x * x + y * y + z * z)
     with np.errstate(invalid="ignore", divide="ignore"):
         beta = np.arccos(np.clip(z / r, -1.0, 1.0))
-    chart = np.stack((t, r, np.arctan2(y, x), beta))
+    chart = np.array((t, r, np.arctan2(y, x), beta))
     chart[:, (x == 0.0) & (y == 0.0)] = np.nan
     return chart
 
@@ -261,4 +266,4 @@ def from_spherical_array(chart: np.ndarray) -> np.ndarray:
     """ quaternion rows of chart rows; the inverse of to_spherical_array """
     t, r, alpha, beta = chart
     sb = np.sin(beta)
-    return np.stack((t, r * np.cos(alpha) * sb, r * np.sin(alpha) * sb, r * np.cos(beta)))
+    return np.array((t, r * np.cos(alpha) * sb, r * np.sin(alpha) * sb, r * np.cos(beta)))

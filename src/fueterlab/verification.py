@@ -19,16 +19,18 @@ import numpy as np
 
 from .classify import ClassificationReport, classify, jacobian_check
 from .diffops import (DiffConfig, class1_residual, fueter_left, fueter_right,
-                      fueter_spherical, imaginary_derivative,
-                      spherical_cr_residuals)
+                      fueter_spherical, imaginary_derivative, iota_coefficient,
+                      point_rows, spherical_cr_residuals)
 from .function_model import (ComplexStem, DEFAULT_GRID, QFunction, SampleGrid,
                              cullen_extend, pointwise_product, pointwise_sum,
-                             power_function, uv_at)
+                             power_function, sample_cartesian, sample_chart)
 from .generators import (chiral_difference, get_witness, mirror, rinehart_L,
                          rinehart_condition_residual, ci_extend_rinehart)
 from .laurent import (AnnulusRegion, coefficient_class_check,
                       laurent_coefficients, mirrored_center_coefficients)
-from .quaternion_core import Quaternion, SphericalPoint, from_spherical
+from .quaternion_core import (Quaternion, SphericalPoint, from_spherical,
+                              from_spherical_array, iota_array, qabs_array,
+                              qconj_array)
 
 WITNESS_NAMES = ("rho", "varrho", "sigma")
 POWER_NAMES = tuple(f"pow:{n}" for n in (-2, -1, 0, 2, 3, 4)) + ("identity",)
@@ -71,27 +73,50 @@ def random_polynomial(rng, max_terms: int = 5) -> QFunction:
                                  * (p.y ** ey) * (p.z ** ez))
         return total
 
-    return QFunction(name=f"poly:{len(terms)}-terms", evaluator=evaluator, kind="raw")
+    def array_evaluator(chart: np.ndarray) -> np.ndarray:
+        t, x, y, z = from_spherical_array(chart)
+        return sum(point_rows(c) * ((t ** et) * (x ** ex) * (y ** ey) * (z ** ez))
+                   for c, (et, ex, ey, ez) in terms)
+
+    return QFunction(name=f"poly:{len(terms)}-terms", evaluator=evaluator, kind="raw",
+                     array_evaluator=array_evaluator)
 
 
 def conjugate_function(f: QFunction) -> QFunction:
-    """ p -> conj(f(p)); keeps the CE form with the sign of v flipped """
+    """ p -> conj(f(p)) in every view f has; keeps the CE form with the sign of v flipped """
+    spherical = None
+    if f.spherical_evaluator is not None:
+        def spherical(s: SphericalPoint) -> Quaternion:
+            return f.at_spherical(s).conjugate()
+
+    array_evaluator = None
+    if f.array_evaluator is not None:
+        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+            return qconj_array(f.array_evaluator(chart))
+
     return QFunction(name=f"conj:{f.name}", evaluator=lambda p: f(p).conjugate(),
-                     kind=f.kind if f.is_ce else "raw", domain=f.domain)
+                     kind=f.kind if f.is_ce else "raw", domain=f.domain,
+                     spherical_evaluator=spherical, array_evaluator=array_evaluator)
 
 
-def _sample_points(rng, n: int, grid: SampleGrid) -> List[SphericalPoint]:
-    return grid.random_points(rng, n)
-
-
-def _grid_points(grid: SampleGrid, stride: int = 1) -> List[SphericalPoint]:
-    """Every stride-th node of the grid.
+def _grid_points(grid: SampleGrid, stride: int = 1) -> np.ndarray:
+    """Chart rows of every stride-th node of the grid.
 
     The witness checks sample here rather than uniformly at random: the
     grid ranges keep a fixed distance from the steep ridges of the
     inverse-trig witnesses, where finite differences lose their accuracy.
     """
-    return list(grid.points())[::stride]
+    return grid.chart_array()[:, ::stride]
+
+
+def _v(f: QFunction, chart: np.ndarray) -> np.ndarray:
+    """ the v of a CE function u + iota v at chart rows """
+    return iota_coefficient(sample_chart(f, chart), iota_array(chart))
+
+
+def _worst(values: np.ndarray) -> float:
+    """ the largest norm among quaternion rows """
+    return float(np.max(qabs_array(values)))
 
 
 def check_operator_equivalence(seed: int = 0, cfg: DiffConfig = DiffConfig(),
@@ -103,11 +128,9 @@ def check_operator_equivalence(seed: int = 0, cfg: DiffConfig = DiffConfig(),
     worst = 0.0
     for _ in range(n_functions):
         f = random_polynomial(rng)
-        for s in _sample_points(rng, n_points, DEFAULT_GRID):
-            q = from_spherical(s)
-            left = fueter_left(f, q, cfg).value
-            chart = fueter_spherical(f, s, cfg).value
-            worst = max(worst, abs(left - chart))
+        chart = DEFAULT_GRID.random_chart(rng, n_points)
+        left = fueter_left(f, from_spherical_array(chart), cfg).value
+        worst = max(worst, _worst(left - fueter_spherical(f, chart, cfg).value))
     return CheckResult("operator-equivalence", worst <= tol, worst, tol,
                        f"{n_functions} random polynomials x {n_points} points")
 
@@ -179,7 +202,7 @@ def check_jacobian(seed: int = 0, cfg: DiffConfig = DiffConfig(),
     rng = np.random.default_rng(seed)
     f = power_function(2)
     worst = 0.0
-    for s in _sample_points(rng, n_points, DEFAULT_GRID):
+    for s in DEFAULT_GRID.random_points(rng, n_points):
         res = jacobian_check(f, from_spherical(s), cfg)
         worst = max(worst, abs(res.det_numeric - res.det_formula)
                     / (1.0 + abs(res.det_formula)))
@@ -196,18 +219,12 @@ def check_spherical_cr(cfg: DiffConfig = DiffConfig(),
                        tol: float = 1e-5) -> CheckResult:
     """Angle-direction CR residuals vanish on the Class II witnesses and do
     not vanish on the Class I-only witness."""
-    grid = grid or DEFAULT_GRID
-    worst = 0.0
-    for name in WITNESS_NAMES + ("pow:2",):
-        f = get_witness(name).function
-        for s in grid.points():
-            s1, s2 = spherical_cr_residuals(f, s, cfg)
-            worst = max(worst, abs(s1), abs(s2))
-    xri = get_witness("x-over-r-iota").function
-    counter = 0.0
-    for s in grid.points():
-        s1, s2 = spherical_cr_residuals(xri, s, cfg)
-        counter = max(counter, abs(s1), abs(s2))
+    chart = (grid or DEFAULT_GRID).chart_array()
+    largest = {name: float(np.max(np.abs(spherical_cr_residuals(get_witness(name).function,
+                                                                chart, cfg))))
+               for name in WITNESS_NAMES + ("pow:2", "x-over-r-iota")}
+    counter = largest.pop("x-over-r-iota")
+    worst = max(largest.values())
     passed = worst <= tol and counter > 1e-2
     return CheckResult("spherical-cr-witnesses", passed, worst, tol,
                        f"counterexample witness residual {counter:.3f}")
@@ -219,19 +236,17 @@ def check_extension_equivalence(cfg: DiffConfig = DiffConfig(),
     """A sweep is left-regular exactly when its stem satisfies the slice
     extension condition: images of the extension functional pass, a plain
     power stem fails both sides."""
-    points = [from_spherical(s) for s in _grid_points(DEFAULT_GRID, stride)]
+    points = from_spherical_array(_grid_points(DEFAULT_GRID, stride))
     worst = 0.0
     for terms in ([(3, 1.0)], [(-1, 1.0)]):
         g = rinehart_L(ComplexStem.laurent(terms))
         f = ci_extend_rinehart(g, cfg=cfg)
-        for q in points:
-            worst = max(worst, abs(fueter_left(f, q, cfg).value))
+        worst = max(worst, _worst(fueter_left(f, points, cfg).value))
 
     bad_stem = ComplexStem.laurent([(2, 1.0)])
     z = complex(0.7, 0.9)
     cond = rinehart_condition_residual(bad_stem, z)
-    bad_max = max(abs(fueter_left(power_function(2), q, cfg).value)
-                  for q in points[:40])
+    bad_max = _worst(fueter_left(power_function(2), points[:, :40], cfg).value)
     passed = worst <= tol and cond > 1e-2 and bad_max > 1e-2
     return CheckResult("extension-equivalence", passed, worst, tol,
                        f"converse: condition residual {cond:.2f}, "
@@ -268,13 +283,13 @@ def check_imaginary_derivative(cfg: DiffConfig = DiffConfig(),
                                tol: float = 1e-5) -> CheckResult:
     """The angular derivative collapses to the scalar 2v on Class II
     functions."""
+    chart = _grid_points(DEFAULT_GRID, stride)
     worst = 0.0
     for name in ("identity",) + WITNESS_NAMES + ("pow:2",):
         f = get_witness(name).function
-        for s in _grid_points(DEFAULT_GRID, stride):
-            got = imaginary_derivative(f, s, cfg).value
-            _, v = uv_at(f, from_spherical(s))
-            worst = max(worst, abs(got - Quaternion(2.0 * v)))
+        got = imaginary_derivative(f, chart, cfg).value
+        got[0] -= 2.0 * _v(f, chart)
+        worst = max(worst, _worst(got))
     return CheckResult("imaginary-derivative", worst <= tol, worst, tol,
                        "identity + angle witnesses + pow:2")
 
@@ -283,14 +298,14 @@ def check_conjugate_right(cfg: DiffConfig = DiffConfig(),
                           stride: int = 11, tol: float = 1e-5) -> CheckResult:
     """Conjugating an angle-only Class II function yields a right-Class II
     function (with its own v, which conjugation negates)."""
+    chart = _grid_points(DEFAULT_GRID, stride)
+    points = from_spherical_array(chart)
     worst = 0.0
     for name in WITNESS_NAMES:
         fbar = conjugate_function(get_witness(name).function)
-        for s in _grid_points(DEFAULT_GRID, stride):
-            q = from_spherical(s)
-            _, vbar = uv_at(fbar, q)
-            got = fueter_right(fbar, q, cfg).value
-            worst = max(worst, abs(got + Quaternion(2.0 * vbar / s.r)))
+        got = fueter_right(fbar, points, cfg).value
+        got[0] += 2.0 * _v(fbar, chart) / chart[1]
+        worst = max(worst, _worst(got))
     return CheckResult("conjugate-right-handed", worst <= tol, worst, tol,
                        "angle witnesses under conjugation")
 
@@ -334,22 +349,20 @@ def check_mirror(seed: int = 0, cfg: DiffConfig = DiffConfig(),
     """The mirror is an involution, sends left-Class II to right-Class II,
     and conjugates series coefficients about the mirrored center."""
     rng = np.random.default_rng(seed)
-    points = [from_spherical(s) for s in _sample_points(rng, n_points, DEFAULT_GRID)]
+    chart = DEFAULT_GRID.random_chart(rng, n_points)
+    points = from_spherical_array(chart)
 
     invol = 0.0
     for name in ("rho", "pow:3"):
         f = get_witness(name).function
-        mm = mirror(mirror(f))
-        for q in points:
-            invol = max(invol, abs(mm(q) - f(q)))
+        invol = max(invol, _worst(sample_cartesian(mirror(mirror(f)), points)
+                                  - sample_cartesian(f, points)))
 
     rho = get_witness("rho").function
     mrho = mirror(rho)
-    right = 0.0
-    for q in points:
-        _, vm = uv_at(mrho, q)
-        got = fueter_right(mrho, q, cfg).value
-        right = max(right, abs(got + Quaternion(2.0 * vm / q.vector_norm())))
+    got = fueter_right(mrho, points, cfg).value
+    got[0] += 2.0 * _v(mrho, chart) / chart[1]
+    right = _worst(got)
 
     region = AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=3, n_beta=3)
     series = laurent_coefficients(rho, region, n_range=(-2, 2), quadrature_points=64)
@@ -370,14 +383,13 @@ def check_chirality_pairing(cfg: DiffConfig = DiffConfig(),
                             stride: int = 11, tol: float = 1e-6) -> CheckResult:
     """Left operator on f and right operator on conj(f) cancel for the
     angle-only Class II witnesses."""
+    points = from_spherical_array(_grid_points(DEFAULT_GRID, stride))
     worst = 0.0
     for name in WITNESS_NAMES:
         f = get_witness(name).function
-        fbar = conjugate_function(f)
-        for s in _grid_points(DEFAULT_GRID, stride):
-            q = from_spherical(s)
-            total = fueter_left(f, q, cfg).value + fueter_right(fbar, q, cfg).value
-            worst = max(worst, abs(total))
+        total = (fueter_left(f, points, cfg).value
+                 + fueter_right(conjugate_function(f), points, cfg).value)
+        worst = max(worst, _worst(total))
     return CheckResult("chirality-pairing", worst <= tol, worst, tol,
                        "left(f) + right(conj f) over the angle witnesses")
 
@@ -386,21 +398,22 @@ def check_decomposition(cfg: DiffConfig = DiffConfig(),
                         stride: int = 29) -> CheckResult:
     """The left operator splits into the slice part minus the angular part
     over r, within combined stencil error."""
+    chart = _grid_points(DEFAULT_GRID, stride)
+    points = from_spherical_array(chart)
+    r = chart[1]
     worst = 0.0
     excess = 0.0
     for name in WITNESS_NAMES + ("x-over-r-iota", "identity", "pow:2"):
         f = get_witness(name).function
-        for s in _grid_points(DEFAULT_GRID, stride):
-            q = from_spherical(s)
-            left = fueter_left(f, q, cfg)
-            hol = class1_residual(f, s, cfg)
-            imag = imaginary_derivative(f, s, cfg)
-            resid = abs(left.value - (hol.value - imag.value / s.r))
-            bound = (cfg.point_tolerance(abs(f(q)))
-                     + 10.0 * (left.estimated_error + hol.estimated_error
-                               + imag.estimated_error / s.r))
-            worst = max(worst, resid)
-            excess = max(excess, resid - bound)
+        left = fueter_left(f, points, cfg)
+        hol = class1_residual(f, chart, cfg)
+        imag = imaginary_derivative(f, chart, cfg)
+        resid = qabs_array(left.value - (hol.value - imag.value / r))
+        bound = (cfg.point_tolerance(qabs_array(sample_cartesian(f, points)))
+                 + 10.0 * (left.estimated_error + hol.estimated_error
+                           + imag.estimated_error / r))
+        worst = max(worst, float(np.max(resid)))
+        excess = max(excess, float(np.max(resid - bound)))
     return CheckResult("operator-decomposition", excess <= 0.0, worst,
                        cfg.point_tolerance(1.0),
                        "slice part minus angular part over r, full catalog")
@@ -416,14 +429,13 @@ def check_chiral_regularity(cfg: DiffConfig = DiffConfig(),
     delta = chiral_difference(rho, inner=cfg)
     outer = DiffConfig(h=1e-4, scheme="richardson",
                        tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel)
-    worst = 0.0
-    for s in _sample_points(rng, n_points, DEFAULT_GRID):
-        worst = max(worst, abs(fueter_left(delta, from_spherical(s), outer).value))
+    points = from_spherical_array(DEFAULT_GRID.random_chart(rng, n_points))
+    worst = _worst(fueter_left(delta, points, outer).value)
 
     p3 = get_witness("pow:3").function
     delta3 = chiral_difference(p3, inner=cfg)
-    vanish = max(abs(delta3(from_spherical(s)))
-                 for s in _sample_points(rng, 40, DEFAULT_GRID))
+    vanish = _worst(sample_cartesian(
+        delta3, from_spherical_array(DEFAULT_GRID.random_chart(rng, 40))))
     passed = worst <= tol and vanish <= 1e-8
     return CheckResult("chiral-regularity", passed, worst, tol,
                        f"pow:3 difference magnitude {vanish:.2e}")

@@ -16,8 +16,9 @@ from fueterlab.function_model import (
     pointwise_product,
     pointwise_sum,
 )
-from fueterlab.generators import get_witness, mirror
+from fueterlab.generators import chiral_difference, get_witness, mirror
 from fueterlab.quaternion_core import SphericalPoint
+from fueterlab.verification import conjugate_function, random_polynomial
 
 REL_TOL = 1e-12
 
@@ -32,6 +33,9 @@ MAKERS.update({f"pow:{n}": (lambda n=n: _witness(f"pow:{n}")) for n in range(-2,
 MAKERS["product:rho*pow:2"] = lambda: pointwise_product(_witness("rho"), _witness("pow:2"))
 MAKERS["sum:pow:2+pow:-1"] = lambda: pointwise_sum(_witness("pow:2"), _witness("pow:-1"))
 MAKERS["mirror:pow:3"] = lambda: mirror(_witness("pow:3"))
+MAKERS["chiral:rho"] = lambda: chiral_difference(_witness("rho"))
+MAKERS["conj:sigma"] = lambda: conjugate_function(_witness("sigma"))
+MAKERS["poly"] = lambda: random_polynomial(np.random.default_rng(7))
 
 # chart points where some catalog function leaves its domain: the real
 # axis and below it, a near-zero argument of a negative power, the poles

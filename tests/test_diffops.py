@@ -3,12 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fueterlab.diffops import (
     DiffConfig,
+    Stencils,
     class1_residual,
-    directional_diff,
     fueter_left,
     fueter_right,
     fueter_spherical,
@@ -16,13 +17,15 @@ from fueterlab.diffops import (
     imaginary_derivative,
     spherical_cr_residuals,
 )
-from fueterlab.function_model import QFunction, uv_at
+from fueterlab.function_model import DEFAULT_GRID, QFunction, sample_cartesian, uv_at
 from fueterlab.generators import get_witness
 from fueterlab.quaternion_core import (
     ChartSingularityError,
+    DomainError,
     Quaternion,
     SphericalPoint,
     from_spherical,
+    from_spherical_array,
 )
 
 CFG = DiffConfig()
@@ -217,15 +220,67 @@ def test_operator_decomposition():
 # stencil plumbing
 
 
-def test_directional_diff_schemes():
-    cfg = DiffConfig(h=1e-5)
-    val, err = directional_diff(lambda h: (1.0 + h) ** 3, cfg)
-    assert val == pytest.approx(3.0, abs=1e-8)
-    assert err == 0.0  # central scheme reports no estimate
+def test_stencil_engine_schemes():
+    cube = QFunction("cube", lambda p: Quaternion((1.0 + p.t) ** 3), kind="raw")
+    origin = np.zeros((4, 1))
+    val, err = Stencils(cube, DiffConfig(h=1e-5)).partials(origin, (0,), sample_cartesian)
+    assert val[0, 0, 0] == pytest.approx(3.0, abs=1e-8)
+    assert err[0, 0] == 0.0  # central scheme reports no estimate
     rich = DiffConfig(h=1e-4, scheme="richardson")
-    val, err = directional_diff(lambda h: (1.0 + h) ** 3, rich)
-    assert val == pytest.approx(3.0, abs=1e-10)
-    assert err > 0.0
+    val, err = Stencils(cube, rich).partials(origin, (0,), sample_cartesian)
+    assert val[0, 0, 0] == pytest.approx(3.0, abs=1e-10)
+    assert err[0, 0] > 0.0
+
+
+# each operator with the kind of point rows it takes
+BATCH_OPERATORS = {
+    "fueter_left": (fueter_left, "cartesian"),
+    "fueter_right": (fueter_right, "cartesian"),
+    "class1_residual": (class1_residual, "chart"),
+    "imaginary_derivative": (imaginary_derivative, "chart"),
+    "fueter_spherical": (fueter_spherical, "chart"),
+    "fueter_spherical_right": (fueter_spherical_right, "chart"),
+    "spherical_cr_residuals": (spherical_cr_residuals, "chart"),
+}
+
+
+def _columns(out):
+    """ per column (value components..., error) of a batch operator result """
+    if isinstance(out, tuple):
+        return np.stack(out).T
+    return np.vstack((out.value, out.estimated_error)).T
+
+
+def _scalars(out):
+    if isinstance(out, tuple):
+        return np.array(out)
+    v = out.value
+    return np.array([v.t, v.x, v.y, v.z, out.estimated_error])
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("name", sorted(BATCH_OPERATORS))
+def test_batch_columns_match_single_point_calls(name, scheme):
+    op, kind = BATCH_OPERATORS[name]
+    cfg = DiffConfig(scheme=scheme)
+    chart = DEFAULT_GRID.random_chart(np.random.default_rng(61), 16)
+    rows = from_spherical_array(chart) if kind == "cartesian" else chart
+    for f in (RHO, POW3, CONSTANT):
+        batch = _columns(op(f, rows, cfg))
+        assert batch.shape[0] == 16
+        for k in range(16):
+            point = (Quaternion(*rows[:, k]) if kind == "cartesian"
+                     else SphericalPoint(*rows[:, k]))
+            want = _scalars(op(f, point, cfg))
+            assert np.all(np.abs(batch[k] - want) <= 1e-13 * (1.0 + np.abs(want))), \
+                (f.name, k, batch[k], want)
+
+
+def test_non_finite_sample_raises_domain_error_naming_the_point():
+    holey = QFunction("holey", lambda p: Quaternion(1.0 / p.t), kind="raw")
+    rows = np.array([[0.5, 1e-5, -0.5], [0.3] * 3, [0.2] * 3, [0.1] * 3])
+    with pytest.raises(DomainError, match=r"holey: no finite value at \(1e-05, "):
+        fueter_left(holey, rows, CFG)
 
 
 def test_richardson_operator_carries_error_estimate():
@@ -254,6 +309,10 @@ def test_spherical_stencils_respect_chart_margins():
         fueter_spherical(RHO, SphericalPoint(0.0, 1e-6, 0.3, 1.2), CFG)
     with pytest.raises(ChartSingularityError):
         fueter_spherical(RHO, SphericalPoint(0.0, 1.0, 0.3, 1e-7), CFG)
+    # a batch names its first point outside the margins
+    chart = np.array([[0.0, 0.0], [1.0, 1.0], [0.3, 0.3], [1.2, 3.14]])
+    with pytest.raises(ChartSingularityError, match=r"\(0.0, 1.0, 0.3, 3.14\)"):
+        spherical_cr_residuals(RHO, chart, CFG)
 
 
 def test_diffconfig_validation():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fueterlab.diffops import DiffConfig, fueter_left, fueter_right
@@ -31,6 +32,7 @@ from fueterlab.quaternion_core import (
     SphericalPoint,
     from_spherical,
     to_spherical,
+    to_spherical_array,
 )
 
 CFG = DiffConfig()
@@ -195,6 +197,19 @@ def test_mirror_swaps_chirality_of_rho():
         _, v = uv_at(m, q)
         got = fueter_right(m, q, CFG).value
         assert abs(got + Quaternion(2.0 * v / s.r)) < 1e-5
+
+
+@pytest.mark.parametrize("x", [0.7, -0.7])
+@pytest.mark.parametrize("y", [0.0, -0.0])
+def test_mirror_views_agree_on_the_azimuth_cut(x, y):
+    # at y = +-0 the antipode sits on the alpha = +-pi cut of rho, where u
+    # jumps by 2 pi: every view must pick the side atan2 picks
+    m = mirror(get_witness("rho").function)
+    q = Quaternion(0.3, x, y, 0.4)
+    want = m(q)
+    assert m.at_spherical(to_spherical(q)).isclose(want, tol=1e-12)
+    rows = m.array_evaluator(to_spherical_array(np.array([[q.t], [q.x], [q.y], [q.z]])))
+    assert Quaternion(*rows[:, 0]).isclose(want, tol=1e-12)
 
 
 def test_mirror_matches_conjugate_of_antipodal_value():
