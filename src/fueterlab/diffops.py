@@ -5,13 +5,13 @@ sharpened to 4th order by one Richardson extrapolation step (combining the
 h and h/2 stencils; the magnitude of their disagreement is reported as the
 error estimate).  Cartesian partials differentiate the raw evaluator;
 (t, r, alpha, beta) partials differentiate the function composed with the
-chart.  The two views agree because the chart round-trips.  One stencil
-engine, Stencils, takes every derivative, for a whole batch of points.
+chart.  The two views agree because the chart round-trips.
 
-The operators take point rows (4, N), Cartesian (t, x, y, z) for
-fueter_left/fueter_right and chart (t, r, alpha, beta) for the rest, and
-return value rows (4, N) with an (N,) error estimate; given one Quaternion
-or SphericalPoint, they return a Quaternion and a float.
+One stencil engine, Stencils, takes every derivative for a whole batch of
+point rows (4, N): Cartesian (t, x, y, z) for fueter_left/fueter_right,
+chart (t, r, alpha, beta) for the rest.  The operators return value rows
+(4, N) with an (N,) error estimate, or for one Quaternion or SphericalPoint
+a Quaternion and a float.
 
 * fueter_left   : d/dt f + i d/dx f + j d/dy f + k d/dz f
 * fueter_right  : d/dt f + (d/dx f) i + (d/dy f) j + (d/dz f) k
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .function_model import QFunction, sample_cartesian, sample_chart
+from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
 from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, iota_array,
                               qabs_array, qmul_array)
 
@@ -100,43 +100,47 @@ def iota_coefficient(q: np.ndarray, io: np.ndarray) -> np.ndarray:
 class Stencils:
     """Derivatives of f at a batch of points along some coordinate rows.
 
-    The shifted points of all requested rows go to sample in one call:
-    sample_cartesian for Cartesian base rows, sample_chart for chart rows.
-    Given a starting scale, it becomes the running max |f| over all samples.
+    The shifted points go to sample (sample_cartesian for Cartesian base
+    rows, sample_chart for chart rows) as many rows per call as fit in
+    CALL_POINTS points, and at least one.  Given a starting scale, it
+    becomes the running max |f| over all samples.
     """
 
     def __init__(self, f: QFunction, cfg: DiffConfig, scale=None):
-        self.f = f
-        self.cfg = cfg
+        self.f, self.cfg, self.scale = f, cfg, scale
         self.offsets = stencil_offsets(cfg)
-        self.scale = scale
 
-    def along(self, base: np.ndarray, rows, sample) -> tuple:
-        """(shifted coordinates, samples), each of shape (4, len(rows), n_offsets, N)."""
-        shape = (4, len(rows), len(self.offsets), base.shape[1])
-        shifted = np.empty(shape)
-        shifted[...] = base[:, None, None, :]
-        for k, row in enumerate(rows):
-            shifted[row, k] += self.offsets[:, None]
-        values = sample(self.f, shifted.reshape(4, -1)).reshape(shape)
-        if self.scale is not None:
-            self.scale = np.maximum(self.scale, qabs_array(values).max(axis=(0, 1)))
-        return shifted, values
+    def along(self, base: np.ndarray, rows, sample):
+        """Yield (shifted coordinates, samples), each of shape
+        (4, rows in the call, n_offsets, N), one sampler call at a time."""
+        rows = list(rows)
+        size = max(1, CALL_POINTS // (len(self.offsets) * base.shape[1]))
+        for start in range(0, len(rows), size):
+            group = rows[start:start + size]
+            shape = (4, len(group), len(self.offsets), base.shape[1])
+            shifted = base[:, None, None, :] + np.zeros(shape)
+            for k, row in enumerate(group):
+                shifted[row, k] += self.offsets[:, None]
+            values = sample(self.f, shifted.reshape(4, -1)).reshape(shape)
+            if self.scale is not None:
+                self.scale = np.maximum(self.scale, qabs_array(values).max(axis=(0, 1)))
+            yield shifted, values
 
     def partials(self, base: np.ndarray, rows, sample) -> tuple:
         """(derivative rows (4, len(rows), N), error estimates (len(rows), N))."""
-        values = self.along(base, rows, sample)[1].transpose(2, 0, 1, 3)
-        d, spread = finish_stencil(values, self.cfg)
+        d, spread = zip(*(finish_stencil(values.transpose(2, 0, 1, 3), self.cfg)
+                          for _, values in self.along(base, rows, sample)))
+        d = np.concatenate(d, axis=1)
         if self.cfg.scheme == "central":
             return d, np.zeros(d.shape[1:])
-        return d, qabs_array(spread)
+        return d, qabs_array(np.concatenate(spread, axis=1))
 
-    def uv_partials(self, chart: np.ndarray, rows) -> tuple:
-        """(du, dv), each of shape (len(rows), N), along chart rows; v is taken
+    def uv_partials(self, chart: np.ndarray, rows) -> np.ndarray:
+        """(du, dv) of shape (2, len(rows), N) along chart rows; v is taken
         against the iota of each shifted sample's own angles."""
-        at, values = self.along(chart, rows, sample_chart)
-        uv = np.array((values[0], iota_coefficient(values, iota_array(at))))
-        return finish_stencil(uv.transpose(2, 0, 1, 3), self.cfg)[0]
+        uv = [np.array((values[0], iota_coefficient(values, iota_array(at))))
+              for at, values in self.along(chart, rows, sample_chart)]
+        return finish_stencil(np.concatenate(uv, axis=1).transpose(2, 0, 1, 3), self.cfg)[0]
 
 
 def _times(a: np.ndarray, b: np.ndarray, right: bool) -> np.ndarray:
@@ -162,10 +166,10 @@ def chart_ok(chart: np.ndarray, cfg: DiffConfig) -> np.ndarray:
 def _require_chart_margins(chart: np.ndarray, cfg: DiffConfig):
     ok = chart_ok(chart, cfg)
     if not ok.all():
-        t, r, alpha, beta = chart[:, np.argmin(ok)].tolist()
         raise ChartSingularityError(
-            f"chart stencil of width {cfg.h} at (t, r, alpha, beta) = ({t}, {r}, {alpha}, "
-            f"{beta}) leaves r > h, h < beta < pi - h, sin(beta) > {POLE_SIN_BETA_FLOOR}")
+            f"chart stencil of width {cfg.h} at (t, r, alpha, beta) = "
+            f"{tuple(chart[:, np.argmin(ok)].tolist())} leaves r > h, h < beta < pi - h, "
+            f"sin(beta) > {POLE_SIN_BETA_FLOOR}")
 
 
 def require_finite(f: QFunction, points: np.ndarray, values: np.ndarray):
@@ -177,13 +181,9 @@ def require_finite(f: QFunction, points: np.ndarray, values: np.ndarray):
 
 @dataclass(frozen=True)
 class OperatorValue:
-    """An operator sample and the stencil-disagreement error estimate.
-
-    value is a Quaternion for a single point and value rows (4, N) for a
-    batch.  estimated_error is the summed magnitude of the h vs h/2
-    Richardson differences when that scheme is active, 0.0 for plain
-    central differences.
-    """
+    """An operator sample (a Quaternion, or value rows (4, N) for a batch)
+    and its error estimate: the summed magnitudes of the h vs h/2
+    Richardson differences when that scheme is active, 0.0 under central."""
 
     value: Quaternion
     estimated_error: float = 0.0
@@ -281,8 +281,7 @@ def _spherical(f: QFunction, chart: np.ndarray, cfg: DiffConfig, right: bool) ->
 
 @_operator
 def fueter_spherical(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
-    """Left Fueter operator assembled in chart coordinates: class1_residual
-    minus imaginary_derivative over r."""
+    """Left Fueter operator in chart coordinates: class1_residual - imaginary_derivative / r."""
     return _spherical(f, chart, cfg, right=False)
 
 

@@ -186,6 +186,10 @@ class SampleGrid:
 
 DEFAULT_GRID = SampleGrid()
 
+# points per batched evaluator call, where a caller can split its batch:
+# large enough to amortize the call, small enough to keep temporaries small
+CALL_POINTS = 4096
+
 
 def _fill_points(evaluate, args) -> np.ndarray:
     """Value rows of evaluate over args, one call per point.

@@ -31,16 +31,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .diffops import DiffConfig, finish_stencil, iota_coefficient, stencil_offsets
-from .function_model import FunctionKindError, QFunction, sample_cartesian
+from .function_model import CALL_POINTS, FunctionKindError, QFunction, sample_cartesian
 from .quaternion_core import (DomainError, Quaternion, iota, iota_array, qabs_array,
                               to_spherical)
 
 MIN_QUADRATURE_POINTS = 16
 SIN_BETA_MARGIN = 0.1
 ALIGNMENT_TOL = 1e-6
-# contour points per evaluator call (at least one whole contour): large
-# enough to amortize the call, small enough to keep the temporaries small
-QUAD_CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     columns = [n % npts for n in orders]
     thetas = 2.0 * math.pi * np.arange(npts) / npts
     ring = center + radius * (np.cos(thetas) + 1j * np.sin(thetas))
-    per_call = max(1, QUAD_CHUNK_POINTS // npts)
+    per_call = max(1, CALL_POINTS // npts)
     modes = []
     for start in range(0, len(alphas), per_call):
         alpha, beta = alphas[start:start + per_call], betas[start:start + per_call]
