@@ -203,23 +203,26 @@ class JacobianResult:
         return iter((self.det_numeric, self.det_formula))
 
 
-def jacobian_check(f: QFunction, p: Quaternion, cfg: DiffConfig = DiffConfig()) -> JacobianResult:
+def jacobian_check(f: QFunction, p, cfg: DiffConfig = DiffConfig()) -> JacobianResult:
     """Compare the finite-difference Jacobian determinant of f: R^4 -> R^4
-    against the scalar factorization available for Class II functions."""
-    r = p.vector_norm()
-    if r == 0.0:
+    against the scalar factorization available for Class II functions, at
+    one Quaternion p or at Cartesian point rows p of shape (4, N)."""
+    points = point_rows(p) if isinstance(p, Quaternion) else p
+    r = np.sqrt(iota_coefficient(points, points))  # |Im p|
+    if not r.all():
         raise DomainError("Jacobian factorization undefined on the real axis")
 
-    point = point_rows(p)
     with np.errstate(all="ignore"):
-        jac = Stencils(f, cfg).partials(point, range(4), sample_cartesian)[0][:, :, 0]
-        value = sample_cartesian(f, point)
-    require_finite(f, point, np.hstack((jac, value)))
-    det_numeric = float(np.linalg.det(jac))
+        jac = Stencils(f, cfg).partials(points, range(4), sample_cartesian)[0]
+        value = sample_cartesian(f, points)
+    require_finite(f, points, np.vstack((jac.reshape(16, -1), value)))
+    det_numeric = np.linalg.det(jac.transpose(2, 0, 1))
 
-    # v against the iota of p, and its t derivative from the t column
-    dv_dt, v = iota_coefficient(np.hstack((jac[:, :1], value)), point / r)
-    det_formula = float((jac[0, 0] ** 2 + dv_dt ** 2) * v * v / (r * r))
+    # v against the iota of each point, and its t derivative from the t column
+    dv_dt, v = iota_coefficient(np.stack((jac[:, 0], value), axis=1), points[:, None] / r)
+    det_formula = (jac[0, 0] ** 2 + dv_dt ** 2) * v * v / (r * r)
 
     advisory = not (f.classes or {}).get("class_II", False)
+    if isinstance(p, Quaternion):
+        return JacobianResult(float(det_numeric[0]), float(det_formula[0]), advisory)
     return JacobianResult(det_numeric, det_formula, advisory)
