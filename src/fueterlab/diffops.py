@@ -114,7 +114,7 @@ class Stencils:
         """Yield (shifted coordinates, samples), each of shape
         (4, rows in the call, n_offsets, N), one sampler call at a time."""
         rows = list(rows)
-        size = max(1, CALL_POINTS // (len(self.offsets) * base.shape[1]))
+        size = max(1, CALL_POINTS // (len(self.offsets) * max(1, base.shape[1])))
         for start in range(0, len(rows), size):
             group = rows[start:start + size]
             shape = (4, len(group), len(self.offsets), base.shape[1])

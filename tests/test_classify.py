@@ -131,6 +131,13 @@ def test_non_finite_array_samples_give_singular():
         assert getattr(scalar, key).max == pytest.approx(getattr(rep, key).max, rel=1e-9)
 
 
+def test_every_node_outside_the_margins_gives_singular():
+    # h = 2 leaves no node whose chart stencil fits, so the batch is empty
+    rep = classify(get_witness("rho").function, grid=FAST_GRID, cfg=DiffConfig(h=2.0))
+    for key in ("class_I", "class_II", "class_III", "regular", "centrality"):
+        assert getattr(rep, key).verdict == "singular" and getattr(rep, key).max is None
+
+
 def test_report_dict_shape():
     rep = classify(get_witness("pow:2").function, grid=FAST_GRID, cfg=CFG)
     d = rep.to_dict()
