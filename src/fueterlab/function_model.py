@@ -216,10 +216,19 @@ def sample_chart(f: QFunction, chart: np.ndarray) -> np.ndarray:
 
 
 def sample_cartesian(f: QFunction, points: np.ndarray) -> np.ndarray:
-    """ value rows of f at quaternion rows (t, x, y, z), NaN where it fails """
-    if f.array_evaluator is not None:
-        return f.array_evaluator(to_spherical_array(points))
-    return _fill_points(f, (Quaternion(*col) for col in points.T.tolist()))
+    """Value rows of f at quaternion rows (t, x, y, z), NaN where it fails.
+
+    The chart has no alpha where x = y = 0, so those columns go to f itself,
+    which may well be defined there (a profile sweep off the real axis).
+    """
+    if f.array_evaluator is None:
+        return _fill_points(f, (Quaternion(*col) for col in points.T.tolist()))
+    values = f.array_evaluator(to_spherical_array(points))
+    pole = (points[1] == 0.0) & (points[2] == 0.0)
+    if pole.any():
+        values = np.array(values, dtype=float)
+        values[:, pole] = _fill_points(f, (Quaternion(*col) for col in points[:, pole].T.tolist()))
+    return values
 
 
 def uv_at(f: QFunction, p: Quaternion) -> tuple:

@@ -211,7 +211,7 @@ def to_spherical(p: Quaternion) -> SphericalPoint:
         raise ChartSingularityError("point on the real axis: iota undefined")
     if p.x == 0.0 and p.y == 0.0:
         raise ChartSingularityError("imaginary part parallel to k: alpha undefined")
-    beta = math.acos(max(-1.0, min(1.0, p.z / r)))
+    beta = math.atan2(math.hypot(p.x, p.y), p.z)
     alpha = math.atan2(p.y, p.x)
     return SphericalPoint(p.t, r, alpha, beta)
 
@@ -255,9 +255,7 @@ def to_spherical_array(q: np.ndarray) -> np.ndarray:
     """
     t, x, y, z = q
     r = np.sqrt(x * x + y * y + z * z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        beta = np.arccos(np.clip(z / r, -1.0, 1.0))
-    chart = np.array((t, r, np.arctan2(y, x), beta))
+    chart = np.array((t, r, np.arctan2(y, x), np.arctan2(np.hypot(x, y), z)))
     chart[:, (x == 0.0) & (y == 0.0)] = np.nan
     return chart
 

@@ -190,6 +190,13 @@ def test_jacobian_of_squaring_at_one_plus_i():
     assert not res.advisory
 
 
+def test_jacobian_of_squaring_on_the_k_axis():
+    # the stencil samples at x = y = 0 go to the evaluator, not the chart
+    res = jacobian_check(get_witness("pow:2").function, Quaternion(1.0, 0.0, 0.0, 1.0))
+    assert res.det_formula == pytest.approx(32.0, abs=1e-9)
+    assert res.det_numeric == pytest.approx(32.0, abs=1e-6)
+
+
 def test_jacobian_of_squaring_degenerates_at_i():
     res = jacobian_check(get_witness("pow:2").function, Quaternion(0.0, 1.0, 0.0, 0.0))
     assert res.det_formula == pytest.approx(0.0, abs=1e-12)

@@ -89,6 +89,24 @@ def test_fueter_left_obeys_minus_two_v_over_r_on_class_ii():
             assert got.isclose(Quaternion(-2.0 * v / s.r), tol=2e-6 * (1 + abs(v)))
 
 
+@pytest.mark.parametrize("sin_beta", [0.0, 1e-3, 0.01])
+@pytest.mark.parametrize("name", ["identity", "pow:2", "pow:3", "pow:-1"])
+def test_flat_operators_on_and_near_the_k_axis(name, sin_beta):
+    # a profile sweep is defined on x = y = 0 off the real axis, where the
+    # chart has no alpha; its flat stencils keep rounding-level accuracy
+    # there and on the way there
+    f = get_witness(name).function
+    for z in (0.7, -0.9):
+        p = Quaternion(0.5, 0.6 * sin_beta * abs(z), -0.8 * sin_beta * abs(z), z)
+        _, v = uv_at(f, p)
+        want = Quaternion(-2.0 * v / p.vector_norm())
+        for op in (fueter_left, fueter_right):
+            assert op(f, p, CFG).value.isclose(want, tol=1e-8 * (1 + abs(v))), (op.__name__, p)
+    on_axis = np.array([[0.5], [0.0], [0.0], [0.7]])
+    q = f(Quaternion(0.5, 0.0, 0.0, 0.7))
+    assert sample_cartesian(f, on_axis)[:, 0].tolist() == [q.t, q.x, q.y, q.z]
+
+
 def test_chirality_pairing_for_angle_witnesses():
     # f angle-only Class II: left on f cancels right on conj(f)
     for name in ("rho", "varrho", "sigma"):
