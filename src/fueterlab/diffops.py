@@ -37,17 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
-from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, iota_array,
-                              qabs_array, qmul_array)
+from .quaternion_core import (HAMILTON, ChartSingularityError, DomainError, Quaternion,
+                              iota_array, qabs_array, qmul_array)
 
 SCHEMES = ("central", "richardson")
 
 # operators refuse points this close to the chart's singular sets, where
 # the inverse tangent factors blow up faster than stencils can resolve
 POLE_SIN_BETA_FLOOR = 0.01
-
-# the imaginary units i, j, k as quaternion rows that broadcast against (4, N)
-UNIT_ROWS = tuple(np.eye(4)[:, k, None] for k in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,10 @@ class Stencils:
         size = max(1, CALL_POINTS // (len(self.offsets) * max(1, base.shape[1])))
         for start in range(0, len(rows), size):
             group = rows[start:start + size]
-            shape = (4, len(group), len(self.offsets), base.shape[1])
-            shifted = base[:, None, None, :] + np.zeros(shape)
-            for k, row in enumerate(group):
-                shifted[row, k] += self.offsets[:, None]
-            values = sample(self.f, shifted.reshape(4, -1)).reshape(shape)
+            shift = np.zeros((4, len(group), len(self.offsets), 1))
+            shift[group, range(len(group)), :, 0] = self.offsets
+            shifted = base[:, None, None, :] + shift
+            values = sample(self.f, shifted.reshape(4, -1)).reshape(shifted.shape)
             if self.scale is not None:
                 self.scale = np.maximum(self.scale, qabs_array(values).max(axis=(0, 1)))
             yield shifted, values
@@ -143,17 +139,10 @@ class Stencils:
         return finish_stencil(np.concatenate(uv, axis=1).transpose(2, 0, 1, 3), self.cfg)[0]
 
 
-def _times(a: np.ndarray, b: np.ndarray, right: bool) -> np.ndarray:
-    """ a b, or b a when right """
-    return qmul_array(b, a) if right else qmul_array(a, b)
-
-
 def fueter_rows(d, right: bool = False) -> np.ndarray:
-    """ d[0] + the units times d[1], d[2], d[3], multiplying from the left (or right) """
-    out = d[0]
-    for unit, dk in zip(UNIT_ROWS, d[1:]):
-        out = out + _times(unit, dk, right)
-    return out
+    """d[0] + i d[1] + j d[2] + k d[3] for rows d of shape (4, 4, ...) that
+    hold the t, x, y, z partials, or with the units multiplying from the right."""
+    return np.einsum("ijk,kj...->i..." if right else "ikj,kj...->i...", HAMILTON, d)
 
 
 def chart_ok(chart: np.ndarray, cfg: DiffConfig) -> np.ndarray:
@@ -234,32 +223,35 @@ def fueter_right(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> Operat
     return _flat(f, points, cfg, right=True)
 
 
-def _chart_partials(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows) -> tuple:
-    _require_chart_margins(chart, cfg)
-    return Stencils(f, cfg).partials(chart, rows, sample_chart)
-
-
-def _slice_part(chart: np.ndarray, d: np.ndarray, err: np.ndarray, right: bool) -> tuple:
-    """ d/dt f + iota d/dr f from the (t, r) partials, with its error estimate """
-    return d[:, 0] + _times(iota_array(chart), d[:, 1], right), err[0] + err[1]
-
-
-def _angular_part(chart: np.ndarray, d: np.ndarray, err: np.ndarray, right: bool) -> tuple:
-    """ iota_alpha^-1 d/da f + iota_beta^-1 d/db f, with its error estimate """
-    alpha, beta = chart[2], chart[3]
+def _chart_units(chart: np.ndarray) -> tuple:
+    """The quaternion rows (4, 4, N) that multiply the t, r, alpha, beta
+    partials in the chart operators (1, iota, iota_alpha^-1, iota_beta^-1)
+    and their norms (4, N), which weight the error estimates."""
+    _, _, alpha, beta = chart
     sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
-    zero = np.zeros_like(sb)
-    # the rows of iota_alpha^-1 and iota_beta^-1 side by side, shaped like d
-    inverses = np.array(((zero, zero), (sa / sb, -ca * cb), (-ca / sb, -sa * cb), (zero, sb)))
-    # the inverse alpha-tangent has norm 1/sin(beta): scale its share of the
-    # error estimate accordingly
-    return _times(inverses, d, right).sum(axis=1), err[0] / sb + err[1]
+    one, zero = np.ones_like(sb), np.zeros_like(sb)
+    units = np.array(((one, zero, zero, zero),
+                      (zero, ca * sb, sa / sb, -ca * cb),
+                      (zero, sa * sb, -ca / sb, -sa * cb),
+                      (zero, cb, zero, sb)))
+    return units, np.array((one, one, 1.0 / sb, one))
+
+
+def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows, weights=1.0,
+               right: bool = False) -> OperatorValue:
+    """ the sum over chart rows of weight * unit * partial of f (the unit on the right when right) """
+    _require_chart_margins(chart, cfg)
+    d, err = Stencils(f, cfg).partials(chart, rows, sample_chart)
+    units, norms = _chart_units(chart)
+    units, norms = units[:, rows] * weights, norms[rows] * np.abs(weights)
+    terms = qmul_array(d, units) if right else qmul_array(units, d)
+    return OperatorValue(terms.sum(axis=1), (norms * err).sum(axis=0))
 
 
 @_operator
 def class1_residual(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """d/dt f + iota d/dr f: zero iff the slice restrictions are holomorphic."""
-    return OperatorValue(*_slice_part(chart, *_chart_partials(f, chart, cfg, (0, 1)), False))
+    return _chart_sum(f, chart, cfg, [0, 1])
 
 
 @_operator
@@ -268,15 +260,13 @@ def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) ->
 
     For Class II functions this collapses to the scalar 2 v.
     """
-    return OperatorValue(*_angular_part(chart, *_chart_partials(f, chart, cfg, (2, 3)), False))
+    return _chart_sum(f, chart, cfg, [2, 3])
 
 
 def _spherical(f: QFunction, chart: np.ndarray, cfg: DiffConfig, right: bool) -> OperatorValue:
-    d, err = _chart_partials(f, chart, cfg, range(4))
-    hol, hol_err = _slice_part(chart, d[:, :2], err[:2], right)
-    imag, imag_err = _angular_part(chart, d[:, 2:], err[2:], right)
-    r = chart[1]
-    return OperatorValue(hol - imag / r, hol_err + imag_err / r)
+    # the angular terms enter divided by -r
+    weights = np.where(np.arange(4)[:, None] < 2, 1.0, -1.0 / chart[1])
+    return _chart_sum(f, chart, cfg, [0, 1, 2, 3], weights, right)
 
 
 @_operator

@@ -235,8 +235,8 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig(),
     def chiral_rows(points: np.ndarray) -> np.ndarray:
         # the time derivative cancels; only the unit commutators survive
         with np.errstate(all="ignore"):
-            d = Stencils(f, inner).partials(points, (1, 2, 3), sample_cartesian)[0]
-            d = (0.0, *d.swapaxes(0, 1))
+            d = Stencils(f, inner).partials(points, (1, 2, 3), sample_cartesian)[0].swapaxes(0, 1)
+            d = np.concatenate((np.zeros_like(d[:1]), d))
             return fueter_rows(d) - fueter_rows(d, right=True)
 
     def evaluator(p: Quaternion) -> Quaternion:

@@ -221,14 +221,15 @@ def from_spherical(s: SphericalPoint) -> Quaternion:
     return s.to_quaternion()
 
 
+_UNITS = [Quaternion(*row) for row in np.eye(4).tolist()]
+# HAMILTON[:, j, k] holds the product of the units j and k of (1, i, j, k)
+HAMILTON = np.array([[(p.t, p.x, p.y, p.z) for p in (a * b for b in _UNITS)]
+                      for a in _UNITS]).transpose(2, 0, 1)
+
+
 def qmul_array(a, b) -> np.ndarray:
     """ Hamilton product of quaternion rows; shapes broadcast after axis 0 """
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.array((a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-                     a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-                     a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-                     a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0))
+    return np.einsum("ijk,j...,k...->i...", HAMILTON, a, b)
 
 
 def qconj_array(q) -> np.ndarray:
