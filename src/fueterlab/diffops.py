@@ -163,9 +163,9 @@ def _require_chart_margins(chart: np.ndarray, cfg: DiffConfig):
 
 def require_finite(f: QFunction, points: np.ndarray, values: np.ndarray):
     """ DomainError naming f and the first point whose value rows are not all finite """
-    bad = ~np.isfinite(values).all(axis=0)
-    if bad.any():
-        raise DomainError(f"{f.name}: no finite value at {tuple(points[:, np.argmax(bad)].tolist())}")
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        raise DomainError(f"{f.name}: no finite value at {tuple(points[:, np.argmin(finite)].tolist())}")
 
 
 @dataclass(frozen=True)
@@ -237,13 +237,17 @@ def _chart_units(chart: np.ndarray) -> tuple:
     return units, np.array((one, one, 1.0 / sb, one))
 
 
-def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows, weights=1.0,
-               right: bool = False) -> OperatorValue:
-    """ the sum over chart rows of weight * unit * partial of f (the unit on the right when right) """
+def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
+               angular_scale=None, right: bool = False) -> OperatorValue:
+    """The sum over chart rows of unit * partial of f (the unit on the right
+    when right), the alpha and beta terms times angular_scale if given."""
     _require_chart_margins(chart, cfg)
-    d, err = Stencils(f, cfg).partials(chart, rows, sample_chart)
+    d, err = Stencils(f, cfg).partials(chart, range(4)[rows], sample_chart)
     units, norms = _chart_units(chart)
-    units, norms = units[:, rows] * weights, norms[rows] * np.abs(weights)
+    if angular_scale is not None:
+        units[:, 2:] *= angular_scale
+        norms[2:] *= np.abs(angular_scale)
+    units, norms = units[:, rows], norms[rows]
     terms = qmul_array(d, units) if right else qmul_array(units, d)
     return OperatorValue(terms.sum(axis=1), (norms * err).sum(axis=0))
 
@@ -251,7 +255,7 @@ def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows, weights=1
 @_operator
 def class1_residual(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """d/dt f + iota d/dr f: zero iff the slice restrictions are holomorphic."""
-    return _chart_sum(f, chart, cfg, [0, 1])
+    return _chart_sum(f, chart, cfg, slice(0, 2))
 
 
 @_operator
@@ -260,25 +264,19 @@ def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) ->
 
     For Class II functions this collapses to the scalar 2 v.
     """
-    return _chart_sum(f, chart, cfg, [2, 3])
-
-
-def _spherical(f: QFunction, chart: np.ndarray, cfg: DiffConfig, right: bool) -> OperatorValue:
-    # the angular terms enter divided by -r
-    weights = np.where(np.arange(4)[:, None] < 2, 1.0, -1.0 / chart[1])
-    return _chart_sum(f, chart, cfg, [0, 1, 2, 3], weights, right)
+    return _chart_sum(f, chart, cfg, slice(2, 4))
 
 
 @_operator
 def fueter_spherical(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Left Fueter operator in chart coordinates: class1_residual - imaginary_derivative / r."""
-    return _spherical(f, chart, cfg, right=False)
+    return _chart_sum(f, chart, cfg, slice(0, 4), -1.0 / chart[1])
 
 
 @_operator
 def fueter_spherical_right(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Right Fueter operator assembled in chart coordinates (mirrored order)."""
-    return _spherical(f, chart, cfg, right=True)
+    return _chart_sum(f, chart, cfg, slice(0, 4), -1.0 / chart[1], right=True)
 
 
 @_operator
