@@ -1,8 +1,8 @@
 """Grid classification of quaternionic functions into nested classes.
 
 Every grid node takes one central (or Richardson) stencil along each of
-t, x, y, z, r, alpha, beta, and every residual derives from those shared
-samples.  The nodes go through the diffops stencil engine as one batch:
+t, x, y, z, r, and for CE functions alpha, beta, and every residual
+derives from those shared samples.  The nodes go through the diffops stencil engine as one batch:
 the shifted coordinates of all nodes are sampled together (through the
 function's array evaluator when it has one, else point by point) and
 differenced at once, and the verdicts reduce over arrays.
@@ -128,7 +128,6 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
         cart = from_spherical_array(nodes)
         d_cart = st.partials(cart, range(4), sample_cartesian)[0].swapaxes(0, 1)
         d_r = st.partials(nodes, (1,), sample_chart)[0][:, 0]
-        angular = np.concatenate(st.uv_partials(nodes, (2, 3)))
         io = iota_array(nodes)
         fueter_left = fueter_rows(d_cart)
         residuals = {
@@ -140,6 +139,7 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
             class2 = fueter_left.copy()
             class2[0] += 2.0 * iota_coefficient(center, io) / nodes[1]
             residuals["class_II"] = qabs_array(class2)
+            angular = np.concatenate(st.uv_partials(nodes, (2, 3)))
             residuals["class_III"] = np.max(np.abs(angular), axis=0)
         tolerances = cfg.point_tolerance(st.scale)
 

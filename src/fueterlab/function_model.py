@@ -23,15 +23,21 @@ by grid sweeps:
 * off the domain, where the scalar views raise, the column is NaN, and no
   numpy floating-point warning escapes.
 
-It is optional; without it sweeps call the scalar views one point at a
-time.  The constructors here supply it whenever their inputs allow, and
-sample_chart/sample_cartesian pick the array or the point-by-point path
-for the grid sweeps and the Laurent contours alike.
+from_uv and cullen_extend always supply one, and products, sums and
+mirrors do when their inputs have one.  Where the input is a scalar
+callable (from_uv without uv_array, a stem without an array form), the
+array evaluator calls it once per point and does the chart maps, the trig
+and the u + iota v assembly on arrays.  Only a QFunction built directly
+from an evaluator (or a product, sum or mirror of one) has none;
+sample_chart/sample_cartesian then fill the same arrays from its scalar
+views, one point at a time, for the grid sweeps and the Laurent contours
+alike.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -190,29 +196,43 @@ DEFAULT_GRID = SampleGrid()
 # large enough to amortize the call, small enough to keep temporaries small
 CALL_POINTS = 4096
 
+# the value of a complex sample off the domain
+NAN_COMPLEX = complex(math.nan, math.nan)
 
-def _fill_points(evaluate, args) -> np.ndarray:
-    """Value rows of evaluate over args, one call per point.
 
-    A point whose evaluation raises a math or domain error gets a NaN
-    column, as the array evaluators give off their domain.
+def _fill_points(evaluate, args, failed, dtype=float) -> np.ndarray:
+    """Array of evaluate over args, one call per point.
+
+    A point whose evaluation raises a math or domain error gets failed, the
+    NaN value that the array evaluators give off their domain.
     """
-    rows = []
+    out = []
     for arg in args:
         try:
-            val = evaluate(arg)
+            out.append(evaluate(arg))
         except (ValueError, ZeroDivisionError, OverflowError):
-            rows.append((math.nan,) * 4)
-            continue
-        rows.append((val.t, val.x, val.y, val.z))
-    return np.array(rows, dtype=float).reshape(-1, 4).T
+            out.append(failed)
+    return np.array(out, dtype=dtype)
+
+
+def _fill_quaternions(evaluate, args) -> np.ndarray:
+    """ value rows of evaluate over args, a NaN column where it fails """
+    def components(arg):
+        val = evaluate(arg)
+        return val.t, val.x, val.y, val.z
+    return _fill_points(components, args, (math.nan,) * 4).reshape(-1, 4).T
+
+
+def _points(cls, rows: np.ndarray):
+    """ the columns of rows as cls objects (SphericalPoint or Quaternion) """
+    return itertools.starmap(cls, rows.T.tolist())
 
 
 def sample_chart(f: QFunction, chart: np.ndarray) -> np.ndarray:
     """ value rows of f at chart rows (t, r, alpha, beta), NaN where it fails """
     if f.array_evaluator is not None:
         return f.array_evaluator(chart)
-    return _fill_points(f.at_spherical, (SphericalPoint(*col) for col in chart.T.tolist()))
+    return _fill_quaternions(f.at_spherical, _points(SphericalPoint, chart))
 
 
 def sample_cartesian(f: QFunction, points: np.ndarray) -> np.ndarray:
@@ -222,12 +242,12 @@ def sample_cartesian(f: QFunction, points: np.ndarray) -> np.ndarray:
     which may well be defined there (a profile sweep off the real axis).
     """
     if f.array_evaluator is None:
-        return _fill_points(f, (Quaternion(*col) for col in points.T.tolist()))
+        return _fill_quaternions(f, _points(Quaternion, points))
     values = f.array_evaluator(to_spherical_array(points))
     pole = (points[1] == 0.0) & (points[2] == 0.0)
     if pole.any():
         values = np.array(values, dtype=float)
-        values[:, pole] = _fill_points(f, (Quaternion(*col) for col in points[:, pole].T.tolist()))
+        values[:, pole] = _fill_quaternions(f, _points(Quaternion, points[:, pole]))
     return values
 
 
@@ -262,9 +282,10 @@ def from_uv(u: Callable[[SphericalPoint], float],
             uv_array: Optional[Callable[[np.ndarray], tuple]] = None) -> QFunction:
     """CE function u(s) + iota(s) * v(s) from two chart-coordinate scalar fields.
 
-    uv_array, when given, maps chart rows to the pair of arrays (u, v) and
-    becomes the function's array evaluator; it must agree with u and v and
-    return NaN where they raise.
+    uv_array, when given, maps chart rows to the pair of arrays (u, v); it
+    must agree with u and v and return NaN where they raise.  Without it the
+    array evaluator calls u and v once per chart column (NaN where either
+    raises) and does the rest on arrays.
     """
 
     def at_spherical(s: SphericalPoint) -> Quaternion:
@@ -277,11 +298,15 @@ def from_uv(u: Callable[[SphericalPoint], float],
     def evaluator(p: Quaternion) -> Quaternion:
         return at_spherical(to_spherical(p))
 
-    array_evaluator = None
-    if uv_array is not None:
-        def array_evaluator(chart: np.ndarray) -> np.ndarray:
-            with np.errstate(all="ignore"):
-                return _uv_rows(chart, *uv_array(chart))
+    if uv_array is None:
+        def uv_array(chart: np.ndarray) -> np.ndarray:
+            uv = _fill_points(lambda s: (u(s), v(s)), _points(SphericalPoint, chart),
+                              (math.nan,) * 2)
+            return uv.reshape(-1, 2).T
+
+    def array_evaluator(chart: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return _uv_rows(chart, *uv_array(chart))
 
     return QFunction(name=name, evaluator=evaluator, kind="CE",
                      spherical_evaluator=at_spherical, classes=classes,
@@ -293,17 +318,21 @@ class ComplexStem:
 
     Either a finite Laurent combination sum of c_n z^n (with an exact
     derivative) or a named closed form with an optional analytic
-    derivative and a numeric central-difference fallback.
+    derivative and a numeric central-difference fallback.  func_array,
+    when given, is func over a complex array, NaN where domain_ok fails;
+    Laurent stems supply it.
     """
 
     NUMERIC_DERIV_STEP = 1e-6
 
-    def __init__(self, label, func, derivative=None, domain_ok=None, terms=None):
+    def __init__(self, label, func, derivative=None, domain_ok=None, terms=None,
+                 func_array=None):
         self.label = label
         self._func = func
         self._derivative = derivative
         self._domain_ok = domain_ok
         self.terms = terms
+        self._func_array = func_array
 
     @classmethod
     def laurent(cls, terms, label: Optional[str] = None) -> "ComplexStem":
@@ -311,6 +340,7 @@ class ComplexStem:
         norm = tuple((int(n), complex(c)) for n, c in terms)
         if label is None:
             label = "stem:" + ",".join(f"{n}:{c.real:g}:{c.imag:g}" for n, c in norm)
+        pole = any(n < 0 for n, _ in norm)
 
         def func(z: complex) -> complex:
             return sum(c * z ** n for n, c in norm)
@@ -318,11 +348,18 @@ class ComplexStem:
         def derivative(z: complex) -> complex:
             return sum(n * c * z ** (n - 1) for n, c in norm if n != 0)
 
-        return cls(label, func, derivative, terms=norm)
+        def func_array(z: np.ndarray) -> np.ndarray:
+            ok = z.imag > 0.0
+            if pole:
+                ok &= np.abs(z) > 1e-12
+            return np.where(ok, sum(c * z ** n for n, c in norm), NAN_COMPLEX)
+
+        return cls(label, func, derivative, terms=norm, func_array=func_array)
 
     @classmethod
-    def named(cls, label, func, derivative=None, domain_ok=None) -> "ComplexStem":
-        return cls(label, func, derivative, domain_ok)
+    def named(cls, label, func, derivative=None, domain_ok=None,
+              func_array=None) -> "ComplexStem":
+        return cls(label, func, derivative, domain_ok, func_array=func_array)
 
     def eval(self, z: complex) -> complex:
         if not self.domain_ok(z):
@@ -332,13 +369,12 @@ class ComplexStem:
     __call__ = eval
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
-        """ eval of a Laurent stem over a complex array, NaN where domain_ok fails """
+        """eval over a 1-D complex array, NaN where eval raises: through
+        func_array when the stem has one, else one eval per point"""
+        if self._func_array is None:
+            return _fill_points(self.eval, z.tolist(), NAN_COMPLEX, complex)
         with np.errstate(all="ignore"):
-            w = sum(c * z ** n for n, c in self.terms)
-        ok = z.imag > 0.0
-        if any(n < 0 for n, _ in self.terms):
-            ok &= np.abs(z) > 1e-12
-        return np.where(ok, w, np.nan)
+            return self._func_array(z)
 
     def derivative(self, z: complex) -> complex:
         if self._derivative is not None:
@@ -428,14 +464,12 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         scale = w.imag / r
         return Quaternion(w.real, scale * p.x, scale * p.y, scale * p.z)
 
-    array_evaluator = None
-    if stem.terms is not None:
-        def array_evaluator(chart: np.ndarray) -> np.ndarray:
-            z = chart[0].astype(complex)
-            z.imag = chart[1]
-            w = stem.eval_array(z)
-            with np.errstate(all="ignore"):
-                return _uv_rows(chart, w.real, w.imag)
+    def array_evaluator(chart: np.ndarray) -> np.ndarray:
+        z = chart[0].astype(complex)
+        z.imag = chart[1]
+        w = stem.eval_array(z)
+        with np.errstate(all="ignore"):
+            return _uv_rows(chart, w.real, w.imag)
 
     return QFunction(name=name or stem.label, evaluator=evaluator, kind="CI",
                      spherical_evaluator=at_spherical, classes=classes,

@@ -165,15 +165,25 @@ def rinehart_L(stem: ComplexStem) -> ComplexStem:
 
     For an analytic stem the image satisfies dg/dx + i dg/dy = 2 Im(g)/y on
     the upper half plane, so its sweep around the real axis is left-regular.
-    The derivative is exact for finite Laurent combinations and falls back
-    to complex central differences for named closed forms.
+    The derivative is exact for finite Laurent combinations, whose image
+    also gets an array form, and falls back to complex central differences
+    for named closed forms.
     """
 
     def g(z: complex) -> complex:
         y = z.imag
         return (1j / y) * stem.derivative(z) - 1j * stem.eval(z).imag / (y * y)
 
-    return ComplexStem.named(f"L:{stem.label}", g, domain_ok=stem.domain_ok)
+    g_array = None
+    if stem.terms is not None:
+        slope = ComplexStem.laurent([(n - 1, n * c) for n, c in stem.terms if n != 0])
+
+        def g_array(z: np.ndarray) -> np.ndarray:
+            # NaN wherever the stem is: slope has the same domain
+            y = z.imag
+            return (1j / y) * slope.eval_array(z) - 1j * stem.eval_array(z).imag / (y * y)
+
+    return ComplexStem.named(f"L:{stem.label}", g, domain_ok=stem.domain_ok, func_array=g_array)
 
 
 def rinehart_condition_residual(g: ComplexStem, z: complex, h: float = 1e-6) -> float:

@@ -216,31 +216,6 @@ class LaurentSeries:
                 + (1 - wa) * wb * grid[ia, ib + 1]
                 + wa * wb * grid[ia + 1, ib + 1])
 
-    def tail_bound(self, dist: float) -> float:
-        """Geometric estimate of the truncation error at distance dist from
-        the center, from the decay of the outermost computed orders."""
-        n_min, n_max = self.n_range
-
-        def mag(n):
-            return float(np.max(np.abs(self.coefficients[n]))) + 1e-300
-
-        bound = 1e-12  # quadrature noise floor
-        if n_max > n_min:
-            g_out = mag(n_max) / mag(n_max - 1)
-            q = g_out * dist
-            if q < 1.0:
-                bound += mag(n_max) * dist ** n_max * q / (1.0 - q)
-            else:
-                bound = math.inf
-        if n_min < n_max and n_min < 0:
-            g_in = mag(n_min) / mag(n_min + 1)
-            q = g_in / dist if dist > 0 else math.inf
-            if q < 1.0:
-                bound += mag(n_min) * dist ** n_min * q / (1.0 - q)
-            else:
-                bound = math.inf
-        return bound
-
     def to_dict(self) -> dict:
         doc = {"function": self.function}
         doc.update(self.region.to_dict())

@@ -5,6 +5,7 @@ Off the domain, where the scalar view raises, the column must come back
 non-finite, and the array evaluation must emit no numpy warning.
 """
 
+import cmath
 import math
 import warnings
 
@@ -13,10 +14,15 @@ import pytest
 
 from fueterlab.function_model import (
     DEFAULT_GRID,
+    NAMED_STEMS,
+    ComplexStem,
+    cullen_extend,
+    from_uv,
     pointwise_product,
     pointwise_sum,
 )
-from fueterlab.generators import chiral_difference, get_witness, mirror
+from fueterlab.generators import (chiral_difference, get_witness, mirror, resolve_function_spec,
+                                  rinehart_L)
 from fueterlab.quaternion_core import SphericalPoint
 from fueterlab.verification import conjugate_function, random_polynomial
 
@@ -108,3 +114,79 @@ def test_off_domain_points_reach_every_family():
         f = MAKERS[name]()
         values = _array_values(f, np.array(OFF_DOMAIN).T)
         assert not np.all(np.isfinite(values)), name
+
+
+# ---------------------------------------------------------------------------
+# array evaluators built around scalar user callables and non-Laurent stems:
+# the user callable runs once per column, everything else on arrays
+
+
+def _log_alpha_v(s):
+    return math.log(s.alpha + 1.0)  # ValueError for alpha <= -1
+
+
+def _user_stem():
+    return ComplexStem.named("user", lambda z: 0.3 * z ** 2 - 1j / z + cmath.exp(0.5j * z))
+
+
+LOOPED = {
+    "from_uv": lambda: from_uv(lambda s: s.t * s.r + math.cos(s.alpha),
+                               lambda s: s.r * math.sin(s.beta) - s.t),
+    "from_uv:raising-v": lambda: from_uv(lambda s: s.alpha - s.t, _log_alpha_v),
+    "cullen:user": lambda: cullen_extend(_user_stem()),
+    "cullen:log-tan": lambda: cullen_extend(NAMED_STEMS["log-tan"]),
+    "cullen:arctan": lambda: cullen_extend(NAMED_STEMS["arctan"]),
+    "L:laurent": lambda: resolve_function_spec("L:-2:0.5:-0.3,1:1:0,3:0.2:0.7"),
+    "L:log-tan": lambda: resolve_function_spec("L:log-tan"),
+}
+
+# inside arctan's cut |t| <= 0.25, r >= 0.75, and a column where only the
+# raising v of from_uv fails
+EXTRA_CHART = [(0.1, 0.9, 0.4, 1.2), (-0.25, 1.4, -2.0, 2.0), (0.3, 0.8, -1.5, 1.1)]
+
+
+@pytest.mark.parametrize("name", sorted(LOOPED))
+def test_array_is_nan_exactly_where_scalar_raises(name):
+    f = LOOPED[name]()
+    chart = np.hstack((_seeded_chart(), np.array(OFF_DOMAIN + EXTRA_CHART).T))
+    values = _array_values(f, chart)
+    for k, col in enumerate(chart.T.tolist()):
+        want = _scalar_value(f, col)
+        if want is None:
+            assert np.isnan(values[:, k]).all(), col
+        else:
+            _assert_agrees(values[:, k], want, col)
+
+
+def test_arctan_cut_and_raising_v_reach_the_nan_path():
+    inside = np.array(EXTRA_CHART[:2]).T
+    assert np.isnan(_array_values(LOOPED["cullen:arctan"](), inside)).all()
+    assert not np.isnan(_array_values(LOOPED["from_uv"](), inside)).any()
+    assert np.isnan(_array_values(LOOPED["from_uv:raising-v"](), np.array(EXTRA_CHART[2:]).T)).all()
+
+
+@pytest.mark.parametrize("terms", [[(-2, 0.5 - 0.3j), (1, 1.0), (3, 0.2 + 0.7j)],
+                                   [(-1, 1.0)], [(0, 2.0)], [(4, -1j), (0, 0.5)]])
+def test_extension_functional_of_laurent_stem_on_arrays(terms):
+    # the vectorized image of a Laurent stem against its scalar eval,
+    # including the real axis, the lower half plane, a near-zero argument and
+    # the chart's radius margin 0.1
+    g = rinehart_L(ComplexStem.laurent(terms))
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(0.2, 1.5, 40)
+    z = np.concatenate((z, [0.3 + 0j, -0.4 - 0.2j, 1e-13j, 2.0 + 0.1j]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = g.eval_array(z)
+    for k, zk in enumerate(z.tolist()):
+        try:
+            want = g.eval(zk)
+        except ValueError:
+            assert np.isnan(got[k].real) and np.isnan(got[k].imag), zk
+            continue
+        assert abs(got[k] - want) <= REL_TOL * abs(want), zk
+
+
+def test_every_constructor_supplies_an_array_evaluator():
+    for make in LOOPED.values():
+        assert make().array_evaluator is not None

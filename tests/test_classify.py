@@ -91,6 +91,35 @@ def test_raw_function_reports_not_ce():
     assert rep.class_I.verdict == "fail"
 
 
+# two raw quaternion polynomials and their verdicts on FAST_GRID, recorded
+# while classify still sampled the alpha/beta stencils for raw functions
+_COEFFS = (Quaternion(0.3, -0.2, 0.5, 0.1), Quaternion(-0.7, 0.4, 0.0, 0.9),
+           Quaternion(0.25, 0.6, -0.35, -0.8))
+RAW_POLYNOMIALS = {
+    "quaternion-coefficients": (lambda p: _COEFFS[0] + _COEFFS[1] * p + _COEFFS[2] * p * p,
+                                ("fail", "not-CE", "not-CE", "fail"), "not-central"),
+    "real-coefficients": (lambda p: 0.5 - p + 0.75 * (p * p),
+                          ("pass", "not-CE", "not-CE", "fail"), "central"),
+}
+
+
+@pytest.mark.parametrize("scheme, per_node", [("central", 11), ("richardson", 21)])
+@pytest.mark.parametrize("name", sorted(RAW_POLYNOMIALS))
+def test_raw_function_samples_no_angular_stencils(name, scheme, per_node):
+    # the center plus the t, x, y, z and r stencils; no raw residual needs alpha or beta
+    evaluate, expected, centrality = RAW_POLYNOMIALS[name]
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return evaluate(p)
+
+    rep = classify(QFunction(name, counted), grid=FAST_GRID, cfg=DiffConfig(scheme=scheme))
+    assert len(calls) == per_node * FAST_GRID.size
+    assert verdicts(rep) == expected
+    assert rep.centrality.verdict == centrality
+
+
 def test_domain_error_inside_grid_gives_singular():
     def spiky(p):
         if p.t > 0.5:
