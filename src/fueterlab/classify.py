@@ -2,10 +2,11 @@
 
 Every grid node takes one central (or Richardson) stencil along each of
 t, x, y, z, r, and for CE functions alpha, beta, and every residual
-derives from those shared samples.  The nodes go through the diffops stencil engine as one batch:
-the shifted coordinates of all nodes are sampled together (through the
-function's array evaluator when it has one, else point by point) and
-differenced at once, and the verdicts reduce over arrays.
+derives from those shared samples.  The nodes go through the diffops
+stencil engine as one batch: the shifted coordinates of all nodes are
+sampled together (through the function's array evaluator when it has
+one, else point by point) and differenced at once, and the verdicts
+reduce over arrays.
 
 * Class I   : |d/dt f + iota d/dr f|
 * Class II  : |fueter_left f + 2 v / r|
