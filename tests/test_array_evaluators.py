@@ -185,8 +185,3 @@ def test_extension_functional_of_laurent_stem_on_arrays(terms):
             assert np.isnan(got[k].real) and np.isnan(got[k].imag), zk
             continue
         assert abs(got[k] - want) <= REL_TOL * abs(want), zk
-
-
-def test_every_constructor_supplies_an_array_evaluator():
-    for make in LOOPED.values():
-        assert make().array_evaluator is not None
