@@ -13,8 +13,6 @@ from .quaternion_core import (
     DomainError,
     ChartSingularityError,
     iota,
-    iota_alpha,
-    iota_beta,
     to_spherical,
     from_spherical,
 )
@@ -72,7 +70,7 @@ from .verification import CheckResult, run_all_checks
 
 __all__ = [
     "Quaternion", "SphericalPoint", "DomainError", "ChartSingularityError",
-    "iota", "iota_alpha", "iota_beta", "to_spherical", "from_spherical",
+    "iota", "to_spherical", "from_spherical",
     "QFunction", "ComplexStem", "SampleGrid", "DEFAULT_GRID",
     "FunctionKindError", "cullen_extend", "from_uv", "power_function",
     "restrict_to_slice", "uv_at", "pointwise_product", "pointwise_sum",

@@ -44,23 +44,12 @@ HARD_FAIL_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class ClassStats:
-    """Aggregate residuals and verdict for one class on one grid."""
+    """Aggregate residuals and verdict for one class, or for the left/right
+    Fueter agreement (centrality), on one grid."""
 
     max: Optional[float]
     mean: Optional[float]
-    verdict: str  # pass | fail | not-CE | singular
-
-    def to_dict(self) -> dict:
-        return {"max": self.max, "mean": self.mean, "verdict": self.verdict}
-
-
-@dataclass(frozen=True)
-class CentralityStats:
-    """Left/right Fueter agreement on one grid."""
-
-    max: Optional[float]
-    mean: Optional[float]
-    verdict: str  # central | not-central | singular
+    verdict: str  # pass | fail | not-CE | singular, or central | not-central for centrality
 
     def to_dict(self) -> dict:
         return {"max": self.max, "mean": self.mean, "verdict": self.verdict}
@@ -75,7 +64,7 @@ class ClassificationReport:
     class_II: ClassStats
     class_III: ClassStats
     regular: ClassStats
-    centrality: CentralityStats
+    centrality: ClassStats
     inclusion_consistent: bool
 
     def to_dict(self) -> dict:
@@ -166,8 +155,8 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
         class_II = ClassStats(None, None, "not-CE")
         class_III = ClassStats(None, None, "not-CE")
 
-    centrality = CentralityStats(*_stats(residuals["centrality"][finite], tolerances,
-                                         singular, "central", "not-central"))
+    centrality = ClassStats(*_stats(residuals["centrality"][finite], tolerances,
+                                    singular, "central", "not-central"))
 
     ok = True
     if class_III.verdict == "pass" and class_II.verdict == "fail":
@@ -182,8 +171,9 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
 
 
 def centrality_check(f: QFunction, grid: Optional[SampleGrid] = None,
-                     cfg: DiffConfig = DiffConfig()) -> CentralityStats:
-    """Left/right Fueter agreement on the grid (central iff Class III)."""
+                     cfg: DiffConfig = DiffConfig()) -> ClassStats:
+    """Left/right Fueter agreement on the grid: central iff the angular
+    residual passes; within Class I that is Class III."""
     return classify(f, grid, cfg).centrality
 
 
@@ -199,9 +189,6 @@ class JacobianResult:
     det_numeric: float
     det_formula: float
     advisory: bool
-
-    def __iter__(self):
-        return iter((self.det_numeric, self.det_formula))
 
 
 def jacobian_check(f: QFunction, p, cfg: DiffConfig = DiffConfig()) -> JacobianResult:

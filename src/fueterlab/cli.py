@@ -87,6 +87,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_props(args) -> int:
+    if args.seed < 0:
+        raise SpecError(f"--seed must be >= 0, got {args.seed}")
     grid = _grid_from_arg(args.grid)
     cfg = _config_from_args(args)
     checks = run_all_checks(seed=args.seed, cfg=cfg, grid=grid)

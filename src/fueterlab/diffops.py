@@ -17,10 +17,10 @@ a Quaternion and a float.
 * fueter_right  : d/dt f + (d/dx f) i + (d/dy f) j + (d/dz f) k
 * class1_residual : d/dt f + iota d/dr f              (slice holomorphy)
 * fueter_spherical : d/dt f + iota d/dr f
-      - r^-1 (iota_alpha^-1 d/da f + iota_beta^-1 d/db f)
-  which equals fueter_left identically; the mirrored multiplication order
-  gives fueter_spherical_right.
-* imaginary_derivative : iota_alpha^-1 d/da f + iota_beta^-1 d/db f,
+      - r^-1 (iota_a^-1 d/da f + iota_b^-1 d/db f)
+  (iota_a, iota_b the alpha and beta tangents of iota), which equals
+  fueter_left identically; the mirrored order gives fueter_spherical_right.
+* imaginary_derivative : iota_a^-1 d/da f + iota_b^-1 d/db f,
   so that fueter_left = class1_residual - (1/r) * imaginary_derivative.
 * spherical_cr_residuals : the two scalar residuals
       S1 = (sin beta)^-1 dv/da + du/db
@@ -57,8 +57,10 @@ class DiffConfig:
     tol_rel: float = 1e-6
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError("step h must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"step h must be positive and finite, got {self.h}")
+        if not (0.0 <= self.tol_abs < math.inf and 0.0 <= self.tol_rel < math.inf):
+            raise ValueError(f"tolerances must be finite and >= 0, got {self.tol_abs}, {self.tol_rel}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
@@ -225,7 +227,7 @@ def fueter_right(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> Operat
 
 def _chart_units(chart: np.ndarray) -> tuple:
     """The quaternion rows (4, 4, N) that multiply the t, r, alpha, beta
-    partials in the chart operators (1, iota, iota_alpha^-1, iota_beta^-1)
+    partials in the chart operators (1, iota, iota_a^-1, iota_b^-1)
     and their norms (4, N), which weight the error estimates."""
     _, _, alpha, beta = chart
     sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
@@ -260,7 +262,7 @@ def class1_residual(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> Oper
 
 @_operator
 def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
-    """iota_alpha^-1 d/da f + iota_beta^-1 d/db f (left multiplication).
+    """iota_a^-1 d/da f + iota_b^-1 d/db f (left multiplication).
 
     For Class II functions this collapses to the scalar 2 v.
     """

@@ -50,6 +50,8 @@ from .quaternion_core import (
     DomainError,
     Quaternion,
     SphericalPoint,
+    from_spherical,
+    iota,
     qmul_array,
     to_spherical,
     to_spherical_array,
@@ -96,7 +98,7 @@ class QFunction:
     def at_spherical(self, s: SphericalPoint) -> Quaternion:
         if self.spherical_evaluator is not None:
             return self.spherical_evaluator(s)
-        return self.evaluator(s.to_quaternion())
+        return self.evaluator(from_spherical(s))
 
     @property
     def is_ce(self) -> bool:
@@ -104,6 +106,18 @@ class QFunction:
 
     def __repr__(self):
         return f"QFunction({self.name!r}, kind={self.kind!r})"
+
+
+SIN_BETA_MARGIN = 0.1
+
+
+def check_beta_window(b0: float, b1: float, label: str):
+    """ValueError naming label unless 0 < b0 <= b1 < pi and sin(beta) >=
+    SIN_BETA_MARGIN on [b0, b1]: the pole margin of grids and windows."""
+    if not 0.0 < b0 <= b1 < math.pi:
+        raise ValueError(f"{label} leaves (0, pi)")
+    if min(math.sin(b0), math.sin(b1)) < SIN_BETA_MARGIN:
+        raise ValueError(f"{label} enters the pole margin sin(beta) >= {SIN_BETA_MARGIN}")
 
 
 @dataclass(frozen=True)
@@ -122,22 +136,17 @@ class SampleGrid:
     n_per_axis: int = 8
 
     R_MARGIN = 0.1
-    SIN_BETA_MARGIN = 0.1
 
     def __post_init__(self):
         for rng, label in ((self.t_range, "t"), (self.r_range, "r"),
                            (self.alpha_range, "alpha"), (self.beta_range, "beta")):
-            if len(rng) != 2 or not rng[0] <= rng[1]:
+            if len(rng) != 2 or not -math.inf < rng[0] <= rng[1] < math.inf:
                 raise ValueError(f"bad {label} range {rng!r}")
         if self.n_per_axis < 2:
             raise ValueError("need at least 2 points per axis")
         if self.r_range[0] < self.R_MARGIN:
             raise ValueError(f"r range {self.r_range} enters the real-axis margin r >= {self.R_MARGIN}")
-        b0, b1 = self.beta_range
-        if not (0.0 < b0 and b1 < math.pi):
-            raise ValueError(f"beta range {self.beta_range} leaves (0, pi)")
-        if min(math.sin(b0), math.sin(b1)) < self.SIN_BETA_MARGIN:
-            raise ValueError(f"beta range {self.beta_range} enters the pole margin sin(beta) >= {self.SIN_BETA_MARGIN}")
+        check_beta_window(*self.beta_range, f"beta range {self.beta_range}")
 
     def _axis(self, lo: float, hi: float) -> list:
         n = self.n_per_axis
@@ -184,10 +193,9 @@ class SampleGrid:
         if len(values) != 9:
             raise ValueError("grid spec needs 9 numbers: t0,t1,r0,r1,a0,a1,b0,b1,n_per_axis")
         v = [float(x) for x in values]
-        n = int(v[8])
-        if n != v[8]:
+        if not v[8].is_integer():
             raise ValueError("n_per_axis must be an integer")
-        return cls((v[0], v[1]), (v[2], v[3]), (v[4], v[5]), (v[6], v[7]), n)
+        return cls((v[0], v[1]), (v[2], v[3]), (v[4], v[5]), (v[6], v[7]), int(v[8]))
 
 
 DEFAULT_GRID = SampleGrid()
@@ -413,34 +421,6 @@ NAMED_STEMS = {
 }
 
 
-def stem_cr_residual(stem: ComplexStem, z: complex, h: float = 1e-6) -> float:
-    """ |dg/dx + i dg/dy| by central differences; ~0 iff g is analytic at z """
-    wx = (stem.eval(z + h) - stem.eval(z - h)) / (2.0 * h)
-    wy = (stem.eval(z + h * 1j) - stem.eval(z - h * 1j)) / (2.0 * h)
-    return abs(wx + 1j * wy)
-
-
-def validate_stem(stem: ComplexStem, samples=None, tol: float = 1e-8) -> float:
-    """Check analyticity of a stem on its declared domain.
-
-    Returns the worst scaled CR residual over the samples; raises
-    DomainError when it exceeds tol.
-    """
-    if samples is None:
-        samples = [complex(x * 0.24 - 1.2, 0.45 + y * 0.11)
-                   for x in range(11) for y in range(11)]
-    worst = 0.0
-    for z in samples:
-        if not stem.domain_ok(z):
-            continue
-        scale = 1.0 + abs(stem.eval(z))
-        worst = max(worst, stem_cr_residual(stem, z) / scale)
-    if worst > tol:
-        raise DomainError(f"stem {stem.label!r} fails analyticity check: "
-                          f"scaled CR residual {worst:.3e} > {tol:.1e}")
-    return worst
-
-
 def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
                   classes: Optional[Mapping[str, bool]] = None,
                   domain: Optional[SampleGrid] = None) -> QFunction:
@@ -494,13 +474,12 @@ def restrict_to_slice(f: QFunction, alpha: float, beta: float) -> Callable[[comp
         raise FunctionKindError(f"{f.name}: slice restriction needs a CE/CI function, got kind {f.kind!r}")
     if not 0.0 < beta < math.pi or math.sin(beta) < 1e-6:
         raise ChartSingularityError("slice undefined at the poles")
+    io = iota(alpha, beta)
 
     def slice_fn(z: complex) -> complex:
         if z.imag <= 0.0:
             raise DomainError("slice coordinate needs r > 0")
-        s = SphericalPoint(z.real, z.imag, alpha, beta)
-        val = f.at_spherical(s)
-        io = s.iota()
+        val = f.at_spherical(SphericalPoint(z.real, z.imag, alpha, beta))
         return complex(val.t, val.x * io.x + val.y * io.y + val.z * io.z)
 
     return slice_fn

@@ -31,12 +31,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .diffops import DiffConfig, finish_stencil, iota_coefficient, stencil_offsets
-from .function_model import CALL_POINTS, FunctionKindError, QFunction, sample_cartesian
+from .function_model import (CALL_POINTS, FunctionKindError, QFunction, check_beta_window,
+                             sample_cartesian)
 from .quaternion_core import (DomainError, Quaternion, iota, iota_array, qabs_array,
                               to_spherical)
 
 MIN_QUADRATURE_POINTS = 16
-SIN_BETA_MARGIN = 0.1
 ALIGNMENT_TOL = 1e-6
 
 
@@ -54,19 +54,18 @@ class AnnulusRegion:
     n_beta: int = 9
 
     def __post_init__(self):
+        if not np.isfinite((self.center_t, self.center_r, self.inner, self.outer)).all():
+            raise ValueError(f"center {self.center} or radii ({self.inner}, {self.outer}) not finite")
         if not 0.0 < self.inner < self.outer:
             raise ValueError(f"need 0 < inner < outer, got ({self.inner}, {self.outer})")
         if self.center_r - self.outer <= 0.0:
             raise ValueError(
                 f"annulus (center_r={self.center_r}, outer={self.outer}) "
                 "leaves the positive-radius half of the slice")
-        if not self.alpha_window[0] < self.alpha_window[1]:
-            raise ValueError(f"bad alpha window {self.alpha_window}")
-        b0, b1 = self.beta_window
-        if not (0.0 < b0 < b1 < math.pi):
-            raise ValueError(f"beta window {self.beta_window} leaves (0, pi)")
-        if min(math.sin(b0), math.sin(b1)) < SIN_BETA_MARGIN:
-            raise ValueError(f"beta window {self.beta_window} enters the pole margin")
+        for label, (lo, hi) in (("alpha", self.alpha_window), ("beta", self.beta_window)):
+            if not lo < hi:
+                raise ValueError(f"bad {label} window {(lo, hi)}")
+        check_beta_window(*self.beta_window, f"beta window {self.beta_window}")
         if self.n_alpha < 2 or self.n_beta < 2:
             raise ValueError("window needs at least 2 nodes per angle")
 
@@ -151,21 +150,6 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
         modes.append(np.fft.fft(w[0] + 1j * v, axis=1)[:, columns])
     modes = np.concatenate(modes)
     return {n: modes[:, k] / (npts * radius ** n) for k, n in enumerate(orders)}
-
-
-def slice_laurent_coefficients(f: QFunction, alpha: float, beta: float,
-                               center: complex, radius: float,
-                               n_range: Tuple[int, int],
-                               quadrature_points: int) -> Dict[int, complex]:
-    """Laurent coefficients of f on one slice by FFT contour quadrature.
-
-    center may sit in either half of the slice plane (negative imaginary
-    part addresses the antipodal side); the contour must not touch the
-    real axis.
-    """
-    coeffs = _ring_coefficients(f, np.array([alpha]), np.array([beta]), center,
-                                radius, n_range, quadrature_points)
-    return {n: complex(c[0]) for n, c in coeffs.items()}
 
 
 def _validate_orders(n_range: Tuple[int, int], quadrature_points: int):
@@ -295,14 +279,12 @@ def coefficient_class_check(series: LaurentSeries,
         raise ValueError("series does not carry its source function; "
                          "build it with laurent_coefficients")
     region = series.region
-    h = cfg.h
-    b_lo = region.beta_window[0] - h
-    b_hi = region.beta_window[1] + h
-    if not (0.0 < b_lo and b_hi < math.pi) or \
-            min(math.sin(b_lo), math.sin(b_hi)) < SIN_BETA_MARGIN:
+    try:
+        check_beta_window(region.beta_window[0] - cfg.h, region.beta_window[1] + cfg.h, "")
+    except ValueError as exc:
         raise DomainError(
             f"window {region.beta_window} too close to the poles for "
-            f"angle stencils of width {h}")
+            f"angle stencils of width {cfg.h}") from exc
 
     # one batch of shifted windows: the alpha stencils, then the beta stencils
     offsets = stencil_offsets(cfg)

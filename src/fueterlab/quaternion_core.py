@@ -45,16 +45,6 @@ class Quaternion:
         self.y = float(y)
         self.z = float(z)
 
-    @classmethod
-    def from_vector(cls, vec, t: float = 0.0) -> "Quaternion":
-        """ quaternion t + v1*i + v2*j + v3*k from a 3-vector """
-        v1, v2, v3 = vec
-        return cls(t, v1, v2, v3)
-
-    @property
-    def vector(self) -> tuple:
-        return (self.x, self.y, self.z)
-
     def __repr__(self):
         return f"Quaternion({self.t!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
@@ -156,30 +146,6 @@ def iota(alpha: float, beta: float) -> Quaternion:
     return Quaternion(0.0, math.cos(alpha) * sb, math.sin(alpha) * sb, math.cos(beta))
 
 
-def iota_alpha(alpha: float, beta: float) -> Quaternion:
-    """ tangent d(iota)/d(alpha); squared norm sin(beta)**2 """
-    sb = math.sin(beta)
-    return Quaternion(0.0, -math.sin(alpha) * sb, math.cos(alpha) * sb, 0.0)
-
-
-def iota_beta(alpha: float, beta: float) -> Quaternion:
-    """ tangent d(iota)/d(beta); unit norm """
-    cb = math.cos(beta)
-    return Quaternion(0.0, math.cos(alpha) * cb, math.sin(alpha) * cb, -math.sin(beta))
-
-
-def iota_alpha_inv(alpha: float, beta: float) -> Quaternion:
-    """ inverse of iota_alpha: (sin(alpha), -cos(alpha), 0) / sin(beta) """
-    sb = math.sin(beta)
-    return Quaternion(0.0, math.sin(alpha) / sb, -math.cos(alpha) / sb, 0.0)
-
-
-def iota_beta_inv(alpha: float, beta: float) -> Quaternion:
-    """ inverse of iota_beta: -iota_beta """
-    cb = math.cos(beta)
-    return Quaternion(0.0, -math.cos(alpha) * cb, -math.sin(alpha) * cb, math.sin(beta))
-
-
 @dataclass(frozen=True)
 class SphericalPoint:
     """Chart coordinates (t, r, alpha, beta) of a quaternion off the real axis."""
@@ -188,16 +154,6 @@ class SphericalPoint:
     r: float
     alpha: float
     beta: float
-
-    def to_quaternion(self) -> Quaternion:
-        sb = math.sin(self.beta)
-        return Quaternion(self.t,
-                          self.r * math.cos(self.alpha) * sb,
-                          self.r * math.sin(self.alpha) * sb,
-                          self.r * math.cos(self.beta))
-
-    def iota(self) -> Quaternion:
-        return iota(self.alpha, self.beta)
 
 
 def to_spherical(p: Quaternion) -> SphericalPoint:
@@ -218,7 +174,9 @@ def to_spherical(p: Quaternion) -> SphericalPoint:
 
 def from_spherical(s: SphericalPoint) -> Quaternion:
     """ inverse chart map """
-    return s.to_quaternion()
+    sb = math.sin(s.beta)
+    return Quaternion(s.t, s.r * math.cos(s.alpha) * sb, s.r * math.sin(s.alpha) * sb,
+                      s.r * math.cos(s.beta))
 
 
 _UNITS = [Quaternion(*row) for row in np.eye(4).tolist()]

@@ -309,8 +309,9 @@ def check_conjugate_right(cfg: DiffConfig = DiffConfig(),
 
 
 def check_centrality(reports: Dict[str, ClassificationReport]) -> CheckResult:
-    """Left/right operator agreement holds exactly on the Class III part of
-    the catalog."""
+    """Centrality agrees with Class III on the catalog, whose members are all
+    Class I: central iff the angular residual passes; within Class I that is
+    Class III."""
     failures = []
     for name, report in reports.items():
         central = report.centrality.verdict == "central"

@@ -20,7 +20,7 @@ from fueterlab.function_model import (
     pointwise_product,
     pointwise_sum,
 )
-from fueterlab.generators import get_witness
+from fueterlab.generators import get_witness, resolve_function_spec
 from fueterlab.quaternion_core import DomainError, Quaternion
 
 CFG = DiffConfig()
@@ -257,3 +257,13 @@ def test_centrality_check_standalone():
                             grid=FAST_GRID).verdict == "not-central"
     assert centrality_check(get_witness("pow:0").function,
                             grid=FAST_GRID).verdict == "central"
+
+
+def test_central_outside_class_i_is_not_class_iii():
+    # central iff the angular residual passes, which is Class III only
+    # within Class I; the image of z^3 under L is regular but not Class I
+    rep = classify(resolve_function_spec("L:3:1:0"))
+    assert rep.centrality.verdict == "central"
+    assert rep.class_I.verdict == "fail"
+    assert rep.class_III.verdict == "fail"
+    assert rep.regular.verdict == "pass"

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+import fueterlab
 from fueterlab.cli import main
 
 # three nodes per axis, placed so no node hits the atanh ridges of the
@@ -78,10 +79,21 @@ def test_classify_unknown_spec_exits_2(capsys):
     assert "error:" in err
 
 
-def test_classify_bad_grid_exits_2(capsys):
-    rc, _, err = run_cli(capsys, ["classify", "rho", "--grid", "1,2,3"])
-    assert rc == 2
-    assert "error:" in err
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "rho", "--grid", "1,2,3"], "needs 9"),
+    (["classify", "rho", "--grid=-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,inf"], "n_per_axis"),
+    (["classify", "rho", "--grid=-inf,1,0.5,1.5,-2.5,2.5,0.4,2.7,3"], "bad t range"),
+    (["verify-props", "--seed=-1"], "--seed"),
+    (["classify", "rho", "--h=inf"], "step h"),
+    (["classify", "rho", "--tol-abs=nan"], "tolerances"),
+    (["classify", "rho", "--tol-abs=-1"], "tolerances"),
+    (["laurent", "rho", "--center=nan,1"], "not finite"),
+], ids=["short-grid", "infinite-n", "infinite-range", "negative-seed", "infinite-h",
+        "nan-tolerance", "negative-tolerance", "nan-center"])
+def test_bad_numbers_exit_2(capsys, argv, message):
+    rc, doc, err = run_cli(capsys, argv)
+    assert rc == 2 and doc is None
+    assert "error:" in err and message in err
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +241,8 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "classify"
+
+
+def test_every_public_name_resolves():
+    for name in fueterlab.__all__:
+        assert getattr(fueterlab, name) is not None, name

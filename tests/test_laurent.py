@@ -12,11 +12,11 @@ from fueterlab.generators import get_witness, mirror, resolve_function_spec
 from fueterlab.laurent import (
     AnnulusRegion,
     LaurentSeries,
+    _ring_coefficients,
     coefficient_class_check,
     laurent_coefficients,
     mirrored_center_coefficients,
     reconstruct,
-    slice_laurent_coefficients,
 )
 from fueterlab.quaternion_core import (
     DomainError,
@@ -59,6 +59,15 @@ def test_region_validation():
         AnnulusRegion(0.0, 1.0, 0.2, 0.6, alpha_window=(0.5, -0.5))
     with pytest.raises(ValueError):
         AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=1)
+    with pytest.raises(ValueError, match="bad beta window"):
+        AnnulusRegion(0.0, 1.0, 0.2, 0.6, beta_window=(1.2, 1.0))
+    with pytest.raises(ValueError, match="not finite"):
+        AnnulusRegion(0.0, math.inf, 0.2, 0.6)
+    # the class check's angle stencils widen the window into the pole margin
+    series = laurent_coefficients(get_witness("pow:2").function, REGION,
+                                  n_range=(0, 1), quadrature_points=32)
+    with pytest.raises(DomainError, match="too close to the poles"):
+        coefficient_class_check(series, DiffConfig(h=1.0))
 
 
 def test_region_export():
@@ -134,7 +143,8 @@ def test_slice_extraction_validates_contour():
     f = get_witness("pow:2").function
     with pytest.raises(DomainError):
         # circle of radius 1.2 about Im = 1 dips below the real axis
-        slice_laurent_coefficients(f, 0.0, math.pi / 2, 1.0j, 1.2, (-1, 1), 64)
+        _ring_coefficients(f, np.array([0.0]), np.array([math.pi / 2]), 1.0j, 1.2,
+                           (-1, 1), 64)
     raw = QFunction("swap", lambda p: Quaternion(p.x, p.t, 0.0, 0.0))
     with pytest.raises(FunctionKindError):
         laurent_coefficients(raw, REGION)

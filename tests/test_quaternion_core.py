@@ -3,8 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from fueterlab.diffops import _chart_units
 from fueterlab.quaternion_core import (
     ChartSingularityError,
     I,
@@ -15,10 +17,9 @@ from fueterlab.quaternion_core import (
     SphericalPoint,
     from_spherical,
     iota,
-    iota_alpha,
-    iota_alpha_inv,
-    iota_beta,
-    iota_beta_inv,
+    iota_array,
+    qabs_array,
+    qmul_array,
     to_spherical,
 )
 
@@ -32,6 +33,24 @@ def random_quaternion(rng, scale=2.0):
 def random_angles(rng):
     # keep beta away from the chart poles
     return rng.uniform(-math.pi, math.pi), rng.uniform(0.2, math.pi - 0.2)
+
+
+def chart_frame(seed, n):
+    """Unit-radius chart rows at n random angles, the units (1, iota,
+    iota_a^-1, iota_b^-1) that the chart operators multiply their partials
+    by, and the alpha and beta tangents iota_a, iota_b of iota in closed form."""
+    rng = random.Random(seed)
+    alpha, beta = np.array([random_angles(rng) for _ in range(n)]).T
+    chart = np.array((np.zeros(n), np.ones(n), alpha, beta))
+    units, _ = _chart_units(chart)
+    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    tangent_a = np.array((np.zeros(n), -sa * sb, ca * sb, np.zeros(n)))
+    tangent_b = np.array((np.zeros(n), ca * cb, sa * cb, -sb))
+    return chart, units, tangent_a, tangent_b
+
+
+def imaginary_dot(a, b):
+    return np.sum(a[1:] * b[1:], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +127,8 @@ def test_zero_has_no_inverse():
         Quaternion().inverse()
 
 
-def test_from_vector_and_accessors():
-    q = Quaternion.from_vector((1.0, 2.0, 3.0), t=0.5)
-    assert q == Quaternion(0.5, 1.0, 2.0, 3.0)
-    assert q.vector == (1.0, 2.0, 3.0)
+def test_norm_accessors():
+    q = Quaternion(0.5, 1.0, 2.0, 3.0)
     assert q.vector_norm() == pytest.approx(math.sqrt(14.0))
     assert q.norm_sq() == pytest.approx(0.25 + 14.0)
 
@@ -121,9 +138,11 @@ def test_from_vector_and_accessors():
 
 
 def test_iota_at_reference_angles():
+    # at (alpha, beta) = (0, pi/2): iota = i, iota_a = j, iota_b = -k
     assert iota(0.0, HALF_PI).isclose(I, tol=1e-15)
-    assert iota_alpha(0.0, HALF_PI).isclose(J, tol=1e-15)
-    assert iota_beta(0.0, HALF_PI).isclose(-K, tol=1e-15)
+    units, _ = _chart_units(np.array([[0.0], [1.0], [0.0], [HALF_PI]]))
+    for row, expected in ((1, I), (2, J.inverse()), (3, (-K).inverse())):
+        assert Quaternion(*units[:, row, 0]).isclose(expected, tol=1e-15)
 
 
 def test_iota_is_a_unit_imaginary_root():
@@ -136,67 +155,58 @@ def test_iota_is_a_unit_imaginary_root():
 
 
 def test_tangents_anticommute_with_iota():
-    # iota_alpha * iota + iota * iota_alpha = 0, same for the beta tangent
-    rng = random.Random(12)
-    for _ in range(1000):
-        alpha, beta = random_angles(rng)
-        io = iota(alpha, beta)
-        ta = iota_alpha(alpha, beta)
-        tb = iota_beta(alpha, beta)
-        assert abs(ta * io + io * ta) < 1e-12
-        assert abs(tb * io + io * tb) < 1e-12
+    # u * iota + iota * u = 0 for both inverse tangents u that the chart
+    # operators use, and the iota row there is iota_array itself
+    chart, units, _, _ = chart_frame(12, 1000)
+    io = iota_array(chart)
+    assert np.array_equal(units[:, 1], io)
+    for u in (units[:, 2], units[:, 3]):
+        assert np.abs(qmul_array(u, io) + qmul_array(io, u)).max() < 1e-12
 
 
 def test_tangent_norms_and_orthogonality():
-    rng = random.Random(13)
-    for _ in range(300):
-        alpha, beta = random_angles(rng)
-        ta = iota_alpha(alpha, beta)
-        tb = iota_beta(alpha, beta)
-        io = iota(alpha, beta)
-        assert abs(ta) == pytest.approx(abs(math.sin(beta)), abs=1e-13)
-        assert abs(tb) == pytest.approx(1.0, abs=1e-13)
-        dot_ab = ta.x * tb.x + ta.y * tb.y + ta.z * tb.z
-        dot_ai = ta.x * io.x + ta.y * io.y + ta.z * io.z
-        dot_bi = tb.x * io.x + tb.y * io.y + tb.z * io.z
-        assert abs(dot_ab) < 1e-13
-        assert abs(dot_ai) < 1e-13
-        assert abs(dot_bi) < 1e-13
+    chart, units, _, _ = chart_frame(13, 300)
+    _, norms = _chart_units(chart)
+    inv_a, inv_b, io = units[:, 2], units[:, 3], units[:, 1]
+    sb = np.sin(chart[3])
+    np.testing.assert_allclose(qabs_array(inv_a), 1.0 / sb, rtol=1e-13)
+    np.testing.assert_allclose(qabs_array(inv_b), 1.0, rtol=1e-13)
+    np.testing.assert_allclose(norms[2:], qabs_array(units[:, 2:]), rtol=1e-13)
+    for a, b in ((inv_a, inv_b), (inv_a, io), (inv_b, io)):
+        assert np.abs(imaginary_dot(a, b)).max() < 1e-13
 
 
 def test_inverse_tangents():
-    rng = random.Random(14)
-    for _ in range(300):
-        alpha, beta = random_angles(rng)
-        sb = math.sin(beta)
-        expected_a = Quaternion(0.0, math.sin(alpha), -math.cos(alpha), 0.0) / sb
-        assert iota_alpha_inv(alpha, beta).isclose(expected_a, tol=1e-13)
-        assert iota_beta_inv(alpha, beta).isclose(-iota_beta(alpha, beta), tol=1e-15)
-        # they really are multiplicative inverses of the tangents
-        prod_a = iota_alpha(alpha, beta) * iota_alpha_inv(alpha, beta)
-        prod_b = iota_beta(alpha, beta) * iota_beta_inv(alpha, beta)
-        assert prod_a.isclose(ONE, tol=1e-12)
-        assert prod_b.isclose(ONE, tol=1e-12)
+    chart, units, tangent_a, tangent_b = chart_frame(14, 300)
+    _, _, alpha, beta = chart
+    expected_a = np.array((np.zeros_like(alpha), np.sin(alpha), -np.cos(alpha),
+                           np.zeros_like(alpha))) / np.sin(beta)
+    np.testing.assert_allclose(units[:, 2], expected_a, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(units[:, 3], -tangent_b, rtol=0, atol=1e-15)
+    # they really are multiplicative inverses of the tangents
+    one = np.eye(4)[:, :1]
+    assert np.abs(qmul_array(tangent_a, units[:, 2]) - one).max() < 1e-12
+    assert np.abs(qmul_array(tangent_b, units[:, 3]) - one).max() < 1e-12
+    # and the closed-form tangents are the angle derivatives of iota
+    d = 1e-6
+    for row, tangent in ((2, tangent_a), (3, tangent_b)):
+        step = np.zeros((4, 1))
+        step[row] = d
+        central = (iota_array(chart + step) - iota_array(chart - step)) / (2.0 * d)
+        np.testing.assert_allclose(central, tangent, rtol=0, atol=1e-9)
 
 
 def test_frame_resolves_cartesian_units():
-    # iota * x_r - (iota_alpha_inv * x_alpha + iota_beta_inv * x_beta) / r
-    # recovers i, j, k when applied to the coordinate components.
-    rng = random.Random(15)
-    for _ in range(200):
-        alpha, beta = random_angles(rng)
-        r = rng.uniform(0.3, 2.0)
-        io = iota(alpha, beta)
-        ia_inv = iota_alpha_inv(alpha, beta)
-        ib_inv = iota_beta_inv(alpha, beta)
-        # components of (x, y, z) = r * iota in the spherical chart
-        for unit, dr, dalpha, dbeta in (
-            (I, io.x, iota_alpha(alpha, beta).x * r, iota_beta(alpha, beta).x * r),
-            (J, io.y, iota_alpha(alpha, beta).y * r, iota_beta(alpha, beta).y * r),
-            (K, io.z, iota_alpha(alpha, beta).z * r, iota_beta(alpha, beta).z * r),
-        ):
-            got = io * dr - (ia_inv * dalpha + ib_inv * dbeta) / r
-            assert got.isclose(unit, tol=1e-10)
+    # iota * x_r - (iota_a^-1 * x_alpha + iota_b^-1 * x_beta) / r recovers
+    # i, j, k from the chart partials of the coordinate functions x, y, z
+    _, units, tangent_a, tangent_b = chart_frame(15, 200)
+    r = np.random.default_rng(15).uniform(0.3, 2.0, 200)
+    io, inv_a, inv_b = units[:, 1], units[:, 2], units[:, 3]
+    for k in (1, 2, 3):
+        # the chart partials of the k-th coordinate of r * iota
+        dr, dalpha, dbeta = io[k], r * tangent_a[k], r * tangent_b[k]
+        got = io * dr - (inv_a * dalpha + inv_b * dbeta) / r
+        assert np.abs(got - np.eye(4)[:, k:k + 1]).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
