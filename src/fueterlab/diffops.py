@@ -38,7 +38,7 @@ import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
 from .quaternion_core import (HAMILTON, ChartSingularityError, DomainError, Quaternion,
-                              iota_array, qabs_array, qmul_array)
+                              _quaternion, iota_array, qabs_array, qmul_array)
 
 SCHEMES = ("central", "richardson")
 
@@ -202,7 +202,7 @@ def _operator(body):
         if not single:
             return out
         if isinstance(out, OperatorValue):
-            return OperatorValue(Quaternion(*values[:, 0].tolist()), float(out.estimated_error[0]))
+            return OperatorValue(_quaternion(*values[:, 0].tolist()), float(out.estimated_error[0]))
         return tuple(values[:, 0].tolist())
 
     return operator

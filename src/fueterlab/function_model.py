@@ -25,13 +25,19 @@ by grid sweeps:
 
 from_uv and cullen_extend always supply one, and products, sums and
 mirrors do when their inputs have one.  Where the input is a scalar
-callable (from_uv without uv_array, a stem without an array form), the
-array evaluator calls it once per point and does the chart maps, the trig
-and the u + iota v assembly on arrays.  Only a QFunction built directly
-from an evaluator (or a product, sum or mirror of one) has none;
-sample_chart/sample_cartesian then fill the same arrays from its scalar
-views, one point at a time, for the grid sweeps and the Laurent contours
-alike.
+callable, the array evaluator calls it with scalars and does the chart
+maps, the trig and the u + iota v assembly on arrays:
+
+* from_uv without uv_array calls u and v once per point, each with one
+  SphericalPoint (a named tuple);
+* a stem without an array form is called once per distinct z of a batch
+  (a sweep repeats t + i r on every slice), so it must be a pure function
+  of z.
+
+Only a QFunction built directly from an evaluator (or a product, sum or
+mirror of one) has none; sample_chart/sample_cartesian then fill the same
+arrays from its scalar views, one point at a time, for the grid sweeps and
+the Laurent contours alike.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -50,6 +57,7 @@ from .quaternion_core import (
     DomainError,
     Quaternion,
     SphericalPoint,
+    _quaternion,
     from_spherical,
     iota,
     qmul_array,
@@ -110,6 +118,10 @@ class QFunction:
 
 SIN_BETA_MARGIN = 0.1
 
+# most nodes a SampleGrid may have: the mesh and its stencil samples are
+# held in memory at once (the default grid has 8**4)
+MAX_NODES = 2 ** 20
+
 
 def check_beta_window(b0: float, b1: float, label: str):
     """ValueError naming label unless 0 < b0 <= b1 < pi and sin(beta) >=
@@ -126,7 +138,7 @@ class SampleGrid:
 
     Axis order is (t, r, alpha, beta); iteration runs beta fastest.
     Construction rejects grids that touch the chart margins r >= 0.1 and
-    sin(beta) >= 0.1.
+    sin(beta) >= 0.1, and grids of more than MAX_NODES nodes.
     """
 
     t_range: tuple = (-1.0, 1.0)
@@ -142,8 +154,13 @@ class SampleGrid:
                            (self.alpha_range, "alpha"), (self.beta_range, "beta")):
             if len(rng) != 2 or not -math.inf < rng[0] <= rng[1] < math.inf:
                 raise ValueError(f"bad {label} range {rng!r}")
-        if self.n_per_axis < 2:
+        n = self.n_per_axis
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"n_per_axis must be an integer, got {n!r}")
+        if n < 2:
             raise ValueError("need at least 2 points per axis")
+        if n ** 4 > MAX_NODES:
+            raise ValueError(f"n_per_axis = {n} gives {n ** 4} nodes, more than {MAX_NODES}")
         if self.r_range[0] < self.R_MARGIN:
             raise ValueError(f"r range {self.r_range} enters the real-axis margin r >= {self.R_MARGIN}")
         check_beta_window(*self.beta_range, f"beta range {self.beta_range}")
@@ -209,17 +226,21 @@ NAN_COMPLEX = complex(math.nan, math.nan)
 
 
 def _fill_points(evaluate, args, failed, dtype=float) -> np.ndarray:
-    """Array of evaluate over args, one call per point.
+    """Flat array of evaluate over args, one call per point.
 
     A point whose evaluation raises a math or domain error gets failed, the
-    NaN value that the array evaluators give off their domain.
+    NaN value that the array evaluators give off their domain.  When failed
+    is a tuple, evaluate returns tuples of its length, laid end to end, so
+    that numpy reads numbers rather than tuples.
     """
     out = []
+    add = out.extend if type(failed) is tuple else out.append
     for arg in args:
         try:
-            out.append(evaluate(arg))
+            value = evaluate(arg)
         except (ValueError, ZeroDivisionError, OverflowError):
-            out.append(failed)
+            value = failed
+        add(value)
     return np.array(out, dtype=dtype)
 
 
@@ -231,16 +252,21 @@ def _fill_quaternions(evaluate, args) -> np.ndarray:
     return _fill_points(components, args, (math.nan,) * 4).reshape(-1, 4).T
 
 
-def _points(cls, rows: np.ndarray):
-    """ the columns of rows as cls objects (SphericalPoint or Quaternion) """
-    return itertools.starmap(cls, rows.T.tolist())
+def _chart_points(chart: np.ndarray):
+    """ the columns of chart rows as SphericalPoint objects """
+    return map(SphericalPoint._make, chart.T.tolist())
+
+
+def _quaternions(points: np.ndarray):
+    """ the columns of quaternion rows as Quaternion objects """
+    return itertools.starmap(_quaternion, points.T.tolist())
 
 
 def sample_chart(f: QFunction, chart: np.ndarray) -> np.ndarray:
     """ value rows of f at chart rows (t, r, alpha, beta), NaN where it fails """
     if f.array_evaluator is not None:
         return f.array_evaluator(chart)
-    return _fill_quaternions(f.at_spherical, _points(SphericalPoint, chart))
+    return _fill_quaternions(f.at_spherical, _chart_points(chart))
 
 
 def sample_cartesian(f: QFunction, points: np.ndarray) -> np.ndarray:
@@ -250,12 +276,12 @@ def sample_cartesian(f: QFunction, points: np.ndarray) -> np.ndarray:
     which may well be defined there (a profile sweep off the real axis).
     """
     if f.array_evaluator is None:
-        return _fill_quaternions(f, _points(Quaternion, points))
+        return _fill_quaternions(f.evaluator, _quaternions(points))
     values = f.array_evaluator(to_spherical_array(points))
     pole = (points[1] == 0.0) & (points[2] == 0.0)
     if pole.any():
         values = np.array(values, dtype=float)
-        values[:, pole] = _fill_quaternions(f, _points(Quaternion, points[:, pole]))
+        values[:, pole] = _fill_quaternions(f.evaluator, _quaternions(points[:, pole]))
     return values
 
 
@@ -308,8 +334,7 @@ def from_uv(u: Callable[[SphericalPoint], float],
 
     if uv_array is None:
         def uv_array(chart: np.ndarray) -> np.ndarray:
-            uv = _fill_points(lambda s: (u(s), v(s)), _points(SphericalPoint, chart),
-                              (math.nan,) * 2)
+            uv = _fill_points(lambda s: (u(s), v(s)), _chart_points(chart), (math.nan,) * 2)
             return uv.reshape(-1, 2).T
 
     def array_evaluator(chart: np.ndarray) -> np.ndarray:
@@ -377,10 +402,17 @@ class ComplexStem:
     __call__ = eval
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
-        """eval over a 1-D complex array, NaN where eval raises: through
-        func_array when the stem has one, else one eval per point"""
+        """eval over a 1-D complex array, NaN where eval raises.
+
+        Through func_array when the stem has one.  Else eval is called once
+        per distinct z (by bit pattern, so -0.0 and 0.0 stay apart): a sweep
+        repeats each t + i r on every slice of a grid.
+        """
         if self._func_array is None:
-            return _fill_points(self.eval, z.tolist(), NAN_COMPLEX, complex)
+            bits = np.ascontiguousarray(z, dtype=complex).view("V16")
+            distinct, where = np.unique(bits, return_inverse=True)
+            values = _fill_points(self.eval, distinct.view(complex).tolist(), NAN_COMPLEX, complex)
+            return values[where]
         with np.errstate(all="ignore"):
             return self._func_array(z)
 

@@ -12,6 +12,13 @@ parallel to k); both raise ChartSingularityError.  Everything downstream
 (difference stencils, classification grids, series windows) keeps a margin
 away from those sets.
 
+Quaternion() coerces its components to float.  Arithmetic results are
+already floats, so they skip that coercion: they are built by the private
+_quaternion, which the batched samplers also use for points read from
+arrays.  A real scalar operand is coerced once, so every component of every
+result is a float.  SphericalPoint is a named tuple, cheap enough to build
+once per sample of a user's scalar field.
+
 The *_array functions are the batched twins used by grid sweeps: a
 quaternion batch is an array of shape (4, ...) with rows (t, x, y, z), a
 chart batch has rows (t, r, alpha, beta), and points where the scalar form
@@ -21,7 +28,7 @@ raises come back as NaN columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,61 +63,61 @@ class Quaternion:
         return NotImplemented
 
     def __add__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(self.t + other.t, self.x + other.x,
-                              self.y + other.y, self.z + other.z)
+        if type(other) is Quaternion or isinstance(other, Quaternion):
+            return _quaternion(self.t + other.t, self.x + other.x,
+                               self.y + other.y, self.z + other.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.t + other, self.x, self.y, self.z)
+            return _quaternion(self.t + float(other), self.x, self.y, self.z)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(self.t - other.t, self.x - other.x,
-                              self.y - other.y, self.z - other.z)
+        if type(other) is Quaternion or isinstance(other, Quaternion):
+            return _quaternion(self.t - other.t, self.x - other.x,
+                               self.y - other.y, self.z - other.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.t - other, self.x, self.y, self.z)
+            return _quaternion(self.t - float(other), self.x, self.y, self.z)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(other - self.t, -self.x, -self.y, -self.z)
+            return _quaternion(float(other) - self.t, -self.x, -self.y, -self.z)
         return NotImplemented
 
     def __neg__(self):
-        return Quaternion(-self.t, -self.x, -self.y, -self.z)
+        return _quaternion(-self.t, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
         """ Hamilton product (or scaling by a real number) """
-        if isinstance(other, Quaternion):
+        if type(other) is Quaternion or isinstance(other, Quaternion):
             a, b, c, d = self.t, self.x, self.y, self.z
             e, f, g, h = other.t, other.x, other.y, other.z
-            return Quaternion(a * e - b * f - c * g - d * h,
-                              a * f + b * e + c * h - d * g,
-                              a * g - b * h + c * e + d * f,
-                              a * h + b * g - c * f + d * e)
+            return _quaternion(a * e - b * f - c * g - d * h,
+                               a * f + b * e + c * h - d * g,
+                               a * g - b * h + c * e + d * f,
+                               a * h + b * g - c * f + d * e)
         if isinstance(other, (int, float)):
-            return Quaternion(self.t * other, self.x * other,
-                              self.y * other, self.z * other)
+            s = float(other)
+            return _quaternion(self.t * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(self.t * other, self.x * other,
-                              self.y * other, self.z * other)
+            s = float(other)
+            return _quaternion(self.t * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion(self.t / other, self.x / other,
-                              self.y / other, self.z / other)
+            s = float(other)
+            return _quaternion(self.t / s, self.x / s, self.y / s, self.z / s)
         if isinstance(other, Quaternion):
             return self * other.inverse()
         return NotImplemented
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.t, -self.x, -self.y, -self.z)
+        return _quaternion(self.t, -self.x, -self.y, -self.z)
 
     def norm_sq(self) -> float:
         return self.t * self.t + self.x * self.x + self.y * self.y + self.z * self.z
@@ -128,11 +135,24 @@ class Quaternion:
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise ZeroDivisionError("0 has no quaternion inverse")
-        return Quaternion(self.t / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _quaternion(self.t / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return (self - other).norm() <= tol
 
+
+_new_object = object.__new__
+
+
+def _quaternion(t: float, x: float, y: float, z: float) -> Quaternion:
+    """Quaternion from four floats, without the coercion of Quaternion():
+    for results of float arithmetic, which are floats already."""
+    q = _new_object(Quaternion)
+    q.t = t
+    q.x = x
+    q.y = y
+    q.z = z
+    return q
 
 ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0)
@@ -146,8 +166,7 @@ def iota(alpha: float, beta: float) -> Quaternion:
     return Quaternion(0.0, math.cos(alpha) * sb, math.sin(alpha) * sb, math.cos(beta))
 
 
-@dataclass(frozen=True)
-class SphericalPoint:
+class SphericalPoint(NamedTuple):
     """Chart coordinates (t, r, alpha, beta) of a quaternion off the real axis."""
 
     t: float
@@ -174,9 +193,9 @@ def to_spherical(p: Quaternion) -> SphericalPoint:
 
 def from_spherical(s: SphericalPoint) -> Quaternion:
     """ inverse chart map """
-    sb = math.sin(s.beta)
-    return Quaternion(s.t, s.r * math.cos(s.alpha) * sb, s.r * math.sin(s.alpha) * sb,
-                      s.r * math.cos(s.beta))
+    t, r, alpha, beta = float(s.t), float(s.r), s.alpha, s.beta
+    sb = math.sin(beta)
+    return _quaternion(t, r * math.cos(alpha) * sb, r * math.sin(alpha) * sb, r * math.cos(beta))
 
 
 _UNITS = [Quaternion(*row) for row in np.eye(4).tolist()]

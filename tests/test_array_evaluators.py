@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fueterlab.classify import classify
 from fueterlab.function_model import (
     DEFAULT_GRID,
     NAMED_STEMS,
@@ -185,3 +186,51 @@ def test_extension_functional_of_laurent_stem_on_arrays(terms):
             assert np.isnan(got[k].real) and np.isnan(got[k].imag), zk
             continue
         assert abs(got[k] - want) <= REL_TOL * abs(want), zk
+
+
+class CountingStem:
+    """A user stem that records every z it is called at.  Its value depends
+    on the sign of a zero real part, and it raises at one point."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, z):
+        self.calls.append(z)
+        if z == 0.25 + 0.5j:
+            raise ZeroDivisionError("pole of the user stem")
+        return math.copysign(1.0, z.real) * z * z - 1j / z
+
+
+def _bits(values):
+    """ the (real, imaginary) bit patterns of complex values, as int pairs """
+    return [tuple(b) for b in np.array(values, dtype=complex).view(np.int64).reshape(-1, 2).tolist()]
+
+
+def test_scalar_stem_is_called_once_per_distinct_z():
+    g = CountingStem()
+    stem = ComplexStem.named("counting", g, domain_ok=lambda z: z.real < 0.6)
+    z = np.array([0.5 + 1j, 0.5 + 1j, -0.0 + 1j, 0.0 + 1j, -0.0 + 1j, 0.7 + 2j,
+                  0.25 + 0.5j, 0.5 + 1j, 1.0 + 0j, 0.25 + 0.5j])
+    z.real[2] = z.real[4] = -0.0
+    want = []
+    for zk in z.tolist():
+        try:
+            want.append(stem.eval(zk))
+        except (ValueError, ZeroDivisionError):
+            want.append(complex(math.nan, math.nan))
+    g.calls.clear()
+    got = stem.eval_array(z)
+    assert _bits(got) == _bits(want)
+    assert got[2] != got[3]  # -0.0 and 0.0 are different points of this stem
+    # 0.7 + 2j fails domain_ok and 1.0 + 0j the upper half plane before g runs
+    distinct = set(_bits([zk for zk in z.tolist() if zk.imag > 0 and zk.real < 0.6]))
+    assert len(g.calls) == len(distinct) == 4
+    assert set(_bits(g.calls)) == distinct
+
+
+def test_sweep_of_scalar_stem_calls_it_at_most_twice_per_node():
+    g = CountingStem()
+    report = classify(cullen_extend(ComplexStem.named("counting", g)), DEFAULT_GRID)
+    assert report.class_III.verdict == "pass"
+    assert len(g.calls) <= 2 * DEFAULT_GRID.size

@@ -88,8 +88,10 @@ def test_classify_unknown_spec_exits_2(capsys):
     (["classify", "rho", "--tol-abs=nan"], "tolerances"),
     (["classify", "rho", "--tol-abs=-1"], "tolerances"),
     (["laurent", "rho", "--center=nan,1"], "not finite"),
+    (["classify", "rho", "--grid=-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,1000"], "1000000000000 nodes"),
+    (["classify", "rho", "--grid=-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,2.5"], "n_per_axis"),
 ], ids=["short-grid", "infinite-n", "infinite-range", "negative-seed", "infinite-h",
-        "nan-tolerance", "negative-tolerance", "nan-center"])
+        "nan-tolerance", "negative-tolerance", "nan-center", "huge-grid", "fractional-n"])
 def test_bad_numbers_exit_2(capsys, argv, message):
     rc, doc, err = run_cli(capsys, argv)
     assert rc == 2 and doc is None

@@ -9,6 +9,7 @@ from fueterlab.function_model import (
     ComplexStem,
     DEFAULT_GRID,
     FunctionKindError,
+    MAX_NODES,
     NAMED_STEMS,
     QFunction,
     SampleGrid,
@@ -252,6 +253,15 @@ def test_grid_validation():
         SampleGrid(beta_range=(0.01, 2.0))  # sin(beta) too small
     with pytest.raises(ValueError):
         SampleGrid(t_range=(1.0, -1.0))
+
+
+def test_grid_size_is_bounded_before_any_mesh():
+    side = round(MAX_NODES ** 0.25)
+    assert SampleGrid(n_per_axis=side).size == MAX_NODES
+    with pytest.raises(ValueError, match=f"{(side + 1) ** 4} nodes"):
+        SampleGrid(n_per_axis=side + 1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        SampleGrid(n_per_axis=8.0)
 
 
 def test_grid_from_flat_round_trip():

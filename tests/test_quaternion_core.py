@@ -263,3 +263,23 @@ def test_from_spherical_matches_explicit_embedding():
     assert p.x == pytest.approx(1.5 * math.cos(0.8) * math.sin(1.1))
     assert p.y == pytest.approx(1.5 * math.sin(0.8) * math.sin(1.1))
     assert p.z == pytest.approx(1.5 * math.cos(1.1))
+
+
+def test_spherical_point_is_an_immutable_named_tuple():
+    s = SphericalPoint(0.1, 0.9, -0.4, 1.2)
+    assert SphericalPoint._fields == ("t", "r", "alpha", "beta")
+    assert tuple(s) == (s.t, s.r, s.alpha, s.beta) == (0.1, 0.9, -0.4, 1.2)
+    with pytest.raises(AttributeError):
+        s.r = 2.0
+    assert s == SphericalPoint(0.1, 0.9, -0.4, 1.2)
+    assert s != SphericalPoint(0.1, 0.9, -0.4, 1.3)
+    assert hash(s) == hash(SphericalPoint(0.1, 0.9, -0.4, 1.2))
+    assert repr(s) == "SphericalPoint(t=0.1, r=0.9, alpha=-0.4, beta=1.2)"
+
+
+def test_public_constructor_coerces_to_float():
+    p = Quaternion(1, 2, np.float64(3.5), True)
+    assert [type(c) for c in (p.t, p.x, p.y, p.z)] == [float] * 4
+    assert (p.t, p.z) == (1.0, 1.0)
+    q = from_spherical(SphericalPoint(1, np.float64(2.0), 0, 1))
+    assert [type(c) for c in (q.t, q.x, q.y, q.z)] == [float] * 4
