@@ -180,9 +180,8 @@ class SampleGrid:
         return np.stack(mesh).reshape(4, -1)
 
     def points(self):
-        """ yield the columns of chart_array as SphericalPoint nodes """
-        for col in self.chart_array().T.tolist():
-            yield SphericalPoint(*col)
+        """ the columns of chart_array as SphericalPoint nodes """
+        return _chart_points(self.chart_array())
 
     @property
     def size(self) -> int:
@@ -195,7 +194,7 @@ class SampleGrid:
 
     def random_points(self, rng, n: int) -> list:
         """ the columns of random_chart as SphericalPoint objects """
-        return [SphericalPoint(*col) for col in self.random_chart(rng, n).T.tolist()]
+        return list(_chart_points(self.random_chart(rng, n)))
 
     def to_dict(self) -> dict:
         return {
