@@ -16,11 +16,14 @@ applied to one of those: `L:<stem>`, `chiral:<name>`, `mirror:<name>`,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Optional
+
+import numpy as np
 
 from .classify import classify
 from .diffops import DiffConfig
@@ -67,9 +70,81 @@ def _config_from_args(args) -> DiffConfig:
         raise SpecError(str(exc)) from exc
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """A float array laid out as nested JSON lists, its numbers formatted at once."""
+    if a.dtype.kind != "f":
+        raise TypeError(f"arrays of dtype {a.dtype} are not JSON serializable")
+    if a.size == 0 or a.ndim == 0:
+        return _value_text(a.tolist(), level)
+    flat = a.ravel().tolist()
+    if np.isfinite(a).all():
+        items = repr(flat)[1:-1].split(", ")
+    else:
+        items = [_float_text(x) for x in flat]
+    for depth in range(a.ndim, 0, -1):
+        inner, outer = "\n" + "  " * (level + depth), "\n" + "  " * (level + depth - 1)
+        join, size = "," + inner, a.shape[depth - 1]
+        items = ["[" + inner + join.join(items[k:k + size]) + outer + "]"
+                 for k in range(0, len(items), size)]
+    return items[0]
+
+
+def _value_text(value, level: int) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, np.ndarray):
+        return _array_text(value, level)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [encode_basestring_ascii(k) + ": " + _value_text(v, level + 1)
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [_value_text(v, level + 1) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    inner = "\n" + "  " * (level + 1)
+    return (brackets[0] + inner + ("," + inner).join(parts)
+            + "\n" + "  " * level + brackets[1])
+
+
+def report_json(doc: dict) -> str:
+    """The report as the text of json.dumps(doc, indent=2, sort_keys=True).
+
+    Dict keys must be strings.  Besides the JSON types, a float ndarray is
+    written as the nested lists of its .tolist(), and float subclasses such
+    as np.float64 as floats.
+    """
+    return _value_text(doc, 0)
+
+
 def _emit(doc: dict, out_path: Optional[str]):
     doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = report_json(doc)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -155,32 +230,34 @@ def cmd_laurent(args) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fueterlab",
         description="classification, invariant verification, and Laurent "
                     "extraction for quaternionic function classes")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", default=None,
-                        help="t0,t1,r0,r1,a0,a1,b0,b1,n_per_axis")
     common.add_argument("--h", type=float, default=1e-5, help="stencil step")
     common.add_argument("--scheme", choices=("central", "richardson"),
                         default="central")
     common.add_argument("--tol-abs", type=float, default=1e-6)
     common.add_argument("--tol-rel", type=float, default=1e-6)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of standard output")
+    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    gridded.add_argument("--grid", default=None,
+                         help="t0,t1,r0,r1,a0,a1,b0,b1,n_per_axis")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cls = sub.add_parser("classify", parents=[common],
+    p_cls = sub.add_parser("classify", parents=[gridded],
                            help="class verdicts for one function")
     p_cls.add_argument("spec", help="function spec")
     p_cls.set_defaults(func=cmd_classify)
 
-    p_ver = sub.add_parser("verify-props", parents=[common],
+    p_ver = sub.add_parser("verify-props", parents=[gridded],
                            help="run the full invariant suite")
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=cmd_verify_props)
 
     p_lau = sub.add_parser("laurent", parents=[common],

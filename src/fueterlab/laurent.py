@@ -155,6 +155,9 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
 def _validate_orders(n_range: Tuple[int, int], quadrature_points: int):
     if quadrature_points < MIN_QUADRATURE_POINTS:
         raise ValueError(f"need at least {MIN_QUADRATURE_POINTS} quadrature points")
+    if quadrature_points > CALL_POINTS:
+        raise ValueError(f"{quadrature_points} quadrature points exceed the "
+                         f"{CALL_POINTS} that one contour may sample")
     n_min, n_max = n_range
     if n_min > n_max:
         raise ValueError(f"bad order range {n_range}")
@@ -181,13 +184,13 @@ class LaurentSeries:
     coefficients: Dict[int, np.ndarray]
     source: Optional[QFunction] = None
 
-    def coefficient(self, n: int, alpha: float, beta: float) -> complex:
-        """ bilinear interpolation of a_n at window angles """
+    def _cell(self, alpha: float, beta: float) -> Tuple[int, int, Tuple[float, ...]]:
+        """Window cell (ia, ib) holding the angles, with the bilinear weights of
+        its corners (ia, ib), (ia + 1, ib), (ia, ib + 1), (ia + 1, ib + 1)."""
         a0, a1 = self.region.alpha_window
         b0, b1 = self.region.beta_window
         if not (a0 <= alpha <= a1 and b0 <= beta <= b1):
             raise DomainError(f"angles ({alpha}, {beta}) outside the window")
-        grid = self.coefficients[n]
         na, nb = self.region.n_alpha, self.region.n_beta
         fa = (alpha - a0) / (a1 - a0) * (na - 1)
         fb = (beta - b0) / (b1 - b0) * (nb - 1)
@@ -195,22 +198,29 @@ class LaurentSeries:
         ib = min(int(fb), nb - 2)
         wa = fa - ia
         wb = fb - ib
-        return ((1 - wa) * (1 - wb) * grid[ia, ib]
-                + wa * (1 - wb) * grid[ia + 1, ib]
-                + (1 - wa) * wb * grid[ia, ib + 1]
-                + wa * wb * grid[ia + 1, ib + 1])
+        return ia, ib, ((1 - wa) * (1 - wb), wa * (1 - wb), (1 - wa) * wb, wa * wb)
+
+    def coefficient(self, n: int, alpha: float, beta: float) -> complex:
+        """ bilinear interpolation of a_n at window angles """
+        return _interpolate(self.coefficients[n], *self._cell(alpha, beta))
 
     def to_dict(self) -> dict:
+        """Header fields and, under "coefficients", one float array of shape
+        (n_alpha, n_beta, 2) per order: the real and imaginary parts of a_n.
+        The CLI's report writer lays the arrays out as nested JSON lists."""
         doc = {"function": self.function}
         doc.update(self.region.to_dict())
         doc["n_range"] = [self.n_range[0], self.n_range[1]]
         doc["quadrature_points"] = self.quadrature_points
-        doc["coefficients"] = {
-            str(n): [[[float(c.real), float(c.imag)] for c in row]
-                     for row in grid]
-            for n, grid in sorted(self.coefficients.items())
-        }
+        doc["coefficients"] = {str(n): np.stack((grid.real, grid.imag), -1)
+                               for n, grid in sorted(self.coefficients.items())}
         return doc
+
+
+def _interpolate(grid: np.ndarray, ia: int, ib: int, weights: Tuple[float, ...]) -> complex:
+    w00, w10, w01, w11 = weights
+    return (w00 * grid[ia, ib] + w10 * grid[ia + 1, ib]
+            + w01 * grid[ia, ib + 1] + w11 * grid[ia + 1, ib + 1])
 
 
 def _window_grids(f: QFunction, region: AnnulusRegion, center: complex,
@@ -255,9 +265,10 @@ def reconstruct(series: LaurentSeries, p: Quaternion) -> Quaternion:
             f"point (t={s.t:.3f}, r={s.r:.3f}, alpha={s.alpha:.3f}, beta={s.beta:.3f}) "
             "outside the expansion region")
     dz = complex(s.t, s.r) - region.center
+    cell = series._cell(s.alpha, s.beta)
     total = 0j
     for n in range(series.n_range[0], series.n_range[1] + 1):
-        total += series.coefficient(n, s.alpha, s.beta) * dz ** n
+        total += _interpolate(series.coefficients[n], *cell) * dz ** n
     io = iota(s.alpha, s.beta)
     return Quaternion(total.real, total.imag * io.x, total.imag * io.y, total.imag * io.z)
 

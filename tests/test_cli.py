@@ -22,7 +22,10 @@ COARSE_GRID = "--grid=-1,1,0.5,1.5,-2.2,2.4,0.5,2.5,3"
 
 
 def run_cli(capsys, argv):
-    rc = main(argv)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        rc = exc.code
     captured = capsys.readouterr()
     doc = json.loads(captured.out) if captured.out.strip() else None
     return rc, doc, captured.err
@@ -90,8 +93,12 @@ def test_classify_unknown_spec_exits_2(capsys):
     (["laurent", "rho", "--center=nan,1"], "not finite"),
     (["classify", "rho", "--grid=-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,1000"], "1000000000000 nodes"),
     (["classify", "rho", "--grid=-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,2.5"], "n_per_axis"),
+    (["laurent", "rho", "--quad-points", "1000000000000"], "1000000000000 quadrature points"),
+    (["laurent", "rho", "--grid=-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,3"], "unrecognized arguments"),
+    (["classify", "rho", "--seed", "1"], "unrecognized arguments"),
 ], ids=["short-grid", "infinite-n", "infinite-range", "negative-seed", "infinite-h",
-        "nan-tolerance", "negative-tolerance", "nan-center", "huge-grid", "fractional-n"])
+        "nan-tolerance", "negative-tolerance", "nan-center", "huge-grid", "fractional-n",
+        "huge-quad-points", "laurent-grid", "classify-seed"])
 def test_bad_numbers_exit_2(capsys, argv, message):
     rc, doc, err = run_cli(capsys, argv)
     assert rc == 2 and doc is None

@@ -19,6 +19,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from fueterlab.cli import report_json
 from fueterlab.diffops import DiffConfig
 from fueterlab.generators import resolve_function_spec
 from fueterlab.laurent import AnnulusRegion, coefficient_class_check, laurent_coefficients
@@ -92,5 +93,4 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for spec, filename in SPECS.items():
         with open(GOLDEN_DIR / filename, "w") as fh:
-            json.dump(current_report(spec), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(report_json(current_report(spec)) + "\n")

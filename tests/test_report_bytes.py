@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from fueterlab.cli import _probe_points, main
+from fueterlab.cli import _probe_points, main, report_json
 from fueterlab.generators import resolve_function_spec
 from fueterlab.laurent import AnnulusRegion, laurent_coefficients, reconstruct
 from fueterlab.quaternion_core import Quaternion, from_spherical, iota, to_spherical
@@ -22,6 +22,7 @@ DEFAULT_REGION = AnnulusRegion(0.0, 1.0, 0.2, 0.6)
 REPORT_ARGVS = {
     "classify-rho": ["classify", "rho"],
     "classify-pow-2-coarse-h": ["classify", "pow:-2", "--h", "0.5"],
+    "classify-null-maxima": ["classify", "chiral:rho", "--scheme", "richardson", COARSE_GRID],
     "verify-props": ["verify-props", COARSE_GRID],
     "laurent-rho": ["laurent", "rho", "--check-class"],
     "laurent-pow3": ["laurent", "pow:3", "--check-class", "--n-range=-2,2",
@@ -50,6 +51,50 @@ def test_report_file_has_the_stdlib_layout(tmp_path, argv):
         printed = np.array(doc["series"]["coefficients"][str(n)])
         assert printed.shape == grid.shape + (2,)
         assert (printed[..., 0] == grid.real).all() and (printed[..., 1] == grid.imag).all()
+
+
+AWKWARD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16,
+                  -1.5e-300, 0.1, 1e22, 123456789.0]
+AWKWARD_DOCS = {
+    "floats": {"x": AWKWARD_FLOATS, "np": np.float64(0.1), "np-nan": np.float64("nan")},
+    "scalars": {"int": -7, "big": 2 ** 70, "zero": 0, "t": True, "f": False, "none": None},
+    "strings": {"caf\u00e9": "\u00e9t\u00e9 \u2207 \U0001d4d5", "ctl": "tab\t nl\n \x00 \x1f \"q\" \\",
+                "": ""},
+    "empties": {"d": {}, "l": [], "nested": [{}, [], [[]]], "t": ()},
+    "nesting": {"b": [{"z": 1, "a": [1.5, None]}, [True, "s"]], "a": {"k": {"j": []}}},
+    "arrays": {"1d": np.array([1.0, np.nan, -np.inf, 5e-324, -0.0]),
+               "2d": np.arange(6.0).reshape(2, 3) / 7.0,
+               "3d": np.array([[[np.inf, 1e16], [0.5, -0.0]], [[np.nan, 2.0], [3.0, 1e-7]]]),
+               "finite-3d": np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4),
+               "empty": np.zeros((2, 0)), "scalar": np.array(2.5),
+               "in-list": [np.ones(2), {"deep": np.full((1, 1, 1), -1e300)}]},
+}
+
+
+def _tolist(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _tolist(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_tolist(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("name", AWKWARD_DOCS)
+def test_writer_matches_json_dumps(name):
+    doc = AWKWARD_DOCS[name]
+    assert report_json(doc) == json.dumps(_tolist(doc), indent=2, sort_keys=True)
+    assert report_json({"doc": doc}) == json.dumps({"doc": _tolist(doc)}, indent=2,
+                                                     sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.float32(1.0), {1: "int key"},
+                                   np.array([1, 2]), object()],
+                         ids=["np-int", "np-float32", "int-key", "int-array", "object"])
+def test_writer_rejects_what_it_cannot_lay_out(value):
+    with pytest.raises(TypeError):
+        report_json({"v": value})
 
 
 def _reference_reconstruct(series, p):
