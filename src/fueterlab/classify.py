@@ -108,7 +108,7 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     is not finite, marks the report "singular"; the statistics then cover
     the remaining nodes.
     """
-    grid = grid or f.domain or DEFAULT_GRID
+    grid = grid or DEFAULT_GRID
     nodes = grid.chart_array()
     nodes = nodes[:, chart_ok(nodes, cfg)]
 

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .classify import classify
-from .diffops import DiffConfig
+from .diffops import SCHEMES, DiffConfig
 from .function_model import FunctionKindError, SampleGrid
 from .generators import SpecError, resolve_function_spec
 from .laurent import (AnnulusRegion, coefficient_class_check,
@@ -237,11 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="classification, invariant verification, and Laurent "
                     "extraction for quaternionic function classes")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--h", type=float, default=1e-5, help="stencil step")
-    common.add_argument("--scheme", choices=("central", "richardson"),
-                        default="central")
-    common.add_argument("--tol-abs", type=float, default=1e-6)
-    common.add_argument("--tol-rel", type=float, default=1e-6)
+    common.add_argument("--h", type=float, default=DiffConfig.h, help="stencil step")
+    common.add_argument("--scheme", choices=SCHEMES, default=DiffConfig.scheme)
+    common.add_argument("--tol-abs", type=float, default=DiffConfig.tol_abs)
+    common.add_argument("--tol-rel", type=float, default=DiffConfig.tol_rel)
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of standard output")
     gridded = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -274,14 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (SpecError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -59,6 +59,7 @@ from .quaternion_core import (
     SphericalPoint,
     _quaternion,
     from_spherical,
+    from_spherical_array,
     iota,
     qmul_array,
     to_spherical,
@@ -91,14 +92,11 @@ class QFunction:
     kind: str = "raw"
     spherical_evaluator: Optional[Callable[[SphericalPoint], Quaternion]] = None
     classes: Optional[Mapping[str, bool]] = None
-    domain: "SampleGrid" = None  # filled in __post_init__
     array_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown function kind {self.kind!r}")
-        if self.domain is None:
-            object.__setattr__(self, "domain", DEFAULT_GRID)
 
     def __call__(self, p: Quaternion) -> Quaternion:
         return self.evaluator(p)
@@ -300,18 +298,10 @@ def uv_at(f: QFunction, p: Quaternion) -> tuple:
     return val.t, v
 
 
-def _uv_rows(chart: np.ndarray, u, v) -> np.ndarray:
-    """ value rows of u + iota v at chart rows, as in the scalar views """
-    _, _, alpha, beta = chart
-    sb = np.sin(beta)
-    return np.array((u, v * np.cos(alpha) * sb, v * np.sin(alpha) * sb, v * np.cos(beta)))
-
-
 def from_uv(u: Callable[[SphericalPoint], float],
             v: Callable[[SphericalPoint], float],
             name: str = "from_uv",
             classes: Optional[Mapping[str, bool]] = None,
-            domain: Optional[SampleGrid] = None,
             uv_array: Optional[Callable[[np.ndarray], tuple]] = None) -> QFunction:
     """CE function u(s) + iota(s) * v(s) from two chart-coordinate scalar fields.
 
@@ -322,11 +312,7 @@ def from_uv(u: Callable[[SphericalPoint], float],
     """
 
     def at_spherical(s: SphericalPoint) -> Quaternion:
-        uu = u(s)
-        vv = v(s)
-        sb = math.sin(s.beta)
-        return Quaternion(uu, vv * math.cos(s.alpha) * sb,
-                          vv * math.sin(s.alpha) * sb, vv * math.cos(s.beta))
+        return from_spherical(SphericalPoint(u(s), v(s), s.alpha, s.beta))
 
     def evaluator(p: Quaternion) -> Quaternion:
         return at_spherical(to_spherical(p))
@@ -338,11 +324,11 @@ def from_uv(u: Callable[[SphericalPoint], float],
 
     def array_evaluator(chart: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            return _uv_rows(chart, *uv_array(chart))
+            return from_spherical_array((*uv_array(chart), chart[2], chart[3]))
 
     return QFunction(name=name, evaluator=evaluator, kind="CE",
                      spherical_evaluator=at_spherical, classes=classes,
-                     domain=domain or DEFAULT_GRID, array_evaluator=array_evaluator)
+                     array_evaluator=array_evaluator)
 
 
 class ComplexStem:
@@ -453,8 +439,7 @@ NAMED_STEMS = {
 
 
 def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
-                  classes: Optional[Mapping[str, bool]] = None,
-                  domain: Optional[SampleGrid] = None) -> QFunction:
+                  classes: Optional[Mapping[str, bool]] = None) -> QFunction:
     """Sweep a complex profile around the real axis.
 
     f(p) = Re g(t + i r) + iota(p) * Im g(t + i r): the same complex values
@@ -463,9 +448,7 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
 
     def at_spherical(s: SphericalPoint) -> Quaternion:
         w = stem.eval(complex(s.t, s.r))
-        sb = math.sin(s.beta)
-        return Quaternion(w.real, w.imag * math.cos(s.alpha) * sb,
-                          w.imag * math.sin(s.alpha) * sb, w.imag * math.cos(s.beta))
+        return from_spherical(SphericalPoint(w.real, w.imag, s.alpha, s.beta))
 
     def evaluator(p: Quaternion) -> Quaternion:
         r = p.vector_norm()
@@ -480,11 +463,11 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         z.imag = chart[1]
         w = stem.eval_array(z)
         with np.errstate(all="ignore"):
-            return _uv_rows(chart, w.real, w.imag)
+            return from_spherical_array((w.real, w.imag, chart[2], chart[3]))
 
     return QFunction(name=name or stem.label, evaluator=evaluator, kind="CI",
                      spherical_evaluator=at_spherical, classes=classes,
-                     domain=domain or DEFAULT_GRID, array_evaluator=array_evaluator)
+                     array_evaluator=array_evaluator)
 
 
 def power_function(n: int) -> QFunction:
@@ -539,8 +522,7 @@ def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction
     else:
         kind = "CE" if f.is_ce and g.is_ce else "raw"
     return QFunction(name=name, evaluator=evaluator, kind=kind,
-                     spherical_evaluator=spherical, domain=f.domain,
-                     array_evaluator=array_evaluator)
+                     spherical_evaluator=spherical, array_evaluator=array_evaluator)
 
 
 def pointwise_product(f: QFunction, g: QFunction, name: Optional[str] = None) -> QFunction:

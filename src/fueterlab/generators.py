@@ -186,8 +186,9 @@ def rinehart_L(stem: ComplexStem) -> ComplexStem:
     return ComplexStem.named(f"L:{stem.label}", g, domain_ok=stem.domain_ok, func_array=g_array)
 
 
-def rinehart_condition_residual(g: ComplexStem, z: complex, h: float = 1e-6) -> float:
-    """ |dg/dx + i dg/dy - 2 Im(g)/y| by central differences """
+def rinehart_condition_residual(g: ComplexStem, z: complex) -> float:
+    """ |dg/dx + i dg/dy - 2 Im(g)/y| by central differences of step 1e-6 """
+    h = 1e-6
     wx = (g.eval(z + h) - g.eval(z - h)) / (2.0 * h)
     wy = (g.eval(z + h * 1j) - g.eval(z - h * 1j)) / (2.0 * h)
     return abs(wx + 1j * wy - 2.0 * g.eval(z).imag / z.imag)
@@ -221,13 +222,12 @@ def ci_extend_rinehart(g: ComplexStem, grid: Optional[SampleGrid] = None,
     return cullen_extend(g, name=g.label)
 
 
-def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig(),
-                      check_grid: Optional[SampleGrid] = None) -> QFunction:
+def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFunction:
     """fueter_left f - fueter_right f as a lazily evaluated function.
 
     Meaningful for Class II inputs (where the result is left-regular); a
     function without a Class II expectation in its metadata is spot-checked
-    on a coarse grid and rejected if it fails.
+    on a grid of 3 nodes per axis and rejected if it fails.
     """
     if not f.is_ce:
         raise FunctionKindError(f"{f.name}: chiral difference needs a CE/CI function")
@@ -235,8 +235,7 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig(),
         if not f.classes.get("class_II", False):
             raise DomainError(f"{f.name} is not Class II; chiral difference undefined")
     else:
-        grid = check_grid or SampleGrid(n_per_axis=3)
-        report = classify(f, grid, inner)
+        report = classify(f, SampleGrid(n_per_axis=3), inner)
         if report.class_II.verdict != "pass":
             raise DomainError(
                 f"{f.name} failed the Class II spot check "
@@ -255,7 +254,7 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig(),
         require_finite(delta, point, value)
         return Quaternion(*value[:, 0].tolist())
 
-    delta = QFunction(name=f"chiral:{f.name}", evaluator=evaluator, kind="raw", domain=f.domain,
+    delta = QFunction(name=f"chiral:{f.name}", evaluator=evaluator, kind="raw",
                       array_evaluator=lambda chart: chiral_rows(from_spherical_array(chart)))
     return delta
 
@@ -289,7 +288,7 @@ def mirror(f: QFunction) -> QFunction:
     # a pure slice sweep, which mirror fixes pointwise
     classes = f.classes if f.kind == "CI" else None
     return QFunction(name=f"mirror:{f.name}", evaluator=evaluator, kind=f.kind,
-                     spherical_evaluator=spherical, classes=classes, domain=f.domain,
+                     spherical_evaluator=spherical, classes=classes,
                      array_evaluator=array_evaluator)
 
 

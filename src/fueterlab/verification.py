@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -52,13 +52,13 @@ class CheckResult:
                 "tolerance": self.tolerance, "detail": self.detail}
 
 
-def random_polynomial(rng, max_terms: int = 5) -> QFunction:
-    """A random quaternion-coefficient polynomial in (t, x, y, z).
+def random_polynomial(rng) -> QFunction:
+    """A random quaternion-coefficient polynomial in (t, x, y, z) of 2 to 5 terms.
 
     Smooth everywhere and generally not CE, which is exactly what the
     operator-equivalence sweep needs.
     """
-    n_terms = int(rng.integers(2, max_terms + 1))
+    n_terms = int(rng.integers(2, 6))
     terms = []
     for _ in range(n_terms):
         coeff = Quaternion(*(float(c) for c in rng.normal(0.0, 1.0, size=4)))
@@ -95,18 +95,17 @@ def conjugate_function(f: QFunction) -> QFunction:
             return qconj_array(f.array_evaluator(chart))
 
     return QFunction(name=f"conj:{f.name}", evaluator=lambda p: f(p).conjugate(),
-                     kind=f.kind if f.is_ce else "raw", domain=f.domain,
-                     spherical_evaluator=spherical, array_evaluator=array_evaluator)
+                     kind=f.kind, spherical_evaluator=spherical, array_evaluator=array_evaluator)
 
 
-def _grid_points(grid: SampleGrid, stride: int = 1) -> np.ndarray:
-    """Chart rows of every stride-th node of the grid.
+def _grid_points(stride: int) -> np.ndarray:
+    """Chart rows of every stride-th node of the default grid.
 
     The witness checks sample here rather than uniformly at random: the
     grid ranges keep a fixed distance from the steep ridges of the
     inverse-trig witnesses, where finite differences lose their accuracy.
     """
-    return grid.chart_array()[:, ::stride]
+    return DEFAULT_GRID.chart_array()[:, ::stride]
 
 
 def _v(f: QFunction, chart: np.ndarray) -> np.ndarray:
@@ -135,12 +134,11 @@ def check_operator_equivalence(seed: int = 0, cfg: DiffConfig = DiffConfig(),
                        f"{n_functions} random polynomials x {n_points} points")
 
 
-def check_closure(cfg: DiffConfig = DiffConfig(),
-                  grid: Optional[SampleGrid] = None) -> CheckResult:
+def check_closure(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """Products, sums, real-coefficient combinations, and the algebraic
     inverse of power functions stay in the class of their factors; the
     product of slice-sweep and angle-only entries stays Class II."""
-    grid = grid or SampleGrid(n_per_axis=4)
+    grid = SampleGrid(n_per_axis=4)
     cases = []
     p2, p3 = power_function(2), power_function(3)
     cases.append((pointwise_product(p2, p3, name="pow:2*pow:3"), "class_III"))
@@ -166,14 +164,10 @@ def check_closure(cfg: DiffConfig = DiffConfig(),
 
 
 def catalog_reports(grid: Optional[SampleGrid] = None,
-                    cfg: DiffConfig = DiffConfig(),
-                    names: Optional[Sequence[str]] = None
-                    ) -> Dict[str, ClassificationReport]:
+                    cfg: DiffConfig = DiffConfig()) -> Dict[str, ClassificationReport]:
     """Classify the witness catalog plus the standard power range."""
-    if names is None:
-        names = ("rho", "varrho", "sigma", "x-over-r-iota") + POWER_NAMES
     out = {}
-    for name in names:
+    for name in WITNESS_NAMES + ("x-over-r-iota",) + POWER_NAMES:
         f = get_witness(name).function
         out[name] = classify(f, grid, cfg)
     return out
@@ -195,10 +189,10 @@ def check_inclusion(reports: Dict[str, ClassificationReport]) -> CheckResult:
     return CheckResult("inclusion-chain", not failures, 0.0, 0.0, detail)
 
 
-def check_jacobian(seed: int = 0, cfg: DiffConfig = DiffConfig(),
-                   n_points: int = 100, tol: float = 1e-4) -> CheckResult:
+def check_jacobian(seed: int = 0, cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """det of the 4x4 derivative of p^2 matches its scalar factorization,
     including the exact value 32 at 1 + i."""
+    n_points, tol = 100, 1e-4
     rng = np.random.default_rng(seed)
     f = power_function(2)
     res = jacobian_check(f, from_spherical_array(DEFAULT_GRID.random_chart(rng, n_points)), cfg)
@@ -213,10 +207,10 @@ def check_jacobian(seed: int = 0, cfg: DiffConfig = DiffConfig(),
 
 
 def check_spherical_cr(cfg: DiffConfig = DiffConfig(),
-                       grid: Optional[SampleGrid] = None,
-                       tol: float = 1e-5) -> CheckResult:
+                       grid: Optional[SampleGrid] = None) -> CheckResult:
     """Angle-direction CR residuals vanish on the Class II witnesses and do
     not vanish on the Class I-only witness."""
+    tol = 1e-5
     chart = (grid or DEFAULT_GRID).chart_array()
     largest = {name: float(np.max(np.abs(spherical_cr_residuals(get_witness(name).function,
                                                                 chart, cfg))))
@@ -228,13 +222,12 @@ def check_spherical_cr(cfg: DiffConfig = DiffConfig(),
                        f"counterexample witness residual {counter:.3f}")
 
 
-def check_extension_equivalence(cfg: DiffConfig = DiffConfig(),
-                                stride: int = 13,
-                                tol: float = 1e-5) -> CheckResult:
+def check_extension_equivalence(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """A sweep is left-regular exactly when its stem satisfies the slice
     extension condition: images of the extension functional pass, a plain
     power stem fails both sides."""
-    points = from_spherical_array(_grid_points(DEFAULT_GRID, stride))
+    tol = 1e-5
+    points = from_spherical_array(_grid_points(13))
     worst = 0.0
     for terms in ([(3, 1.0)], [(-1, 1.0)]):
         g = rinehart_L(ComplexStem.laurent(terms))
@@ -251,9 +244,10 @@ def check_extension_equivalence(cfg: DiffConfig = DiffConfig(),
                        f"operator magnitude {bad_max:.2f}")
 
 
-def check_extension_functional(tol: float = 1e-6) -> CheckResult:
+def check_extension_functional() -> CheckResult:
     """The extension functional maps analytic stems into the condition's
     solution set; two closed-form images are reproduced exactly."""
+    tol = 1e-6
     stems = [ComplexStem.laurent([(n, 1.0)]) for n in (1, 2, 3, 4, -1)]
     samples = [complex(x * 0.3 - 0.9, 0.5 + y * 0.25)
                for x in range(7) for y in range(5)]
@@ -276,12 +270,11 @@ def check_extension_functional(tol: float = 1e-6) -> CheckResult:
                        f"closed-form deviation {closed:.2e}")
 
 
-def check_imaginary_derivative(cfg: DiffConfig = DiffConfig(),
-                               stride: int = 7,
-                               tol: float = 1e-5) -> CheckResult:
+def check_imaginary_derivative(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """The angular derivative collapses to the scalar 2v on Class II
     functions."""
-    chart = _grid_points(DEFAULT_GRID, stride)
+    tol = 1e-5
+    chart = _grid_points(7)
     worst = 0.0
     for name in ("identity",) + WITNESS_NAMES + ("pow:2",):
         f = get_witness(name).function
@@ -292,11 +285,11 @@ def check_imaginary_derivative(cfg: DiffConfig = DiffConfig(),
                        "identity + angle witnesses + pow:2")
 
 
-def check_conjugate_right(cfg: DiffConfig = DiffConfig(),
-                          stride: int = 11, tol: float = 1e-5) -> CheckResult:
+def check_conjugate_right(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """Conjugating an angle-only Class II function yields a right-Class II
     function (with its own v, which conjugation negates)."""
-    chart = _grid_points(DEFAULT_GRID, stride)
+    tol = 1e-5
+    chart = _grid_points(11)
     points = from_spherical_array(chart)
     worst = 0.0
     for name in WITNESS_NAMES:
@@ -323,10 +316,10 @@ def check_centrality(reports: Dict[str, ClassificationReport]) -> CheckResult:
     return CheckResult("centrality-agreement", not failures, 0.0, 0.0, detail)
 
 
-def check_coefficient_classhood(cfg: DiffConfig = DiffConfig(),
-                                tol: float = 1e-5) -> CheckResult:
+def check_coefficient_classhood(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """Series coefficient fields a_n(alpha, beta) of Class II sources are
     themselves Class II."""
+    tol = 1e-5
     region = AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=3, n_beta=3)
     worst = 0.0
     failures = []
@@ -343,12 +336,12 @@ def check_coefficient_classhood(cfg: DiffConfig = DiffConfig(),
                        worst, tol, detail)
 
 
-def check_mirror(seed: int = 0, cfg: DiffConfig = DiffConfig(),
-                 n_points: int = 80, tol: float = 1e-5) -> CheckResult:
+def check_mirror(seed: int = 0, cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """The mirror is an involution, sends left-Class II to right-Class II,
     and conjugates series coefficients about the mirrored center."""
+    tol = 1e-5
     rng = np.random.default_rng(seed)
-    chart = DEFAULT_GRID.random_chart(rng, n_points)
+    chart = DEFAULT_GRID.random_chart(rng, 80)
     points = from_spherical_array(chart)
 
     invol = 0.0
@@ -378,11 +371,11 @@ def check_mirror(seed: int = 0, cfg: DiffConfig = DiffConfig(),
                        f"mirrored-center series deviation {series_dev:.2e}")
 
 
-def check_chirality_pairing(cfg: DiffConfig = DiffConfig(),
-                            stride: int = 11, tol: float = 1e-6) -> CheckResult:
+def check_chirality_pairing(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """Left operator on f and right operator on conj(f) cancel for the
     angle-only Class II witnesses."""
-    points = from_spherical_array(_grid_points(DEFAULT_GRID, stride))
+    tol = 1e-6
+    points = from_spherical_array(_grid_points(11))
     worst = 0.0
     for name in WITNESS_NAMES:
         f = get_witness(name).function
@@ -393,11 +386,10 @@ def check_chirality_pairing(cfg: DiffConfig = DiffConfig(),
                        "left(f) + right(conj f) over the angle witnesses")
 
 
-def check_decomposition(cfg: DiffConfig = DiffConfig(),
-                        stride: int = 29) -> CheckResult:
+def check_decomposition(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """The left operator splits into the slice part minus the angular part
     over r, within combined stencil error."""
-    chart = _grid_points(DEFAULT_GRID, stride)
+    chart = _grid_points(29)
     points = from_spherical_array(chart)
     r = chart[1]
     worst = 0.0
@@ -418,17 +410,16 @@ def check_decomposition(cfg: DiffConfig = DiffConfig(),
                        "slice part minus angular part over r, full catalog")
 
 
-def check_chiral_regularity(cfg: DiffConfig = DiffConfig(),
-                            seed: int = 0, n_points: int = 15,
-                            tol: float = 1e-4) -> CheckResult:
+def check_chiral_regularity(cfg: DiffConfig = DiffConfig(), seed: int = 0) -> CheckResult:
     """The left-minus-right difference of a Class II function is
     left-regular; for Class III it vanishes identically."""
+    tol = 1e-4
     rng = np.random.default_rng(seed)
     rho = get_witness("rho").function
     delta = chiral_difference(rho, inner=cfg)
     outer = DiffConfig(h=1e-4, scheme="richardson",
                        tol_abs=cfg.tol_abs, tol_rel=cfg.tol_rel)
-    points = from_spherical_array(DEFAULT_GRID.random_chart(rng, n_points))
+    points = from_spherical_array(DEFAULT_GRID.random_chart(rng, 15))
     worst = _worst(fueter_left(delta, points, outer).value)
 
     p3 = get_witness("pow:3").function

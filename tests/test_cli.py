@@ -14,7 +14,8 @@ import sys
 import pytest
 
 import fueterlab
-from fueterlab.cli import main
+from fueterlab.cli import _config_from_args, build_parser, main
+from fueterlab.diffops import DiffConfig
 
 # three nodes per axis, placed so no node hits the atanh ridges of the
 # varrho/sigma witnesses (alpha = 0 or +-pi/2 together with beta = pi/2)
@@ -103,6 +104,19 @@ def test_bad_numbers_exit_2(capsys, argv, message):
     rc, doc, err = run_cli(capsys, argv)
     assert rc == 2 and doc is None
     assert "error:" in err and message in err
+
+
+@pytest.mark.parametrize("argv", [["classify", "rho", "--seed", "1"],
+                                  ["laurent", "rho", "--quad-points", "abc"]])
+def test_argparse_usage_errors_return_2_in_process(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_parser_defaults_are_the_library_defaults():
+    for argv in (["classify", "rho"], ["verify-props"], ["laurent", "rho"]):
+        assert _config_from_args(build_parser().parse_args(argv)) == DiffConfig()
 
 
 # ---------------------------------------------------------------------------
