@@ -3,10 +3,13 @@
 Every grid node takes one central (or Richardson) stencil along each of
 t, x, y, z, r, and for CE functions alpha, beta, and every residual
 derives from those shared samples.  The nodes go through the diffops
-stencil engine as one batch: the shifted coordinates of all nodes are
-sampled together (through the function's array evaluator when it has
-one, else point by point) and differenced at once, and the verdicts
-reduce over arrays.
+stencil engine as one batch, the grid's open mesh: four axis rows that
+broadcast to the whole grid, so an evaluator maps each alpha and beta
+value, and each t + i r pair, once rather than once per node.  The
+shifted coordinates of all nodes are sampled together (through the
+function's array evaluator when it has one, else point by point, after
+materializing them) and differenced at once, and the verdicts reduce over
+arrays in the grid's beta-fastest node order.
 
 * Class I   : |d/dt f + iota d/dr f|
 * Class II  : |fueter_left f + 2 v / r|
@@ -26,6 +29,7 @@ factorization check for Class II functions live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +40,7 @@ from .diffops import (DiffConfig, Stencils, chart_ok, fueter_rows, iota_coeffici
 from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
                              sample_chart)
 from .quaternion_core import (DomainError, Quaternion, from_spherical_array, iota_array,
-                              qabs_array, qmul_array)
+                              qabs_array, qmul_array, rows_shape)
 
 PASS_FRACTION = 0.999
 HARD_FAIL_FACTOR = 100.0
@@ -109,8 +113,12 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     the remaining nodes.
     """
     grid = grid or DEFAULT_GRID
-    nodes = grid.chart_array()
-    nodes = nodes[:, chart_ok(nodes, cfg)]
+    # the margins are r > h and conditions on beta alone, so the passing
+    # nodes are the open mesh of the passing r and beta values
+    t, r, alpha, beta = grid.mesh()
+    ok = chart_ok((t, r, alpha, beta), cfg)  # (1, n, 1, n): r by beta
+    nodes = (t, r[:, ok.any(axis=(0, 2, 3))], alpha, beta[..., ok.any(axis=(0, 1, 2))])
+    n_nodes = math.prod(rows_shape(nodes))
 
     with np.errstate(all="ignore"):
         center = sample_chart(f, nodes)
@@ -136,7 +144,7 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     finite = np.isfinite(tolerances)
     for values in residuals.values():
         finite &= np.isfinite(values)
-    singular = nodes.shape[1] < grid.size or not finite.all()
+    singular = n_nodes < grid.size or not finite.all()
     tolerances = tolerances[finite]
 
     def build(key):

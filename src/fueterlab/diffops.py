@@ -8,10 +8,14 @@ error estimate).  Cartesian partials differentiate the raw evaluator;
 chart.  The two views agree because the chart round-trips.
 
 One stencil engine, Stencils, takes every derivative for a whole batch of
-point rows (4, N): Cartesian (t, x, y, z) for fueter_left/fueter_right,
-chart (t, r, alpha, beta) for the rest.  The operators return value rows
-(4, N) with an (N,) error estimate, or for one Quaternion or SphericalPoint
-a Quaternion and a float.
+point rows: Cartesian (t, x, y, z) for fueter_left/fueter_right, chart
+(t, r, alpha, beta) for the rest.  The batch is four rows that broadcast
+together to a shape S, such as an array (4, N) or a grid's open mesh.  A
+stencil shifts only the row it differences, which gains a leading
+(rows, offsets) axis, so the other rows, and everything an evaluator
+computes from them alone, keep their own size.  The operators take point
+rows (4, N) and return value rows (4, N) with an (N,) error estimate, or
+for one Quaternion or SphericalPoint a Quaternion and a float.
 
 * fueter_left   : d/dt f + i d/dx f + j d/dy f + k d/dz f
 * fueter_right  : d/dt f + (d/dx f) i + (d/dy f) j + (d/dz f) k
@@ -38,7 +42,7 @@ import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
 from .quaternion_core import (HAMILTON, ChartSingularityError, DomainError, Quaternion,
-                              _quaternion, iota_array, qabs_array, qmul_array)
+                              _quaternion, iota_array, qabs_array, qmul_array, rows_shape)
 
 SCHEMES = ("central", "richardson")
 
@@ -96,6 +100,22 @@ def iota_coefficient(q: np.ndarray, io: np.ndarray) -> np.ndarray:
     return q[1] * io[1] + q[2] * io[2] + q[3] * io[3]
 
 
+@functools.lru_cache(maxsize=64)
+def _shift_template(offsets: tuple, group: tuple, ndim: int) -> np.ndarray:
+    """The read-only shifts (4, len(group), len(offsets), 1, ..., 1) of a call
+    along the rows in group: row group[g] moves by the offsets at index g."""
+    shift = np.zeros((4, len(group), len(offsets)) + (1,) * ndim)
+    for g, k in enumerate(group):
+        shift[k, g] = np.reshape(offsets, (-1,) + (1,) * ndim)
+    shift.flags.writeable = False
+    return shift
+
+
+def _offsets_first(values: np.ndarray) -> np.ndarray:
+    """ samples (n, G, n_offsets, *S) as (n_offsets, n, G, *S) """
+    return values.transpose((2, 0, 1) + tuple(range(3, values.ndim)))
+
+
 class Stencils:
     """Derivatives of f at a batch of points along some coordinate rows.
 
@@ -107,38 +127,44 @@ class Stencils:
 
     def __init__(self, f: QFunction, cfg: DiffConfig, scale=None):
         self.f, self.cfg, self.scale = f, cfg, scale
-        self.offsets = stencil_offsets(cfg)
+        self.offsets = tuple(stencil_offsets(cfg).tolist())
 
-    def along(self, base: np.ndarray, rows, sample):
-        """Yield (shifted coordinates, samples), each of shape
-        (4, rows in the call, n_offsets, N), one sampler call at a time."""
-        rows = list(rows)
-        size = max(1, CALL_POINTS // (len(self.offsets) * max(1, base.shape[1])))
+    def along(self, base, rows, sample):
+        """Yield (shifted coordinate rows, samples), one sampler call at a time.
+
+        base is four coordinate rows that broadcast to a shape S.  In a
+        call along G of the rows, each of them gains a leading (G, n_offsets)
+        shift axis, and the other rows stay as they are, so the samples
+        have shape (4, G, n_offsets, *S).
+        """
+        rows = tuple(rows)
+        shape = rows_shape(base)
+        size = max(1, CALL_POINTS // (len(self.offsets) * max(1, math.prod(shape))))
         for start in range(0, len(rows), size):
             group = rows[start:start + size]
-            shift = np.zeros((4, len(group), len(self.offsets), 1))
-            shift[group, range(len(group)), :, 0] = self.offsets
-            shifted = base[:, None, None, :] + shift
-            values = sample(self.f, shifted.reshape(4, -1)).reshape(shifted.shape)
+            shift = _shift_template(self.offsets, group, len(shape))
+            # + 0.0 maps -0.0 to 0.0 on the rows left in place, as on the shifted ones
+            shifted = [row + (shift[k] if k in group else 0.0) for k, row in enumerate(base)]
+            values = sample(self.f, shifted)
             if self.scale is not None:
                 self.scale = np.maximum(self.scale, qabs_array(values).max(axis=(0, 1)))
             yield shifted, values
 
-    def partials(self, base: np.ndarray, rows, sample) -> tuple:
-        """(derivative rows (4, len(rows), N), error estimates (len(rows), N))."""
-        d, spread = zip(*(finish_stencil(values.transpose(2, 0, 1, 3), self.cfg)
+    def partials(self, base, rows, sample) -> tuple:
+        """(derivative rows (4, len(rows), *S), error estimates (len(rows), *S))."""
+        d, spread = zip(*(finish_stencil(_offsets_first(values), self.cfg)
                           for _, values in self.along(base, rows, sample)))
         d = np.concatenate(d, axis=1)
         if self.cfg.scheme == "central":
             return d, np.zeros(d.shape[1:])
         return d, qabs_array(np.concatenate(spread, axis=1))
 
-    def uv_partials(self, chart: np.ndarray, rows) -> np.ndarray:
-        """(du, dv) of shape (2, len(rows), N) along chart rows; v is taken
+    def uv_partials(self, chart, rows) -> np.ndarray:
+        """(du, dv) of shape (2, len(rows), *S) along chart rows; v is taken
         against the iota of each shifted sample's own angles."""
         uv = [np.array((values[0], iota_coefficient(values, iota_array(at))))
               for at, values in self.along(chart, rows, sample_chart)]
-        return finish_stencil(np.concatenate(uv, axis=1).transpose(2, 0, 1, 3), self.cfg)[0]
+        return finish_stencil(_offsets_first(np.concatenate(uv, axis=1)), self.cfg)[0]
 
 
 def fueter_rows(d, right: bool = False) -> np.ndarray:
@@ -150,7 +176,7 @@ def fueter_rows(d, right: bool = False) -> np.ndarray:
 def chart_ok(chart: np.ndarray, cfg: DiffConfig) -> np.ndarray:
     """ columns whose chart stencils keep r > h, h < beta < pi - h, sin(beta) > the pole floor """
     _, r, _, beta = chart
-    return ((r - cfg.h > 0.0) & (beta - cfg.h > 0.0) & (beta + cfg.h < math.pi)
+    return ((r > cfg.h) & (beta > cfg.h) & (beta + cfg.h < math.pi)
             & (np.sin(beta) > POLE_SIN_BETA_FLOOR))
 
 
@@ -165,8 +191,8 @@ def _require_chart_margins(chart: np.ndarray, cfg: DiffConfig):
 
 def require_finite(f: QFunction, points: np.ndarray, values: np.ndarray):
     """ DomainError naming f and the first point whose value rows are not all finite """
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).all(axis=0)
         raise DomainError(f"{f.name}: no finite value at {tuple(points[:, np.argmin(finite)].tolist())}")
 
 
@@ -183,8 +209,8 @@ class OperatorValue:
 def point_rows(p) -> np.ndarray:
     """ the (4, 1) rows of a Quaternion (t, x, y, z) or a SphericalPoint (t, r, alpha, beta) """
     if isinstance(p, Quaternion):
-        return np.array([[p.t], [p.x], [p.y], [p.z]])
-    return np.array([[p.t], [p.r], [p.alpha], [p.beta]])
+        return np.array((p.t, p.x, p.y, p.z))[:, None]
+    return np.array((p.t, p.r, p.alpha, p.beta))[:, None]
 
 
 def _operator(body):
@@ -231,12 +257,14 @@ def _chart_units(chart: np.ndarray) -> tuple:
     and their norms (4, N), which weight the error estimates."""
     _, _, alpha, beta = chart
     sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
-    one, zero = np.ones_like(sb), np.zeros_like(sb)
-    units = np.array(((one, zero, zero, zero),
-                      (zero, ca * sb, sa / sb, -ca * cb),
-                      (zero, sa * sb, -ca / sb, -sa * cb),
-                      (zero, cb, zero, sb)))
-    return units, np.array((one, one, 1.0 / sb, one))
+    units = np.zeros((4, 4) + sb.shape)
+    units[0, 0] = 1.0
+    units[1, 1], units[2, 1], units[3, 1] = ca * sb, sa * sb, cb
+    units[1, 2], units[2, 2] = sa / sb, -ca / sb
+    units[1, 3], units[2, 3], units[3, 3] = -ca * cb, -sa * cb, sb
+    norms = np.ones((4,) + sb.shape)
+    norms[2] = 1.0 / sb
+    return units, norms
 
 
 def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,

@@ -17,27 +17,35 @@ Complex profiles ("stems") feed two constructions:
 A QFunction may also carry an array evaluator, the batched chart view used
 by grid sweeps:
 
-* input: chart rows (t, r, alpha, beta) as an array of shape (4, N);
-* output: value rows (t, x, y, z) as an array of shape (4, N), column k
-  equal to at_spherical of column k;
+* input: four chart rows (t, r, alpha, beta) that broadcast together to a
+  shape S: an array (4, N), or the open mesh of a SampleGrid, whose rows
+  have shapes (n, 1, 1, 1) ... (1, 1, 1, n), or stencil shifts of either;
+* output: value rows (t, x, y, z) as a full array of shape (4, *S), each
+  point's column equal to at_spherical of that point, so the evaluator
+  works element by element;
 * off the domain, where the scalar views raise, the column is NaN, and no
   numpy floating-point warning escapes.
+
+The library's evaluators compute each intermediate on the rows it depends
+on: the trig of a grid's alpha and beta axes once per axis value, a stem on
+the t + i r plane once per (t, r) pair.
 
 from_uv and cullen_extend always supply one, and products, sums and
 mirrors do when their inputs have one.  Where the input is a scalar
 callable, the array evaluator calls it with scalars and does the chart
 maps, the trig and the u + iota v assembly on arrays:
 
-* from_uv without uv_array calls u and v once per point, each with one
-  SphericalPoint (a named tuple);
+* from_uv without uv_array materializes the rows and calls u and v once
+  per point, each with one SphericalPoint (a named tuple);
 * a stem without an array form is called once per distinct z of a batch
   (a sweep repeats t + i r on every slice), so it must be a pure function
   of z.
 
 Only a QFunction built directly from an evaluator (or a product, sum or
-mirror of one) has none; sample_chart/sample_cartesian then fill the same
-arrays from its scalar views, one point at a time, for the grid sweeps and
-the Laurent contours alike.
+mirror of one) has none; sample_chart/sample_cartesian then materialize the
+rows and fill the same arrays from its scalar views, one point at a time,
+for the grid sweeps and the Laurent contours alike.  No user callable is
+ever called with an array.
 """
 
 from __future__ import annotations
@@ -62,6 +70,8 @@ from .quaternion_core import (
     from_spherical_array,
     iota,
     qmul_array,
+    rows_shape,
+    stack_rows,
     to_spherical,
     to_spherical_array,
 )
@@ -172,10 +182,15 @@ class SampleGrid:
         return (self._axis(*self.t_range), self._axis(*self.r_range),
                 self._axis(*self.alpha_range), self._axis(*self.beta_range))
 
+    def mesh(self) -> tuple:
+        """The open mesh of the nodes: chart rows (t, r, alpha, beta) of
+        shapes (n, 1, 1, 1), (1, n, 1, 1), (1, 1, n, 1) and (1, 1, 1, n),
+        which broadcast to the whole grid without materializing it."""
+        return np.ix_(*(np.array(axis) for axis in self.axes()))
+
     def chart_array(self) -> np.ndarray:
         """ chart rows (t, r, alpha, beta) of every node, beta fastest """
-        mesh = np.meshgrid(*(np.array(axis) for axis in self.axes()), indexing="ij")
-        return np.stack(mesh).reshape(4, -1)
+        return stack_rows(self.mesh(), (self.n_per_axis,) * 4).reshape(4, -1)
 
     def points(self):
         """ the columns of chart_array as SphericalPoint nodes """
@@ -186,8 +201,16 @@ class SampleGrid:
         return self.n_per_axis ** 4
 
     def random_chart(self, rng, n: int) -> np.ndarray:
-        """ chart rows of n uniform samples from the grid box (seeded generator) """
+        """Chart rows of n uniform samples from the grid box.
+
+        rng is a seeded numpy Generator, which draws all 4 n coordinates in
+        one call (the same numbers, in the same order, as 4 n scalar draws),
+        or a random.Random, which draws them one at a time.
+        """
         ranges = (self.t_range, self.r_range, self.alpha_range, self.beta_range)
+        if isinstance(rng, np.random.Generator):
+            lo, hi = np.array(ranges).T
+            return rng.uniform(lo, hi, size=(n, 4)).T
         return np.array([[rng.uniform(*rg) for rg in ranges] for _ in range(n)]).reshape(n, 4).T
 
     def random_points(self, rng, n: int) -> list:
@@ -250,35 +273,49 @@ def _fill_quaternions(evaluate, args) -> np.ndarray:
 
 
 def _chart_points(chart: np.ndarray):
-    """ the columns of chart rows as SphericalPoint objects """
+    """ the columns of chart rows (4, N) as SphericalPoint objects """
     return map(SphericalPoint._make, chart.T.tolist())
 
 
 def _quaternions(points: np.ndarray):
-    """ the columns of quaternion rows as Quaternion objects """
+    """ the columns of quaternion rows (4, N) as Quaternion objects """
     return itertools.starmap(_quaternion, points.T.tolist())
 
 
-def sample_chart(f: QFunction, chart: np.ndarray) -> np.ndarray:
+def _columns(rows) -> tuple:
+    """ (the points of rows that broadcast together, as columns (4, N); their shape) """
+    shape = rows_shape(rows)
+    return stack_rows(rows, shape).reshape(4, -1), shape
+
+
+def _fill_rows(evaluate, rows, points) -> np.ndarray:
+    """ value rows (4, *shape) of evaluate over the points(columns) of rows """
+    columns, shape = _columns(rows)
+    return _fill_quaternions(evaluate, points(columns)).reshape((4,) + shape)
+
+
+def sample_chart(f: QFunction, chart) -> np.ndarray:
     """ value rows of f at chart rows (t, r, alpha, beta), NaN where it fails """
     if f.array_evaluator is not None:
         return f.array_evaluator(chart)
-    return _fill_quaternions(f.at_spherical, _chart_points(chart))
+    return _fill_rows(f.at_spherical, chart, _chart_points)
 
 
-def sample_cartesian(f: QFunction, points: np.ndarray) -> np.ndarray:
+def sample_cartesian(f: QFunction, points) -> np.ndarray:
     """Value rows of f at quaternion rows (t, x, y, z), NaN where it fails.
 
     The chart has no alpha where x = y = 0, so those columns go to f itself,
     which may well be defined there (a profile sweep off the real axis).
     """
     if f.array_evaluator is None:
-        return _fill_quaternions(f.evaluator, _quaternions(points))
+        return _fill_rows(f.evaluator, points, _quaternions)
     values = f.array_evaluator(to_spherical_array(points))
     pole = (points[1] == 0.0) & (points[2] == 0.0)
     if pole.any():
+        pole = np.broadcast_to(pole, values.shape[1:])
         values = np.array(values, dtype=float)
-        values[:, pole] = _fill_quaternions(f.evaluator, _quaternions(points[:, pole]))
+        at_pole = stack_rows(points, values.shape[1:])[:, pole]
+        values[:, pole] = _fill_quaternions(f.evaluator, _quaternions(at_pole))
     return values
 
 
@@ -318,13 +355,17 @@ def from_uv(u: Callable[[SphericalPoint], float],
         return at_spherical(to_spherical(p))
 
     if uv_array is None:
-        def uv_array(chart: np.ndarray) -> np.ndarray:
-            uv = _fill_points(lambda s: (u(s), v(s)), _chart_points(chart), (math.nan,) * 2)
-            return uv.reshape(-1, 2).T
+        def uv_array(chart) -> np.ndarray:
+            columns, shape = _columns(chart)
+            uv = _fill_points(lambda s: (u(s), v(s)), _chart_points(columns), (math.nan,) * 2)
+            return uv.reshape(-1, 2).T.reshape((2,) + shape)
 
-    def array_evaluator(chart: np.ndarray) -> np.ndarray:
+    def array_evaluator(chart) -> np.ndarray:
         with np.errstate(all="ignore"):
-            return from_spherical_array((*uv_array(chart), chart[2], chart[3]))
+            values = from_spherical_array((*uv_array(chart), chart[2], chart[3]))
+        # u and v need not depend on t and r, but every point gets its column
+        shape = rows_shape(chart)
+        return values if values.shape[1:] == shape else stack_rows(values, shape)
 
     return QFunction(name=name, evaluator=evaluator, kind="CE",
                      spherical_evaluator=at_spherical, classes=classes,
@@ -394,10 +435,10 @@ class ComplexStem:
         repeats each t + i r on every slice of a grid.
         """
         if self._func_array is None:
-            bits = np.ascontiguousarray(z, dtype=complex).view("V16")
+            bits = np.ascontiguousarray(z, dtype=complex).reshape(-1).view("V16")
             distinct, where = np.unique(bits, return_inverse=True)
             values = _fill_points(self.eval, distinct.view(complex).tolist(), NAN_COMPLEX, complex)
-            return values[where]
+            return values[where].reshape(np.shape(z))
         with np.errstate(all="ignore"):
             return self._func_array(z)
 
@@ -458,9 +499,10 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         scale = w.imag / r
         return Quaternion(w.real, scale * p.x, scale * p.y, scale * p.z)
 
-    def array_evaluator(chart: np.ndarray) -> np.ndarray:
-        z = chart[0].astype(complex)
-        z.imag = chart[1]
+    def array_evaluator(chart) -> np.ndarray:
+        # z = t + i r over the t and r axes alone: every slice repeats it
+        z = np.empty(np.broadcast(chart[0], chart[1]).shape, complex)
+        z.real, z.imag = chart[0], chart[1]
         w = stem.eval_array(z)
         with np.errstate(all="ignore"):
             return from_spherical_array((w.real, w.imag, chart[2], chart[3]))
@@ -512,7 +554,7 @@ def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction
 
     array_evaluator = None
     if f.array_evaluator is not None and g.array_evaluator is not None:
-        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+        def array_evaluator(chart) -> np.ndarray:
             a, b = f.array_evaluator(chart), g.array_evaluator(chart)
             with np.errstate(all="ignore"):
                 return array_op(a, b)

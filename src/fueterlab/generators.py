@@ -95,8 +95,8 @@ def _make_varrho() -> QFunction:
 
     def uv_array(c):
         _, _, alpha, beta = c
-        return (np.arctan2(np.sin(alpha) * np.sin(beta), np.cos(beta)),
-                _atanh_array(np.cos(alpha) * np.sin(beta)))
+        sb = np.sin(beta)
+        return np.arctan2(np.sin(alpha) * sb, np.cos(beta)), _atanh_array(np.cos(alpha) * sb)
 
     return from_uv(u, v, name="varrho", classes=expected, uv_array=uv_array)
 
@@ -112,8 +112,8 @@ def _make_sigma() -> QFunction:
 
     def uv_array(c):
         _, _, alpha, beta = c
-        return (np.arctan2(np.cos(beta), np.cos(alpha) * np.sin(beta)),
-                _atanh_array(np.sin(alpha) * np.sin(beta)))
+        sb = np.sin(beta)
+        return np.arctan2(np.cos(beta), np.cos(alpha) * sb), _atanh_array(np.sin(alpha) * sb)
 
     return from_uv(u, v, name="sigma", classes=expected, uv_array=uv_array)
 
@@ -279,10 +279,10 @@ def mirror(f: QFunction) -> QFunction:
 
     array_evaluator = None
     if f.array_evaluator is not None:
-        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+        def array_evaluator(chart) -> np.ndarray:
             t, r, alpha, beta = chart
             wrapped = alpha - np.copysign(math.pi, alpha)
-            return qconj_array(f.array_evaluator(np.stack((t, r, wrapped, math.pi - beta))))
+            return qconj_array(f.array_evaluator((t, r, wrapped, math.pi - beta)))
 
     # left-handed class expectations do not transfer unless the function is
     # a pure slice sweep, which mirror fixes pointwise

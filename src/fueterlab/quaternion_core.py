@@ -19,10 +19,15 @@ arrays.  A real scalar operand is coerced once, so every component of every
 result is a float.  SphericalPoint is a named tuple, cheap enough to build
 once per sample of a user's scalar field.
 
-The *_array functions are the batched twins used by grid sweeps: a
-quaternion batch is an array of shape (4, ...) with rows (t, x, y, z), a
-chart batch has rows (t, r, alpha, beta), and points where the scalar form
-raises come back as NaN columns.
+The *_array functions are the batched twins used by grid sweeps.  A batch
+is four rows, (t, x, y, z) for quaternions or (t, r, alpha, beta) for the
+chart, that broadcast together to the shape of the batch: an array (4, N)
+is one case, and an open mesh of a grid (one axis per row) is another.
+Each row is computed on its own shape, so an axis value is mapped once, not
+once per point.  from_spherical_array and iota_array return the full array
+(4, *shape); to_spherical_array returns its rows, each as large as the rows
+it is computed from.  Points where the scalar form raises come back as NaN
+columns.
 """
 
 from __future__ import annotations
@@ -219,27 +224,47 @@ def qabs_array(q) -> np.ndarray:
     return np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
 
 
-def iota_array(chart: np.ndarray) -> np.ndarray:
+def rows_shape(rows) -> tuple:
+    """ the shape that point rows broadcast to: (N,) for an array (4, N) """
+    if isinstance(rows, np.ndarray):
+        return rows.shape[1:]
+    return np.broadcast(*rows).shape
+
+
+def stack_rows(rows, shape: tuple) -> np.ndarray:
+    """ the float array (len(rows), *shape) of rows, each broadcast to shape """
+    out = np.empty((len(rows),) + shape)
+    for k, row in enumerate(rows):
+        out[k] = row
+    return out
+
+
+def iota_array(chart) -> np.ndarray:
     """ quaternion rows of iota at the angles of chart rows """
     alpha, beta = chart[2], chart[3]
     sb = np.sin(beta)
-    return np.array((np.zeros_like(sb), np.cos(alpha) * sb, np.sin(alpha) * sb, np.cos(beta)))
+    return stack_rows((0.0, np.cos(alpha) * sb, np.sin(alpha) * sb, np.cos(beta)),
+                      rows_shape(chart))
 
 
-def to_spherical_array(q: np.ndarray) -> np.ndarray:
+def to_spherical_array(q) -> tuple:
     """Chart rows (t, r, alpha, beta) of quaternion rows (t, x, y, z).
 
-    Columns where to_spherical raises (real axis, poles) are NaN.
+    The four rows broadcast together, each in the shape of the rows it is
+    computed from: t as given, alpha from x and y alone.  Columns where
+    to_spherical raises (real axis, poles) are NaN in every row.
     """
     t, x, y, z = q
-    r = np.sqrt(x * x + y * y + z * z)
-    chart = np.array((t, r, np.arctan2(y, x), np.arctan2(np.hypot(x, y), z)))
-    chart[:, (x == 0.0) & (y == 0.0)] = np.nan
+    chart = (t, np.sqrt(x * x + y * y + z * z), np.arctan2(y, x), np.arctan2(np.hypot(x, y), z))
+    pole = (x == 0.0) & (y == 0.0)
+    if pole.any():
+        chart = tuple(np.where(pole, np.nan, row) for row in chart)
     return chart
 
 
-def from_spherical_array(chart: np.ndarray) -> np.ndarray:
+def from_spherical_array(chart) -> np.ndarray:
     """ quaternion rows of chart rows; the inverse of to_spherical_array """
     t, r, alpha, beta = chart
     sb = np.sin(beta)
-    return np.array((t, r * np.cos(alpha) * sb, r * np.sin(alpha) * sb, r * np.cos(beta)))
+    return stack_rows((t, r * np.cos(alpha) * sb, r * np.sin(alpha) * sb, r * np.cos(beta)),
+                      rows_shape(chart))

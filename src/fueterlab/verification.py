@@ -73,9 +73,11 @@ def random_polynomial(rng) -> QFunction:
                                  * (p.y ** ey) * (p.z ** ez))
         return total
 
-    def array_evaluator(chart: np.ndarray) -> np.ndarray:
+    def array_evaluator(chart) -> np.ndarray:
         t, x, y, z = from_spherical_array(chart)
-        return sum(point_rows(c) * ((t ** et) * (x ** ex) * (y ** ey) * (z ** ez))
+        # each coefficient as a column (4, 1, ..., 1) against the point axes
+        return sum(point_rows(c).reshape((4,) + (1,) * t.ndim)
+                   * ((t ** et) * (x ** ex) * (y ** ey) * (z ** ez))
                    for c, (et, ex, ey, ez) in terms)
 
     return QFunction(name=f"poly:{len(terms)}-terms", evaluator=evaluator, kind="raw",
@@ -91,7 +93,7 @@ def conjugate_function(f: QFunction) -> QFunction:
 
     array_evaluator = None
     if f.array_evaluator is not None:
-        def array_evaluator(chart: np.ndarray) -> np.ndarray:
+        def array_evaluator(chart) -> np.ndarray:
             return qconj_array(f.array_evaluator(chart))
 
     return QFunction(name=f"conj:{f.name}", evaluator=lambda p: f(p).conjugate(),
