@@ -11,8 +11,8 @@ One stencil engine, Stencils, takes every derivative for a whole batch of
 point rows: Cartesian (t, x, y, z) for fueter_left/fueter_right, chart
 (t, r, alpha, beta) for the rest.  The batch is four rows that broadcast
 together to a shape S, such as an array (4, N) or a grid's open mesh.  A
-stencil shifts only the row it differences, which gains a leading
-(rows, offsets) axis, so the other rows, and everything an evaluator
+stencil shifts only the row it differences, which gains a leading axis of
+rows times offsets, so the other rows, and everything an evaluator
 computes from them alone, keep their own size.  The operators take point
 rows (4, N) and return value rows (4, N) with an (N,) error estimate, or
 for one Quaternion or SphericalPoint a Quaternion and a float.
@@ -102,17 +102,20 @@ def iota_coefficient(q: np.ndarray, io: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _shift_template(offsets: tuple, group: tuple, ndim: int) -> np.ndarray:
-    """The read-only shifts (4, len(group), len(offsets), 1, ..., 1) of a call
-    along the rows in group: row group[g] moves by the offsets at index g."""
-    shift = np.zeros((4, len(group), len(offsets)) + (1,) * ndim)
+    """The read-only shifts (4, len(group) * len(offsets), 1, ..., 1) of a
+    call along the rows in group: row group[g] moves by the offsets at
+    positions g * len(offsets) onwards, and stays put elsewhere."""
+    n_off = len(offsets)
+    shift = np.zeros((4, len(group) * n_off) + (1,) * ndim)
     for g, k in enumerate(group):
-        shift[k, g] = np.reshape(offsets, (-1,) + (1,) * ndim)
+        shift[k, g * n_off:(g + 1) * n_off] = np.reshape(offsets, (-1,) + (1,) * ndim)
     shift.flags.writeable = False
     return shift
 
 
-def _offsets_first(values: np.ndarray) -> np.ndarray:
-    """ samples (n, G, n_offsets, *S) as (n_offsets, n, G, *S) """
+def _offsets_first(values: np.ndarray, n_off: int) -> np.ndarray:
+    """ samples (n, G * n_off, *S) as (n_off, n, G, *S) """
+    values = values.reshape(values.shape[:1] + (values.shape[1] // n_off, n_off) + values.shape[2:])
     return values.transpose((2, 0, 1) + tuple(range(3, values.ndim)))
 
 
@@ -133,9 +136,9 @@ class Stencils:
         """Yield (shifted coordinate rows, samples), one sampler call at a time.
 
         base is four coordinate rows that broadcast to a shape S.  In a
-        call along G of the rows, each of them gains a leading (G, n_offsets)
-        shift axis, and the other rows stay as they are, so the samples
-        have shape (4, G, n_offsets, *S).
+        call along G of the rows, each of them gains a leading shift axis
+        of length G * n_offsets, and the other rows stay as they are, so the
+        samples have shape (4, G * n_offsets, *S), the offsets fastest.
         """
         rows = tuple(rows)
         shape = rows_shape(base)
@@ -147,12 +150,13 @@ class Stencils:
             shifted = [row + (shift[k] if k in group else 0.0) for k, row in enumerate(base)]
             values = sample(self.f, shifted)
             if self.scale is not None:
-                self.scale = np.maximum(self.scale, qabs_array(values).max(axis=(0, 1)))
+                self.scale = np.maximum(self.scale, qabs_array(values).max(axis=0))
             yield shifted, values
 
     def partials(self, base, rows, sample) -> tuple:
         """(derivative rows (4, len(rows), *S), error estimates (len(rows), *S))."""
-        d, spread = zip(*(finish_stencil(_offsets_first(values), self.cfg)
+        n_off = len(self.offsets)
+        d, spread = zip(*(finish_stencil(_offsets_first(values, n_off), self.cfg)
                           for _, values in self.along(base, rows, sample)))
         d = np.concatenate(d, axis=1)
         if self.cfg.scheme == "central":
@@ -164,7 +168,8 @@ class Stencils:
         against the iota of each shifted sample's own angles."""
         uv = [np.array((values[0], iota_coefficient(values, iota_array(at))))
               for at, values in self.along(chart, rows, sample_chart)]
-        return finish_stencil(_offsets_first(np.concatenate(uv, axis=1)), self.cfg)[0]
+        return finish_stencil(_offsets_first(np.concatenate(uv, axis=1), len(self.offsets)),
+                              self.cfg)[0]
 
 
 def fueter_rows(d, right: bool = False) -> np.ndarray:
