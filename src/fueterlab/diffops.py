@@ -42,7 +42,8 @@ import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
 from .quaternion_core import (HAMILTON, ChartSingularityError, DomainError, Quaternion,
-                              _quaternion, iota_array, qabs_array, qmul_array, rows_shape)
+                              _quaternion, iota_array, qabs_array, qmul_array, rows_shape,
+                              stack_rows)
 
 SCHEMES = ("central", "richardson")
 
@@ -142,13 +143,21 @@ class Stencils:
         """
         rows = tuple(rows)
         shape = rows_shape(base)
-        size = max(1, CALL_POINTS // (len(self.offsets) * max(1, math.prod(shape))))
+        n_points = math.prod(shape)
+        size = max(1, CALL_POINTS // (len(self.offsets) * max(1, n_points)))
+        point_axes = len(shape) if n_points != 1 else 0
         for start in range(0, len(rows), size):
             group = rows[start:start + size]
-            shift = _shift_template(self.offsets, group, len(shape))
-            # + 0.0 maps -0.0 to 0.0 on the rows left in place, as on the shifted ones
-            shifted = [row + (shift[k] if k in group else 0.0) for k, row in enumerate(base)]
-            values = sample(self.f, shifted)
+            shift = _shift_template(self.offsets, group, point_axes)
+            if point_axes:
+                # + 0.0 maps -0.0 to 0.0 on the rows left in place, as on the shifted ones
+                shifted = [row + (shift[k] if k in group else 0.0) for k, row in enumerate(base)]
+            else:
+                # one point: its four rows take their shifts (zero on the rows
+                # left in place) as one array (4, G * n_offsets); numpy runs
+                # these few samples faster without the point's unit axes
+                shifted = stack_rows(base, shape).reshape(4, 1) + shift
+            values = sample(self.f, shifted).reshape((4, len(group) * len(self.offsets)) + shape)
             if self.scale is not None:
                 self.scale = np.maximum(self.scale, qabs_array(values).max(axis=0))
             yield shifted, values
@@ -166,7 +175,7 @@ class Stencils:
     def uv_partials(self, chart, rows) -> np.ndarray:
         """(du, dv) of shape (2, len(rows), *S) along chart rows; v is taken
         against the iota of each shifted sample's own angles."""
-        uv = [np.array((values[0], iota_coefficient(values, iota_array(at))))
+        uv = [np.array((values[0], iota_coefficient(values, iota_array(at).reshape(values.shape))))
               for at, values in self.along(chart, rows, sample_chart)]
         return finish_stencil(_offsets_first(np.concatenate(uv, axis=1), len(self.offsets)),
                               self.cfg)[0]
@@ -256,20 +265,22 @@ def fueter_right(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> Operat
     return _flat(f, points, cfg, right=True)
 
 
-def _chart_units(chart: np.ndarray) -> tuple:
-    """The quaternion rows (4, 4, N) that multiply the t, r, alpha, beta
-    partials in the chart operators (1, iota, iota_a^-1, iota_b^-1)
-    and their norms (4, N), which weight the error estimates."""
+def _chart_units(chart: np.ndarray, rows: slice = slice(0, 4)) -> tuple:
+    """The quaternion rows (4, k, N) that multiply the chart partials in
+    rows, out of (1, iota, iota_a^-1, iota_b^-1) for (t, r, alpha, beta),
+    and their norms (k, N), which weight the error estimates."""
     _, _, alpha, beta = chart
     sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
     units = np.zeros((4, 4) + sb.shape)
-    units[0, 0] = 1.0
-    units[1, 1], units[2, 1], units[3, 1] = ca * sb, sa * sb, cb
-    units[1, 2], units[2, 2] = sa / sb, -ca / sb
-    units[1, 3], units[2, 3], units[3, 3] = -ca * cb, -sa * cb, sb
     norms = np.ones((4,) + sb.shape)
-    norms[2] = 1.0 / sb
-    return units, norms
+    if rows.start < 2:
+        units[0, 0] = 1.0
+        units[1, 1], units[2, 1], units[3, 1] = ca * sb, sa * sb, cb
+    if rows.stop > 2:
+        units[1, 2], units[2, 2] = sa / sb, -ca / sb
+        units[1, 3], units[2, 3], units[3, 3] = -ca * cb, -sa * cb, sb
+        norms[2] = 1.0 / sb
+    return units[:, rows], norms[rows]
 
 
 def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
@@ -278,11 +289,10 @@ def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
     when right), the alpha and beta terms times angular_scale if given."""
     _require_chart_margins(chart, cfg)
     d, err = Stencils(f, cfg).partials(chart, range(4)[rows], sample_chart)
-    units, norms = _chart_units(chart)
-    if angular_scale is not None:
+    units, norms = _chart_units(chart, rows)
+    if angular_scale is not None:  # rows is then all four
         units[:, 2:] *= angular_scale
         norms[2:] *= np.abs(angular_scale)
-    units, norms = units[:, rows], norms[rows]
     terms = qmul_array(d, units) if right else qmul_array(units, d)
     return OperatorValue(terms.sum(axis=1), (norms * err).sum(axis=0))
 

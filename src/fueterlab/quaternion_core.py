@@ -232,10 +232,9 @@ def rows_shape(rows) -> tuple:
 
 
 def stack_rows(rows, shape: tuple) -> np.ndarray:
-    """ the float array (len(rows), *shape) of rows, each broadcast to shape """
-    out = np.empty((len(rows),) + shape)
-    for k, row in enumerate(rows):
-        out[k] = row
+    """ the float array (4, *shape) of four rows, each broadcast to shape """
+    out = np.empty((4,) + shape)
+    out[0], out[1], out[2], out[3] = rows
     return out
 
 
@@ -247,19 +246,20 @@ def iota_array(chart) -> np.ndarray:
                       rows_shape(chart))
 
 
-def to_spherical_array(q) -> tuple:
+def to_spherical_array(q):
     """Chart rows (t, r, alpha, beta) of quaternion rows (t, x, y, z).
 
     The four rows broadcast together, each in the shape of the rows it is
-    computed from: t as given, alpha from x and y alone.  Columns where
-    to_spherical raises (real axis, poles) are NaN in every row.
+    computed from: t as given, alpha from x and y alone (an array (4, ...)
+    of quaternion rows gives one of chart rows).  Columns where to_spherical
+    raises (real axis, poles) are NaN in every row.
     """
     t, x, y, z = q
     chart = (t, np.sqrt(x * x + y * y + z * z), np.arctan2(y, x), np.arctan2(np.hypot(x, y), z))
     pole = (x == 0.0) & (y == 0.0)
     if pole.any():
         chart = tuple(np.where(pole, np.nan, row) for row in chart)
-    return chart
+    return np.array(chart) if isinstance(q, np.ndarray) else chart
 
 
 def from_spherical_array(chart) -> np.ndarray:
