@@ -288,10 +288,10 @@ def _columns(rows) -> tuple:
     return stack_rows(rows, shape).reshape(4, -1), shape
 
 
-def _fill_rows(evaluate, rows, points) -> np.ndarray:
-    """ value rows (4, *shape) of evaluate over the points(columns) of rows """
+def _fill_rows(evaluate, rows, as_points) -> np.ndarray:
+    """ value rows (4, *shape) of evaluate over the points of rows, read by as_points """
     columns, shape = _columns(rows)
-    return _fill_quaternions(evaluate, points(columns)).reshape((4,) + shape)
+    return _fill_quaternions(evaluate, as_points(columns)).reshape((4,) + shape)
 
 
 def sample_chart(f: QFunction, chart) -> np.ndarray:
