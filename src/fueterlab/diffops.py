@@ -114,9 +114,8 @@ def _shift_template(offsets: tuple, group: tuple, ndim: int) -> np.ndarray:
     return shift
 
 
-def _offsets_first(values: np.ndarray, n_off: int) -> np.ndarray:
-    """ samples (n, G * n_off, *S) as (n_off, n, G, *S) """
-    values = values.reshape(values.shape[:1] + (values.shape[1] // n_off, n_off) + values.shape[2:])
+def _offsets_first(values: np.ndarray) -> np.ndarray:
+    """ samples (n, G, n_offsets, *S) as (n_offsets, n, G, *S) """
     return values.transpose((2, 0, 1) + tuple(range(3, values.ndim)))
 
 
@@ -138,13 +137,13 @@ class Stencils:
 
         base is four coordinate rows that broadcast to a shape S.  In a
         call along G of the rows, each of them gains a leading shift axis
-        of length G * n_offsets, and the other rows stay as they are, so the
-        samples have shape (4, G * n_offsets, *S), the offsets fastest.
+        of length G * n_offsets, and the other rows stay as they are.  The
+        samples come back as (4, G, n_offsets, *S).
         """
         rows = tuple(rows)
         shape = rows_shape(base)
-        n_points = math.prod(shape)
-        size = max(1, CALL_POINTS // (len(self.offsets) * max(1, n_points)))
+        n_points, n_off = math.prod(shape), len(self.offsets)
+        size = max(1, CALL_POINTS // (n_off * max(1, n_points)))
         point_axes = len(shape) if n_points != 1 else 0
         for start in range(0, len(rows), size):
             group = rows[start:start + size]
@@ -157,15 +156,14 @@ class Stencils:
                 # left in place) as one array (4, G * n_offsets); numpy runs
                 # these few samples faster without the point's unit axes
                 shifted = stack_rows(base, shape).reshape(4, 1) + shift
-            values = sample(self.f, shifted).reshape((4, len(group) * len(self.offsets)) + shape)
+            values = sample(self.f, shifted).reshape((4, len(group), n_off) + shape)
             if self.scale is not None:
-                self.scale = np.maximum(self.scale, qabs_array(values).max(axis=0))
+                self.scale = np.maximum(self.scale, qabs_array(values).max(axis=(0, 1)))
             yield shifted, values
 
     def partials(self, base, rows, sample) -> tuple:
         """(derivative rows (4, len(rows), *S), error estimates (len(rows), *S))."""
-        n_off = len(self.offsets)
-        d, spread = zip(*(finish_stencil(_offsets_first(values, n_off), self.cfg)
+        d, spread = zip(*(finish_stencil(_offsets_first(values), self.cfg)
                           for _, values in self.along(base, rows, sample)))
         d = np.concatenate(d, axis=1)
         if self.cfg.scheme == "central":
@@ -177,8 +175,7 @@ class Stencils:
         against the iota of each shifted sample's own angles."""
         uv = [np.array((values[0], iota_coefficient(values, iota_array(at).reshape(values.shape))))
               for at, values in self.along(chart, rows, sample_chart)]
-        return finish_stencil(_offsets_first(np.concatenate(uv, axis=1), len(self.offsets)),
-                              self.cfg)[0]
+        return finish_stencil(_offsets_first(np.concatenate(uv, axis=1)), self.cfg)[0]
 
 
 def fueter_rows(d, right: bool = False) -> np.ndarray:
