@@ -203,7 +203,7 @@ def jacobian_check(f: QFunction, p, cfg: DiffConfig = DiffConfig()) -> JacobianR
     """Compare the finite-difference Jacobian determinant of f: R^4 -> R^4
     against the scalar factorization available for Class II functions, at
     one Quaternion p or at Cartesian point rows p of shape (4, N)."""
-    points = point_rows(p) if isinstance(p, Quaternion) else p
+    points = point_rows(p)[:, None] if isinstance(p, Quaternion) else p
     r = np.sqrt(iota_coefficient(points, points))  # |Im p|
     if not r.all():
         raise DomainError("Jacobian factorization undefined on the real axis")

@@ -15,7 +15,8 @@ stencil shifts only the row it differences, which gains a leading axis of
 rows times offsets, so the other rows, and everything an evaluator
 computes from them alone, keep their own size.  The operators take point
 rows (4, N) and return value rows (4, N) with an (N,) error estimate, or
-for one Quaternion or SphericalPoint a Quaternion and a float.
+for one Quaternion or SphericalPoint a Quaternion and a float; one point
+goes through the same engine as the rows (4,), a batch of shape ().
 
 * fueter_left   : d/dt f + i d/dx f + j d/dy f + k d/dz f
 * fueter_right  : d/dt f + (d/dx f) i + (d/dy f) j + (d/dz f) k
@@ -42,8 +43,7 @@ import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
 from .quaternion_core import (HAMILTON, ChartSingularityError, DomainError, Quaternion,
-                              _quaternion, iota_array, qabs_array, qmul_array, rows_shape,
-                              stack_rows)
+                              _quaternion, iota_array, qabs_array, qmul_array, rows_shape)
 
 SCHEMES = ("central", "richardson")
 
@@ -101,19 +101,6 @@ def iota_coefficient(q: np.ndarray, io: np.ndarray) -> np.ndarray:
     return q[1] * io[1] + q[2] * io[2] + q[3] * io[3]
 
 
-@functools.lru_cache(maxsize=64)
-def _shift_template(offsets: tuple, group: tuple, ndim: int) -> np.ndarray:
-    """The read-only shifts (4, len(group) * len(offsets), 1, ..., 1) of a
-    call along the rows in group: row group[g] moves by the offsets at
-    positions g * len(offsets) onwards, and stays put elsewhere."""
-    n_off = len(offsets)
-    shift = np.zeros((4, len(group) * n_off) + (1,) * ndim)
-    for g, k in enumerate(group):
-        shift[k, g * n_off:(g + 1) * n_off] = np.reshape(offsets, (-1,) + (1,) * ndim)
-    shift.flags.writeable = False
-    return shift
-
-
 def _offsets_first(values: np.ndarray) -> np.ndarray:
     """ samples (n, G, n_offsets, *S) as (n_offsets, n, G, *S) """
     return values.transpose((2, 0, 1) + tuple(range(3, values.ndim)))
@@ -130,7 +117,7 @@ class Stencils:
 
     def __init__(self, f: QFunction, cfg: DiffConfig, scale=None):
         self.f, self.cfg, self.scale = f, cfg, scale
-        self.offsets = tuple(stencil_offsets(cfg).tolist())
+        self.offsets = stencil_offsets(cfg)
 
     def along(self, base, rows, sample):
         """Yield (shifted coordinate rows, samples), one sampler call at a time.
@@ -140,22 +127,18 @@ class Stencils:
         of length G * n_offsets, and the other rows stay as they are.  The
         samples come back as (4, G, n_offsets, *S).
         """
-        rows = tuple(rows)
+        rows = list(rows)
         shape = rows_shape(base)
-        n_points, n_off = math.prod(shape), len(self.offsets)
-        size = max(1, CALL_POINTS // (n_off * max(1, n_points)))
-        point_axes = len(shape) if n_points != 1 else 0
+        n_off = len(self.offsets)
+        size = max(1, CALL_POINTS // (n_off * max(1, math.prod(shape))))
         for start in range(0, len(rows), size):
             group = rows[start:start + size]
-            shift = _shift_template(self.offsets, group, point_axes)
-            if point_axes:
-                # + 0.0 maps -0.0 to 0.0 on the rows left in place, as on the shifted ones
-                shifted = [row + (shift[k] if k in group else 0.0) for k, row in enumerate(base)]
-            else:
-                # one point: its four rows take their shifts (zero on the rows
-                # left in place) as one array (4, G * n_offsets); numpy runs
-                # these few samples faster without the point's unit axes
-                shifted = stack_rows(base, shape).reshape(4, 1) + shift
+            shift = np.zeros((4, len(group), n_off))
+            for g, k in enumerate(group):
+                shift[k, g] = self.offsets
+            shift = shift.reshape((4, -1) + (1,) * len(shape))
+            # + 0.0 maps -0.0 to 0.0 on the rows left in place, as on the shifted ones
+            shifted = [row + (shift[k] if k in group else 0.0) for k, row in enumerate(base)]
             values = sample(self.f, shifted).reshape((4, len(group), n_off) + shape)
             if self.scale is not None:
                 self.scale = np.maximum(self.scale, qabs_array(values).max(axis=(0, 1)))
@@ -187,24 +170,26 @@ def fueter_rows(d, right: bool = False) -> np.ndarray:
 def chart_ok(chart: np.ndarray, cfg: DiffConfig) -> np.ndarray:
     """ columns whose chart stencils keep r > h, h < beta < pi - h, sin(beta) > the pole floor """
     _, r, _, beta = chart
-    return ((r > cfg.h) & (beta > cfg.h) & (beta + cfg.h < math.pi)
+    return ((r - cfg.h > 0.0) & (beta - cfg.h > 0.0) & (beta + cfg.h < math.pi)
             & (np.sin(beta) > POLE_SIN_BETA_FLOOR))
 
 
 def _require_chart_margins(chart: np.ndarray, cfg: DiffConfig):
     ok = chart_ok(chart, cfg)
     if not ok.all():
+        at = chart.reshape(4, -1)[:, np.argmin(ok)]
         raise ChartSingularityError(
             f"chart stencil of width {cfg.h} at (t, r, alpha, beta) = "
-            f"{tuple(chart[:, np.argmin(ok)].tolist())} leaves r > h, h < beta < pi - h, "
+            f"{tuple(at.tolist())} leaves r > h, h < beta < pi - h, "
             f"sin(beta) > {POLE_SIN_BETA_FLOOR}")
 
 
 def require_finite(f: QFunction, points: np.ndarray, values: np.ndarray):
     """ DomainError naming f and the first point whose value rows are not all finite """
-    if not np.isfinite(values).all():
-        finite = np.isfinite(values).all(axis=0)
-        raise DomainError(f"{f.name}: no finite value at {tuple(points[:, np.argmin(finite)].tolist())}")
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        at = points.reshape(4, -1)[:, np.argmin(finite)]  # points (4, *S), one point S = ()
+        raise DomainError(f"{f.name}: no finite value at {tuple(at.tolist())}")
 
 
 @dataclass(frozen=True)
@@ -218,15 +203,16 @@ class OperatorValue:
 
 
 def point_rows(p) -> np.ndarray:
-    """ the (4, 1) rows of a Quaternion (t, x, y, z) or a SphericalPoint (t, r, alpha, beta) """
+    """The rows (4,) of a Quaternion (t, x, y, z) or a SphericalPoint
+    (t, r, alpha, beta): one point, a batch of shape ()."""
     if isinstance(p, Quaternion):
-        return np.array((p.t, p.x, p.y, p.z))[:, None]
-    return np.array((p.t, p.r, p.alpha, p.beta))[:, None]
+        return np.array((p.t, p.x, p.y, p.z))
+    return np.array((p.t, p.r, p.alpha, p.beta))
 
 
 def _operator(body):
     """body over point rows (4, N), which also answers for a single point
-    with the N = 1 column as scalars; a non-finite result raises DomainError."""
+    as the batch of shape () with scalars; a non-finite result raises DomainError."""
 
     @functools.wraps(body)
     def operator(f: QFunction, points, cfg: DiffConfig = DiffConfig()):
@@ -239,8 +225,8 @@ def _operator(body):
         if not single:
             return out
         if isinstance(out, OperatorValue):
-            return OperatorValue(_quaternion(*values[:, 0].tolist()), float(out.estimated_error[0]))
-        return tuple(values[:, 0].tolist())
+            return OperatorValue(_quaternion(*values.tolist()), float(out.estimated_error))
+        return tuple(values.tolist())
 
     return operator
 
@@ -262,22 +248,18 @@ def fueter_right(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> Operat
     return _flat(f, points, cfg, right=True)
 
 
-def _chart_units(chart: np.ndarray, rows: slice = slice(0, 4)) -> tuple:
-    """The quaternion rows (4, k, N) that multiply the chart partials in
-    rows, out of (1, iota, iota_a^-1, iota_b^-1) for (t, r, alpha, beta),
-    and their norms (k, N), which weight the error estimates."""
+def _chart_units(chart: np.ndarray) -> tuple:
+    """The quaternion rows (4, 4, N) that multiply the t, r, alpha, beta
+    partials in the chart operators (1, iota, iota_a^-1, iota_b^-1)
+    and their norms (4, N), which weight the error estimates."""
     _, _, alpha, beta = chart
     sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
-    units = np.zeros((4, 4) + sb.shape)
-    norms = np.ones((4,) + sb.shape)
-    if rows.start < 2:
-        units[0, 0] = 1.0
-        units[1, 1], units[2, 1], units[3, 1] = ca * sb, sa * sb, cb
-    if rows.stop > 2:
-        units[1, 2], units[2, 2] = sa / sb, -ca / sb
-        units[1, 3], units[2, 3], units[3, 3] = -ca * cb, -sa * cb, sb
-        norms[2] = 1.0 / sb
-    return units[:, rows], norms[rows]
+    one, zero = np.ones_like(sb), np.zeros_like(sb)
+    units = np.array(((one, zero, zero, zero),
+                      (zero, ca * sb, sa / sb, -ca * cb),
+                      (zero, sa * sb, -ca / sb, -sa * cb),
+                      (zero, cb, zero, sb)))
+    return units, np.array((one, one, 1.0 / sb, one))
 
 
 def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
@@ -286,10 +268,11 @@ def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
     when right), the alpha and beta terms times angular_scale if given."""
     _require_chart_margins(chart, cfg)
     d, err = Stencils(f, cfg).partials(chart, range(4)[rows], sample_chart)
-    units, norms = _chart_units(chart, rows)
-    if angular_scale is not None:  # rows is then all four
+    units, norms = _chart_units(chart)
+    if angular_scale is not None:
         units[:, 2:] *= angular_scale
         norms[2:] *= np.abs(angular_scale)
+    units, norms = units[:, rows], norms[rows]
     terms = qmul_array(d, units) if right else qmul_array(units, d)
     return OperatorValue(terms.sum(axis=1), (norms * err).sum(axis=0))
 

@@ -19,7 +19,8 @@ by grid sweeps:
 
 * input: four chart rows (t, r, alpha, beta) that broadcast together to a
   shape S: an array (4, N), or the open mesh of a SampleGrid, whose rows
-  have shapes (n, 1, 1, 1) ... (1, 1, 1, n), or stencil shifts of either;
+  have shapes (n, 1, 1, 1) ... (1, 1, 1, n), or stencil shifts of either,
+  or one point's rows of shape () (a row left unshifted is a numpy scalar);
 * output: value rows (t, x, y, z) as a full array of shape (4, *S), each
   point's column equal to at_spherical of that point, so the evaluator
   works element by element;

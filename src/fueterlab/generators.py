@@ -252,7 +252,7 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
         point = point_rows(p)
         value = chiral_rows(point)
         require_finite(delta, point, value)
-        return Quaternion(*value[:, 0].tolist())
+        return Quaternion(*value.tolist())
 
     delta = QFunction(name=f"chiral:{f.name}", evaluator=evaluator, kind="raw",
                       array_evaluator=lambda chart: chiral_rows(from_spherical_array(chart)))

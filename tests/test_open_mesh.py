@@ -17,12 +17,14 @@ import warnings
 import numpy as np
 import pytest
 
+from fueterlab import diffops
 from fueterlab.classify import classify
 from fueterlab.diffops import DiffConfig
-from fueterlab.function_model import (ComplexStem, QFunction, SampleGrid, cullen_extend,
-                                      from_uv, pointwise_product, pointwise_sum)
+from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, QFunction, SampleGrid,
+                                      cullen_extend, from_uv, pointwise_product, pointwise_sum)
 from fueterlab.generators import chiral_difference, get_witness, mirror
-from fueterlab.quaternion_core import Quaternion
+from fueterlab.quaternion_core import (ChartSingularityError, DomainError, Quaternion,
+                                       SphericalPoint, from_spherical_array)
 from fueterlab.verification import conjugate_function, random_polynomial
 
 # axis values that reach every off-domain case: t < -1/2 (where the user v
@@ -192,3 +194,40 @@ def test_random_chart_draws_the_scalar_loop_numbers(n):
     rng, reference = np.random.default_rng(20261018), np.random.default_rng(20261018)
     _assert_same_floats(grid.random_chart(rng, n), _scalar_random_chart(grid, reference, n))
     assert rng.uniform() == reference.uniform()
+
+
+CARTESIAN_OPERATORS = ("fueter_left", "fueter_right")
+CHART_OPERATORS = ("class1_residual", "imaginary_derivative", "fueter_spherical",
+                   "fueter_spherical_right", "spherical_cr_residuals")
+
+
+def _flat_result(out) -> np.ndarray:
+    """ an operator result as one float array: value rows, then the error estimate """
+    if isinstance(out, tuple):
+        return np.array(out, dtype=float)
+    value = out.value
+    if isinstance(value, Quaternion):
+        value = np.array((value.t, value.x, value.y, value.z))
+    return np.concatenate((value, np.reshape(out.estimated_error, (1,) + np.shape(value)[1:])))
+
+
+@pytest.mark.parametrize("scheme", ("central", "richardson"))
+@pytest.mark.parametrize("name", CARTESIAN_OPERATORS + CHART_OPERATORS)
+def test_one_point_gives_its_batch_column(name, scheme):
+    # a single point runs as the batch of shape (): the floats of its column
+    op, cfg = getattr(diffops, name), DiffConfig(scheme=scheme)
+    chart = DEFAULT_GRID.random_chart(np.random.default_rng(62), 6)
+    rows = from_spherical_array(chart) if name in CARTESIAN_OPERATORS else chart
+    point = Quaternion if name in CARTESIAN_OPERATORS else SphericalPoint
+    for f in (_witness("rho"), _witness("pow:3"), _witness("x-over-r-iota")):
+        batch = _flat_result(op(f, rows, cfg))
+        for k in range(rows.shape[1]):
+            _assert_same_floats(_flat_result(op(f, point(*rows[:, k].tolist()), cfg)), batch[:, k])
+
+
+def test_one_point_errors_name_the_point():
+    holey = QFunction("holey", lambda p: Quaternion(1.0 / p.t), kind="raw")
+    with pytest.raises(DomainError, match=r"holey: no finite value at \(1e-05, 0.3, 0.2, 0.1\)"):
+        diffops.fueter_left(holey, Quaternion(1e-5, 0.3, 0.2, 0.1))
+    with pytest.raises(ChartSingularityError, match=r"\(0.0, 1.0, 0.3, 3.14\)"):
+        diffops.spherical_cr_residuals(_witness("rho"), SphericalPoint(0.0, 1.0, 0.3, 3.14))
