@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .diffops import (DiffConfig, Stencils, chart_ok, fueter_rows, iota_coefficient,
-                      point_rows, require_finite)
+                      point_rows, require_finite, require_step_moves)
 from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
                              sample_chart)
 from .quaternion_core import (DomainError, Quaternion, from_spherical_array, iota_array,
@@ -110,7 +110,8 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     whose residuals need the u/v split.  A node whose stencil leaves the
     chart margins, or where some sample raises a math or domain error or
     is not finite, marks the report "singular"; the statistics then cover
-    the remaining nodes.
+    the remaining nodes.  A step h that some node coordinate, chart or
+    Cartesian, rounds away raises StepError (a ValueError).
     """
     grid = grid or DEFAULT_GRID
     # the margins are r > h and conditions on beta alone, so the passing
@@ -119,11 +120,13 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     ok = chart_ok((t, r, alpha, beta), cfg)  # (1, n, 1, n): r by beta
     nodes = (t, r[:, ok.any(axis=(0, 2, 3))], alpha, beta[..., ok.any(axis=(0, 1, 2))])
     n_nodes = math.prod(rows_shape(nodes))
+    cart = from_spherical_array(nodes)
+    require_step_moves(nodes, cfg, "chart coordinate")
+    require_step_moves(cart, cfg, "Cartesian coordinate")
 
     with np.errstate(all="ignore"):
         center = sample_chart(f, nodes)
         st = Stencils(f, cfg, scale=qabs_array(center))
-        cart = from_spherical_array(nodes)
         d_cart = st.partials(cart, range(4), sample_cartesian)[0].swapaxes(0, 1)
         d_r = st.partials(nodes, (1,), sample_chart)[0][:, 0]
         io = iota_array(nodes)

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .classify import classify
-from .diffops import SCHEMES, DiffConfig
+from .diffops import SCHEMES, DiffConfig, StepError
 from .function_model import FunctionKindError, SampleGrid
 from .generators import SpecError, resolve_function_spec
 from .laurent import (AnnulusRegion, coefficient_class_check,
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (SpecError, DomainError) as exc:
+    except (SpecError, DomainError, StepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

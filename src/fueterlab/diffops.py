@@ -81,6 +81,21 @@ def stencil_offsets(cfg: DiffConfig) -> np.ndarray:
     return np.array([cfg.h, -cfg.h])
 
 
+class StepError(ValueError):
+    """A stencil step that some coordinate rounds away."""
+
+
+def require_step_moves(rows, cfg: DiffConfig, label: str):
+    """StepError unless every stencil offset moves every value of rows: where
+    row + offset == row, a stencil would difference a sample with itself."""
+    for row in map(np.asarray, rows):
+        for offset in stencil_offsets(cfg):
+            still = row + offset == row
+            if still.any():
+                raise StepError(f"stencil step {cfg.h} does not move the {label} "
+                                f"{float(row[still][0])!r}; the step is below its rounding")
+
+
 def finish_stencil(samples, cfg: DiffConfig) -> tuple:
     """(derivative, d2 - d1) from samples[k], the value at offset
     stencil_offsets(cfg)[k].

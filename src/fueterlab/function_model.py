@@ -15,12 +15,13 @@ Complex profiles ("stems") feed two constructions:
   recovers a complex function of z = t + i r.
 
 A QFunction may also carry an array evaluator, the batched chart view used
-by grid sweeps:
+by grid sweeps and Laurent contours:
 
 * input: four chart rows (t, r, alpha, beta) that broadcast together to a
   shape S: an array (4, N), or the open mesh of a SampleGrid, whose rows
   have shapes (n, 1, 1, 1) ... (1, 1, 1, n), or stencil shifts of either,
-  or one point's rows of shape () (a row left unshifted is a numpy scalar);
+  or one point's rows of shape () (a row left unshifted is a numpy scalar),
+  or contour rings, t and r of shape (1, Q) against angles of shape (M, 1);
 * output: value rows (t, x, y, z) as a full array of shape (4, *S), each
   point's column equal to at_spherical of that point, so the evaluator
   works element by element;
@@ -44,9 +45,10 @@ maps, the trig and the u + iota v assembly on arrays:
 
 Only a QFunction built directly from an evaluator (or a product, sum or
 mirror of one) has none; sample_chart/sample_cartesian then materialize the
-rows and fill the same arrays from its scalar views, one point at a time,
-for the grid sweeps and the Laurent contours alike.  No user callable is
-ever called with an array.
+rows and fill the same arrays from its scalar views, one point at a time:
+at_spherical for chart rows (the Laurent contours are chart rows too) and
+evaluator for Cartesian ones.  No user callable is ever called with an
+array.
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ from .function_model import (
     power_function,
     sample_cartesian,
 )
-from .quaternion_core import (DomainError, Quaternion, SphericalPoint, from_spherical_array,
-                              qconj_array)
+from .quaternion_core import (DomainError, Quaternion, SphericalPoint, antipodal_angles,
+                              from_spherical_array, qconj_array)
 
 
 class SpecError(ValueError):
@@ -259,11 +259,6 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
     return delta
 
 
-def _wrap_angle(a: float) -> float:
-    """ the antipodal azimuth, a - pi or a + pi; -0.0 maps to +pi as atan2 does """
-    return a - math.copysign(math.pi, a)
-
-
 def mirror(f: QFunction) -> QFunction:
     """p -> conj(f(conj(p))): an involution swapping left- and right-handed
     behavior (a left-Class II input yields a right-Class II output)."""
@@ -274,15 +269,14 @@ def mirror(f: QFunction) -> QFunction:
     spherical = None
     if f.spherical_evaluator is not None:
         def spherical(s: SphericalPoint) -> Quaternion:
-            antipode = SphericalPoint(s.t, s.r, _wrap_angle(s.alpha), math.pi - s.beta)
-            return f.at_spherical(antipode).conjugate()
+            alpha, beta = antipodal_angles(s.alpha, s.beta)
+            return f.at_spherical(SphericalPoint(s.t, s.r, float(alpha), beta)).conjugate()
 
     array_evaluator = None
     if f.array_evaluator is not None:
         def array_evaluator(chart) -> np.ndarray:
             t, r, alpha, beta = chart
-            wrapped = alpha - np.copysign(math.pi, alpha)
-            return qconj_array(f.array_evaluator((t, r, wrapped, math.pi - beta)))
+            return qconj_array(f.array_evaluator((t, r, *antipodal_angles(alpha, beta))))
 
     # left-handed class expectations do not transfer unless the function is
     # a pure slice sweep, which mirror fixes pointwise

@@ -13,13 +13,15 @@ vary with the slice.  Coefficients are contour integrals
 taken on the mid-circle of the annulus.  With equispaced angles the
 trapezoid rule is exponentially accurate for analytic F and reduces to an
 FFT, which yields every order from one ring of samples.  The rings of many
-slices are sampled together, through the function's array evaluator when
-it has one.
+slices are sampled together in the chart, as the open mesh of the ring's
+(t, r) rows and the slices' angles, through the function's array evaluator
+when it has one.
 
 The slice plane is treated with a signed radius: z with Im z < 0 addresses
-the quaternion t + (Im z) iota, i.e. the antipodal half of the same plane.
-That makes expansions about the mirrored center c1 - i c2 available, which
-is how the coefficient symmetry of the mirror involution is verified.
+the quaternion t + (Im z) iota, i.e. the antipodal half of the same plane,
+which the chart reaches as t + |Im z| iota at the antipodal angles.  That
+makes expansions about the mirrored center c1 - i c2 available, which is
+how the coefficient symmetry of the mirror involution is verified.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .diffops import DiffConfig, finish_stencil, iota_coefficient, stencil_offsets
+from .diffops import (DiffConfig, finish_stencil, iota_coefficient, require_step_moves,
+                      stencil_offsets)
 from .function_model import (CALL_POINTS, FunctionKindError, QFunction, check_beta_window,
-                             sample_cartesian)
-from .quaternion_core import (DomainError, Quaternion, iota, iota_array, qabs_array,
-                              to_spherical)
+                             sample_chart)
+from .quaternion_core import (DomainError, Quaternion, antipodal_angles, iota, iota_array,
+                              qabs_array, to_spherical)
 
 MIN_QUADRATURE_POINTS = 16
 ALIGNMENT_TOL = 1e-6
@@ -109,10 +112,19 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     """Laurent coefficients of f on the slices through iota(alphas[m], betas[m])
     by FFT contour quadrature, as {n: (M,) complex array}.
 
-    The contours of all M slices are sampled in batches of whole contours
-    through the function's array evaluator (point by point without one).
-    A sample that is not finite, or whose value leaves the slice plane,
-    raises DomainError.
+    The contour points t + (Im z) iota are sampled in the chart, as an open
+    mesh: the ring's rows (Re z, |Im z|), each of shape (1, Q), and the
+    slice angles, each (M, 1), so an evaluator maps each slice's angles once
+    and each ring point once per batch.  About a center below the real axis
+    every ring point has Im z < 0, and the signed radius is realized as the
+    antipodal angles of each slice: t + (Im z) iota(alpha, beta) is
+    t + |Im z| iota(antipode).  The value is projected on the iota of the
+    slice itself either way.
+
+    The slices go in batches of whole contours through the function's array
+    evaluator, or point by point through at_spherical without one.  A
+    sample that is not finite, or whose value leaves the slice plane, raises
+    DomainError naming the slice's own angles.
     """
     if abs(center.imag) <= radius:
         raise DomainError("contour crosses the real axis")
@@ -121,27 +133,24 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     columns = [n % npts for n in orders]
     thetas = 2.0 * math.pi * np.arange(npts) / npts
     ring = center + radius * (np.cos(thetas) + 1j * np.sin(thetas))
+    t, r = ring.real[None, :], np.abs(ring.imag)[None, :]
+    alphas, betas = alphas[:, None], betas[:, None]
+    at_alpha, at_beta = antipodal_angles(alphas, betas) if center.imag < 0.0 else (alphas, betas)
+    io = iota_array((0.0, 1.0, alphas, betas))  # (4, M, 1)
     per_call = max(1, CALL_POINTS // npts)
     modes = []
     for start in range(0, len(alphas), per_call):
-        alpha, beta = alphas[start:start + per_call], betas[start:start + per_call]
-        # iota of each slice, from the chart of its unit point, as quaternion
-        # rows (4, m, 1); the contour points t + (Im z) iota have shape
-        # (4, m, Q), and Im z < 0 reaches the antipodal half of the slice
-        unit = np.stack((np.zeros_like(alpha), np.ones_like(alpha), alpha, beta))
-        io = iota_array(unit)[:, :, None]
-        points = ring.imag * io
-        points[0] = ring.real
-        w = sample_cartesian(f, points.reshape(4, -1)).reshape(points.shape)
+        part = slice(start, start + per_call)
+        w = sample_chart(f, (t, r, at_alpha[part], at_beta[part]))
         with np.errstate(all="ignore"):
-            v = iota_coefficient(w, io)
+            v = iota_coefficient(w, io[:, part])
             misalign = np.sqrt(np.maximum(0.0, np.sum(w[1:] * w[1:], axis=0) - v * v))
             finite = np.isfinite(w).all(axis=0)
             bad = ~finite | (misalign > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
         if bad.any():
             m, k = np.unravel_index(np.argmax(bad), bad.shape)
             where = (f"z={ring[k]:.4f} on the slice (alpha, beta) = "
-                     f"({alpha[m]:.4f}, {beta[m]:.4f})")
+                     f"({alphas[start + m, 0]:.4f}, {betas[start + m, 0]:.4f})")
             if not finite[m, k]:
                 raise DomainError(f"{f.name}: no finite value at {where}")
             raise DomainError(
@@ -284,7 +293,8 @@ def coefficient_class_check(series: LaurentSeries,
     the stencil shifts re-run the contour quadrature, all shifted windows in
     one batch, so the window grid spacing does not limit the accuracy.  The
     tolerance scale of order n is max |a_n| over the series' window nodes.
-    Returns per-order statistics and verdicts.
+    Returns per-order statistics and verdicts.  A step h that some window
+    angle rounds away raises StepError (a ValueError).
     """
     if series.source is None:
         raise ValueError("series does not carry its source function; "
@@ -300,6 +310,7 @@ def coefficient_class_check(series: LaurentSeries,
     # one batch of shifted windows: the alpha stencils, then the beta stencils
     offsets = stencil_offsets(cfg)
     alphas, betas = region.window_angles()
+    require_step_moves((alphas, betas), cfg, "window angle")
     shift = np.repeat(offsets, alphas.size)
     at_alpha, at_beta = np.tile(alphas, len(offsets)), np.tile(betas, len(offsets))
     coeffs = _ring_coefficients(

@@ -246,6 +246,13 @@ def iota_array(chart) -> np.ndarray:
                       rows_shape(chart))
 
 
+def antipodal_angles(alpha, beta) -> tuple:
+    """The chart angles of -iota(alpha, beta), for numbers or rows: alpha - pi
+    or alpha + pi, whichever stays in [-pi, pi] (0.0 goes to -pi, -0.0 to
+    +pi), and pi - beta."""
+    return alpha - np.copysign(math.pi, alpha), math.pi - beta
+
+
 def to_spherical_array(q):
     """Chart rows (t, r, alpha, beta) of quaternion rows (t, x, y, z).
 

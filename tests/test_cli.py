@@ -106,6 +106,26 @@ def test_bad_numbers_exit_2(capsys, argv, message):
     assert "error:" in err and message in err
 
 
+# h = 1e-300 rounds away against every nonzero coordinate; the stencils then
+# differenced samples with themselves and gave confident, wrong verdicts
+def test_classify_step_lost_to_rounding_exits_2(capsys):
+    rc, doc, err = run_cli(capsys, ["classify", "rho", "--h", "1e-300"])
+    assert rc == 2 and doc is None
+    assert "error: stencil step 1e-300 does not move the chart coordinate" in err
+
+
+def test_laurent_step_lost_to_rounding_exits_2(capsys):
+    rc, doc, err = run_cli(capsys, ["laurent", "rho", "--check-class", "--h", "1e-300"])
+    assert rc == 2 and doc is None
+    assert "error: stencil step 1e-300 does not move the window angle -0.5" in err
+
+
+def test_verify_props_step_lost_to_rounding_exits_2(capsys):
+    rc, doc, err = run_cli(capsys, ["verify-props", "--h", "1e-300"])
+    assert rc == 2 and doc is None
+    assert "error: stencil step 1e-300 does not move" in err
+
+
 @pytest.mark.parametrize("argv", [["classify", "rho", "--seed", "1"],
                                   ["laurent", "rho", "--quad-points", "abc"]])
 def test_argparse_usage_errors_return_2_in_process(capsys, argv):

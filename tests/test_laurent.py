@@ -1,13 +1,16 @@
 """Slice-wise Laurent extraction, reconstruction, and coefficient classhood."""
 
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fueterlab.diffops import DiffConfig
-from fueterlab.function_model import FunctionKindError, QFunction, from_uv
+from fueterlab import laurent
+from fueterlab.diffops import DiffConfig, iota_coefficient
+from fueterlab.function_model import (ComplexStem, FunctionKindError, QFunction, cullen_extend,
+                                      from_uv, sample_cartesian)
 from fueterlab.generators import get_witness, mirror, resolve_function_spec
 from fueterlab.laurent import (
     AnnulusRegion,
@@ -24,6 +27,7 @@ from fueterlab.quaternion_core import (
     SphericalPoint,
     from_spherical,
     iota,
+    iota_array,
 )
 
 REGION = AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=3, n_beta=3)
@@ -349,3 +353,99 @@ def test_array_and_scalar_paths_agree_about_mirrored_center():
                                      quadrature_points=64)
     _assert_grids_agree(batched.coefficients, pointwise.coefficients)
     _assert_verdicts_agree(batched, pointwise)
+
+
+# ---------------------------------------------------------------------------
+# chart sampling against the Cartesian contour construction
+
+
+def _cartesian_ring_coefficients(f, alphas, betas, center, radius, n_range,
+                                 quadrature_points):
+    """The contour quadrature built in Cartesian form, as before the chart
+    sampling: every point t + (Im z) iota(alpha, beta) materialized as
+    quaternion rows (4, M Q), which sample_cartesian maps back to the chart."""
+    npts = quadrature_points
+    thetas = 2.0 * math.pi * np.arange(npts) / npts
+    ring = center + radius * (np.cos(thetas) + 1j * np.sin(thetas))
+    unit = np.stack((np.zeros_like(alphas), np.ones_like(alphas), alphas, betas))
+    io = iota_array(unit)[:, :, None]
+    points = ring.imag * io
+    points[0] = ring.real
+    w = sample_cartesian(f, points.reshape(4, -1)).reshape(points.shape)
+    if not np.isfinite(w).all():
+        raise DomainError(f"{f.name}: no finite value on the contour")
+    modes = np.fft.fft(w[0] + 1j * iota_coefficient(w, io), axis=1)
+    return {n: modes[:, n % npts] / (npts * radius ** n)
+            for n in range(n_range[0], n_range[1] + 1)}
+
+
+REFERENCE_SPECS = ["rho", "pow:3", "stem:log-tan", "L:-1:0.5:0,2:1:0.25",
+                   "product:rho*pow:3", "mirror:rho"]
+
+
+@pytest.mark.parametrize("path", ["array", "scalar"])
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_chart_contours_match_the_cartesian_construction(spec, path, monkeypatch):
+    f = resolve_function_spec(spec)
+    if path == "scalar":
+        f = _scalar_only(f)
+
+    def expand():
+        series = laurent_coefficients(f, REGION)
+        verdicts = {scheme: {n: v["verdict"] for n, v in
+                             coefficient_class_check(series, DiffConfig(scheme=scheme)).items()}
+                    for scheme in ("central", "richardson")}
+        return series.coefficients, mirrored_center_coefficients(f, REGION), verdicts
+
+    chart = expand()
+    monkeypatch.setattr(laurent, "_ring_coefficients", _cartesian_ring_coefficients)
+    cartesian = expand()
+    _assert_grids_agree(chart[0], cartesian[0])
+    _assert_grids_agree(chart[1], cartesian[1])
+    assert chart[2] == cartesian[2]
+
+
+def test_mirrored_center_errors_name_the_window_angles():
+    # sampled at the antipodal angles (0.1 - pi, pi - 1.2), reported at the slice's own
+    f = from_uv(lambda s: 1 / 0 if s.t > 0.3 else 0.0, lambda s: 1.0, name="holey")
+    region = AnnulusRegion(0.0, 1.0, 0.2, 0.6, alpha_window=(0.1, 0.3),
+                           beta_window=(1.2, 1.4), n_alpha=2, n_beta=2)
+    with pytest.raises(DomainError, match=r"holey: no finite value at z=0\.\d+-\d\.\d+j "
+                                          r"on the slice \(alpha, beta\) = \(0\.1000, 1\.2000\)$"):
+        mirrored_center_coefficients(f, region, n_range=(-2, 2), quadrature_points=32)
+
+
+def test_rho_slices_are_exact_constants_on_the_default_window():
+    # rho = alpha + iota ln tan(beta / 2) does not depend on t or r, so each
+    # ring samples one value exactly and only a_0 survives the quadrature
+    region = AnnulusRegion(0.0, 1.0, 0.2, 0.6)
+    series = laurent_coefficients(get_witness("rho").function, region, quadrature_points=128)
+    alphas, betas = np.meshgrid(region.alphas(), region.betas(), indexing="ij")
+    np.testing.assert_allclose(series.coefficients[0],
+                               alphas + 1j * np.log(np.tan(betas / 2.0)), rtol=0, atol=1e-12)
+    for n, grid in series.coefficients.items():
+        assert n == 0 or np.all(grid == 0.0), n
+    for scheme in ("central", "richardson"):
+        out = coefficient_class_check(series, DiffConfig(scheme=scheme))
+        assert all(out[n]["max_residual"] == 0.0 for n in out if n != 0), scheme
+
+
+def test_a_scalar_stem_is_called_once_per_ring_point():
+    calls = []
+
+    def log_tan(z):
+        calls.append(z)
+        return cmath.log(cmath.tan(z / 2.0))
+
+    f = cullen_extend(ComplexStem.named("log-tan-counted", log_tan))
+    region = AnnulusRegion(0.0, 1.0, 0.2, 0.6)
+    # the 81 window slices go in batches of 32, 32 and 17 contours of 128 points
+    series = laurent_coefficients(f, region)
+    assert len(calls) == 3 * 128
+    calls.clear()
+    mirrored_center_coefficients(f, region)
+    assert len(calls) == 3 * 128
+    # the 4 * 81 shifted slices of the central class check, in 11 batches
+    calls.clear()
+    coefficient_class_check(series)
+    assert len(calls) == 11 * 128
