@@ -6,10 +6,14 @@ derives from those shared samples.  The nodes go through the diffops
 stencil engine as one batch, the grid's open mesh: four axis rows that
 broadcast to the whole grid, so an evaluator maps each alpha and beta
 value, and each t + i r pair, once rather than once per node.  The
-shifted coordinates of all nodes are sampled together (through the
-function's array evaluator when it has one, else point by point, after
-materializing them) and differenced at once, and the verdicts reduce over
-arrays in the grid's beta-fastest node order.
+Cartesian stencils start from the mesh's Cartesian rows, t on its own
+axis and x, y, z without it, so the chart map of a shifted point and the
+evaluator's trig run once per (x, y, z) point, not once per sample: the
+evaluator gets a t row with its own axis, and r, alpha, beta rows
+without it.  The shifted coordinates of all nodes are sampled together
+(through the function's array evaluator when it has one, else point by
+point, after materializing them) and differenced at once, and the
+verdicts reduce over arrays in the grid's beta-fastest node order.
 
 * Class I   : |d/dt f + iota d/dr f|
 * Class II  : |fueter_left f + 2 v / r|
@@ -39,7 +43,7 @@ from .diffops import (DiffConfig, Stencils, chart_ok, fueter_rows, iota_coeffici
                       point_rows, require_finite, require_step_moves)
 from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
                              sample_chart)
-from .quaternion_core import (DomainError, Quaternion, from_spherical_array, iota_array,
+from .quaternion_core import (DomainError, Quaternion, from_spherical_rows, iota_array,
                               qabs_array, qmul_array, rows_shape)
 
 PASS_FRACTION = 0.999
@@ -120,7 +124,7 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     ok = chart_ok((t, r, alpha, beta), cfg)  # (1, n, 1, n): r by beta
     nodes = (t, r[:, ok.any(axis=(0, 2, 3))], alpha, beta[..., ok.any(axis=(0, 1, 2))])
     n_nodes = math.prod(rows_shape(nodes))
-    cart = from_spherical_array(nodes)
+    cart = from_spherical_rows(nodes)
     require_step_moves(nodes, cfg, "chart coordinate")
     require_step_moves(cart, cfg, "Cartesian coordinate")
 

@@ -19,7 +19,9 @@ by grid sweeps and Laurent contours:
 
 * input: four chart rows (t, r, alpha, beta) that broadcast together to a
   shape S: an array (4, N), or the open mesh of a SampleGrid, whose rows
-  have shapes (n, 1, 1, 1) ... (1, 1, 1, n), or stencil shifts of either,
+  have shapes (n, 1, 1, 1) ... (1, 1, 1, n), or stencil shifts of either
+  (on a Cartesian stencil of the mesh, t keeps its own axis, and r, alpha
+  and beta, mapped from x, y and z alone, go without it),
   or one point's rows of shape () (a row left unshifted is a numpy scalar),
   or contour rings, t and r of shape (1, Q) against angles of shape (M, 1);
 * output: value rows (t, x, y, z) as a full array of shape (4, *S), each
@@ -503,10 +505,13 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         return Quaternion(w.real, scale * p.x, scale * p.y, scale * p.z)
 
     def array_evaluator(chart) -> np.ndarray:
-        # z = t + i r over the t and r axes alone: every slice repeats it
-        z = np.empty(np.broadcast(chart[0], chart[1]).shape, complex)
+        # z = t + i r over the t and r axes alone: every slice repeats it.
+        # A 0-d z would put numpy's complex arithmetic on its scalar path,
+        # whose floats can differ from the array loop's, so it goes as (1,)
+        shape = np.broadcast(chart[0], chart[1]).shape
+        z = np.empty(shape or (1,), complex)
         z.real, z.imag = chart[0], chart[1]
-        w = stem.eval_array(z)
+        w = stem.eval_array(z).reshape(shape)
         with np.errstate(all="ignore"):
             return from_spherical_array((w.real, w.imag, chart[2], chart[3]))
 

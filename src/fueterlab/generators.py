@@ -48,7 +48,7 @@ from .function_model import (
     sample_cartesian,
 )
 from .quaternion_core import (DomainError, Quaternion, SphericalPoint, antipodal_angles,
-                              from_spherical_array, qconj_array)
+                              from_spherical_rows, qconj_array)
 
 
 class SpecError(ValueError):
@@ -241,7 +241,7 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
                 f"{f.name} failed the Class II spot check "
                 f"(max residual {report.class_II.max}); chiral difference undefined")
 
-    def chiral_rows(points: np.ndarray) -> np.ndarray:
+    def chiral_rows(points) -> np.ndarray:
         # the time derivative cancels; only the unit commutators survive
         with np.errstate(all="ignore"):
             d = Stencils(f, inner).partials(points, (1, 2, 3), sample_cartesian)[0].swapaxes(0, 1)
@@ -255,7 +255,7 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
         return Quaternion(*value.tolist())
 
     delta = QFunction(name=f"chiral:{f.name}", evaluator=evaluator, kind="raw",
-                      array_evaluator=lambda chart: chiral_rows(from_spherical_array(chart)))
+                      array_evaluator=lambda chart: chiral_rows(from_spherical_rows(chart)))
     return delta
 
 

@@ -24,10 +24,11 @@ is four rows, (t, x, y, z) for quaternions or (t, r, alpha, beta) for the
 chart, that broadcast together to the shape of the batch: an array (4, N)
 is one case, and an open mesh of a grid (one axis per row) is another.
 Each row is computed on its own shape, so an axis value is mapped once, not
-once per point.  from_spherical_array and iota_array return the full array
-(4, *shape); to_spherical_array returns its rows, each as large as the rows
-it is computed from.  Points where the scalar form raises come back as NaN
-columns.
+once per point.  to_spherical_array and from_spherical_rows return their
+rows, each as large as the rows it is computed from (so Cartesian rows of a
+chart mesh keep t on its own axis, and x, y, z without it);
+from_spherical_array and iota_array return the full array (4, *shape).
+Points where the scalar form raises come back as NaN columns.
 """
 
 from __future__ import annotations
@@ -269,9 +270,18 @@ def to_spherical_array(q):
     return np.array(chart) if isinstance(q, np.ndarray) else chart
 
 
-def from_spherical_array(chart) -> np.ndarray:
-    """ quaternion rows of chart rows; the inverse of to_spherical_array """
+def from_spherical_rows(chart) -> tuple:
+    """Quaternion rows (t, x, y, z) of chart rows; the inverse of
+    to_spherical_array.
+
+    Each row keeps the shape of the rows it is computed from: t as given,
+    x and y from r, alpha and beta, z from r and beta alone.
+    """
     t, r, alpha, beta = chart
     sb = np.sin(beta)
-    return stack_rows((t, r * np.cos(alpha) * sb, r * np.sin(alpha) * sb, r * np.cos(beta)),
-                      rows_shape(chart))
+    return t, r * np.cos(alpha) * sb, r * np.sin(alpha) * sb, r * np.cos(beta)
+
+
+def from_spherical_array(chart) -> np.ndarray:
+    """ the full array (4, *shape) of from_spherical_rows """
+    return stack_rows(from_spherical_rows(chart), rows_shape(chart))

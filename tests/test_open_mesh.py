@@ -9,6 +9,7 @@ numpy warning.  The user callables behind the per-point paths must see the
 same points, in the same order, the same number of times.
 """
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -21,10 +22,12 @@ from fueterlab import diffops
 from fueterlab.classify import classify
 from fueterlab.diffops import DiffConfig
 from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, QFunction, SampleGrid,
-                                      cullen_extend, from_uv, pointwise_product, pointwise_sum)
-from fueterlab.generators import chiral_difference, get_witness, mirror
+                                      cullen_extend, from_uv, pointwise_product, pointwise_sum,
+                                      sample_cartesian)
+from fueterlab.generators import chiral_difference, get_witness, mirror, resolve_function_spec
 from fueterlab.quaternion_core import (ChartSingularityError, DomainError, Quaternion,
-                                       SphericalPoint, from_spherical_array)
+                                       SphericalPoint, from_spherical_array,
+                                       from_spherical_rows)
 from fueterlab.verification import conjugate_function, random_polynomial
 
 # axis values that reach every off-domain case: t < -1/2 (where the user v
@@ -101,6 +104,21 @@ def test_open_mesh_equals_materialized_rows(name, rows):
     full = _materialized(mesh)
     got = _evaluate(f, mesh)
     want = _evaluate(f, full.reshape(4, -1)).reshape(full.shape)
+    _assert_same_floats(got, want)
+
+
+@pytest.mark.parametrize("rows", (_mesh, _shifted_mesh), ids=("mesh", "shifted"))
+@pytest.mark.parametrize("name", MAKERS)
+def test_cartesian_open_mesh_equals_materialized_rows(name, rows):
+    # the Cartesian rows of the mesh keep t on its own axis and x, y, z
+    # without it; the pole columns (beta = 0) go to f.evaluator
+    f = MAKERS[name]()
+    points = from_spherical_rows(rows())
+    full = _materialized(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_cartesian(f, points)
+        want = sample_cartesian(f, full.reshape(4, -1)).reshape(full.shape)
     _assert_same_floats(got, want)
 
 
@@ -182,6 +200,22 @@ def test_user_callables_see_the_same_calls(kind, scheme):
     assert (log.calls, log.digest()) == USER_CALLS[kind, scheme]
 
 
+@pytest.mark.parametrize("scheme", ("central", "richardson"))
+def test_classify_maps_cartesian_stencils_once_per_point(scheme):
+    # a Cartesian stencil shifts x, y or z, which t does not reach, so the
+    # r, alpha and beta rows the evaluator gets hold n_off * n**3 values at most
+    sizes = []
+    rho = _witness("rho")
+
+    def recording(chart):
+        sizes.append(max(np.size(row) for row in chart[1:]))
+        return rho.array_evaluator(chart)
+
+    cfg, n = DiffConfig(scheme=scheme), DEFAULT_GRID.n_per_axis
+    classify(dataclasses.replace(rho, array_evaluator=recording), DEFAULT_GRID, cfg)
+    assert sizes and max(sizes) <= len(diffops.stencil_offsets(cfg)) * n ** 3
+
+
 def _scalar_random_chart(grid, rng, n):
     """ the chart rows of 4 n scalar draws, coordinate by coordinate """
     ranges = (grid.t_range, grid.r_range, grid.alpha_range, grid.beta_range)
@@ -211,6 +245,12 @@ def _flat_result(out) -> np.ndarray:
     return np.concatenate((value, np.reshape(out.estimated_error, (1,) + np.shape(value)[1:])))
 
 
+# catalog witnesses, and stems with complex coefficients, whose arithmetic
+# numpy may run on another path for a 0-d array than for an array
+ONE_POINT_SPECS = ("rho", "pow:3", "x-over-r-iota", "L:-2:0.5:-0.3,1:1:0,3:0.2:0.7",
+                   "stem:-2:0.215:0.534,1:0.392:-0.467,3:0.604:0.182")
+
+
 @pytest.mark.parametrize("scheme", ("central", "richardson"))
 @pytest.mark.parametrize("name", CARTESIAN_OPERATORS + CHART_OPERATORS)
 def test_one_point_gives_its_batch_column(name, scheme):
@@ -219,7 +259,7 @@ def test_one_point_gives_its_batch_column(name, scheme):
     chart = DEFAULT_GRID.random_chart(np.random.default_rng(62), 6)
     rows = from_spherical_array(chart) if name in CARTESIAN_OPERATORS else chart
     point = Quaternion if name in CARTESIAN_OPERATORS else SphericalPoint
-    for f in (_witness("rho"), _witness("pow:3"), _witness("x-over-r-iota")):
+    for f in map(resolve_function_spec, ONE_POINT_SPECS):
         batch = _flat_result(op(f, rows, cfg))
         for k in range(rows.shape[1]):
             _assert_same_floats(_flat_result(op(f, point(*rows[:, k].tolist()), cfg)), batch[:, k])
