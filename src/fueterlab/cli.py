@@ -80,23 +80,28 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+@functools.lru_cache(maxsize=64)
+def _array_layout(shape: tuple, level: int) -> str:
+    """ the nested-list text of an array of this shape at this nesting level,
+    with a %s in place of each number """
+    if not shape:
+        return "%s"
+    inner = "\n" + "  " * (level + 1)
+    item = _array_layout(shape[1:], level + 1)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * level + "]"
+
+
 def _array_text(a: np.ndarray, level: int) -> str:
-    """A float array laid out as nested JSON lists, its numbers formatted at once."""
+    """A float array laid out as nested JSON lists: its numbers are formatted
+    at once and filled into the layout, cached per (shape, level), by one %."""
     if a.dtype.kind != "f":
         raise TypeError(f"arrays of dtype {a.dtype} are not JSON serializable")
-    if a.size == 0 or a.ndim == 0:
+    if a.size == 0:
         return _value_text(a.tolist(), level)
-    flat = a.ravel().tolist()
-    if np.isfinite(a).all():
-        items = repr(flat)[1:-1].split(", ")
-    else:
-        items = [_float_text(x) for x in flat]
-    for depth in range(a.ndim, 0, -1):
-        inner, outer = "\n" + "  " * (level + depth), "\n" + "  " * (level + depth - 1)
-        join, size = "," + inner, a.shape[depth - 1]
-        items = ["[" + inner + join.join(items[k:k + size]) + outer + "]"
-                 for k in range(0, len(items), size)]
-    return items[0]
+    flat = a.ravel().tolist()  # %s of a float is its repr
+    if not np.isfinite(a).all():
+        flat = [_float_text(x) for x in flat]
+    return _array_layout(a.shape, level) % tuple(flat)
 
 
 def _value_text(value, level: int) -> str:

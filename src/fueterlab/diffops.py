@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
-from .quaternion_core import (HAMILTON, ChartSingularityError, DomainError, Quaternion,
-                              _quaternion, iota_array, qabs_array, qmul_array, rows_shape)
+from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, _quaternion,
+                              iota_array, qabs_array, qmul_array, rows_shape)
 
 SCHEMES = ("central", "richardson")
 
@@ -178,8 +178,14 @@ class Stencils:
 
 def fueter_rows(d, right: bool = False) -> np.ndarray:
     """d[0] + i d[1] + j d[2] + k d[3] for rows d of shape (4, 4, ...) that
-    hold the t, x, y, z partials, or with the units multiplying from the right."""
-    return np.einsum("ijk,kj...->i..." if right else "ikj,kj...->i...", HAMILTON, d)
+    hold the t, x, y, z partials, or with the units multiplying from the right.
+    Each component is summed in one fixed order, whatever the layout of d."""
+    t, x, y, z = d
+    if right:
+        return np.array((t[0] - x[1] - y[2] - z[3], x[0] + t[1] + z[2] - y[3],
+                         y[0] - z[1] + t[2] + x[3], z[0] + y[1] - x[2] + t[3]))
+    return np.array((t[0] - x[1] - y[2] - z[3], x[0] + t[1] - z[2] + y[3],
+                     y[0] + z[1] + t[2] - x[3], z[0] - y[1] + x[2] + t[3]))
 
 
 def chart_ok(chart: np.ndarray, cfg: DiffConfig) -> np.ndarray:

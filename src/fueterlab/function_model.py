@@ -205,20 +205,17 @@ class SampleGrid:
     def size(self) -> int:
         return self.n_per_axis ** 4
 
-    def random_chart(self, rng, n: int) -> np.ndarray:
+    def random_chart(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Chart rows of n uniform samples from the grid box.
 
-        rng is a seeded numpy Generator, which draws all 4 n coordinates in
-        one call (the same numbers, in the same order, as 4 n scalar draws),
-        or a random.Random, which draws them one at a time.
+        rng is a seeded numpy Generator; it draws all 4 n coordinates in one
+        call, the same numbers in the same order as 4 n scalar draws.
         """
         ranges = (self.t_range, self.r_range, self.alpha_range, self.beta_range)
-        if isinstance(rng, np.random.Generator):
-            lo, hi = np.array(ranges).T
-            return rng.uniform(lo, hi, size=(n, 4)).T
-        return np.array([[rng.uniform(*rg) for rg in ranges] for _ in range(n)]).reshape(n, 4).T
+        lo, hi = np.array(ranges).T
+        return rng.uniform(lo, hi, size=(n, 4)).T
 
-    def random_points(self, rng, n: int) -> list:
+    def random_points(self, rng: np.random.Generator, n: int) -> list:
         """ the columns of random_chart as SphericalPoint objects """
         return list(_chart_points(self.random_chart(rng, n)))
 

@@ -26,6 +26,7 @@ how the coefficient symmetry of the mirror involution is verified.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -213,6 +214,12 @@ class LaurentSeries:
         """ bilinear interpolation of a_n at window angles """
         return _interpolate(self.coefficients[n], *self._cell(alpha, beta))
 
+    @functools.cached_property
+    def _stacked(self) -> np.ndarray:
+        """ the grids of all orders, n_range[0] first, as one (orders, n_alpha, n_beta) array """
+        n_lo, n_hi = self.n_range
+        return np.stack([self.coefficients[n] for n in range(n_lo, n_hi + 1)])
+
     def to_dict(self) -> dict:
         """Header fields and, under "coefficients", one float array of shape
         (n_alpha, n_beta, 2) per order: the real and imaginary parts of a_n.
@@ -226,10 +233,11 @@ class LaurentSeries:
         return doc
 
 
-def _interpolate(grid: np.ndarray, ia: int, ib: int, weights: Tuple[float, ...]) -> complex:
+def _interpolate(grid: np.ndarray, ia: int, ib: int, weights: Tuple[float, ...]):
+    """ bilinear value in cell (ia, ib) of the last two axes of grid """
     w00, w10, w01, w11 = weights
-    return (w00 * grid[ia, ib] + w10 * grid[ia + 1, ib]
-            + w01 * grid[ia, ib + 1] + w11 * grid[ia + 1, ib + 1])
+    return (w00 * grid[..., ia, ib] + w10 * grid[..., ia + 1, ib]
+            + w01 * grid[..., ia, ib + 1] + w11 * grid[..., ia + 1, ib + 1])
 
 
 def _window_grids(f: QFunction, region: AnnulusRegion, center: complex,
@@ -266,7 +274,8 @@ def mirrored_center_coefficients(f: QFunction, region: AnnulusRegion,
 
 
 def reconstruct(series: LaurentSeries, p: Quaternion) -> Quaternion:
-    """Evaluate the truncated series at p (inside region only)."""
+    """Evaluate the truncated series at p (inside region only): every order is
+    interpolated at once from the stacked grids, then summed order by order."""
     s = to_spherical(p)
     region = series.region
     if not region.contains(s.t, s.r, s.alpha, s.beta):
@@ -274,10 +283,10 @@ def reconstruct(series: LaurentSeries, p: Quaternion) -> Quaternion:
             f"point (t={s.t:.3f}, r={s.r:.3f}, alpha={s.alpha:.3f}, beta={s.beta:.3f}) "
             "outside the expansion region")
     dz = complex(s.t, s.r) - region.center
-    cell = series._cell(s.alpha, s.beta)
+    coeffs = _interpolate(series._stacked, *series._cell(s.alpha, s.beta)).tolist()
     total = 0j
-    for n in range(series.n_range[0], series.n_range[1] + 1):
-        total += _interpolate(series.coefficients[n], *cell) * dz ** n
+    for n, c in zip(range(series.n_range[0], series.n_range[1] + 1), coeffs):
+        total += c * dz ** n
     io = iota(s.alpha, s.beta)
     return Quaternion(total.real, total.imag * io.x, total.imag * io.y, total.imag * io.z)
 
@@ -293,8 +302,10 @@ def coefficient_class_check(series: LaurentSeries,
     the stencil shifts re-run the contour quadrature, all shifted windows in
     one batch, so the window grid spacing does not limit the accuracy.  The
     tolerance scale of order n is max |a_n| over the series' window nodes.
-    Returns per-order statistics and verdicts.  A step h that some window
-    angle rounds away raises StepError (a ValueError).
+    The stencils, residuals and both maxima of all orders are reduced in one
+    pass over the stacked fields.  Returns per-order statistics and verdicts.
+    A step h that some window angle rounds away raises StepError (a
+    ValueError).
     """
     if series.source is None:
         raise ValueError("series does not carry its source function; "
@@ -318,12 +329,11 @@ def coefficient_class_check(series: LaurentSeries,
         np.concatenate((at_beta, at_beta + shift)), region.center, region.mid_radius,
         series.n_range, series.quadrature_points)
 
+    # all orders at once: samples (offsets, alpha or beta stencil, orders, window nodes)
+    shifted = np.stack(list(coeffs.values())).reshape(len(coeffs), 2, len(offsets), -1)
+    da, db = finish_stencil(shifted.transpose(2, 1, 0, 3), cfg)[0]
     sb = np.sin(betas)
-    out = {}
-    for n, shifted in coeffs.items():
-        da, db = (finish_stencil(s, cfg)[0] for s in shifted.reshape(2, len(offsets), -1))
-        worst = float(np.max(np.abs((da.imag / sb + db.real, da.real / sb - db.imag))))
-        scale = float(np.max(np.abs(series.coefficients[n])))
-        out[n] = {"max_residual": worst,
-                  "verdict": "pass" if worst <= cfg.point_tolerance(scale) else "fail"}
-    return out
+    worst = np.max(np.abs((da.imag / sb + db.real, da.real / sb - db.imag)), axis=(0, 2))
+    passed = worst <= cfg.point_tolerance(np.max(np.abs(series._stacked), axis=(1, 2)))
+    return {n: {"max_residual": w, "verdict": "pass" if ok else "fail"}
+            for n, w, ok in zip(coeffs, worst.tolist(), passed.tolist())}

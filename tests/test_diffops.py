@@ -12,6 +12,7 @@ from fueterlab.diffops import (
     class1_residual,
     fueter_left,
     fueter_right,
+    fueter_rows,
     fueter_spherical,
     fueter_spherical_right,
     imaginary_derivative,
@@ -341,3 +342,11 @@ def test_diffconfig_validation():
     with pytest.raises(ValueError):
         DiffConfig(scheme="upwind")
     assert CFG.point_tolerance(10.0) == pytest.approx(1.1e-5)
+
+
+@pytest.mark.parametrize("right", (False, True), ids=("left", "right"))
+def test_fueter_rows_do_not_depend_on_the_memory_layout(right):
+    # partials (component, direction, N) as Stencils.partials returns them, read
+    # by direction through a swapped-axes view and through a C-ordered copy
+    d = np.random.default_rng(31).normal(size=(4, 4, 500)).swapaxes(0, 1)
+    assert fueter_rows(d, right).tobytes() == fueter_rows(np.ascontiguousarray(d), right).tobytes()

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fueterlab.function_model import (
@@ -275,7 +276,7 @@ def test_grid_from_flat_round_trip():
 
 
 def test_grid_random_points_are_inside():
-    rng = random.Random(27)
+    rng = np.random.default_rng(27)
     grid = SampleGrid()
     for s in grid.random_points(rng, 200):
         assert grid.t_range[0] <= s.t <= grid.t_range[1]

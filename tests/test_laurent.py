@@ -281,6 +281,46 @@ def test_classhood_requires_source():
         coefficient_class_check(stripped)
 
 
+def _reference_class_check(series, cfg):
+    """Per-order stencils, residuals, maxima and verdicts, written out in full."""
+    region, h = series.region, cfg.h
+    offsets = [h, -h] if cfg.scheme == "central" else [h, -h, h / 2.0, -h / 2.0]
+    alphas, betas = region.window_angles()
+    shift = np.repeat(offsets, alphas.size)
+    at_alpha, at_beta = np.tile(alphas, len(offsets)), np.tile(betas, len(offsets))
+    coeffs = _ring_coefficients(series.source, np.concatenate((at_alpha + shift, at_alpha)),
+                                np.concatenate((at_beta, at_beta + shift)), region.center,
+                                region.mid_radius, series.n_range, series.quadrature_points)
+    sb = np.sin(betas)
+    out = {}
+    for n, shifted in coeffs.items():
+        derivatives = []
+        for s in shifted.reshape(2, len(offsets), -1):
+            d = (s[0] - s[1]) / (2.0 * h)
+            if cfg.scheme == "richardson":
+                d = ((s[2] - s[3]) / h * 4.0 - d) / 3.0
+            derivatives.append(d)
+        da, db = derivatives
+        worst = float(np.max(np.abs((da.imag / sb + db.real, da.real / sb - db.imag))))
+        scale = float(np.max(np.abs(series.coefficients[n])))
+        out[n] = {"max_residual": worst,
+                  "verdict": "pass" if worst <= cfg.tol_abs + cfg.tol_rel * scale else "fail"}
+    return out
+
+
+@pytest.mark.parametrize("n_range", [(-8, 8), (-3, 5)], ids=["default", "-3,5"])
+@pytest.mark.parametrize("tol_abs", [DiffConfig.tol_abs, 0.0])
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("spec", ["rho", "pow:3", "L:-1:0.5:0,2:1:0.25", "stem:log-tan"])
+def test_class_check_equals_the_per_order_reference(spec, scheme, tol_abs, n_range):
+    # rho gives exact zeros for n != 0; stem:log-tan has no array stem; with
+    # tol_abs = 0 a verdict hangs on its own order's scale
+    series = laurent_coefficients(resolve_function_spec(spec), AnnulusRegion(0.0, 1.0, 0.2, 0.6),
+                                  n_range)
+    cfg = DiffConfig(scheme=scheme, tol_abs=tol_abs)
+    assert coefficient_class_check(series, cfg) == _reference_class_check(series, cfg)
+
+
 def test_classhood_flags_non_class_ii_sources():
     xri = get_witness("x-over-r-iota").function
     series = laurent_coefficients(xri, REGION, n_range=(0, 0),

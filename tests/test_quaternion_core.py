@@ -283,3 +283,12 @@ def test_public_constructor_coerces_to_float():
     assert (p.t, p.z) == (1.0, 1.0)
     q = from_spherical(SphericalPoint(1, np.float64(2.0), 0, 1))
     assert [type(c) for c in (q.t, q.x, q.y, q.z)] == [float] * 4
+
+
+def test_qmul_array_is_the_scalar_product_bit_for_bit():
+    rng = np.random.default_rng(32)
+    a, b = rng.normal(size=(4, 300)), rng.normal(size=(300, 4)).T
+    for got in (qmul_array(a, b), qmul_array(np.ascontiguousarray(a.T).T, b.copy())):
+        for k in range(300):
+            want = Quaternion(*a[:, k].tolist()) * Quaternion(*b[:, k].tolist())
+            assert got[:, k].tolist() == [want.t, want.x, want.y, want.z]

@@ -97,6 +97,17 @@ def test_writer_rejects_what_it_cannot_lay_out(value):
         report_json({"v": value})
 
 
+def test_array_layout_is_cached_per_shape_and_level():
+    # each shape sits at two nesting levels; the second report reads the cached layouts
+    window = np.arange(162.0).reshape(9, 9, 2) / 7.0
+    window[4, 5, 1] = np.nan
+    doc = {"a": window, "b": {"c": [-window, np.full((1, 1, 1), np.nan)]},
+           "one": np.full((1, 1, 1), 0.5), "zero-d": np.array(-0.0), "zero-d-nan": np.array(np.nan)}
+    want = json.dumps(_tolist(doc), indent=2, sort_keys=True)
+    assert report_json(doc) == want
+    assert report_json(doc) == want
+
+
 def _reference_reconstruct(series, p):
     """Per-order bilinear interpolation and summation, written out in full."""
     s = to_spherical(p)
