@@ -36,7 +36,6 @@ from .diffops import (
     fueter_left,
     fueter_right,
     fueter_spherical,
-    fueter_spherical_right,
     class1_residual,
     spherical_cr_residuals,
     imaginary_derivative,
@@ -46,12 +45,10 @@ from .classify import (
     ClassStats,
     classify,
     jacobian_check,
-    centrality_check,
 )
 from .generators import (
     WitnessEntry,
     CATALOG,
-    catalog_names,
     get_witness,
     rinehart_L,
     ci_extend_rinehart,
@@ -75,11 +72,10 @@ __all__ = [
     "FunctionKindError", "cullen_extend", "from_uv", "power_function",
     "restrict_to_slice", "uv_at", "pointwise_product", "pointwise_sum",
     "DiffConfig", "OperatorValue", "fueter_left", "fueter_right",
-    "fueter_spherical", "fueter_spherical_right", "class1_residual",
+    "fueter_spherical", "class1_residual",
     "spherical_cr_residuals", "imaginary_derivative",
     "ClassificationReport", "ClassStats", "classify", "jacobian_check",
-    "centrality_check",
-    "WitnessEntry", "CATALOG", "catalog_names", "get_witness", "rinehart_L",
+    "WitnessEntry", "CATALOG", "get_witness", "rinehart_L",
     "ci_extend_rinehart", "chiral_difference", "mirror",
     "resolve_function_spec",
     "AnnulusRegion", "LaurentSeries", "laurent_coefficients", "reconstruct",

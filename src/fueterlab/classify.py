@@ -39,12 +39,12 @@ from typing import Optional
 
 import numpy as np
 
-from .diffops import (DiffConfig, Stencils, chart_ok, fueter_rows, iota_coefficient,
-                      point_rows, require_finite, require_step_moves)
+from .diffops import (DiffConfig, Stencils, chart_ok, fueter_rows, point_rows,
+                      require_finite, require_step_moves)
 from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
                              sample_chart)
 from .quaternion_core import (DomainError, Quaternion, from_spherical_rows, iota_array,
-                              qabs_array, qmul_array, rows_shape)
+                              iota_coefficient, qabs_array, qmul_array, rows_shape)
 
 PASS_FRACTION = 0.999
 HARD_FAIL_FACTOR = 100.0
@@ -90,8 +90,7 @@ class ClassificationReport:
         }
 
     def passes(self, key: str) -> bool:
-        stats = getattr(self, key)
-        return stats.verdict == "pass"
+        return getattr(self, key).verdict == "pass"
 
 
 def _stats(residuals: np.ndarray, tolerances: np.ndarray, singular: bool,
@@ -173,23 +172,13 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     centrality = ClassStats(*_stats(residuals["centrality"][finite], tolerances,
                                     singular, "central", "not-central"))
 
-    ok = True
-    if class_III.verdict == "pass" and class_II.verdict == "fail":
-        ok = False
-    if class_II.verdict == "pass" and class_I.verdict == "fail":
-        ok = False
+    ok = not ((class_III.verdict == "pass" and class_II.verdict == "fail")
+              or (class_II.verdict == "pass" and class_I.verdict == "fail"))
 
     return ClassificationReport(
         function=f.name, grid=grid, config=cfg,
         class_I=class_I, class_II=class_II, class_III=class_III,
         regular=regular, centrality=centrality, inclusion_consistent=ok)
-
-
-def centrality_check(f: QFunction, grid: Optional[SampleGrid] = None,
-                     cfg: DiffConfig = DiffConfig()) -> ClassStats:
-    """Left/right Fueter agreement on the grid: central iff the angular
-    residual passes; within Class I that is Class III."""
-    return classify(f, grid, cfg).centrality
 
 
 @dataclass(frozen=True)
@@ -209,11 +198,13 @@ class JacobianResult:
 def jacobian_check(f: QFunction, p, cfg: DiffConfig = DiffConfig()) -> JacobianResult:
     """Compare the finite-difference Jacobian determinant of f: R^4 -> R^4
     against the scalar factorization available for Class II functions, at
-    one Quaternion p or at Cartesian point rows p of shape (4, N)."""
+    one Quaternion p or at Cartesian point rows p of shape (4, N).  A step
+    that some coordinate rounds away raises StepError."""
     points = point_rows(p)[:, None] if isinstance(p, Quaternion) else p
     r = np.sqrt(iota_coefficient(points, points))  # |Im p|
     if not r.all():
         raise DomainError("Jacobian factorization undefined on the real axis")
+    require_step_moves((points,), cfg, "Cartesian coordinate")
 
     with np.errstate(all="ignore"):
         jac = Stencils(f, cfg).partials(points, range(4), sample_cartesian)[0]

@@ -55,9 +55,11 @@ def _parse_ints(text: str, n: int, label: str) -> list:
 def _grid_from_arg(text: Optional[str]) -> Optional[SampleGrid]:
     if text is None:
         return None
-    values = _parse_floats(text, 9, "--grid")
+    t0, t1, r0, r1, a0, a1, b0, b1, n = _parse_floats(text, 9, "--grid")
+    if not n.is_integer():
+        raise SpecError("n_per_axis must be an integer")
     try:
-        return SampleGrid.from_flat(values)
+        return SampleGrid((t0, t1), (r0, r1), (a0, a1), (b0, b1), int(n))
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
 
@@ -151,8 +153,11 @@ def _emit(doc: dict, out_path: Optional[str]):
     doc["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     text = report_json(doc)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SpecError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text + "\n")
 

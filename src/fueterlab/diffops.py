@@ -24,7 +24,7 @@ goes through the same engine as the rows (4,), a batch of shape ().
 * fueter_spherical : d/dt f + iota d/dr f
       - r^-1 (iota_a^-1 d/da f + iota_b^-1 d/db f)
   (iota_a, iota_b the alpha and beta tangents of iota), which equals
-  fueter_left identically; the mirrored order gives fueter_spherical_right.
+  fueter_left identically.
 * imaginary_derivative : iota_a^-1 d/da f + iota_b^-1 d/db f,
   so that fueter_left = class1_residual - (1/r) * imaginary_derivative.
 * spherical_cr_residuals : the two scalar residuals
@@ -43,7 +43,8 @@ import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
 from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, _quaternion,
-                              iota_array, qabs_array, qmul_array, rows_shape)
+                              iota_array, iota_coefficient, qabs_array, qmul_array,
+                              rows_shape)
 
 SCHEMES = ("central", "richardson")
 
@@ -86,14 +87,17 @@ class StepError(ValueError):
 
 
 def require_step_moves(rows, cfg: DiffConfig, label: str):
-    """StepError unless every stencil offset moves every value of rows: where
-    row + offset == row, a stencil would difference a sample with itself."""
-    for row in map(np.asarray, rows):
-        for offset in stencil_offsets(cfg):
-            still = row + offset == row
-            if still.any():
-                raise StepError(f"stencil step {cfg.h} does not move the {label} "
-                                f"{float(row[still][0])!r}; the step is below its rounding")
+    """StepError unless every stencil offset moves every value of the arrays
+    in rows, where x + offset == x would difference a sample with itself.
+    Rounding is monotone, symmetric about 0 and no coarser below x >= 0 than
+    above, so that holds iff the smallest offset moves every |x|."""
+    step = min(map(abs, stencil_offsets(cfg).tolist()))
+    for row in rows:
+        size = np.abs(row)
+        still = size + step == size
+        if np.count_nonzero(still):
+            raise StepError(f"stencil step {cfg.h} does not move the {label} "
+                            f"{float(row[still][0])!r}; the step is below its rounding")
 
 
 def finish_stencil(samples, cfg: DiffConfig) -> tuple:
@@ -109,11 +113,6 @@ def finish_stencil(samples, cfg: DiffConfig) -> tuple:
         return d1, 0.0
     d2 = (samples[2] - samples[3]) / h
     return (d2 * 4.0 - d1) / 3.0, d2 - d1
-
-
-def iota_coefficient(q: np.ndarray, io: np.ndarray) -> np.ndarray:
-    """ coefficient of iota in the imaginary part of quaternion rows q (the v of u + iota v) """
-    return q[1] * io[1] + q[2] * io[2] + q[3] * io[3]
 
 
 def _offsets_first(values: np.ndarray) -> np.ndarray:
@@ -231,25 +230,29 @@ def point_rows(p) -> np.ndarray:
     return np.array((p.t, p.r, p.alpha, p.beta))
 
 
-def _operator(body):
-    """body over point rows (4, N), which also answers for a single point
-    as the batch of shape () with scalars; a non-finite result raises DomainError."""
+def _operator(differenced: slice, label: str):
+    """The operator of a body over point rows (4, N), also for one point as the
+    batch of shape () with scalars.  StepError where the step does not move the
+    rows the body differences (label coordinates), DomainError on a non-finite result."""
 
-    @functools.wraps(body)
-    def operator(f: QFunction, points, cfg: DiffConfig = DiffConfig()):
-        single = not isinstance(points, np.ndarray)
-        rows = point_rows(points) if single else points
-        with np.errstate(all="ignore"):
-            out = body(f, rows, cfg)
-        values = out.value if isinstance(out, OperatorValue) else np.array(out)
-        require_finite(f, rows, values)
-        if not single:
-            return out
-        if isinstance(out, OperatorValue):
-            return OperatorValue(_quaternion(*values.tolist()), float(out.estimated_error))
-        return tuple(values.tolist())
+    def wrap(body):
+        @functools.wraps(body)
+        def operator(f: QFunction, points, cfg: DiffConfig = DiffConfig()):
+            single = not isinstance(points, np.ndarray)
+            rows = point_rows(points) if single else points
+            require_step_moves((rows[differenced],), cfg, label)
+            with np.errstate(all="ignore"):
+                out = body(f, rows, cfg)
+            values = out.value if isinstance(out, OperatorValue) else np.array(out)
+            require_finite(f, rows, values)
+            if not single:
+                return out
+            if isinstance(out, OperatorValue):
+                return OperatorValue(_quaternion(*values.tolist()), float(out.estimated_error))
+            return tuple(values.tolist())
 
-    return operator
+        return operator
+    return wrap
 
 
 def _flat(f: QFunction, points: np.ndarray, cfg: DiffConfig, right: bool) -> OperatorValue:
@@ -257,13 +260,13 @@ def _flat(f: QFunction, points: np.ndarray, cfg: DiffConfig, right: bool) -> Ope
     return OperatorValue(fueter_rows(d.swapaxes(0, 1), right), err[0] + err[1] + err[2] + err[3])
 
 
-@_operator
+@_operator(slice(0, 4), "Cartesian coordinate")
 def fueter_left(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Left Fueter operator at Cartesian points, the units multiplying from the left."""
     return _flat(f, points, cfg, right=False)
 
 
-@_operator
+@_operator(slice(0, 4), "Cartesian coordinate")
 def fueter_right(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Right Fueter operator at Cartesian points, the units multiplying from the right."""
     return _flat(f, points, cfg, right=True)
@@ -284,9 +287,9 @@ def _chart_units(chart: np.ndarray) -> tuple:
 
 
 def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
-               angular_scale=None, right: bool = False) -> OperatorValue:
-    """The sum over chart rows of unit * partial of f (the unit on the right
-    when right), the alpha and beta terms times angular_scale if given."""
+               angular_scale=None) -> OperatorValue:
+    """The sum over chart rows of unit * partial of f, the alpha and beta
+    terms times angular_scale if given."""
     _require_chart_margins(chart, cfg)
     d, err = Stencils(f, cfg).partials(chart, range(4)[rows], sample_chart)
     units, norms = _chart_units(chart)
@@ -294,17 +297,16 @@ def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
         units[:, 2:] *= angular_scale
         norms[2:] *= np.abs(angular_scale)
     units, norms = units[:, rows], norms[rows]
-    terms = qmul_array(d, units) if right else qmul_array(units, d)
-    return OperatorValue(terms.sum(axis=1), (norms * err).sum(axis=0))
+    return OperatorValue(qmul_array(units, d).sum(axis=1), (norms * err).sum(axis=0))
 
 
-@_operator
+@_operator(slice(0, 2), "chart coordinate")
 def class1_residual(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """d/dt f + iota d/dr f: zero iff the slice restrictions are holomorphic."""
     return _chart_sum(f, chart, cfg, slice(0, 2))
 
 
-@_operator
+@_operator(slice(2, 4), "chart coordinate")
 def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """iota_a^-1 d/da f + iota_b^-1 d/db f (left multiplication).
 
@@ -313,19 +315,13 @@ def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) ->
     return _chart_sum(f, chart, cfg, slice(2, 4))
 
 
-@_operator
+@_operator(slice(0, 4), "chart coordinate")
 def fueter_spherical(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Left Fueter operator in chart coordinates: class1_residual - imaginary_derivative / r."""
     return _chart_sum(f, chart, cfg, slice(0, 4), -1.0 / chart[1])
 
 
-@_operator
-def fueter_spherical_right(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
-    """Right Fueter operator assembled in chart coordinates (mirrored order)."""
-    return _chart_sum(f, chart, cfg, slice(0, 4), -1.0 / chart[1], right=True)
-
-
-@_operator
+@_operator(slice(2, 4), "chart coordinate")
 def spherical_cr_residuals(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> tuple:
     """The two sphere-direction Cauchy-Riemann residuals (S1, S2).
 

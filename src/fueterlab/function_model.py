@@ -61,7 +61,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -74,6 +74,7 @@ from .quaternion_core import (
     from_spherical,
     from_spherical_array,
     iota,
+    iota_coefficient,
     qmul_array,
     rows_shape,
     stack_rows,
@@ -226,16 +227,6 @@ class SampleGrid:
             "n_per_axis": self.n_per_axis,
         }
 
-    @classmethod
-    def from_flat(cls, values: Sequence[float]) -> "SampleGrid":
-        """ build from the CLI flat form t0,t1,r0,r1,a0,a1,b0,b1,n """
-        if len(values) != 9:
-            raise ValueError("grid spec needs 9 numbers: t0,t1,r0,r1,a0,a1,b0,b1,n_per_axis")
-        v = [float(x) for x in values]
-        if not v[8].is_integer():
-            raise ValueError("n_per_axis must be an integer")
-        return cls((v[0], v[1]), (v[2], v[3]), (v[4], v[5]), (v[6], v[7]), int(v[8]))
-
 
 DEFAULT_GRID = SampleGrid()
 
@@ -333,8 +324,7 @@ def uv_at(f: QFunction, p: Quaternion) -> tuple:
     if r == 0.0:
         raise ChartSingularityError("u/v split undefined on the real axis")
     val = f(p)
-    v = (val.x * p.x + val.y * p.y + val.z * p.z) / r
-    return val.t, v
+    return val.t, iota_coefficient((val.t, val.x, val.y, val.z), (p.t, p.x, p.y, p.z)) / r
 
 
 def from_uv(u: Callable[[SphericalPoint], float],
@@ -379,12 +369,9 @@ class ComplexStem:
 
     Either a finite Laurent combination sum of c_n z^n (with an exact
     derivative) or a named closed form with an optional analytic
-    derivative and a numeric central-difference fallback.  func_array,
-    when given, is func over a complex array, NaN where domain_ok fails;
-    Laurent stems supply it.
+    derivative.  func_array, when given, is func over a complex array, NaN
+    where domain_ok fails; Laurent stems supply it.
     """
-
-    NUMERIC_DERIV_STEP = 1e-6
 
     def __init__(self, label, func, derivative=None, domain_ok=None, terms=None,
                  func_array=None):
@@ -445,12 +432,11 @@ class ComplexStem:
             return self._func_array(z)
 
     def derivative(self, z: complex) -> complex:
-        if self._derivative is not None:
-            if not self.domain_ok(z):
-                raise DomainError(f"stem {self.label!r} not defined at {z!r}")
-            return self._derivative(z)
-        h = self.NUMERIC_DERIV_STEP
-        return (self.eval(z + h) - self.eval(z - h)) / (2.0 * h)
+        if self._derivative is None:
+            raise ValueError(f"stem {self.label!r} has no derivative")
+        if not self.domain_ok(z):
+            raise DomainError(f"stem {self.label!r} not defined at {z!r}")
+        return self._derivative(z)
 
     def domain_ok(self, z: complex) -> bool:
         if z.imag <= 0.0:
@@ -535,13 +521,14 @@ def restrict_to_slice(f: QFunction, alpha: float, beta: float) -> Callable[[comp
         raise FunctionKindError(f"{f.name}: slice restriction needs a CE/CI function, got kind {f.kind!r}")
     if not 0.0 < beta < math.pi or math.sin(beta) < 1e-6:
         raise ChartSingularityError("slice undefined at the poles")
-    io = iota(alpha, beta)
+    unit = iota(alpha, beta)
+    io = (unit.t, unit.x, unit.y, unit.z)
 
     def slice_fn(z: complex) -> complex:
         if z.imag <= 0.0:
             raise DomainError("slice coordinate needs r > 0")
         val = f.at_spherical(SphericalPoint(z.real, z.imag, alpha, beta))
-        return complex(val.t, val.x * io.x + val.y * io.y + val.z * io.z)
+        return complex(val.t, iota_coefficient((val.t, val.x, val.y, val.z), io))
 
     return slice_fn
 

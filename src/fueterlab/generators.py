@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -127,25 +127,14 @@ def _make_xri() -> QFunction:
 
 
 CATALOG: Dict[str, WitnessEntry] = {}
-
-
-def _register(entry: WitnessEntry):
-    CATALOG[entry.name] = entry
-
-
 for _f, _formula in ((power_function(1), "p"),
                      (_make_rho(), "alpha + iota*ln(tan(beta/2))"),
                      (_make_varrho(), "arctan(y/z) + iota*artanh(x/r)"),
                      (_make_sigma(), "arctan(z/x) + iota*artanh(y/r)"),
                      (_make_xri(), "(x/r)*iota")):
-    _register(WitnessEntry(_f.name, _f, _f.classes, _formula))
+    CATALOG[_f.name] = WitnessEntry(_f.name, _f, _f.classes, _formula)
 
 _POW_RE = re.compile(r"^pow:(-?\d+)$")
-
-
-def catalog_names() -> list:
-    """ fixed catalog names; powers address as pow:<int> """
-    return sorted(CATALOG)
 
 
 def get_witness(name: str) -> WitnessEntry:
@@ -165,10 +154,12 @@ def rinehart_L(stem: ComplexStem) -> ComplexStem:
 
     For an analytic stem the image satisfies dg/dx + i dg/dy = 2 Im(g)/y on
     the upper half plane, so its sweep around the real axis is left-regular.
-    The derivative is exact for finite Laurent combinations, whose image
-    also gets an array form, and falls back to complex central differences
-    for named closed forms.
+    It takes the stem's own derivative (exact for finite Laurent
+    combinations, whose image also gets an array form); a stem without one
+    raises ValueError.
     """
+    if stem._derivative is None:
+        raise ValueError(f"stem {stem.label!r} has no derivative; rinehart_L needs one")
 
     def g(z: complex) -> complex:
         y = z.imag
@@ -194,16 +185,14 @@ def rinehart_condition_residual(g: ComplexStem, z: complex) -> float:
     return abs(wx + 1j * wy - 2.0 * g.eval(z).imag / z.imag)
 
 
-def ci_extend_rinehart(g: ComplexStem, grid: Optional[SampleGrid] = None,
-                       cfg: DiffConfig = DiffConfig()) -> QFunction:
+def ci_extend_rinehart(g: ComplexStem, cfg: DiffConfig = DiffConfig()) -> QFunction:
     """Sweep a slice profile satisfying the extension condition.
 
     Checks the condition dg/dx + i dg/dy = 2 Im(g)/y on the (t, r) nodes of
-    the grid first and raises DomainError if any sample violates it; the
+    DEFAULT_GRID first and raises DomainError if any sample violates it; the
     returned function is then left-regular by construction.
     """
-    grid = grid or DEFAULT_GRID
-    ts, rs, _, _ = grid.axes()
+    ts, rs, _, _ = DEFAULT_GRID.axes()
     checked = 0
     for t in ts:
         for r in rs:
@@ -231,15 +220,14 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
     """
     if not f.is_ce:
         raise FunctionKindError(f"{f.name}: chiral difference needs a CE/CI function")
-    if f.classes is not None:
-        if not f.classes.get("class_II", False):
-            raise DomainError(f"{f.name} is not Class II; chiral difference undefined")
-    else:
+    if f.classes is None:
         report = classify(f, SampleGrid(n_per_axis=3), inner)
         if report.class_II.verdict != "pass":
             raise DomainError(
                 f"{f.name} failed the Class II spot check "
                 f"(max residual {report.class_II.max}); chiral difference undefined")
+    elif not f.classes.get("class_II", False):
+        raise DomainError(f"{f.name} is not Class II; chiral difference undefined")
 
     def chiral_rows(points) -> np.ndarray:
         # the time derivative cancels; only the unit commutators survive

@@ -29,16 +29,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .diffops import (DiffConfig, finish_stencil, iota_coefficient, require_step_moves,
-                      stencil_offsets)
+from .diffops import DiffConfig, finish_stencil, require_step_moves, stencil_offsets
 from .function_model import (CALL_POINTS, FunctionKindError, QFunction, check_beta_window,
                              sample_chart)
 from .quaternion_core import (DomainError, Quaternion, antipodal_angles, iota, iota_array,
-                              qabs_array, to_spherical)
+                              iota_coefficient, qabs_array, to_spherical)
 
 MIN_QUADRATURE_POINTS = 16
 ALIGNMENT_TOL = 1e-6
@@ -192,7 +191,7 @@ class LaurentSeries:
     n_range: Tuple[int, int]
     quadrature_points: int
     coefficients: Dict[int, np.ndarray]
-    source: Optional[QFunction] = None
+    source: QFunction
 
     def _cell(self, alpha: float, beta: float) -> Tuple[int, int, Tuple[float, ...]]:
         """Window cell (ia, ib) holding the angles, with the bilinear weights of
@@ -307,9 +306,6 @@ def coefficient_class_check(series: LaurentSeries,
     A step h that some window angle rounds away raises StepError (a
     ValueError).
     """
-    if series.source is None:
-        raise ValueError("series does not carry its source function; "
-                         "build it with laurent_coefficients")
     region = series.region
     try:
         check_beta_window(region.beta_window[0] - cfg.h, region.beta_window[1] + cfg.h, "")

@@ -247,6 +247,11 @@ def iota_array(chart) -> np.ndarray:
                       rows_shape(chart))
 
 
+def iota_coefficient(q, io):
+    """ coefficient of iota in the imaginary part of quaternion rows q (the v of u + iota v) """
+    return q[1] * io[1] + q[2] * io[2] + q[3] * io[3]
+
+
 def antipodal_angles(alpha, beta) -> tuple:
     """The chart angles of -iota(alpha, beta), for numbers or rows: alpha - pi
     or alpha + pi, whichever stays in [-pi, pi] (0.0 goes to -pi, -0.0 to

@@ -19,8 +19,8 @@ import numpy as np
 
 from .classify import ClassificationReport, classify, jacobian_check
 from .diffops import (DiffConfig, class1_residual, fueter_left, fueter_right,
-                      fueter_spherical, imaginary_derivative, iota_coefficient,
-                      point_rows, spherical_cr_residuals)
+                      fueter_spherical, imaginary_derivative, point_rows,
+                      spherical_cr_residuals)
 from .function_model import (ComplexStem, DEFAULT_GRID, QFunction, SampleGrid,
                              cullen_extend, pointwise_product, pointwise_sum,
                              power_function, sample_cartesian, sample_chart)
@@ -29,8 +29,8 @@ from .generators import (chiral_difference, get_witness, mirror, rinehart_L,
 from .laurent import (AnnulusRegion, coefficient_class_check,
                       laurent_coefficients, mirrored_center_coefficients)
 from .quaternion_core import (Quaternion, SphericalPoint, from_spherical,
-                              from_spherical_array, iota_array, qabs_array,
-                              qconj_array)
+                              from_spherical_array, iota_array, iota_coefficient,
+                              qabs_array, qconj_array)
 
 WITNESS_NAMES = ("rho", "varrho", "sigma")
 POWER_NAMES = tuple(f"pow:{n}" for n in (-2, -1, 0, 2, 3, 4)) + ("identity",)
@@ -461,7 +461,7 @@ def run_all_checks(seed: int = 0, cfg: DiffConfig = DiffConfig(),
                    grid: Optional[SampleGrid] = None) -> List[CheckResult]:
     """Run the full invariant suite in a stable order."""
     reports = catalog_reports(grid, cfg)
-    results = [
+    return [
         check_operator_equivalence(seed, cfg),
         check_closure(cfg),
         check_inclusion(reports),
@@ -479,4 +479,3 @@ def run_all_checks(seed: int = 0, cfg: DiffConfig = DiffConfig(),
         check_chiral_regularity(cfg, seed),
         check_convergence_order(cfg),
     ]
-    return results

@@ -8,11 +8,10 @@ import pytest
 
 from fueterlab.classify import (
     ClassificationReport,
-    centrality_check,
     classify,
     jacobian_check,
 )
-from fueterlab.diffops import DiffConfig
+from fueterlab.diffops import DiffConfig, StepError
 from fueterlab.function_model import (
     QFunction,
     SampleGrid,
@@ -246,17 +245,26 @@ def test_jacobian_advisory_without_class_metadata():
     assert res.det_numeric == pytest.approx(res.det_formula, rel=1e-6)
 
 
+def test_jacobian_refuses_a_step_that_rounds_away():
+    # t + h == t at t = 1e12: the t column differenced a sample with itself,
+    # and the determinant read 0.0
+    far = Quaternion(1e12, 0.5, 0.5, 0.5)
+    pow2 = get_witness("pow:2").function
+    with pytest.raises(StepError, match="Cartesian coordinate 1000000000000.0"):
+        jacobian_check(pow2, far)
+    batch = np.array([[0.3, 1e12], [0.2, 0.5], [-0.4, 0.5], [0.7, 0.5]])
+    with pytest.raises(StepError, match="Cartesian coordinate 1000000000000.0"):
+        jacobian_check(pow2, batch)
+    assert jacobian_check(pow2, batch[:, :1]).det_numeric[0] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # centrality
 
 
 def test_centrality_check_standalone():
-    assert centrality_check(get_witness("pow:3").function,
-                            grid=FAST_GRID).verdict == "central"
-    assert centrality_check(get_witness("rho").function,
-                            grid=FAST_GRID).verdict == "not-central"
-    assert centrality_check(get_witness("pow:0").function,
-                            grid=FAST_GRID).verdict == "central"
+    for name, verdict in (("pow:3", "central"), ("rho", "not-central"), ("pow:0", "central")):
+        assert classify(get_witness(name).function, FAST_GRID).centrality.verdict == verdict
 
 
 def test_central_outside_class_i_is_not_class_iii():

@@ -106,6 +106,34 @@ def test_bad_numbers_exit_2(capsys, argv, message):
     assert "error:" in err and message in err
 
 
+def test_grid_flat_form_round_trip(capsys):
+    # --grid is t0,t1,r0,r1,a0,a1,b0,b1,n_per_axis, and the report repeats it
+    rc, doc, _ = run_cli(capsys, ["classify", "pow:2", COARSE_GRID])
+    assert rc == 0
+    assert doc["report"]["grid"] == {"t": [-1.0, 1.0], "r": [0.5, 1.5], "alpha": [-2.2, 2.4],
+                                     "beta": [0.5, 2.5], "n_per_axis": 3}
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1,2,3", "--grid needs 9 comma-separated numbers, got '1,2,3'"),
+    ("a,1,0.5,1.5,-2.5,2.5,0.4,2.7,3", "bad --grid value in 'a,1,0.5,1.5,-2.5,2.5,0.4,2.7,3'"),
+    ("-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,nan", "n_per_axis must be an integer"),
+    ("-1,1,0.05,1.5,-2.5,2.5,0.4,2.7,3", "r range (0.05, 1.5) enters the real-axis margin r >= 0.1"),
+    ("-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,1", "need at least 2 points per axis"),
+], ids=["count", "not-a-number", "nan-n", "r-margin", "one-node"])
+def test_grid_flat_form_errors(capsys, grid, message):
+    assert run_cli(capsys, ["classify", "rho", f"--grid={grid}"]) == (2, None, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, where):
+    # exit 1 means a verification failure, so a report that cannot be written is a usage error
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    rc, doc, err = run_cli(capsys, ["classify", "pow:2", COARSE_GRID, "--out", str(out)])
+    assert rc == 2 and doc is None
+    assert err.startswith(f"error: cannot write --out {out}: ") and "Traceback" not in err
+
+
 # h = 1e-300 rounds away against every nonzero coordinate; the stencils then
 # differenced samples with themselves and gave confident, wrong verdicts
 def test_classify_step_lost_to_rounding_exits_2(capsys):

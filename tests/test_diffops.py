@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from fueterlab.diffops import (
+    SCHEMES,
     DiffConfig,
+    StepError,
     Stencils,
     class1_residual,
     fueter_left,
     fueter_right,
     fueter_rows,
     fueter_spherical,
-    fueter_spherical_right,
     imaginary_derivative,
+    point_rows,
+    require_step_moves,
     spherical_cr_residuals,
+    stencil_offsets,
 )
 from fueterlab.function_model import DEFAULT_GRID, QFunction, sample_cartesian, uv_at
 from fueterlab.generators import get_witness
@@ -27,6 +31,7 @@ from fueterlab.quaternion_core import (
     SphericalPoint,
     from_spherical,
     from_spherical_array,
+    to_spherical,
 )
 
 CFG = DiffConfig()
@@ -157,13 +162,6 @@ def test_spherical_operator_matches_flat_operator():
             assert sph.isclose(flat, tol=1e-6 * (1 + abs(flat)))
 
 
-def test_spherical_right_matches_flat_right():
-    for s in sample_points(39, 10):
-        sph = fueter_spherical_right(POW2, s, CFG).value
-        flat = fueter_right(POW2, from_spherical(s), CFG).value
-        assert sph.isclose(flat, tol=1e-6 * (1 + abs(flat)))
-
-
 def test_spherical_operator_on_identity():
     for s in sample_points(40, 6):
         got = fueter_spherical(IDENTITY, s, CFG).value
@@ -258,7 +256,6 @@ BATCH_OPERATORS = {
     "class1_residual": (class1_residual, "chart"),
     "imaginary_derivative": (imaginary_derivative, "chart"),
     "fueter_spherical": (fueter_spherical, "chart"),
-    "fueter_spherical_right": (fueter_spherical_right, "chart"),
     "spherical_cr_residuals": (spherical_cr_residuals, "chart"),
 }
 
@@ -350,3 +347,64 @@ def test_fueter_rows_do_not_depend_on_the_memory_layout(right):
     # by direction through a swapped-axes view and through a C-ordered copy
     d = np.random.default_rng(31).normal(size=(4, 4, 500)).swapaxes(0, 1)
     assert fueter_rows(d, right).tobytes() == fueter_rows(np.ascontiguousarray(d), right).tobytes()
+
+
+# at t = 1e12 a step of 1e-5 is below half an ulp, so t + h == t: the
+# operators used to difference a sample with itself there (fueter_left of
+# pow:2 gave -6.0e12 where the exact value is -4e12, class1_residual -2.0e12
+# where it is 0)
+FAR = Quaternion(1e12, 0.5, 0.5, 0.5)
+STEP_CASES = {
+    "fueter_left": (fueter_left, FAR, "Cartesian"),
+    "fueter_right": (fueter_right, FAR, "Cartesian"),
+    "class1_residual": (class1_residual, to_spherical(FAR), "chart"),
+    "fueter_spherical": (fueter_spherical, to_spherical(FAR), "chart"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_operators_refuse_a_step_that_rounds_away(name):
+    op, point, kind = STEP_CASES[name]
+    message = f"does not move the {kind} coordinate 1000000000000.0"
+    with pytest.raises(StepError, match=message):
+        op(POW2, point, CFG)
+    # in a batch, the one column whose t the step cannot move
+    near = from_spherical(SphericalPoint(0.3, 0.9, 0.4, 1.2))
+    if kind == "chart":
+        near = to_spherical(near)
+    rows = np.array([point_rows(near), point_rows(point), point_rows(near)]).T
+    with pytest.raises(StepError, match=message):
+        op(POW2, rows, CFG)
+    op(POW2, rows[:, ::2], CFG)
+
+
+def test_operators_check_only_the_rows_they_difference():
+    # the angular operators do not difference t, so t = 1e12 is no obstacle
+    chart = to_spherical(FAR)
+    got = imaginary_derivative(POW2, chart, CFG).value
+    assert got.isclose(Quaternion(2.0 * 2e12 * chart.r), tol=1e-6 * 4e12)
+    s1, s2 = spherical_cr_residuals(POW2, chart, CFG)
+    assert math.isfinite(s1) and math.isfinite(s2)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_step_check_equals_trying_every_offset(scheme):
+    # the check adds only the smallest offset to |x|; the reference adds every
+    # offset to x itself.  Powers of two (the float spacing halves below them),
+    # their neighbours, ties at half a spacing, zero and subnormals included
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e12, -1e12]
+    for k in range(-10, 70):
+        for x in (2.0 ** k, math.nextafter(2.0 ** k, 0.0), math.nextafter(2.0 ** k, math.inf),
+                  1.5 * 2.0 ** k):
+            values += [x, -x]
+    values += (np.random.default_rng(33).lognormal(0.0, 15.0, 200) * np.tile((1, -1), 100)).tolist()
+    for h in (2.0 ** -20, 2.0 ** -21, 3.0 * 2.0 ** -22, 1e-5, 1e-3):
+        cfg = DiffConfig(h=h, scheme=scheme)
+        for x in values:
+            expected = any(x + d == x for d in stencil_offsets(cfg).tolist())
+            try:
+                require_step_moves((np.array([x]),), cfg, "value")
+                raised = False
+            except StepError:
+                raised = True
+            assert raised == expected, (x, h)

@@ -22,6 +22,7 @@ from fueterlab.function_model import (
     restrict_to_slice,
     uv_at,
 )
+from fueterlab.generators import resolve_function_spec
 from fueterlab.quaternion_core import (
     DomainError,
     Quaternion,
@@ -177,6 +178,28 @@ def test_restrict_to_slice_rejects_raw_functions():
         restrict_to_slice(raw, 0.0, math.pi / 2)
 
 
+# slice sweeps (pow:3, L:) and CE functions whose u and v depend on the angles
+UV_FUNCTIONS = ("rho", "varrho", "x-over-r-iota", "pow:3", "L:-1:1:0,2:0.5:-0.25",
+                "product:rho*pow:2")
+
+
+@pytest.mark.parametrize("spec", UV_FUNCTIONS)
+def test_uv_split_keeps_the_written_out_projection(spec):
+    # the formulas that uv_at and restrict_to_slice wrote out before they took
+    # the projection from quaternion_core.iota_coefficient, compared bit for bit
+    f = resolve_function_spec(spec)
+    rng = random.Random(29)
+    for _ in range(200):
+        s = random_point(rng)
+        p = from_spherical(s)
+        val, r = f(p), p.vector_norm()
+        assert uv_at(f, p) == (val.t, (val.x * p.x + val.y * p.y + val.z * p.z) / r)
+        io = iota(s.alpha, s.beta)
+        val = f.at_spherical(s)
+        want = complex(val.t, val.x * io.x + val.y * io.y + val.z * io.z)
+        assert restrict_to_slice(f, s.alpha, s.beta)(complex(s.t, s.r)) == want
+
+
 # ---------------------------------------------------------------------------
 # power catalog entries
 
@@ -263,16 +286,6 @@ def test_grid_size_is_bounded_before_any_mesh():
         SampleGrid(n_per_axis=side + 1)
     with pytest.raises(ValueError, match="must be an integer"):
         SampleGrid(n_per_axis=8.0)
-
-
-def test_grid_from_flat_round_trip():
-    flat = (-1.0, 1.0, 0.5, 1.5, -2.2, 2.4, 0.5, 2.5, 3)
-    grid = SampleGrid.from_flat(flat)
-    assert grid.t_range == (-1.0, 1.0)
-    assert grid.alpha_range == (-2.2, 2.4)
-    assert grid.n_per_axis == 3
-    with pytest.raises(ValueError):
-        SampleGrid.from_flat((1.0, 2.0))
 
 
 def test_grid_random_points_are_inside():

@@ -15,8 +15,8 @@ from fueterlab.function_model import (
     uv_at,
 )
 from fueterlab.generators import (
+    CATALOG,
     SpecError,
-    catalog_names,
     chiral_difference,
     ci_extend_rinehart,
     get_witness,
@@ -54,7 +54,7 @@ def sample_points(seed, n=20):
 
 
 def test_catalog_names():
-    assert catalog_names() == ["identity", "rho", "sigma", "varrho", "x-over-r-iota"]
+    assert sorted(CATALOG) == ["identity", "rho", "sigma", "varrho", "x-over-r-iota"]
 
 
 def test_witness_entries_carry_expectations():
@@ -101,6 +101,16 @@ def test_rinehart_closed_forms():
         assert rinehart_L(z2)(w) == pytest.approx(-2.0 + 0.0j, abs=1e-10)
         assert rinehart_L(z3)(w) == pytest.approx(-6.0 * w.real - 2.0j * w.imag,
                                                   abs=1e-10)
+
+
+def test_rinehart_L_needs_the_stem_derivative():
+    stem = ComplexStem.named("no-slope", lambda z: z * z)
+    with pytest.raises(ValueError, match="'no-slope' has no derivative"):
+        rinehart_L(stem)
+    with pytest.raises(ValueError, match="'no-slope' has no derivative"):
+        stem.derivative(0.3 + 0.8j)
+    with_slope = ComplexStem.named("slope", lambda z: z * z, lambda z: 2.0 * z)
+    assert rinehart_L(with_slope)(0.3 + 0.8j) == pytest.approx(-2.0)
 
 
 def test_rinehart_images_satisfy_the_balance_condition():

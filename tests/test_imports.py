@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module.
 
-The package __init__ is left out: it imports names to re-export them.
+The package __init__ imports names to re-export them, so there the rule is
+that it imports exactly the names of its __all__.
 """
 
 import ast
@@ -29,3 +30,13 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_init_imports_exactly_its_all():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exported = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["__all__"])
+    assert len(set(exported)) == len(exported)
+    assert sorted(imported) == sorted(exported)

@@ -232,7 +232,7 @@ def test_random_chart_draws_the_scalar_loop_numbers(n):
 
 CARTESIAN_OPERATORS = ("fueter_left", "fueter_right")
 CHART_OPERATORS = ("class1_residual", "imaginary_derivative", "fueter_spherical",
-                   "fueter_spherical_right", "spherical_cr_residuals")
+                   "spherical_cr_residuals")
 
 
 def _flat_result(out) -> np.ndarray:

@@ -32,7 +32,7 @@ def test_random_laurent_stem_sweeps_to_class_iii_and_its_image_to_regular(terms)
     sweep = classify(cullen_extend(stem), GRID)
     assert sweep.class_III.verdict == "pass", sweep.to_dict()
     assert sweep.centrality.verdict == "central", sweep.to_dict()
-    image = classify(ci_extend_rinehart(rinehart_L(stem), GRID), GRID)
+    image = classify(ci_extend_rinehart(rinehart_L(stem)), GRID)
     assert image.regular.verdict == "pass", image.to_dict()
 
 
