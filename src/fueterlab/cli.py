@@ -217,13 +217,13 @@ def cmd_laurent(args) -> int:
     try:
         region = AnnulusRegion(c1, c2, inner, outer)
         series = laurent_coefficients(f, region, (n_lo, n_hi), args.quad_points)
+        # np.max keeps a NaN probe error, which max() would drop
+        recon_err = float(np.max([abs(reconstruct(series, q) - f(q))
+                                  for q in map(from_spherical, _probe_points(region))]))
     except (ValueError, FunctionKindError) as exc:
         raise SpecError(str(exc)) from exc
-
-    recon_err = 0.0
-    for s in _probe_points(region):
-        q = from_spherical(s)
-        recon_err = max(recon_err, abs(reconstruct(series, q) - f(q)))
+    except OverflowError as exc:
+        raise SpecError(f"{f.name}: float overflow on this region ({exc.args[-1]})") from exc
 
     doc = {
         "command": "laurent",

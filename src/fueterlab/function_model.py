@@ -39,16 +39,17 @@ mirrors do when their inputs have one.  Where the input is a scalar
 callable, the array evaluator calls it with scalars and does the chart
 maps, the trig and the u + iota v assembly on arrays:
 
-* from_uv without uv_array materializes the rows and calls u and v once
-  per point, each with one SphericalPoint (a named tuple);
+* from_uv without uv_array materializes the rows and calls u, then v, once
+  per point, each with one SphericalPoint (a named tuple), into two lists;
 * a stem without an array form is called once per distinct z of a batch
   (a sweep repeats t + i r on every slice), so it must be a pure function
   of z.
 
 Only a QFunction built directly from an evaluator (or a product, sum or
 mirror of one) has none; sample_chart/sample_cartesian then materialize the
-rows and fill the same arrays from its scalar views, one point at a time:
-at_spherical for chart rows (the Laurent contours are chart rows too) and
+rows and fill the same arrays from its scalar views, one point at a time,
+appending each value's components to four lists: for chart rows (the
+Laurent contours are chart rows too) the view at_spherical would call, and
 evaluator for Cartesian ones.  No user callable is ever called with an
 array.
 """
@@ -56,6 +57,7 @@ array.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import numbers
@@ -234,40 +236,44 @@ DEFAULT_GRID = SampleGrid()
 # large enough to amortize the call, small enough to keep temporaries small
 CALL_POINTS = 4096
 
-# the value of a complex sample off the domain
+# the values of a complex and a quaternion sample off the domain
 NAN_COMPLEX = complex(math.nan, math.nan)
+_NAN_QUATERNION = Quaternion(math.nan, math.nan, math.nan, math.nan)
+
+# the errors that give a scalar sample those values: math and domain errors
+_SAMPLE_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _fill_points(evaluate, args, failed, dtype=float) -> np.ndarray:
-    """Flat array of evaluate over args, one call per point.
-
-    A point whose evaluation raises a math or domain error gets failed, the
-    NaN value that the array evaluators give off their domain.  When failed
-    is a tuple, evaluate returns tuples of its length, laid end to end, so
-    that numpy reads numbers rather than tuples.
-    """
+def _fill_complex(evaluate, args) -> np.ndarray:
+    """ complex array of evaluate over args, one call per point, NAN_COMPLEX where it fails """
     out = []
-    add = out.extend if type(failed) is tuple else out.append
     for arg in args:
         try:
             value = evaluate(arg)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            value = failed
-        add(value)
-    return np.array(out, dtype=dtype)
+        except _SAMPLE_ERRORS:
+            value = NAN_COMPLEX
+        out.append(value)
+    return np.array(out, dtype=complex)
 
 
 def _fill_quaternions(evaluate, args) -> np.ndarray:
     """ value rows of evaluate over args, a NaN column where it fails """
-    def components(arg):
-        val = evaluate(arg)
-        return val.t, val.x, val.y, val.z
-    return _fill_points(components, args, (math.nan,) * 4).reshape(-1, 4).T
+    t, x, y, z = [], [], [], []
+    for arg in args:
+        try:
+            val = evaluate(arg)
+        except _SAMPLE_ERRORS:
+            val = _NAN_QUATERNION
+        t.append(val.t)
+        x.append(val.x)
+        y.append(val.y)
+        z.append(val.z)
+    return np.array((t, x, y, z), dtype=float)
 
 
 def _chart_points(chart: np.ndarray):
     """ the columns of chart rows (4, N) as SphericalPoint objects """
-    return map(SphericalPoint._make, chart.T.tolist())
+    return map(functools.partial(tuple.__new__, SphericalPoint), chart.T.tolist())
 
 
 def _quaternions(points: np.ndarray):
@@ -291,7 +297,9 @@ def sample_chart(f: QFunction, chart) -> np.ndarray:
     """ value rows of f at chart rows (t, r, alpha, beta), NaN where it fails """
     if f.array_evaluator is not None:
         return f.array_evaluator(chart)
-    return _fill_rows(f.at_spherical, chart, _chart_points)
+    if f.spherical_evaluator is not None:
+        return _fill_rows(f.spherical_evaluator, chart, _chart_points)
+    return _fill_rows(f.evaluator, chart, lambda columns: map(from_spherical, _chart_points(columns)))
 
 
 def sample_cartesian(f: QFunction, points) -> np.ndarray:
@@ -349,8 +357,16 @@ def from_uv(u: Callable[[SphericalPoint], float],
     if uv_array is None:
         def uv_array(chart) -> np.ndarray:
             columns, shape = _columns(chart)
-            uv = _fill_points(lambda s: (u(s), v(s)), _chart_points(columns), (math.nan,) * 2)
-            return uv.reshape(-1, 2).T.reshape((2,) + shape)
+            us, vs = [], []
+            for s in _chart_points(columns):
+                try:
+                    u_s = u(s)
+                    v_s = v(s)
+                except _SAMPLE_ERRORS:
+                    u_s = v_s = math.nan
+                us.append(u_s)
+                vs.append(v_s)
+            return np.array((us, vs), dtype=float).reshape((2,) + shape)
 
     def array_evaluator(chart) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -426,7 +442,7 @@ class ComplexStem:
         if self._func_array is None:
             bits = np.ascontiguousarray(z, dtype=complex).reshape(-1).view("V16")
             distinct, where = np.unique(bits, return_inverse=True)
-            values = _fill_points(self.eval, distinct.view(complex).tolist(), NAN_COMPLEX, complex)
+            values = _fill_complex(self.eval, distinct.view(complex).tolist())
             return values[where].reshape(np.shape(z))
         with np.errstate(all="ignore"):
             return self._func_array(z)

@@ -13,11 +13,13 @@ parallel to k); both raise ChartSingularityError.  Everything downstream
 away from those sets.
 
 Quaternion() coerces its components to float.  Arithmetic results are
-already floats, so they skip that coercion: they are built by the private
-_quaternion, which the batched samplers also use for points read from
-arrays.  A real scalar operand is coerced once, so every component of every
-result is a float.  SphericalPoint is a named tuple, cheap enough to build
-once per sample of a user's scalar field.
+already floats, so they skip that coercion: a product or sum of two
+quaternions, the bulk of a user's quaternion polynomial, is built in place
+by object.__new__ and four slot stores, and every other result by the
+private _quaternion, which the batched samplers also use for points read
+from arrays.  A real scalar operand is coerced once, so every component of
+every result is a float.  SphericalPoint is a named tuple, cheap enough to
+build once per sample of a user's scalar field.
 
 The *_array functions are the batched twins used by grid sweeps.  A batch
 is four rows, (t, x, y, z) for quaternions or (t, r, alpha, beta) for the
@@ -70,8 +72,12 @@ class Quaternion:
 
     def __add__(self, other):
         if type(other) is Quaternion or isinstance(other, Quaternion):
-            return _quaternion(self.t + other.t, self.x + other.x,
-                               self.y + other.y, self.z + other.z)
+            q = _new_object(Quaternion)
+            q.t = self.t + other.t
+            q.x = self.x + other.x
+            q.y = self.y + other.y
+            q.z = self.z + other.z
+            return q
         if isinstance(other, (int, float)):
             return _quaternion(self.t + float(other), self.x, self.y, self.z)
         return NotImplemented
@@ -97,12 +103,20 @@ class Quaternion:
     def __mul__(self, other):
         """ Hamilton product (or scaling by a real number) """
         if type(other) is Quaternion or isinstance(other, Quaternion):
-            a, b, c, d = self.t, self.x, self.y, self.z
-            e, f, g, h = other.t, other.x, other.y, other.z
-            return _quaternion(a * e - b * f - c * g - d * h,
-                               a * f + b * e + c * h - d * g,
-                               a * g - b * h + c * e + d * f,
-                               a * h + b * g - c * f + d * e)
+            a = self.t
+            b = self.x
+            c = self.y
+            d = self.z
+            e = other.t
+            f = other.x
+            g = other.y
+            h = other.z
+            q = _new_object(Quaternion)
+            q.t = a * e - b * f - c * g - d * h
+            q.x = a * f + b * e + c * h - d * g
+            q.y = a * g - b * h + c * e + d * f
+            q.z = a * h + b * g - c * f + d * e
+            return q
         if isinstance(other, (int, float)):
             s = float(other)
             return _quaternion(self.t * s, self.x * s, self.y * s, self.z * s)

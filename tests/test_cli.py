@@ -7,6 +7,7 @@ README examples) do.
 """
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -14,8 +15,10 @@ import sys
 import pytest
 
 import fueterlab
+from fueterlab import cli, laurent
 from fueterlab.cli import _config_from_args, build_parser, main
 from fueterlab.diffops import DiffConfig
+from fueterlab.quaternion_core import Quaternion
 
 # three nodes per axis, placed so no node hits the atanh ridges of the
 # varrho/sigma witnesses (alpha = 0 or +-pi/2 together with beta = pi/2)
@@ -247,6 +250,31 @@ def test_laurent_evaluator_failure_on_contour_exits_2(capsys):
     rc, doc, err = run_cli(capsys, ["laurent", "stem:arctan", "--quad-points", "32"])
     assert rc == 2 and doc is None
     assert "error: arctan: no finite value at z=" in err
+
+
+@pytest.mark.parametrize("argv", (
+    # the probes' scalar f(q) takes a Python complex to the power 2000
+    ["laurent", "pow:2000"],
+    # radius ** n of the lowest order in the quadrature scaling
+    ["laurent", "pow:2", "--n-range=-1000,2", "--quad-points", "4096"],
+))
+def test_laurent_float_overflow_exits_2(capsys, argv):
+    rc, doc, err = run_cli(capsys, argv)
+    assert rc == 2 and doc is None
+    assert err.startswith("error: ") and "float overflow" in err
+
+
+def test_laurent_nan_probe_error_is_reported_as_nan(capsys, monkeypatch):
+    probes = []
+
+    def reconstruct(series, q):
+        probes.append(q)
+        return Quaternion(math.nan) if len(probes) == 3 else laurent.reconstruct(series, q)
+
+    monkeypatch.setattr(cli, "reconstruct", reconstruct)
+    rc, doc, _ = run_cli(capsys, ["laurent", "pow:2", "--quad-points", "32"])
+    assert rc == 0 and len(probes) > 3
+    assert math.isnan(doc["max_reconstruction_error"])
 
 
 def test_laurent_non_ce_function_exits_2(capsys):

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level name is used somewhere in the package.
 
 The package __init__ imports names to re-export them, so there the rule is
 that it imports exactly the names of its __all__.
@@ -40,3 +41,37 @@ def test_init_imports_exactly_its_all():
                     and [t.id for t in node.targets] == ["__all__"])
     assert len(set(exported)) == len(exported)
     assert sorted(imported) == sorted(exported)
+
+
+def private_definitions(tree) -> set:
+    """ the _names (not __dunders__) that a module binds at its top level """
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def references(tree) -> set:
+    """ the names a module reads, as a name, an attribute or an import """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_module_name_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*map(references, trees.values()))
+    unused = sorted(f"{module}: {name}" for module, tree in trees.items()
+                    for name in private_definitions(tree) - used)
+    assert unused == []
