@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import fueterlab
-from fueterlab import cli, laurent
+from fueterlab import cli
 from fueterlab.cli import _config_from_args, build_parser, main
 from fueterlab.diffops import DiffConfig
 from fueterlab.quaternion_core import Quaternion
@@ -265,11 +265,11 @@ def test_laurent_float_overflow_exits_2(capsys, argv):
 
 
 def test_laurent_nan_probe_error_is_reported_as_nan(capsys, monkeypatch):
-    probes = []
+    probes, exact = [], cli.reconstruct
 
     def reconstruct(series, q):
         probes.append(q)
-        return Quaternion(math.nan) if len(probes) == 3 else laurent.reconstruct(series, q)
+        return Quaternion(math.nan) if len(probes) == 3 else exact(series, q)
 
     monkeypatch.setattr(cli, "reconstruct", reconstruct)
     rc, doc, _ = run_cli(capsys, ["laurent", "pow:2", "--quad-points", "32"])
