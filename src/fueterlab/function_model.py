@@ -34,10 +34,11 @@ The library's evaluators compute each intermediate on the rows it depends
 on: the trig of a grid's alpha and beta axes once per axis value, a stem on
 the t + i r plane once per (t, r) pair.
 
-from_uv and cullen_extend always supply one, and products, sums and
-mirrors do when their inputs have one.  Where the input is a scalar
-callable, the array evaluator calls it with scalars and does the chart
-maps, the trig and the u + iota v assembly on arrays:
+from_uv and cullen_extend always supply one.  A composite (a product, sum,
+mirror or conjugate) is built view by view from its inputs' views, and has
+a spherical_evaluator or an array_evaluator only when every input has one.
+Where the input is a scalar callable, the array evaluator calls it with
+scalars and does the chart maps, the trig and the u + iota v assembly on arrays:
 
 * from_uv without uv_array materializes the rows and calls u, then v, once
   per point, each with one SphericalPoint (a named tuple), into two lists;
@@ -45,9 +46,9 @@ maps, the trig and the u + iota v assembly on arrays:
   (a sweep repeats t + i r on every slice), so it must be a pure function
   of z.
 
-Only a QFunction built directly from an evaluator (or a product, sum or
-mirror of one) has none; sample_chart/sample_cartesian then materialize the
-rows and fill the same arrays from its scalar views, one point at a time,
+Only a QFunction built directly from an evaluator (or a composite of one)
+has none; sample_chart/sample_cartesian then materialize the rows and fill
+the same arrays from its scalar views, one point at a time,
 appending each value's components to four lists: for chart rows (the
 Laurent contours are chart rows too) the view at_spherical would call, and
 evaluator for Cartesian ones.  No user callable is ever called with an
@@ -200,10 +201,6 @@ class SampleGrid:
         """ chart rows (t, r, alpha, beta) of every node, beta fastest """
         return stack_rows(self.mesh(), (self.n_per_axis,) * 4).reshape(4, -1)
 
-    def points(self):
-        """ the columns of chart_array as SphericalPoint nodes """
-        return _chart_points(self.chart_array())
-
     @property
     def size(self) -> int:
         return self.n_per_axis ** 4
@@ -217,10 +214,6 @@ class SampleGrid:
         ranges = (self.t_range, self.r_range, self.alpha_range, self.beta_range)
         lo, hi = np.array(ranges).T
         return rng.uniform(lo, hi, size=(n, 4)).T
-
-    def random_points(self, rng: np.random.Generator, n: int) -> list:
-        """ the columns of random_chart as SphericalPoint objects """
-        return list(_chart_points(self.random_chart(rng, n)))
 
     def to_dict(self) -> dict:
         return {
@@ -549,30 +542,35 @@ def restrict_to_slice(f: QFunction, alpha: float, beta: float) -> Callable[[comp
     return slice_fn
 
 
+def _composite(inputs: tuple, spherical, array_evaluator, **fields) -> QFunction:
+    """ the composite of inputs with the chart views that every input has """
+    if any(f.spherical_evaluator is None for f in inputs):
+        spherical = None
+    if any(f.array_evaluator is None for f in inputs):
+        array_evaluator = None
+    return QFunction(spherical_evaluator=spherical, array_evaluator=array_evaluator, **fields)
+
+
 def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction:
-    """f op g pointwise, in every view that both inputs have."""
+    """ f op g pointwise """
 
     def evaluator(p: Quaternion) -> Quaternion:
         return op(f(p), g(p))
 
-    spherical = None
-    if f.spherical_evaluator is not None and g.spherical_evaluator is not None:
-        def spherical(s: SphericalPoint) -> Quaternion:
-            return op(f.at_spherical(s), g.at_spherical(s))
+    def spherical(s: SphericalPoint) -> Quaternion:
+        return op(f.at_spherical(s), g.at_spherical(s))
 
-    array_evaluator = None
-    if f.array_evaluator is not None and g.array_evaluator is not None:
-        def array_evaluator(chart) -> np.ndarray:
-            a, b = f.array_evaluator(chart), g.array_evaluator(chart)
-            with np.errstate(all="ignore"):
-                return array_op(a, b)
+    def array_evaluator(chart) -> np.ndarray:
+        a, b = f.array_evaluator(chart), g.array_evaluator(chart)
+        with np.errstate(all="ignore"):
+            return array_op(a, b)
 
     if f.kind == "CI" and g.kind == "CI":
         kind = "CI"
     else:
         kind = "CE" if f.is_ce and g.is_ce else "raw"
-    return QFunction(name=name, evaluator=evaluator, kind=kind,
-                     spherical_evaluator=spherical, array_evaluator=array_evaluator)
+    return _composite((f, g), spherical, array_evaluator,
+                      name=name, evaluator=evaluator, kind=kind)
 
 
 def pointwise_product(f: QFunction, g: QFunction, name: Optional[str] = None) -> QFunction:

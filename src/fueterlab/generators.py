@@ -18,8 +18,8 @@ Generators build new functions from old:
 * chiral_difference(f): fueter_left f - fueter_right f from shared
   stencils (left-regular whenever f is Class II, identically zero iff f
   is Class III);
-* mirror(f): p -> conj(f(conj(p))), an involution exchanging left- and
-  right-handed classes.
+* mirror(f): p -> conj(f(conj(p))), a composite (see function_model) and
+  an involution exchanging left- and right-handed classes.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .function_model import (
     NAMED_STEMS,
     QFunction,
     SampleGrid,
+    _composite,
     cullen_extend,
     from_uv,
     pointwise_product,
@@ -211,21 +212,24 @@ def ci_extend_rinehart(g: ComplexStem, cfg: DiffConfig = DiffConfig()) -> QFunct
     return cullen_extend(g, name=g.label)
 
 
+# 3 nodes per axis, none on the witnesses' singular sets alpha in {0, +-pi/2, +-pi}, beta = pi/2
+_SPOT_CHECK_GRID = SampleGrid(alpha_range=(-2.5, 2.0), beta_range=(0.4, 2.6), n_per_axis=3)
+
+
 def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFunction:
     """fueter_left f - fueter_right f as a lazily evaluated function.
 
     Meaningful for Class II inputs (where the result is left-regular); a
     function without a Class II expectation in its metadata is spot-checked
-    on a grid of 3 nodes per axis and rejected if it fails.
+    on _SPOT_CHECK_GRID and rejected, naming the verdict, unless it passes.
     """
     if not f.is_ce:
         raise FunctionKindError(f"{f.name}: chiral difference needs a CE/CI function")
     if f.classes is None:
-        report = classify(f, SampleGrid(n_per_axis=3), inner)
-        if report.class_II.verdict != "pass":
-            raise DomainError(
-                f"{f.name} failed the Class II spot check "
-                f"(max residual {report.class_II.max}); chiral difference undefined")
+        spot = classify(f, _SPOT_CHECK_GRID, inner).class_II
+        if spot.verdict != "pass":
+            raise DomainError(f"{f.name} failed the Class II spot check: {spot.verdict} "
+                              f"(max residual {spot.max}); chiral difference undefined")
     elif not f.classes.get("class_II", False):
         raise DomainError(f"{f.name} is not Class II; chiral difference undefined")
 
@@ -254,24 +258,18 @@ def mirror(f: QFunction) -> QFunction:
     def evaluator(p: Quaternion) -> Quaternion:
         return f(p.conjugate()).conjugate()
 
-    spherical = None
-    if f.spherical_evaluator is not None:
-        def spherical(s: SphericalPoint) -> Quaternion:
-            alpha, beta = antipodal_angles(s.alpha, s.beta)
-            return f.at_spherical(SphericalPoint(s.t, s.r, float(alpha), beta)).conjugate()
+    def spherical(s: SphericalPoint) -> Quaternion:
+        alpha, beta = antipodal_angles(s.alpha, s.beta)
+        return f.at_spherical(SphericalPoint(s.t, s.r, float(alpha), beta)).conjugate()
 
-    array_evaluator = None
-    if f.array_evaluator is not None:
-        def array_evaluator(chart) -> np.ndarray:
-            t, r, alpha, beta = chart
-            return qconj_array(f.array_evaluator((t, r, *antipodal_angles(alpha, beta))))
+    def array_evaluator(chart) -> np.ndarray:
+        t, r, alpha, beta = chart
+        return qconj_array(f.array_evaluator((t, r, *antipodal_angles(alpha, beta))))
 
     # left-handed class expectations do not transfer unless the function is
     # a pure slice sweep, which mirror fixes pointwise
-    classes = f.classes if f.kind == "CI" else None
-    return QFunction(name=f"mirror:{f.name}", evaluator=evaluator, kind=f.kind,
-                     spherical_evaluator=spherical, classes=classes,
-                     array_evaluator=array_evaluator)
+    return _composite((f,), spherical, array_evaluator, name=f"mirror:{f.name}", evaluator=evaluator,
+                      kind=f.kind, classes=f.classes if f.kind == "CI" else None)
 
 
 _STEM_TERM_RE = re.compile(r"^(-?\d+):(-?[\d.eE+-]+):(-?[\d.eE+-]+)$")
@@ -290,8 +288,6 @@ def parse_stem_spec(text: str) -> ComplexStem:
             terms.append((int(m.group(1)), complex(float(m.group(2)), float(m.group(3)))))
         except ValueError as exc:
             raise SpecError(f"bad stem term {part!r}: {exc}") from exc
-    if not terms:
-        raise SpecError("empty stem spec")
     return ComplexStem.laurent(terms)
 
 

@@ -122,11 +122,7 @@ class Quaternion:
             return _quaternion(self.t * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            s = float(other)
-            return _quaternion(self.t * s, self.x * s, self.y * s, self.z * s)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
@@ -156,9 +152,6 @@ class Quaternion:
         if n2 == 0.0:
             raise ZeroDivisionError("0 has no quaternion inverse")
         return _quaternion(self.t / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-    def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
 
 
 _new_object = object.__new__

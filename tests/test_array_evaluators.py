@@ -59,9 +59,7 @@ OFF_DOMAIN = [
 
 
 def _seeded_chart(n=64, seed=20240601):
-    rng = np.random.default_rng(seed)
-    pts = DEFAULT_GRID.random_points(rng, n)
-    return np.array([[s.t, s.r, s.alpha, s.beta] for s in pts]).T
+    return DEFAULT_GRID.random_chart(np.random.default_rng(seed), n)
 
 
 def _array_values(f, chart):

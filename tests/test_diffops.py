@@ -63,13 +63,13 @@ def sample_points(seed, n=25):
 def test_fueter_left_of_identity_is_minus_two():
     for s in sample_points(31, 10):
         got = fueter_left(IDENTITY, from_spherical(s), CFG).value
-        assert got.isclose(Quaternion(-2.0), tol=1e-9)
+        assert abs(got - Quaternion(-2.0)) <= 1e-9
 
 
 def test_fueter_right_of_identity_is_minus_two():
     for s in sample_points(32, 10):
         got = fueter_right(IDENTITY, from_spherical(s), CFG).value
-        assert got.isclose(Quaternion(-2.0), tol=1e-9)
+        assert abs(got - Quaternion(-2.0)) <= 1e-9
 
 
 def test_both_operators_annihilate_constants():
@@ -81,7 +81,7 @@ def test_both_operators_annihilate_constants():
 def test_fueter_left_of_conjugate_is_four():
     for s in sample_points(33, 10):
         got = fueter_left(CONJ, from_spherical(s), CFG).value
-        assert got.isclose(Quaternion(4.0), tol=1e-9)
+        assert abs(got - Quaternion(4.0)) <= 1e-9
 
 
 def test_fueter_left_obeys_minus_two_v_over_r_on_class_ii():
@@ -92,7 +92,7 @@ def test_fueter_left_obeys_minus_two_v_over_r_on_class_ii():
             p = from_spherical(s)
             _, v = uv_at(f, p)
             got = fueter_left(f, p, CFG).value
-            assert got.isclose(Quaternion(-2.0 * v / s.r), tol=2e-6 * (1 + abs(v)))
+            assert abs(got - Quaternion(-2.0 * v / s.r)) <= 2e-6 * (1 + abs(v))
 
 
 @pytest.mark.parametrize("sin_beta", [0.0, 1e-3, 0.01])
@@ -107,7 +107,7 @@ def test_flat_operators_on_and_near_the_k_axis(name, sin_beta):
         _, v = uv_at(f, p)
         want = Quaternion(-2.0 * v / p.vector_norm())
         for op in (fueter_left, fueter_right):
-            assert op(f, p, CFG).value.isclose(want, tol=1e-8 * (1 + abs(v))), (op.__name__, p)
+            assert abs(op(f, p, CFG).value - want) <= 1e-8 * (1 + abs(v)), (op.__name__, p)
     on_axis = np.array([[0.5], [0.0], [0.0], [0.7]])
     q = f(Quaternion(0.5, 0.0, 0.0, 0.7))
     assert sample_cartesian(f, on_axis)[:, 0].tolist() == [q.t, q.x, q.y, q.z]
@@ -147,7 +147,7 @@ def test_class1_residual_vanishes_on_holomorphic_entries():
 def test_class1_residual_of_conjugate_is_two():
     for s in sample_points(37, 8):
         got = class1_residual(CONJ, s, CFG).value
-        assert got.isclose(Quaternion(2.0), tol=1e-8)
+        assert abs(got - Quaternion(2.0)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +159,13 @@ def test_spherical_operator_matches_flat_operator():
         for s in sample_points(38, 10):
             sph = fueter_spherical(f, s, CFG).value
             flat = fueter_left(f, from_spherical(s), CFG).value
-            assert sph.isclose(flat, tol=1e-6 * (1 + abs(flat)))
+            assert abs(sph - flat) <= 1e-6 * (1 + abs(flat))
 
 
 def test_spherical_operator_on_identity():
     for s in sample_points(40, 6):
         got = fueter_spherical(IDENTITY, s, CFG).value
-        assert got.isclose(Quaternion(-2.0), tol=1e-9)
+        assert abs(got - Quaternion(-2.0)) <= 1e-9
 
 
 def test_xri_breaks_the_class_ii_law_generically():
@@ -178,7 +178,7 @@ def test_xri_breaks_the_class_ii_law_generically():
     # ... yet at t=0, r=1, alpha=0, beta=pi/2 the residual happens to vanish
     special = SphericalPoint(0.0, 1.0, 0.0, math.pi / 2)
     got = fueter_spherical(XRI, special, CFG).value
-    assert got.isclose(Quaternion(-2.0), tol=1e-8)
+    assert abs(got - Quaternion(-2.0)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +207,14 @@ def test_cr_residual_of_xri_is_minus_sin_alpha():
 def test_imaginary_derivative_of_identity_is_two_r():
     for s in sample_points(43, 8):
         got = imaginary_derivative(IDENTITY, s, CFG).value
-        assert got.isclose(Quaternion(2.0 * s.r), tol=1e-8)
+        assert abs(got - Quaternion(2.0 * s.r)) <= 1e-8
 
 
 def test_imaginary_derivative_of_rho():
     for s in sample_points(44, 8):
         got = imaginary_derivative(RHO, s, CFG).value
         want = 2.0 * math.log(math.tan(s.beta / 2.0))
-        assert got.isclose(Quaternion(want), tol=1e-7)
+        assert abs(got - Quaternion(want)) <= 1e-7
 
 
 def test_imaginary_derivative_of_constants_vanishes():
@@ -382,7 +382,7 @@ def test_operators_check_only_the_rows_they_difference():
     # the angular operators do not difference t, so t = 1e12 is no obstacle
     chart = to_spherical(FAR)
     got = imaginary_derivative(POW2, chart, CFG).value
-    assert got.isclose(Quaternion(2.0 * 2e12 * chart.r), tol=1e-6 * 4e12)
+    assert abs(got - Quaternion(2.0 * 2e12 * chart.r)) <= 1e-6 * 4e12
     s1, s2 = spherical_cr_residuals(POW2, chart, CFG)
     assert math.isfinite(s1) and math.isfinite(s2)
 
