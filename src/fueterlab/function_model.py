@@ -34,11 +34,10 @@ The library's evaluators compute each intermediate on the rows it depends
 on: the trig of a grid's alpha and beta axes once per axis value, a stem on
 the t + i r plane once per (t, r) pair.
 
-from_uv and cullen_extend always supply one.  A composite (a product, sum,
-mirror or conjugate) is built view by view from its inputs' views, and has
-a spherical_evaluator or an array_evaluator only when every input has one.
-Where the input is a scalar callable, the array evaluator calls it with
-scalars and does the chart maps, the trig and the u + iota v assembly on arrays:
+from_uv and cullen_extend always supply one; a product, sum, mirror or
+conjugate has a spherical or array view only when all its inputs have it.
+A scalar callable input is called with scalars, and the chart maps, the
+trig and the u + iota v assembly run on arrays:
 
 * from_uv without uv_array materializes the rows and calls u, then v, once
   per point, each with one SphericalPoint (a named tuple), into two lists;

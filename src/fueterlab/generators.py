@@ -268,8 +268,9 @@ def mirror(f: QFunction) -> QFunction:
 
     # left-handed class expectations do not transfer unless the function is
     # a pure slice sweep, which mirror fixes pointwise
-    return _composite((f,), spherical, array_evaluator, name=f"mirror:{f.name}", evaluator=evaluator,
-                      kind=f.kind, classes=f.classes if f.kind == "CI" else None)
+    classes = f.classes if f.kind == "CI" else None
+    return _composite((f,), spherical, array_evaluator, name=f"mirror:{f.name}",
+                      evaluator=evaluator, kind=f.kind, classes=classes)
 
 
 _STEM_TERM_RE = re.compile(r"^(-?\d+):(-?[\d.eE+-]+):(-?[\d.eE+-]+)$")

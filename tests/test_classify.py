@@ -258,6 +258,15 @@ def test_jacobian_refuses_a_step_that_rounds_away():
     assert jacobian_check(pow2, batch[:, :1]).det_numeric[0] > 0.0
 
 
+def test_jacobian_is_undefined_on_the_real_axis():
+    pow2 = get_witness("pow:2").function
+    with pytest.raises(DomainError, match="undefined on the real axis"):
+        jacobian_check(pow2, Quaternion(0.5))
+    batch = np.array([[0.3, 0.5], [0.2, 0.0], [-0.4, 0.0], [0.7, 0.0]])
+    with pytest.raises(DomainError, match="undefined on the real axis"):
+        jacobian_check(pow2, batch)
+
+
 # ---------------------------------------------------------------------------
 # centrality
 

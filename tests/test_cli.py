@@ -100,9 +100,10 @@ def test_classify_unknown_spec_exits_2(capsys):
     (["laurent", "rho", "--quad-points", "1000000000000"], "1000000000000 quadrature points"),
     (["laurent", "rho", "--grid=-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,3"], "unrecognized arguments"),
     (["classify", "rho", "--seed", "1"], "unrecognized arguments"),
+    (["classify", "stem:1:1e5e5:0"], "bad stem term '1:1e5e5:0'"),
 ], ids=["short-grid", "infinite-n", "infinite-range", "negative-seed", "infinite-h",
         "nan-tolerance", "negative-tolerance", "nan-center", "huge-grid", "fractional-n",
-        "huge-quad-points", "laurent-grid", "classify-seed"])
+        "huge-quad-points", "laurent-grid", "classify-seed", "unparsable-stem-coefficient"])
 def test_bad_numbers_exit_2(capsys, argv, message):
     rc, doc, err = run_cli(capsys, argv)
     assert rc == 2 and doc is None
@@ -123,7 +124,8 @@ def test_grid_flat_form_round_trip(capsys):
     ("-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,nan", "n_per_axis must be an integer"),
     ("-1,1,0.05,1.5,-2.5,2.5,0.4,2.7,3", "r range (0.05, 1.5) enters the real-axis margin r >= 0.1"),
     ("-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,1", "need at least 2 points per axis"),
-], ids=["count", "not-a-number", "nan-n", "r-margin", "one-node"])
+    ("-1,1,0.5,1.5,-2.5,2.5,-0.1,2.7,4", "beta range (-0.1, 2.7) leaves (0, pi)"),
+], ids=["count", "not-a-number", "nan-n", "r-margin", "one-node", "beta-outside"])
 def test_grid_flat_form_errors(capsys, grid, message):
     assert run_cli(capsys, ["classify", "rho", f"--grid={grid}"]) == (2, None, f"error: {message}\n")
 

@@ -178,6 +178,29 @@ def test_restrict_to_slice_rejects_raw_functions():
         restrict_to_slice(raw, 0.0, math.pi / 2)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e-7, math.pi])
+def test_restrict_to_slice_rejects_the_poles(beta):
+    with pytest.raises(DomainError, match="slice undefined at the poles"):
+        restrict_to_slice(power_function(2), 0.3, beta)
+
+
+def test_qfunction_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown function kind 'CX'"):
+        QFunction("f", lambda p: p, kind="CX")
+
+
+def test_uv_at_is_undefined_on_the_real_axis():
+    with pytest.raises(DomainError, match="u/v split undefined on the real axis"):
+        uv_at(power_function(2), Quaternion(0.5))
+
+
+def test_stem_derivative_off_its_domain_raises():
+    with pytest.raises(DomainError, match="not defined at"):
+        Z_SQUARED.derivative(0.5 - 0.25j)
+    with pytest.raises(DomainError, match="not defined at"):
+        NAMED_STEMS["arctan"].derivative(0.1 + 2.0j)  # on the branch cut
+
+
 # slice sweeps (pow:3, L:) and CE functions whose u and v depend on the angles
 UV_FUNCTIONS = ("rho", "varrho", "x-over-r-iota", "pow:3", "L:-1:1:0,2:0.5:-0.25",
                 "product:rho*pow:2")

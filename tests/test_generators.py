@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from fueterlab.function_model import (
     ComplexStem,
     FunctionKindError,
     QFunction,
+    from_uv,
+    pointwise_product,
     pointwise_sum,
     uv_at,
 )
@@ -136,6 +139,20 @@ def test_rinehart_pipeline_produces_regular_functions():
             assert abs(fueter_left(ext, q, CFG).value) < 1e-5, n
 
 
+def test_rinehart_extension_skips_nodes_off_the_stem_domain():
+    # arctan is cut where |Re z| <= 1/4 and Im z >= 3/4, which holds at some
+    # (t, r) nodes of the default grid; those are skipped, not evaluated
+    f = resolve_function_spec("L:arctan")
+    assert f.name == "L:arctan"
+    assert abs(fueter_left(f, Quaternion(0.6, 0.3, 0.4, 0.2), CFG).value) < 1e-5
+
+
+def test_rinehart_extension_needs_an_admissible_node():
+    nowhere = ComplexStem.named("nowhere", lambda z: z, lambda z: 1.0, domain_ok=lambda z: False)
+    with pytest.raises(DomainError, match="no admissible \\(t, r\\) samples for 'nowhere'"):
+        ci_extend_rinehart(nowhere)
+
+
 # ---------------------------------------------------------------------------
 # chiral difference
 
@@ -174,6 +191,36 @@ def test_chiral_difference_gates_its_input():
         chiral_difference(QFunction("swap", lambda p: Quaternion(p.x, p.t, 0.0, 0.0)))
     with pytest.raises(DomainError):
         chiral_difference(get_witness("x-over-r-iota").function)
+
+
+def _without_classes(name):
+    return replace(get_witness(name).function, classes=None)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _without_classes("varrho"),
+    lambda: _without_classes("sigma"),
+    lambda: pointwise_product(get_witness("rho").function, get_witness("varrho").function),
+    lambda: pointwise_sum(get_witness("rho").function, get_witness("varrho").function),
+    lambda: pointwise_product(get_witness("sigma").function, get_witness("pow:3").function),
+], ids=["varrho", "sigma", "rho*varrho", "rho+varrho", "sigma*pow:3"])
+def test_chiral_spot_check_passes_class_ii_functions(build):
+    # no node of the spot-check grid sits on the singular sets of varrho
+    # (alpha = 0, beta = pi/2) or sigma (alpha = +-pi/2, beta = pi/2), nor on
+    # the 2 pi jump of sigma's u across beta = pi/2 where cos(alpha) < 0
+    f = build()
+    assert f.classes is None
+    delta = chiral_difference(f)
+    assert delta.name == f"chiral:{f.name}"
+
+
+def test_chiral_spot_check_names_the_failing_verdict():
+    with pytest.raises(DomainError, match=r"x-over-r-iota failed the Class II spot check: fail \(max"):
+        chiral_difference(_without_classes("x-over-r-iota"))
+    # v raises for t < -1/2, so the grid's t = -1 nodes are singular
+    broken = from_uv(lambda s: s.alpha, lambda s: math.log(s.t + 0.5), name="broken")
+    with pytest.raises(DomainError, match=r"broken failed the Class II spot check: singular \(max"):
+        chiral_difference(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,17 @@ in the CLI tests; here we pin the result schema and a few individual
 checks that run in well under a second each.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
+from fueterlab.classify import classify
+from fueterlab.function_model import SampleGrid
 from fueterlab.verification import (
     CheckResult,
     check_convergence_order,
     check_extension_functional,
+    check_inclusion,
     check_jacobian,
     check_operator_equivalence,
     conjugate_function,
@@ -54,6 +59,14 @@ def test_jacobian_check_passes():
 def test_extension_functional_check_passes():
     res = check_extension_functional()
     assert res.passed
+
+
+def test_inclusion_check_flags_a_broken_chain():
+    report = classify(get_witness("pow:2").function, SampleGrid(n_per_axis=3))
+    assert check_inclusion({"pow:2": report}).passed
+    res = check_inclusion({"pow:2": replace(report, inclusion_consistent=False)})
+    assert not res.passed
+    assert res.detail == "pow:2: inclusion violated"
 
 
 def test_convergence_order_check_passes():
