@@ -119,6 +119,35 @@ def test_raw_function_samples_no_angular_stencils(name, scheme, per_node):
     assert rep.centrality.verdict == centrality
 
 
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("name", ["rho", "pow:3"])
+def test_tolerance_scale_is_the_max_over_every_sample(name, scheme):
+    # the scale of a node is max |f| over its center and every stencil
+    # sample, whichever stencil took it
+    scales, outputs = [], []
+
+    class Recording(DiffConfig):
+        def point_tolerance(self, scale):
+            scales.append(scale)
+            return super().point_tolerance(scale)
+
+    f = get_witness(name).function
+
+    def recording(chart):
+        values = f.array_evaluator(chart)
+        outputs.append(np.asarray(values))
+        return values
+
+    classify(replace(f, array_evaluator=recording), FAST_GRID, Recording(scheme=scheme))
+    shape = (FAST_GRID.n_per_axis,) * 4
+    norms = [np.sqrt(o[0] * o[0] + o[1] * o[1] + o[2] * o[2] + o[3] * o[3]) for o in outputs]
+    want = norms[0]
+    for norm in norms[1:]:
+        want = np.maximum(want, norm.reshape((-1,) + shape).max(axis=0))
+    assert len(outputs) > 1 and len(scales) == 1
+    assert scales[0].tobytes() == want.tobytes()
+
+
 def test_domain_error_inside_grid_gives_singular():
     def spiky(p):
         if p.t > 0.5:

@@ -61,6 +61,28 @@ def test_classify_composite_spec(capsys):
     assert doc["report"]["class_III"]["verdict"] == "fail"
 
 
+def _verdicts(doc):
+    rep = doc["report"]
+    return [rep[key]["verdict"] for key in ("class_I", "class_II", "class_III", "regular",
+                                            "centrality")]
+
+
+# arctan is excluded on |Re z| <= 1/4 with Im z >= 3/4, which default-grid
+# nodes reach; a grid with r <= 0.7 stays off that box
+@pytest.mark.parametrize("spec", ["stem:arctan", "L:arctan"])
+def test_arctan_reads_singular_on_the_default_grid(capsys, spec):
+    rc, doc, _ = run_cli(capsys, ["classify", spec])
+    assert rc == 0
+    assert _verdicts(doc) == ["singular"] * 5
+
+
+def test_arctan_classifies_off_its_excluded_box(capsys):
+    rc, doc, _ = run_cli(capsys, ["classify", "stem:arctan",
+                                  "--grid=-1,1,0.5,0.7,-2.5,2.5,0.4,2.7416,8"])
+    assert rc == 0
+    assert _verdicts(doc) == ["pass", "pass", "pass", "fail", "central"]
+
+
 def test_classify_writes_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc, doc, _ = run_cli(capsys, ["classify", "pow:0", COARSE_GRID,

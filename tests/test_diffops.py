@@ -22,7 +22,8 @@ from fueterlab.diffops import (
     spherical_cr_residuals,
     stencil_offsets,
 )
-from fueterlab.function_model import DEFAULT_GRID, QFunction, sample_cartesian, uv_at
+from fueterlab.function_model import (DEFAULT_GRID, QFunction, sample_cartesian, sample_chart,
+                                     uv_at)
 from fueterlab.generators import get_witness
 from fueterlab.quaternion_core import (
     ChartSingularityError,
@@ -31,6 +32,7 @@ from fueterlab.quaternion_core import (
     SphericalPoint,
     from_spherical,
     from_spherical_array,
+    iota_array,
     to_spherical,
 )
 
@@ -198,6 +200,44 @@ def test_cr_residual_of_xri_is_minus_sin_alpha():
     for s in sample_points(42, 12):
         s1, s2 = spherical_cr_residuals(XRI, s, CFG)
         assert s1 == pytest.approx(-math.sin(s.alpha), abs=1e-6)
+
+
+def _reference_cr_residuals(f, chart, cfg):
+    """(S1, S2) written out: one sample_chart call per shifted row and offset,
+    v against the iota of the shifted angles, then the central difference
+    and, under Richardson, its extrapolation."""
+    h = cfg.h
+    offsets = [h, -h] if cfg.scheme == "central" else [h, -h, h / 2.0, -h / 2.0]
+    du, dv = [], []
+    for k in (2, 3):
+        u, v = [], []
+        for offset in offsets:
+            at = [row + (offset if j == k else 0.0) for j, row in enumerate(chart)]
+            values = sample_chart(f, at)
+            io = iota_array(at)
+            u.append(values[0])
+            v.append(values[1] * io[1] + values[2] * io[2] + values[3] * io[3])
+        for samples, out in ((u, du), (v, dv)):
+            d = (samples[0] - samples[1]) / (2.0 * h)
+            if cfg.scheme == "richardson":
+                d = ((samples[2] - samples[3]) / h * 4.0 - d) / 3.0
+            out.append(d)
+    sb = np.sin(chart[3])
+    return dv[0] / sb + du[1], du[0] / sb - dv[1]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", ["rho", "varrho", "pow:3"])
+def test_cr_residuals_equal_the_written_out_reference(name, scheme):
+    f, cfg = get_witness(name).function, DiffConfig(scheme=scheme)
+    chart = DEFAULT_GRID.random_chart(np.random.default_rng(1717), 200)
+    got, want = spherical_cr_residuals(f, chart, cfg), _reference_cr_residuals(f, chart, cfg)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    point = SphericalPoint(*chart[:, 0].tolist())
+    got = spherical_cr_residuals(f, point, cfg)
+    want = _reference_cr_residuals(f, point_rows(point), cfg)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
