@@ -2,8 +2,8 @@
 
 Every grid node takes one central (or Richardson) stencil along each of
 t, x, y, z, r, and for CE functions alpha, beta, and every residual
-derives from those shared samples.  The nodes go through the diffops
-stencil engine as one batch, the grid's open mesh: four axis rows that
+derives from those shared samples.  The nodes go through diffops.stencil
+as one batch, the grid's open mesh: four axis rows that
 broadcast to the whole grid, so an evaluator maps each alpha and beta
 value, and each t + i r pair, once rather than once per node.  The
 Cartesian stencils start from the mesh's Cartesian rows, t on its own
@@ -23,7 +23,8 @@ verdicts reduce over arrays in the grid's beta-fastest node order.
 
 A class passes when at least 99.9% of nodes sit below the pointwise
 tolerance tol_abs + tol_rel * scale (scale = max |f| over the node's
-stencil samples) and no node exceeds 100x its tolerance.  Verdicts must
+center and stencil samples, kept by wrapping the samplers classify passes
+to stencil) and no node exceeds 100x its tolerance.  Verdicts must
 respect the inclusion chain Class III < Class II < Class I; the report
 carries an explicit consistency flag.
 
@@ -33,14 +34,15 @@ factorization check for Class II functions live here too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .diffops import (DiffConfig, Stencils, chart_ok, fueter_rows, point_rows,
-                      require_finite, require_step_moves)
+from .diffops import (DiffConfig, chart_ok, fueter_rows, point_rows, require_finite,
+                      require_step_moves, stencil, uv_rows)
 from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
                              sample_chart)
 from .quaternion_core import (DomainError, Quaternion, from_spherical_rows, iota_array,
@@ -114,7 +116,9 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     chart margins, or where some sample raises a math or domain error or
     is not finite, marks the report "singular"; the statistics then cover
     the remaining nodes.  A step h that some node coordinate, chart or
-    Cartesian, rounds away raises StepError (a ValueError).
+    Cartesian, rounds away raises StepError (a ValueError): the chart nodes
+    are checked before anything is sampled, the Cartesian rows by their
+    stencils.
     """
     grid = grid or DEFAULT_GRID
     # the margins are r > h and conditions on beta alone, so the passing
@@ -124,14 +128,21 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     nodes = (t, r[:, ok.any(axis=(0, 2, 3))], alpha, beta[..., ok.any(axis=(0, 1, 2))])
     n_nodes = math.prod(rows_shape(nodes))
     cart = from_spherical_rows(nodes)
+    # refuse the grid before sampling; each stencil checks the rows it shifts
     require_step_moves(nodes, cfg, "chart coordinate")
-    require_step_moves(cart, cfg, "Cartesian coordinate")
+
+    seen = []  # max |f| over each sampler call's stencil samples, per node
+
+    def seeing(values):
+        seen.append(qabs_array(values).max(axis=0))
+        return values
 
     with np.errstate(all="ignore"):
         center = sample_chart(f, nodes)
-        st = Stencils(f, cfg, scale=qabs_array(center))
-        d_cart = st.partials(cart, range(4), sample_cartesian)[0].swapaxes(0, 1)
-        d_r = st.partials(nodes, (1,), sample_chart)[0][:, 0]
+        d_cart = stencil(f, cfg, cart, slice(0, 4), lambda f, at: seeing(sample_cartesian(f, at)),
+                         "Cartesian coordinate")[0].swapaxes(0, 1)
+        d_r = stencil(f, cfg, nodes, slice(1, 2), lambda f, at: seeing(sample_chart(f, at)),
+                      "chart coordinate")[0][:, 0]
         io = iota_array(nodes)
         fueter_left = fueter_rows(d_cart)
         residuals = {
@@ -143,9 +154,11 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
             class2 = fueter_left.copy()
             class2[0] += 2.0 * iota_coefficient(center, io) / nodes[1]
             residuals["class_II"] = qabs_array(class2)
-            angular = np.concatenate(st.uv_partials(nodes, (2, 3)))
-            residuals["class_III"] = np.max(np.abs(angular), axis=0)
-        tolerances = cfg.point_tolerance(st.scale)
+            angular = stencil(f, cfg, nodes, slice(2, 4),
+                              lambda f, at: uv_rows(seeing(sample_chart(f, at)), at),
+                              "chart coordinate")[0]
+            residuals["class_III"] = np.max(np.abs(np.concatenate(angular)), axis=0)
+        tolerances = cfg.point_tolerance(functools.reduce(np.maximum, seen, qabs_array(center)))
 
     finite = np.isfinite(tolerances)
     for values in residuals.values():
@@ -204,10 +217,9 @@ def jacobian_check(f: QFunction, p, cfg: DiffConfig = DiffConfig()) -> JacobianR
     r = np.sqrt(iota_coefficient(points, points))  # |Im p|
     if not r.all():
         raise DomainError("Jacobian factorization undefined on the real axis")
-    require_step_moves((points,), cfg, "Cartesian coordinate")
 
     with np.errstate(all="ignore"):
-        jac = Stencils(f, cfg).partials(points, range(4), sample_cartesian)[0]
+        jac = stencil(f, cfg, points, slice(0, 4), sample_cartesian, "Cartesian coordinate")[0]
         value = sample_cartesian(f, points)
     require_finite(f, points, np.vstack((jac.reshape(16, -1), value)))
     det_numeric = np.linalg.det(jac.transpose(2, 0, 1))

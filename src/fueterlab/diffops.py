@@ -7,16 +7,21 @@ error estimate).  Cartesian partials differentiate the raw evaluator;
 (t, r, alpha, beta) partials differentiate the function composed with the
 chart.  The two views agree because the chart round-trips.
 
-One stencil engine, Stencils, takes every derivative for a whole batch of
-point rows: Cartesian (t, x, y, z) for fueter_left/fueter_right, chart
-(t, r, alpha, beta) for the rest.  The batch is four rows that broadcast
-together to a shape S, such as an array (4, N) or a grid's open mesh.  A
-stencil shifts only the row it differences, which gains a leading axis of
-rows times offsets, so the other rows, and everything an evaluator
-computes from them alone, keep their own size.  The operators take point
-rows (4, N) and return value rows (4, N) with an (N,) error estimate, or
-for one Quaternion or SphericalPoint a Quaternion and a float; one point
-goes through the same engine as the rows (4,), a batch of shape ().
+One function, stencil, takes every finite difference in the library: the
+operators here, classify's residuals, jacobian_check, chiral_difference
+and the Laurent coefficient class check.  It works on a whole batch of
+coordinate rows: Cartesian (t, x, y, z) for fueter_left/fueter_right,
+chart (t, r, alpha, beta) for the rest, window angles for the class check.
+The batch is four rows that broadcast together to a shape S, such as an
+array (4, N) or a grid's open mesh.  A stencil shifts only the rows it
+differences, each of which gains a leading axis of rows times offsets, so
+the other rows, and everything an evaluator computes from them alone,
+keep their own size.  The step rule lives there too: stencil refuses a
+step that does not move the rows it shifts (StepError).  The operators
+take point rows (4, N) and return value rows (4, N) with an (N,) error
+estimate, or for one Quaternion or SphericalPoint a Quaternion and a
+float; one point goes through stencil as the rows (4,), a batch of shape
+().
 
 * fueter_left   : d/dt f + i d/dx f + j d/dy f + k d/dz f
 * fueter_right  : d/dt f + (d/dx f) i + (d/dy f) j + (d/dz f) k
@@ -43,8 +48,7 @@ import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
 from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, _quaternion,
-                              iota_array, iota_coefficient, qabs_array, qmul_array,
-                              rows_shape)
+                              iota_array, iota_coefficient, qmul_array, rows_shape)
 
 SCHEMES = ("central", "richardson")
 
@@ -100,79 +104,62 @@ def require_step_moves(rows, cfg: DiffConfig, label: str):
                             f"{float(row[still][0])!r}; the step is below its rounding")
 
 
-def finish_stencil(samples, cfg: DiffConfig) -> tuple:
-    """(derivative, d2 - d1) from samples[k], the value at offset
-    stencil_offsets(cfg)[k].
+def stencil(f: QFunction, cfg: DiffConfig, base, rows: slice, sample, label: str) -> tuple:
+    """Derivatives of f along the coordinate rows base[rows], with their spreads.
 
-    d1 and d2 are the central differences at steps h and h/2; their
-    disagreement is the Richardson error estimate, 0.0 under central.
+    base is four coordinate rows that broadcast to a shape S.  StepError
+    unless the step moves every value of the rows it shifts (label names
+    them).  Each call sample(f, shifted rows) takes G of the rows, as many
+    as fit in CALL_POINTS points and at least one: each of them gains a
+    leading shift axis of length G * n_offsets, and the other rows stay as
+    they are.  The sampler returns any number of value rows, real or
+    complex, each of shape (G * n_offsets, *S).
+
+    Returns (derivative rows (n_values, len(rows), *S), spreads (len(rows),
+    *S)).  A derivative is the central difference d1 at step h, or under
+    Richardson (4 d2 - d1) / 3 with d2 the one at h/2.  The spread is the
+    norm of d2 - d1 over the value rows (for quaternion rows, the Richardson
+    error estimate), zeros under central.
     """
-    h = cfg.h
-    d1 = (samples[0] - samples[1]) / (2.0 * h)
-    if cfg.scheme == "central":
-        return d1, 0.0
-    d2 = (samples[2] - samples[3]) / h
-    return (d2 * 4.0 - d1) / 3.0, d2 - d1
+    moved = base[rows]
+    require_step_moves((moved,) if isinstance(moved, np.ndarray) else moved, cfg, label)
+    rows, offsets, shape, h = range(4)[rows], stencil_offsets(cfg), rows_shape(base), cfg.h
+    n_off = len(offsets)
+    size = max(1, CALL_POINTS // (n_off * max(1, math.prod(shape))))
+    d, spread = [], []
+    for start in range(0, len(rows), size):
+        group = rows[start:start + size]
+        shift = np.zeros((4, len(group), n_off))
+        for g, k in enumerate(group):
+            shift[k, g] = offsets
+        shift = shift.reshape((4, -1) + (1,) * len(shape))
+        # + 0.0 maps -0.0 to 0.0 on the rows left in place, as on the shifted ones
+        shifted = [row + (shift[k] if k in group else 0.0) for k, row in enumerate(base)]
+        values = sample(f, shifted)
+        values = values.reshape((len(values), len(group), n_off) + shape)
+        d1 = (values[:, :, 0] - values[:, :, 1]) / (2.0 * h)
+        if cfg.scheme == "central":
+            d.append(d1)
+        else:
+            d2 = (values[:, :, 2] - values[:, :, 3]) / h
+            d.append((d2 * 4.0 - d1) / 3.0)
+            spread.append(np.abs(d2 - d1))
+    d = np.concatenate(d, axis=1)
+    if not spread:
+        return d, np.zeros(d.shape[1:])
+    return d, np.sqrt(sum(row * row for row in np.concatenate(spread, axis=1)))
 
 
-def _offsets_first(values: np.ndarray) -> np.ndarray:
-    """ samples (n, G, n_offsets, *S) as (n_offsets, n, G, *S) """
-    return values.transpose((2, 0, 1) + tuple(range(3, values.ndim)))
+def uv_rows(values: np.ndarray, chart) -> np.ndarray:
+    """ the rows (u, v) of value rows at chart rows, v against the iota of the chart's own angles """
+    return np.array((values[0], iota_coefficient(values, iota_array(chart))))
 
 
-class Stencils:
-    """Derivatives of f at a batch of points along some coordinate rows.
-
-    The shifted points go to sample (sample_cartesian for Cartesian base
-    rows, sample_chart for chart rows) as many rows per call as fit in
-    CALL_POINTS points, and at least one.  Given a starting scale, it
-    becomes the running max |f| over all samples.
-    """
-
-    def __init__(self, f: QFunction, cfg: DiffConfig, scale=None):
-        self.f, self.cfg, self.scale = f, cfg, scale
-        self.offsets = stencil_offsets(cfg)
-
-    def along(self, base, rows, sample):
-        """Yield (shifted coordinate rows, samples), one sampler call at a time.
-
-        base is four coordinate rows that broadcast to a shape S.  In a
-        call along G of the rows, each of them gains a leading shift axis
-        of length G * n_offsets, and the other rows stay as they are.  The
-        samples come back as (4, G, n_offsets, *S).
-        """
-        rows = list(rows)
-        shape = rows_shape(base)
-        n_off = len(self.offsets)
-        size = max(1, CALL_POINTS // (n_off * max(1, math.prod(shape))))
-        for start in range(0, len(rows), size):
-            group = rows[start:start + size]
-            shift = np.zeros((4, len(group), n_off))
-            for g, k in enumerate(group):
-                shift[k, g] = self.offsets
-            shift = shift.reshape((4, -1) + (1,) * len(shape))
-            # + 0.0 maps -0.0 to 0.0 on the rows left in place, as on the shifted ones
-            shifted = [row + (shift[k] if k in group else 0.0) for k, row in enumerate(base)]
-            values = sample(self.f, shifted).reshape((4, len(group), n_off) + shape)
-            if self.scale is not None:
-                self.scale = np.maximum(self.scale, qabs_array(values).max(axis=(0, 1)))
-            yield shifted, values
-
-    def partials(self, base, rows, sample) -> tuple:
-        """(derivative rows (4, len(rows), *S), error estimates (len(rows), *S))."""
-        d, spread = zip(*(finish_stencil(_offsets_first(values), self.cfg)
-                          for _, values in self.along(base, rows, sample)))
-        d = np.concatenate(d, axis=1)
-        if self.cfg.scheme == "central":
-            return d, np.zeros(d.shape[1:])
-        return d, qabs_array(np.concatenate(spread, axis=1))
-
-    def uv_partials(self, chart, rows) -> np.ndarray:
-        """(du, dv) of shape (2, len(rows), *S) along chart rows; v is taken
-        against the iota of each shifted sample's own angles."""
-        uv = [np.array((values[0], iota_coefficient(values, iota_array(at).reshape(values.shape))))
-              for at, values in self.along(chart, rows, sample_chart)]
-        return finish_stencil(_offsets_first(np.concatenate(uv, axis=1)), self.cfg)[0]
+def sphere_cr(du, dv, sin_beta) -> tuple:
+    """The sphere-direction Cauchy-Riemann residuals (S1, S2) from the alpha
+    and beta partials du = (du/da, du/db) and dv = (dv/da, dv/db):
+    S1 = (sin b)^-1 dv/da + du/db, S2 = (sin b)^-1 du/da - dv/db."""
+    return dv[0] / sin_beta + du[1], du[0] / sin_beta - dv[1]
 
 
 def fueter_rows(d, right: bool = False) -> np.ndarray:
@@ -230,43 +217,39 @@ def point_rows(p) -> np.ndarray:
     return np.array((p.t, p.r, p.alpha, p.beta))
 
 
-def _operator(differenced: slice, label: str):
+def _operator(body):
     """The operator of a body over point rows (4, N), also for one point as the
-    batch of shape () with scalars.  StepError where the step does not move the
-    rows the body differences (label coordinates), DomainError on a non-finite result."""
+    batch of shape () with scalars; DomainError on a non-finite result."""
 
-    def wrap(body):
-        @functools.wraps(body)
-        def operator(f: QFunction, points, cfg: DiffConfig = DiffConfig()):
-            single = not isinstance(points, np.ndarray)
-            rows = point_rows(points) if single else points
-            require_step_moves((rows[differenced],), cfg, label)
-            with np.errstate(all="ignore"):
-                out = body(f, rows, cfg)
-            values = out.value if isinstance(out, OperatorValue) else np.array(out)
-            require_finite(f, rows, values)
-            if not single:
-                return out
-            if isinstance(out, OperatorValue):
-                return OperatorValue(_quaternion(*values.tolist()), float(out.estimated_error))
-            return tuple(values.tolist())
+    @functools.wraps(body)
+    def operator(f: QFunction, points, cfg: DiffConfig = DiffConfig()):
+        single = not isinstance(points, np.ndarray)
+        rows = point_rows(points) if single else points
+        with np.errstate(all="ignore"):
+            out = body(f, rows, cfg)
+        values = out.value if isinstance(out, OperatorValue) else np.array(out)
+        require_finite(f, rows, values)
+        if not single:
+            return out
+        if isinstance(out, OperatorValue):
+            return OperatorValue(_quaternion(*values.tolist()), float(out.estimated_error))
+        return tuple(values.tolist())
 
-        return operator
-    return wrap
+    return operator
 
 
 def _flat(f: QFunction, points: np.ndarray, cfg: DiffConfig, right: bool) -> OperatorValue:
-    d, err = Stencils(f, cfg).partials(points, range(4), sample_cartesian)
+    d, err = stencil(f, cfg, points, slice(0, 4), sample_cartesian, "Cartesian coordinate")
     return OperatorValue(fueter_rows(d.swapaxes(0, 1), right), err[0] + err[1] + err[2] + err[3])
 
 
-@_operator(slice(0, 4), "Cartesian coordinate")
+@_operator
 def fueter_left(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Left Fueter operator at Cartesian points, the units multiplying from the left."""
     return _flat(f, points, cfg, right=False)
 
 
-@_operator(slice(0, 4), "Cartesian coordinate")
+@_operator
 def fueter_right(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Right Fueter operator at Cartesian points, the units multiplying from the right."""
     return _flat(f, points, cfg, right=True)
@@ -291,7 +274,7 @@ def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
     """The sum over chart rows of unit * partial of f, the alpha and beta
     terms times angular_scale if given."""
     _require_chart_margins(chart, cfg)
-    d, err = Stencils(f, cfg).partials(chart, range(4)[rows], sample_chart)
+    d, err = stencil(f, cfg, chart, rows, sample_chart, "chart coordinate")
     units, norms = _chart_units(chart)
     if angular_scale is not None:
         units[:, 2:] *= angular_scale
@@ -300,13 +283,13 @@ def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
     return OperatorValue(qmul_array(units, d).sum(axis=1), (norms * err).sum(axis=0))
 
 
-@_operator(slice(0, 2), "chart coordinate")
+@_operator
 def class1_residual(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """d/dt f + iota d/dr f: zero iff the slice restrictions are holomorphic."""
     return _chart_sum(f, chart, cfg, slice(0, 2))
 
 
-@_operator(slice(2, 4), "chart coordinate")
+@_operator
 def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """iota_a^-1 d/da f + iota_b^-1 d/db f (left multiplication).
 
@@ -315,13 +298,13 @@ def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) ->
     return _chart_sum(f, chart, cfg, slice(2, 4))
 
 
-@_operator(slice(0, 4), "chart coordinate")
+@_operator
 def fueter_spherical(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Left Fueter operator in chart coordinates: class1_residual - imaginary_derivative / r."""
     return _chart_sum(f, chart, cfg, slice(0, 4), -1.0 / chart[1])
 
 
-@_operator(slice(2, 4), "chart coordinate")
+@_operator
 def spherical_cr_residuals(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> tuple:
     """The two sphere-direction Cauchy-Riemann residuals (S1, S2).
 
@@ -329,6 +312,6 @@ def spherical_cr_residuals(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) 
     vanish wherever f is Class II.
     """
     _require_chart_margins(chart, cfg)
-    du, dv = Stencils(f, cfg).uv_partials(chart, (2, 3))
-    sb = np.sin(chart[3])
-    return dv[0] / sb + du[1], du[0] / sb - dv[1]
+    d = stencil(f, cfg, chart, slice(2, 4), lambda f, at: uv_rows(sample_chart(f, at), at),
+                "chart coordinate")[0]
+    return sphere_cr(d[0], d[1], np.sin(chart[3]))

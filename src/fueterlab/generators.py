@@ -32,7 +32,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from .classify import classify
-from .diffops import DiffConfig, Stencils, fueter_rows, point_rows, require_finite
+from .diffops import DiffConfig, fueter_rows, point_rows, require_finite, stencil
 from .function_model import (
     DEFAULT_GRID,
     ComplexStem,
@@ -236,7 +236,8 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
     def chiral_rows(points) -> np.ndarray:
         # the time derivative cancels; only the unit commutators survive
         with np.errstate(all="ignore"):
-            d = Stencils(f, inner).partials(points, (1, 2, 3), sample_cartesian)[0].swapaxes(0, 1)
+            d = stencil(f, inner, points, slice(1, 4), sample_cartesian,
+                        "Cartesian coordinate")[0].swapaxes(0, 1)
             d = np.concatenate((np.zeros_like(d[:1]), d))
             return fueter_rows(d) - fueter_rows(d, right=True)
 

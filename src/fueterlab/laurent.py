@@ -33,7 +33,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .diffops import DiffConfig, finish_stencil, require_step_moves, stencil_offsets
+from .diffops import DiffConfig, sphere_cr, stencil
 from .function_model import (CALL_POINTS, FunctionKindError, QFunction, check_beta_window,
                              sample_chart)
 from .quaternion_core import (DomainError, Quaternion, antipodal_angles, iota, iota_array,
@@ -297,14 +297,15 @@ def coefficient_class_check(series: LaurentSeries,
     Viewed as the (t, r)-independent CE function u_n + iota v_n, Class II
     membership reduces to the sphere-direction CR system
         (sin b)^-1 dv/da + du/db = 0,   (sin b)^-1 du/da - dv/db = 0,
-    which is evaluated with central (or Richardson) stencils in the angles;
-    the stencil shifts re-run the contour quadrature, all shifted windows in
-    one batch, so the window grid spacing does not limit the accuracy.  The
+    which is evaluated with central (or Richardson) stencils in the angles,
+    taken by diffops.stencil on the window angles as rows 2 and 3 of the
+    base (0, 0, alphas, betas); the stencil shifts re-run the contour
+    quadrature, all shifted windows in one batch with the orders as complex
+    value rows, so the window grid spacing does not limit the accuracy.  The
     tolerance scale of order n is max |a_n| over the series' window nodes.
-    The stencils, residuals and both maxima of all orders are reduced in one
-    pass over the stacked fields.  Returns per-order statistics and verdicts.
-    A step h that some window angle rounds away raises StepError (a
-    ValueError).
+    The residuals and both maxima of all orders are reduced in one pass.
+    Returns per-order statistics and verdicts.  A step h that some window
+    angle rounds away raises StepError (a ValueError).
     """
     region = series.region
     try:
@@ -314,22 +315,18 @@ def coefficient_class_check(series: LaurentSeries,
             f"window {region.beta_window} too close to the poles for "
             f"angle stencils of width {cfg.h}") from exc
 
-    # one batch of shifted windows: the alpha stencils, then the beta stencils
-    offsets = stencil_offsets(cfg)
-    alphas, betas = region.window_angles()
-    require_step_moves((alphas, betas), cfg, "window angle")
-    shift = np.repeat(offsets, alphas.size)
-    at_alpha, at_beta = np.tile(alphas, len(offsets)), np.tile(betas, len(offsets))
-    coeffs = _ring_coefficients(
-        series.source, np.concatenate((at_alpha + shift, at_alpha)),
-        np.concatenate((at_beta, at_beta + shift)), region.center, region.mid_radius,
-        series.n_range, series.quadrature_points)
+    def sample(source, at):
+        # every shifted window in one batch, all orders as complex value rows
+        alphas, betas = np.broadcast_arrays(at[2], at[3])
+        return np.stack(list(_ring_coefficients(
+            source, alphas.ravel(), betas.ravel(), region.center, region.mid_radius,
+            series.n_range, series.quadrature_points).values()))
 
-    # all orders at once: samples (offsets, alpha or beta stencil, orders, window nodes)
-    shifted = np.stack(list(coeffs.values())).reshape(len(coeffs), 2, len(offsets), -1)
-    da, db = finish_stencil(shifted.transpose(2, 1, 0, 3), cfg)[0]
-    sb = np.sin(betas)
-    worst = np.max(np.abs((da.imag / sb + db.real, da.real / sb - db.imag)), axis=(0, 2))
+    alphas, betas = region.window_angles()
+    d = stencil(series.source, cfg, (0.0, 0.0, alphas, betas), slice(2, 4), sample,
+                "window angle")[0].swapaxes(0, 1)  # (alpha or beta, orders, window nodes)
+    worst = np.max(np.abs(sphere_cr(d.real, d.imag, np.sin(betas))), axis=(0, 2))
     passed = worst <= cfg.point_tolerance(np.max(np.abs(series._stacked), axis=(1, 2)))
+    orders = range(series.n_range[0], series.n_range[1] + 1)
     return {n: {"max_residual": w, "verdict": "pass" if ok else "fail"}
-            for n, w, ok in zip(coeffs, worst.tolist(), passed.tolist())}
+            for n, w, ok in zip(orders, worst.tolist(), passed.tolist())}

@@ -169,6 +169,16 @@ def test_classify_step_lost_to_rounding_exits_2(capsys):
     assert "error: stencil step 1e-300 does not move the chart coordinate" in err
 
 
+def test_chiral_inner_step_lost_to_rounding_exits_2(capsys):
+    # the grid's r = 1e12 nodes move under the outer step 1e-3, but x, y and
+    # z there do not move under the chiral difference's inner step 1e-5
+    rc, doc, err = run_cli(capsys, ["classify", "chiral:pow:3", "--h", "1e-3", "--scheme",
+                                    "richardson", "--grid=-1,1,0.5,1e12,-2.5,2.5,0.4,2.7416,4"])
+    assert rc == 2 and doc is None
+    assert ("error: stencil step 1e-05 does not move the Cartesian coordinate "
+            "-246968286213.97006; the step is below its rounding") in err
+
+
 def test_laurent_step_lost_to_rounding_exits_2(capsys):
     rc, doc, err = run_cli(capsys, ["laurent", "rho", "--check-class", "--h", "1e-300"])
     assert rc == 2 and doc is None

@@ -10,7 +10,6 @@ from fueterlab.diffops import (
     SCHEMES,
     DiffConfig,
     StepError,
-    Stencils,
     class1_residual,
     fueter_left,
     fueter_right,
@@ -20,6 +19,7 @@ from fueterlab.diffops import (
     point_rows,
     require_step_moves,
     spherical_cr_residuals,
+    stencil,
     stencil_offsets,
 )
 from fueterlab.function_model import (DEFAULT_GRID, QFunction, sample_cartesian, sample_chart,
@@ -280,13 +280,27 @@ def test_operator_decomposition():
 def test_stencil_engine_schemes():
     cube = QFunction("cube", lambda p: Quaternion((1.0 + p.t) ** 3), kind="raw")
     origin = np.zeros((4, 1))
-    val, err = Stencils(cube, DiffConfig(h=1e-5)).partials(origin, (0,), sample_cartesian)
+    val, err = stencil(cube, DiffConfig(h=1e-5), origin, slice(0, 1), sample_cartesian, "t")
     assert val[0, 0, 0] == pytest.approx(3.0, abs=1e-8)
     assert err[0, 0] == 0.0  # central scheme reports no estimate
     rich = DiffConfig(h=1e-4, scheme="richardson")
-    val, err = Stencils(cube, rich).partials(origin, (0,), sample_cartesian)
+    val, err = stencil(cube, rich, origin, slice(0, 1), sample_cartesian, "t")
     assert val[0, 0, 0] == pytest.approx(3.0, abs=1e-10)
     assert err[0, 0] > 0.0
+
+
+@pytest.mark.parametrize("scheme, tol", [("central", 1e-8), ("richardson", 1e-11)])
+def test_stencil_takes_complex_value_rows(scheme, tol):
+    # one complex value row exp(i alpha), differenced along the alpha row only
+    alphas = np.linspace(-1.0, 1.0, 5)
+    cfg = DiffConfig(h=1e-4, scheme=scheme)
+    d, spread = stencil(None, cfg, (0.0, 0.0, alphas, 1.0), slice(2, 3),
+                        lambda f, at: np.exp(1j * at[2])[None], "angle")
+    assert d.shape == (1, 1, 5) and d.dtype == complex and spread.shape == (1, 5)
+    assert np.abs(d[0, 0] - 1j * np.exp(1j * alphas)).max() < tol
+    assert (spread > 0.0).all() if scheme == "richardson" else not spread.any()
+    with pytest.raises(StepError, match="does not move the angle 1000000000000000.0"):
+        stencil(None, cfg, (0.0, 0.0, np.array([0.5, 1e15]), 1.0), slice(2, 3), None, "angle")
 
 
 # each operator with the kind of point rows it takes

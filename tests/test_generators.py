@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fueterlab.diffops import DiffConfig, fueter_left, fueter_right
+from fueterlab.diffops import DiffConfig, StepError, fueter_left, fueter_right, point_rows
 from fueterlab.function_model import (
     ComplexStem,
     FunctionKindError,
@@ -221,6 +221,26 @@ def test_chiral_spot_check_names_the_failing_verdict():
     broken = from_uv(lambda s: s.alpha, lambda s: math.log(s.t + 0.5), name="broken")
     with pytest.raises(DomainError, match=r"broken failed the Class II spot check: singular \(max"):
         chiral_difference(broken)
+
+
+# at x = 1e12 the inner step 1e-5 is below half an ulp, so x + h == x: each x
+# sample was differenced with itself, and chiral:pow:3 read exactly 0 there
+FAR_X = Quaternion(0.3, 1e12, 0.5, 0.5)
+FAR_X_MESSAGE = "does not move the Cartesian coordinate 1000000000000.0"
+
+
+def test_chiral_difference_refuses_a_step_that_rounds_away():
+    delta = chiral_difference(get_witness("pow:3").function)
+    with pytest.raises(StepError, match=FAR_X_MESSAGE):
+        delta(FAR_X)
+    with pytest.raises(StepError, match=FAR_X_MESSAGE):
+        fueter_left(get_witness("pow:3").function, FAR_X)
+    # in a batch, the one column whose x the step cannot move
+    near = Quaternion(0.3, 0.6, -0.4, 0.5)
+    rows = np.array([point_rows(near), point_rows(FAR_X), point_rows(near)]).T
+    with pytest.raises(StepError, match=FAR_X_MESSAGE):
+        delta.array_evaluator(to_spherical_array(rows))
+    assert np.isfinite(delta.array_evaluator(to_spherical_array(rows[:, ::2]))).all()
 
 
 # ---------------------------------------------------------------------------
