@@ -121,7 +121,7 @@ def stencil(f: QFunction, cfg: DiffConfig, base, rows: slice, sample, label: str
     norm of d2 - d1 over the value rows (for quaternion rows, the Richardson
     error estimate), zeros under central.
     """
-    moved = base[rows]
+    moved = base[rows]  # an array base is checked as one block, a tuple row by row
     require_step_moves((moved,) if isinstance(moved, np.ndarray) else moved, cfg, label)
     rows, offsets, shape, h = range(4)[rows], stencil_offsets(cfg), rows_shape(base), cfg.h
     n_off = len(offsets)
