@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
-from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, _quaternion,
-                              iota_array, iota_coefficient, qmul_array, rows_shape)
+from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, StepError,
+                              _quaternion, iota_array, iota_coefficient, qmul_array, rows_shape)
 
 SCHEMES = ("central", "richardson")
 
@@ -84,10 +84,6 @@ def stencil_offsets(cfg: DiffConfig) -> np.ndarray:
     if cfg.scheme == "richardson":
         return np.array([cfg.h, -cfg.h, cfg.h / 2.0, -cfg.h / 2.0])
     return np.array([cfg.h, -cfg.h])
-
-
-class StepError(ValueError):
-    """A stencil step that some coordinate rounds away."""
 
 
 def require_step_moves(rows, cfg: DiffConfig, label: str):

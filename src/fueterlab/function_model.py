@@ -52,13 +52,23 @@ appending each value's components to four lists: for chart rows (the
 Laurent contours are chart rows too) the view at_spherical would call, and
 evaluator for Cartesian ones.  No user callable is ever called with an
 array.
+
+These per-point fills read the points from the four flat row lists of
+rows.tolist(), building each point's SphericalPoint or Quaternion as the
+loop reaches it and freeing it with its sample: no container per point is
+built ahead of the loop and held for the batch, which would leave the
+cyclic garbage collector thousands of live objects to traverse.  A math or
+domain error gives that point NaN; a StepError (a step that rounds away)
+propagates, as from the single point.  A value that is no number (not a
+Quaternion from an evaluator, a real number from u or v, a complex number
+from a stem) raises TypeError naming the function, the callable and the
+point; the fill checks the dtype of its values once, not each value.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import numbers
 import operator
@@ -72,6 +82,7 @@ from .quaternion_core import (
     DomainError,
     Quaternion,
     SphericalPoint,
+    StepError,
     _quaternion,
     from_spherical,
     from_spherical_array,
@@ -232,45 +243,80 @@ CALL_POINTS = 4096
 NAN_COMPLEX = complex(math.nan, math.nan)
 _NAN_QUATERNION = Quaternion(math.nan, math.nan, math.nan, math.nan)
 
-# the errors that give a scalar sample those values: math and domain errors
+# the errors that give a scalar sample those values: math and domain errors.
+# A StepError, though a ValueError, propagates: a stencil step that rounds
+# away is the caller's to mend, on every path alike
 _SAMPLE_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _fill_complex(evaluate, args) -> np.ndarray:
+def _number_array(rows, dtype, name: str, labels: tuple, point_at) -> np.ndarray:
+    """Array of dtype (float or complex) from rows of values that user callables returned.
+
+    The dtype numpy finds for the rows is checked once; where it is not a
+    number's, TypeError names the function, the callable (labels[i] made
+    rows[i]) and the first point (point_at(k) is point k) whose value is no
+    real (or complex) number.
+    """
+    values = np.array(rows)
+    kinds, number = ("biufc", numbers.Complex) if dtype is complex else ("biuf", numbers.Real)
+    if values.dtype.kind in kinds:
+        return values.astype(dtype, copy=False)
+    for k, point in enumerate(zip(*rows)):
+        for label, value in zip(labels, point):
+            if not isinstance(value, number):
+                raise TypeError(f"{name}: {label} returned {value!r} at {point_at(k)!r}, "
+                                f"not a {'complex' if dtype is complex else 'real'} number")
+    return np.array(rows, dtype=dtype)
+
+
+def _fill_complex(name: str, evaluate, args: list) -> np.ndarray:
     """ complex array of evaluate over args, one call per point, NAN_COMPLEX where it fails """
     out = []
     for arg in args:
         try:
             value = evaluate(arg)
+        except StepError:
+            raise
         except _SAMPLE_ERRORS:
             value = NAN_COMPLEX
         out.append(value)
-    return np.array(out, dtype=complex)
+    return _number_array((out,), complex, name, ("the stem",), args.__getitem__)[0]
 
 
-def _fill_quaternions(evaluate, args) -> np.ndarray:
-    """ value rows of evaluate over args, a NaN column where it fails """
+def _fill_quaternions(name: str, evaluate, args) -> np.ndarray:
+    """Value rows of evaluate over args, a NaN column where it fails.
+
+    TypeError naming name and the point where evaluate returns no Quaternion.
+    """
     t, x, y, z = [], [], [], []
     for arg in args:
         try:
             val = evaluate(arg)
+        except StepError:
+            raise
         except _SAMPLE_ERRORS:
             val = _NAN_QUATERNION
-        t.append(val.t)
-        x.append(val.x)
-        y.append(val.y)
-        z.append(val.z)
+        try:
+            t.append(val.t)
+            x.append(val.x)
+            y.append(val.y)
+            z.append(val.z)
+        except AttributeError:
+            raise TypeError(f"{name}: the evaluator returned {val!r} at {arg!r}, "
+                            f"not a Quaternion") from None
     return np.array((t, x, y, z), dtype=float)
 
 
 def _chart_points(chart: np.ndarray):
-    """ the columns of chart rows (4, N) as SphericalPoint objects """
-    return map(functools.partial(tuple.__new__, SphericalPoint), chart.T.tolist())
+    """ the columns of chart rows (4, N) as SphericalPoint objects, each read
+    from the flat row lists as the loop reaches it """
+    return map(functools.partial(tuple.__new__, SphericalPoint), zip(*chart.tolist()))
 
 
 def _quaternions(points: np.ndarray):
-    """ the columns of quaternion rows (4, N) as Quaternion objects """
-    return itertools.starmap(_quaternion, points.T.tolist())
+    """ the columns of quaternion rows (4, N) as Quaternion objects, each read
+    from the flat row lists as the loop reaches it """
+    return map(_quaternion, *points.tolist())
 
 
 def _columns(rows) -> tuple:
@@ -279,10 +325,10 @@ def _columns(rows) -> tuple:
     return stack_rows(rows, shape).reshape(4, -1), shape
 
 
-def _fill_rows(evaluate, rows, as_points) -> np.ndarray:
-    """ value rows (4, *shape) of evaluate over the points of rows, read by as_points """
+def _fill_rows(f: QFunction, evaluate, rows, as_points) -> np.ndarray:
+    """ value rows (4, *shape) of f's view evaluate over the points of rows, read by as_points """
     columns, shape = _columns(rows)
-    return _fill_quaternions(evaluate, as_points(columns)).reshape((4,) + shape)
+    return _fill_quaternions(f.name, evaluate, as_points(columns)).reshape((4,) + shape)
 
 
 def sample_chart(f: QFunction, chart) -> np.ndarray:
@@ -290,8 +336,8 @@ def sample_chart(f: QFunction, chart) -> np.ndarray:
     if f.array_evaluator is not None:
         return f.array_evaluator(chart)
     if f.spherical_evaluator is not None:
-        return _fill_rows(f.spherical_evaluator, chart, _chart_points)
-    return _fill_rows(f.evaluator, chart, lambda columns: map(from_spherical, _chart_points(columns)))
+        return _fill_rows(f, f.spherical_evaluator, chart, _chart_points)
+    return _fill_rows(f, f.evaluator, chart, lambda columns: map(from_spherical, _chart_points(columns)))
 
 
 def sample_cartesian(f: QFunction, points) -> np.ndarray:
@@ -301,14 +347,14 @@ def sample_cartesian(f: QFunction, points) -> np.ndarray:
     which may well be defined there (a profile sweep off the real axis).
     """
     if f.array_evaluator is None:
-        return _fill_rows(f.evaluator, points, _quaternions)
+        return _fill_rows(f, f.evaluator, points, _quaternions)
     values = f.array_evaluator(to_spherical_array(points))
     pole = (points[1] == 0.0) & (points[2] == 0.0)
     if pole.any():
         pole = np.broadcast_to(pole, values.shape[1:])
         values = np.array(values, dtype=float)
         at_pole = stack_rows(points, values.shape[1:])[:, pole]
-        values[:, pole] = _fill_quaternions(f.evaluator, _quaternions(at_pole))
+        values[:, pole] = _fill_quaternions(f.name, f.evaluator, _quaternions(at_pole))
     return values
 
 
@@ -354,11 +400,15 @@ def from_uv(u: Callable[[SphericalPoint], float],
                 try:
                     u_s = u(s)
                     v_s = v(s)
+                except StepError:
+                    raise
                 except _SAMPLE_ERRORS:
                     u_s = v_s = math.nan
                 us.append(u_s)
                 vs.append(v_s)
-            return np.array((us, vs), dtype=float).reshape((2,) + shape)
+            uv = _number_array((us, vs), float, name, ("u", "v"),
+                               lambda k: SphericalPoint(*columns[:, k].tolist()))
+            return uv.reshape((2,) + shape)
 
     def array_evaluator(chart) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -434,7 +484,7 @@ class ComplexStem:
         if self._func_array is None:
             bits = np.ascontiguousarray(z, dtype=complex).reshape(-1).view("V16")
             distinct, where = np.unique(bits, return_inverse=True)
-            values = _fill_complex(self.eval, distinct.view(complex).tolist())
+            values = _fill_complex(self.label, self.eval, distinct.view(complex).tolist())
             return values[where].reshape(np.shape(z))
         with np.errstate(all="ignore"):
             return self._func_array(z)

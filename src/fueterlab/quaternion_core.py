@@ -49,6 +49,10 @@ class ChartSingularityError(DomainError):
     """The spherical chart is not defined at this point."""
 
 
+class StepError(ValueError):
+    """A stencil step that some coordinate rounds away."""
+
+
 class Quaternion:
     """A quaternion with real components (t, x, y, z)."""
 

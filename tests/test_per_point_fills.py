@@ -1,4 +1,4 @@
-"""What the per-point fills leave behind: no garbage for the cyclic collector.
+"""The per-point fills: what they leave behind and what they let through.
 
 A user callable is called once per point, and the fill reads each point
 from the batch's flat coordinate rows as it goes, so no container per point
@@ -6,17 +6,27 @@ is built ahead of the loop and kept alive for the batch.  The container
 objects a sample makes are freed with it, CPython's gen-0 count (container
 allocations minus deallocations) stays below its threshold, and a whole
 default-grid classify runs no collection in any generation.
+
+A math or domain error gives a NaN sample, but a StepError (a ValueError)
+propagates from every fill, as it does from the single point.  A callable
+that returns no number raises one TypeError naming the function, the
+callable and the point.
 """
 
 import gc
 import math
 
+import numpy as np
 import pytest
 
 from fueterlab.classify import classify
-from fueterlab.diffops import DiffConfig
-from fueterlab.function_model import DEFAULT_GRID, QFunction, from_uv
+from fueterlab.diffops import DiffConfig, StepError
+from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, QFunction, SampleGrid,
+                                      cullen_extend, from_uv, sample_cartesian, sample_chart)
+from fueterlab.generators import chiral_difference, get_witness
 from fueterlab.quaternion_core import Quaternion
+
+SMALL_GRID = SampleGrid(n_per_axis=2)
 
 COEFFS = (Quaternion(0.25, -0.5, 0.75, 0.125), Quaternion(-0.625, 0.375, 0.5, -0.875),
           Quaternion(0.5, 0.25, -0.375, 0.625))
@@ -46,3 +56,91 @@ def test_default_grid_classify_runs_no_cyclic_collection(key):
     classify(f, DEFAULT_GRID, DiffConfig())
     ran = [after - start for after, start in zip(_collections(), before)]
     assert ran == [0] * len(ran)
+
+
+# ---------------------------------------------------------------------------
+# a step that rounds away propagates from every fill
+
+
+FAR_Z_MESSAGE = "does not move the Cartesian coordinate 1000000000000.0"
+
+
+def _step_error(*_):
+    raise StepError("stencil step 1e-05 does not move the user's coordinate")
+
+
+def test_a_step_error_at_a_pole_column_propagates():
+    # x = y = 0: the column goes to the chiral difference's own evaluator,
+    # whose inner stencil cannot move z = 1e12, as at the single point
+    delta = chiral_difference(get_witness("pow:3").function)
+    far = Quaternion(0.3, 0.0, 0.0, 1e12)
+    with pytest.raises(StepError, match=FAR_Z_MESSAGE):
+        delta(far)
+    with pytest.raises(StepError, match=FAR_Z_MESSAGE):
+        sample_cartesian(delta, np.array([[0.3], [0.0], [0.0], [1e12]]))
+    # in a batch, one column of it among columns the step moves
+    rows = np.array([[0.3, 0.3, -0.2], [0.6, 0.0, 0.5], [-0.4, 0.0, 0.5], [0.5, 1e12, 0.7]])
+    with pytest.raises(StepError, match=FAR_Z_MESSAGE):
+        sample_cartesian(delta, rows)
+    assert np.isfinite(sample_cartesian(delta, rows[:, ::2])).all()
+
+
+def test_a_step_error_propagates_from_every_fill():
+    chart = DEFAULT_GRID.chart_array()[:, :5]
+    with pytest.raises(StepError, match="the user's coordinate"):
+        sample_chart(QFunction("raw-step", _step_error), chart)
+    with pytest.raises(StepError, match="the user's coordinate"):
+        sample_cartesian(QFunction("raw-step", _step_error), chart)
+    with pytest.raises(StepError, match="the user's coordinate"):
+        sample_chart(from_uv(lambda s: 1.0, _step_error), chart)
+    with pytest.raises(StepError, match="the user's coordinate"):
+        sample_chart(cullen_extend(ComplexStem.named("stem-step", _step_error)), chart)
+
+
+# ---------------------------------------------------------------------------
+# a user callable that returns no number
+
+
+def _recording(returned):
+    """ (a callable that records its first argument and returns returned, the record) """
+    seen = []
+
+    def call(arg):
+        seen.append(arg)
+        return returned
+    return call, seen
+
+
+@pytest.mark.parametrize("returned", (1.0, None))
+def test_a_raw_evaluator_that_returns_no_quaternion_is_named(returned):
+    evaluator, seen = _recording(returned)
+    with pytest.raises(TypeError) as info:
+        classify(QFunction("raw-bad", evaluator), SMALL_GRID, DiffConfig())
+    assert str(info.value) == (f"raw-bad: the evaluator returned {returned!r} "
+                               f"at {seen[0]!r}, not a Quaternion")
+
+
+@pytest.mark.parametrize("returned", (None, 1j, "1.5"))
+@pytest.mark.parametrize("which", ("u", "v"))
+def test_a_scalar_field_that_returns_no_real_number_is_named(which, returned):
+    bad, seen = _recording(returned)
+    good = lambda s: 0.5 * s.alpha  # noqa: E731
+    u, v = (bad, good) if which == "u" else (good, bad)
+    with pytest.raises(TypeError) as info:
+        classify(from_uv(u, v, name="uv-bad"), SMALL_GRID, DiffConfig())
+    assert str(info.value) == (f"uv-bad: {which} returned {returned!r} "
+                               f"at {seen[0]!r}, not a real number")
+
+
+def test_a_stem_that_returns_no_number_is_named():
+    stem, seen = _recording(None)
+    with pytest.raises(TypeError) as info:
+        classify(cullen_extend(ComplexStem.named("stem-bad", stem)), SMALL_GRID, DiffConfig())
+    assert str(info.value) == f"stem-bad: the stem returned None at {seen[0]!r}, not a complex number"
+
+
+def test_integer_and_boolean_values_are_still_numbers():
+    chart = SMALL_GRID.chart_array()
+    as_ints = sample_chart(from_uv(lambda s: 2, lambda s: s.t > 0.0), chart)
+    as_floats = sample_chart(from_uv(lambda s: 2.0, lambda s: float(s.t > 0.0)), chart)
+    assert as_ints.tobytes() == as_floats.tobytes()
