@@ -252,20 +252,21 @@ _SAMPLE_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 def _number_array(rows, dtype, name: str, labels: tuple, point_at) -> np.ndarray:
     """Array of dtype (float or complex) from rows of values that user callables returned.
 
-    The dtype numpy finds for the rows is checked once; where it is not a
-    number's, TypeError names the function, the callable (labels[i] made
-    rows[i]) and the first point (point_at(k) is point k) whose value is no
-    real (or complex) number.
+    The dtype numpy finds for the rows is checked once.  Where it does not
+    cast safely to dtype, TypeError names the function, the callable
+    (labels[i] made rows[i]) and the first point (point_at(k) is point k)
+    whose value is no real (or complex) number; a value numpy holds only as
+    an object, such as a Fraction, is converted like any other number.
     """
     values = np.array(rows)
-    kinds, number = ("biufc", numbers.Complex) if dtype is complex else ("biuf", numbers.Real)
-    if values.dtype.kind in kinds:
+    if np.can_cast(values.dtype, dtype):
         return values.astype(dtype, copy=False)
+    number = numbers.Complex if dtype is complex else numbers.Real
     for k, point in enumerate(zip(*rows)):
         for label, value in zip(labels, point):
             if not isinstance(value, number):
                 raise TypeError(f"{name}: {label} returned {value!r} at {point_at(k)!r}, "
-                                f"not a {'complex' if dtype is complex else 'real'} number")
+                                f"not a {number.__name__.lower()} number")
     return np.array(rows, dtype=dtype)
 
 

@@ -50,7 +50,11 @@ class ChartSingularityError(DomainError):
 
 
 class StepError(ValueError):
-    """A stencil step that some coordinate rounds away."""
+    """A stencil step that some coordinate rounds away.
+
+    diffops raises it; it lives here so that the samplers of function_model,
+    which diffops builds on, can tell it from a sample's own math error.
+    """
 
 
 class Quaternion:

@@ -15,6 +15,7 @@ callable and the point.
 
 import gc
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,8 +140,11 @@ def test_a_stem_that_returns_no_number_is_named():
     assert str(info.value) == f"stem-bad: the stem returned None at {seen[0]!r}, not a complex number"
 
 
-def test_integer_and_boolean_values_are_still_numbers():
+@pytest.mark.parametrize("u, v, u_float, v_float", (
+    (lambda s: 2, lambda s: s.t > 0.0, lambda s: 2.0, lambda s: float(s.t > 0.0)),
+    # no numpy dtype holds these, so they arrive as objects and are real numbers all the same
+    (lambda s: Fraction(1, 3), lambda s: 2 ** 70, lambda s: 1 / 3, lambda s: float(2 ** 70)),
+), ids=("int-bool", "fraction-bigint"))
+def test_other_real_numbers_are_still_numbers(u, v, u_float, v_float):
     chart = SMALL_GRID.chart_array()
-    as_ints = sample_chart(from_uv(lambda s: 2, lambda s: s.t > 0.0), chart)
-    as_floats = sample_chart(from_uv(lambda s: 2.0, lambda s: float(s.t > 0.0)), chart)
-    assert as_ints.tobytes() == as_floats.tobytes()
+    assert sample_chart(from_uv(u, v), chart).tobytes() == sample_chart(from_uv(u_float, v_float), chart).tobytes()
