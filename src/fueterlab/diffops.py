@@ -8,8 +8,9 @@ error estimate).  Cartesian partials differentiate the raw evaluator;
 chart.  The two views agree because the chart round-trips.
 
 One function, stencil, takes every finite difference in the library: the
-operators here, classify's residuals, jacobian_check, chiral_difference
-and the Laurent coefficient class check.  It works on a whole batch of
+operators here, classify's residuals, jacobian_check, chiral_difference,
+the Laurent coefficient class check and the slice extension condition of
+generators.  It works on a whole batch of
 coordinate rows: Cartesian (t, x, y, z) for fueter_left/fueter_right,
 chart (t, r, alpha, beta) for the rest, window angles for the class check.
 The batch is four rows that broadcast together to a shape S, such as an
@@ -18,10 +19,13 @@ differences, each of which gains a leading axis of rows times offsets, so
 the other rows, and everything an evaluator computes from them alone,
 keep their own size.  The step rule lives there too: stencil refuses a
 step that does not move the rows it shifts (StepError).  The operators
-take point rows (4, N) and return value rows (4, N) with an (N,) error
-estimate, or for one Quaternion or SphericalPoint a Quaternion and a
-float; one point goes through stencil as the rows (4,), a batch of shape
-().
+take the same batches: only a Quaternion or a SphericalPoint is one
+point, and anything else is four point rows that broadcast to a shape S,
+such as an array (4, N), a grid's open mesh or its Cartesian rows
+(from_spherical_rows).  They return value rows (4, *S) with an error
+estimate of shape S (spherical_cr_residuals: two arrays of shape S), or
+for one point a Quaternion and a float; one point goes through stencil as
+the rows (4,), a batch of shape ().
 
 * fueter_left   : d/dt f + i d/dx f + j d/dy f + k d/dz f
 * fueter_right  : d/dt f + (d/dx f) i + (d/dy f) j + (d/dz f) k
@@ -47,8 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
-from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, StepError,
-                              _quaternion, iota_array, iota_coefficient, qmul_array, rows_shape)
+from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, SphericalPoint,
+                              StepError, _quaternion, iota_array, iota_coefficient, qmul_array,
+                              rows_shape, stack_rows)
 
 SCHEMES = ("central", "richardson")
 
@@ -177,27 +182,33 @@ def chart_ok(chart: np.ndarray, cfg: DiffConfig) -> np.ndarray:
             & (np.sin(beta) > POLE_SIN_BETA_FLOOR))
 
 
-def _require_chart_margins(chart: np.ndarray, cfg: DiffConfig):
+def _first_failing(rows, ok: np.ndarray) -> tuple:
+    """ the first point of rows where ok, which broadcasts with them, is False;
+    the rows are broadcast here, on the error path only """
+    shape = np.broadcast_shapes(rows_shape(rows), ok.shape)
+    at = np.argmin(np.broadcast_to(ok, shape))
+    return tuple(stack_rows(rows, shape).reshape(4, -1)[:, at].tolist())
+
+
+def _require_chart_margins(chart, cfg: DiffConfig):
     ok = chart_ok(chart, cfg)
     if not ok.all():
-        at = chart.reshape(4, -1)[:, np.argmin(ok)]
         raise ChartSingularityError(
             f"chart stencil of width {cfg.h} at (t, r, alpha, beta) = "
-            f"{tuple(at.tolist())} leaves r > h, h < beta < pi - h, "
+            f"{_first_failing(chart, ok)} leaves r > h, h < beta < pi - h, "
             f"sin(beta) > {POLE_SIN_BETA_FLOOR}")
 
 
-def require_finite(f: QFunction, points: np.ndarray, values: np.ndarray):
-    """ DomainError naming f and the first point whose value rows are not all finite """
+def require_finite(f: QFunction, points, values: np.ndarray):
+    """ DomainError naming f and the first of the points whose value rows are not all finite """
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
-        at = points.reshape(4, -1)[:, np.argmin(finite)]  # points (4, *S), one point S = ()
-        raise DomainError(f"{f.name}: no finite value at {tuple(at.tolist())}")
+        raise DomainError(f"{f.name}: no finite value at {_first_failing(points, finite)}")
 
 
 @dataclass(frozen=True)
 class OperatorValue:
-    """An operator sample (a Quaternion, or value rows (4, N) for a batch)
+    """An operator sample (a Quaternion, or value rows (4, *S) for a batch)
     and its error estimate: the summed magnitudes of the h vs h/2
     Richardson differences when that scheme is active, 0.0 under central."""
 
@@ -214,12 +225,13 @@ def point_rows(p) -> np.ndarray:
 
 
 def _operator(body):
-    """The operator of a body over point rows (4, N), also for one point as the
-    batch of shape () with scalars; DomainError on a non-finite result."""
+    """The operator of a body over point rows that broadcast to a shape S,
+    also for one point (a Quaternion or a SphericalPoint) as the batch of
+    shape () with scalars; DomainError on a non-finite result."""
 
     @functools.wraps(body)
     def operator(f: QFunction, points, cfg: DiffConfig = DiffConfig()):
-        single = not isinstance(points, np.ndarray)
+        single = isinstance(points, (Quaternion, SphericalPoint))
         rows = point_rows(points) if single else points
         with np.errstate(all="ignore"):
             out = body(f, rows, cfg)
@@ -251,21 +263,24 @@ def fueter_right(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> Operat
     return _flat(f, points, cfg, right=True)
 
 
-def _chart_units(chart: np.ndarray) -> tuple:
-    """The quaternion rows (4, 4, N) that multiply the t, r, alpha, beta
+def _chart_units(chart) -> tuple:
+    """The quaternion rows (4, 4, *A) that multiply the t, r, alpha, beta
     partials in the chart operators (1, iota, iota_a^-1, iota_b^-1)
-    and their norms (4, N), which weight the error estimates."""
+    and their norms (4, *A), which weight the error estimates; A is the
+    shape that the alpha and beta rows broadcast to."""
     _, _, alpha, beta = chart
     sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
-    one, zero = np.ones_like(sb), np.zeros_like(sb)
-    units = np.array(((one, zero, zero, zero),
-                      (zero, ca * sb, sa / sb, -ca * cb),
-                      (zero, sa * sb, -ca / sb, -sa * cb),
-                      (zero, cb, zero, sb)))
-    return units, np.array((one, one, 1.0 / sb, one))
+    shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta))
+    units, norms = np.zeros((4, 4) + shape), np.ones((4,) + shape)
+    units[0, 0] = 1.0
+    units[1, 1], units[2, 1], units[3, 1] = ca * sb, sa * sb, cb
+    units[1, 2], units[2, 2] = sa / sb, -ca / sb
+    units[1, 3], units[2, 3], units[3, 3] = -ca * cb, -sa * cb, sb
+    norms[2] = 1.0 / sb
+    return units, norms
 
 
-def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
+def _chart_sum(f: QFunction, chart, cfg: DiffConfig, rows: slice,
                angular_scale=None) -> OperatorValue:
     """The sum over chart rows of unit * partial of f, the alpha and beta
     terms times angular_scale if given."""
@@ -273,8 +288,10 @@ def _chart_sum(f: QFunction, chart: np.ndarray, cfg: DiffConfig, rows: slice,
     d, err = stencil(f, cfg, chart, rows, sample_chart, "chart coordinate")
     units, norms = _chart_units(chart)
     if angular_scale is not None:
-        units[:, 2:] *= angular_scale
-        norms[2:] *= np.abs(angular_scale)
+        # 1.0 on the t and r terms, which it leaves bit for bit
+        scale = np.ones((4,) + np.shape(angular_scale))
+        scale[2:] = angular_scale
+        units, norms = units * scale, norms * np.abs(scale)
     units, norms = units[:, rows], norms[rows]
     return OperatorValue(qmul_array(units, d).sum(axis=1), (norms * err).sum(axis=0))
 

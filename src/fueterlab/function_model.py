@@ -388,7 +388,11 @@ def from_uv(u: Callable[[SphericalPoint], float],
     """
 
     def at_spherical(s: SphericalPoint) -> Quaternion:
-        return from_spherical(SphericalPoint(u(s), v(s), s.alpha, s.beta))
+        u_s, v_s = u(s), v(s)
+        if type(u_s) is not float or type(v_s) is not float:
+            # raises the batch path's TypeError on a value that is no real number
+            _number_array(((u_s,), (v_s,)), float, name, ("u", "v"), lambda k: s)
+        return from_spherical(SphericalPoint(u_s, v_s, s.alpha, s.beta))
 
     def evaluator(p: Quaternion) -> Quaternion:
         return at_spherical(to_spherical(p))
@@ -476,7 +480,7 @@ class ComplexStem:
     __call__ = eval
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
-        """eval over a 1-D complex array, NaN where eval raises.
+        """eval over a complex array, NaN where eval raises.
 
         Through func_array when the stem has one.  Else eval is called once
         per distinct z (by bit pattern, so -0.0 and 0.0 stay apart): a sweep
@@ -534,15 +538,22 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
     on every slice, kind "CI".
     """
 
+    def at(z: complex) -> complex:
+        w = stem.eval(z)
+        if type(w) is not complex:
+            # raises the batch path's TypeError on a value that is no complex number
+            _number_array(((w,),), complex, stem.label, ("the stem",), lambda k: z)
+        return w
+
     def at_spherical(s: SphericalPoint) -> Quaternion:
-        w = stem.eval(complex(s.t, s.r))
+        w = at(complex(s.t, s.r))
         return from_spherical(SphericalPoint(w.real, w.imag, s.alpha, s.beta))
 
     def evaluator(p: Quaternion) -> Quaternion:
         r = p.vector_norm()
         if r == 0.0:
             raise ChartSingularityError("profile sweep undefined on the real axis")
-        w = stem.eval(complex(p.t, r))
+        w = at(complex(p.t, r))
         scale = w.imag / r
         return Quaternion(w.real, scale * p.x, scale * p.y, scale * p.z)
 

@@ -178,37 +178,59 @@ def rinehart_L(stem: ComplexStem) -> ComplexStem:
     return ComplexStem.named(f"L:{stem.label}", g, domain_ok=stem.domain_ok, func_array=g_array)
 
 
-def rinehart_condition_residual(g: ComplexStem, z: complex) -> float:
-    """ |dg/dx + i dg/dy - 2 Im(g)/y| by central differences of step 1e-6 """
-    h = 1e-6
-    wx = (g.eval(z + h) - g.eval(z - h)) / (2.0 * h)
-    wy = (g.eval(z + h * 1j) - g.eval(z - h * 1j)) / (2.0 * h)
-    return abs(wx + 1j * wy - 2.0 * g.eval(z).imag / z.imag)
+# the central step of the slice extension condition
+_CONDITION_STEP = DiffConfig(h=1e-6)
+
+
+def _sample_slice(g: ComplexStem, rows) -> np.ndarray:
+    """ the value row g(x + i y) at rows (x, y, ...) that broadcast to S, of shape (1, *S) """
+    shape = np.broadcast(rows[0], rows[1]).shape
+    z = np.empty(shape, complex)
+    z.real, z.imag = rows[0], rows[1]
+    return g.eval_array(z)[np.newaxis]
+
+
+def rinehart_condition_residual(g: ComplexStem, z):
+    """|dg/dx + i dg/dy - 2 Im(g)/y| at z, a complex number or array.
+
+    The partials are central differences of step 1e-6 taken by
+    diffops.stencil along Re z and Im z, on samples of g.eval_array (NaN off
+    the stem's domain, so a residual next to it is NaN); StepError where the
+    step does not move Re z or Im z.  A float for a complex z, else an array
+    of z's shape.
+    """
+    at = np.atleast_1d(np.asarray(z, dtype=complex))  # numpy's 0-d complex path has its own floats
+    base = (at.real, at.imag, 0.0, 0.0)
+    d = stencil(g, _CONDITION_STEP, base, slice(0, 2), _sample_slice, "slice coordinate")[0][0]
+    resid = np.abs(d[0] + 1j * d[1] - 2.0 * _sample_slice(g, base)[0].imag / at.imag)
+    return float(resid[0]) if np.ndim(z) == 0 else resid.reshape(np.shape(z))
 
 
 def ci_extend_rinehart(g: ComplexStem, cfg: DiffConfig = DiffConfig()) -> QFunction:
     """Sweep a slice profile satisfying the extension condition.
 
     Checks the condition dg/dx + i dg/dy = 2 Im(g)/y on the (t, r) nodes of
-    DEFAULT_GRID first and raises DomainError if any sample violates it; the
-    returned function is then left-regular by construction.
+    DEFAULT_GRID in g's domain, as one batch, and raises DomainError at the
+    first node (t-major) that violates it or where the residual or g is not
+    finite; the returned function is then left-regular by construction.
     """
     ts, rs, _, _ = DEFAULT_GRID.axes()
-    checked = 0
-    for t in ts:
-        for r in rs:
-            z = complex(t, r)
-            if not g.domain_ok(z):
-                continue
-            scale = abs(g.eval(z))
-            resid = rinehart_condition_residual(g, z)
-            if resid > cfg.point_tolerance(scale):
-                raise DomainError(
-                    f"{g.label!r} violates the slice extension condition at {z}: "
-                    f"residual {resid:.3e} > {cfg.point_tolerance(scale):.3e}")
-            checked += 1
-    if checked == 0:
+    nodes = [z for z in (complex(t, r) for t in ts for r in rs) if g.domain_ok(z)]
+    if not nodes:
         raise DomainError(f"no admissible (t, r) samples for {g.label!r} on the grid")
+    resid = rinehart_condition_residual(g, nodes)
+    scale = np.abs(g.eval_array(np.array(nodes)))
+    tol = cfg.point_tolerance(scale)
+    finite = np.isfinite(resid) & np.isfinite(scale)
+    bad = ~(finite & (resid <= tol))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise DomainError(f"{g.label!r}: no finite slice extension condition residual "
+                              f"at {nodes[k]} (the stem fails at or next to it)")
+        raise DomainError(
+            f"{g.label!r} violates the slice extension condition at {nodes[k]}: "
+            f"residual {resid[k]:.3e} > {tol[k]:.3e}")
     return cullen_extend(g, name=g.label)
 
 

@@ -271,3 +271,62 @@ def test_one_point_errors_name_the_point():
         diffops.fueter_left(holey, Quaternion(1e-5, 0.3, 0.2, 0.1))
     with pytest.raises(ChartSingularityError, match=r"\(0.0, 1.0, 0.3, 3.14\)"):
         diffops.spherical_cr_residuals(_witness("rho"), SphericalPoint(0.0, 1.0, 0.3, 3.14))
+
+
+def _raw_polynomial(p):
+    return p * p * Quaternion(0.25, -1.0, 0.5, 2.0) + p
+
+
+# a catalog witness, a sweep, and raw polynomials with and without an array view
+MESH_OPERATOR_FUNCTIONS = {
+    "rho": lambda: _witness("rho"),
+    "pow:3": lambda: _witness("pow:3"),
+    "random_polynomial": lambda: random_polynomial(np.random.default_rng(19)),
+    "raw": lambda: QFunction("raw", _raw_polynomial),
+}
+
+
+@pytest.mark.parametrize("scheme", ("central", "richardson"))
+@pytest.mark.parametrize("fn", MESH_OPERATOR_FUNCTIONS)
+@pytest.mark.parametrize("name", CARTESIAN_OPERATORS + CHART_OPERATORS)
+def test_operators_on_a_grid_mesh_give_the_materialized_results(name, fn, scheme):
+    # the chart operators take the grid's open mesh, the Cartesian ones its
+    # Cartesian rows; each result is the (4, N) one, reshaped, bit for bit
+    op, cfg, grid = getattr(diffops, name), DiffConfig(scheme=scheme), SampleGrid(n_per_axis=4)
+    f, mesh, chart = MESH_OPERATOR_FUNCTIONS[fn](), grid.mesh(), grid.chart_array()
+    if name in CARTESIAN_OPERATORS:
+        mesh, chart = from_spherical_rows(mesh), from_spherical_array(chart)
+    got, want = _flat_result(op(f, mesh, cfg)), _flat_result(op(f, chart, cfg))
+    assert got.shape == (len(want),) + (grid.n_per_axis,) * 4
+    _assert_same_floats(got.reshape(len(want), -1), want)
+
+
+# t, r and alpha axes of a mesh whose last beta value is too near the pole
+# for a chart stencil, and whose x = r cos(alpha) sin(beta) turns negative
+POLE_AXES = (np.array([-0.4, 0.6]), np.array([0.5, 1.2]),
+             np.array([-0.3, 1.1, 2.6]), np.array([0.6, 1.9, 0.005]))
+
+
+def _holey(p):
+    return Quaternion(math.sqrt(p.x), p.t, 0.0, 0.0)  # ValueError where x < 0
+
+
+@pytest.mark.parametrize("name", CARTESIAN_OPERATORS + CHART_OPERATORS)
+def test_operator_errors_name_the_same_point_on_a_mesh(name):
+    op, holey = getattr(diffops, name), QFunction("holey", _holey)
+    mesh = np.ix_(*POLE_AXES)
+    if name in CARTESIAN_OPERATORS:
+        # x < 0 first at alpha = 2.6, beta = 0.6: point 6 in beta-fastest order
+        mesh, error, first = from_spherical_rows(mesh), DomainError, 6
+    else:
+        # the chart margins fail first at beta = 0.005: point 2
+        error, first = ChartSingularityError, 2
+    rows = _materialized(mesh).reshape(4, -1)
+
+    def message(points):
+        with pytest.raises(error) as info:
+            op(holey, points, DiffConfig())
+        return str(info.value)
+
+    assert message(mesh) == message(rows)
+    assert f"{tuple(rows[:, first].tolist())}" in message(mesh)

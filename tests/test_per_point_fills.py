@@ -25,7 +25,7 @@ from fueterlab.diffops import DiffConfig, StepError
 from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, QFunction, SampleGrid,
                                       cullen_extend, from_uv, sample_cartesian, sample_chart)
 from fueterlab.generators import chiral_difference, get_witness
-from fueterlab.quaternion_core import Quaternion
+from fueterlab.quaternion_core import Quaternion, to_spherical
 
 SMALL_GRID = SampleGrid(n_per_axis=2)
 
@@ -140,6 +140,40 @@ def test_a_stem_that_returns_no_number_is_named():
     assert str(info.value) == f"stem-bad: the stem returned None at {seen[0]!r}, not a complex number"
 
 
+def _type_error(call) -> str:
+    with pytest.raises(TypeError) as info:
+        call()
+    return str(info.value)
+
+
+ONE_POINT = Quaternion(0.3, 0.4, -0.5, 0.6)
+
+
+@pytest.mark.parametrize("view", ("evaluator", "at_spherical"))
+@pytest.mark.parametrize("returned", (None, 1j, "1.5"))
+@pytest.mark.parametrize("which", ("u", "v"))
+def test_one_point_names_a_scalar_field_that_returns_no_real_number(which, returned, view):
+    # the single-point views raise the batch path's TypeError
+    bad, _ = _recording(returned)
+    good = lambda s: 0.5 * s.alpha  # noqa: E731
+    f = from_uv(*((bad, good) if which == "u" else (good, bad)), name="uv-bad")
+    s = to_spherical(ONE_POINT)
+    one = (lambda: f(ONE_POINT)) if view == "evaluator" else (lambda: f.at_spherical(s))
+    batch = _type_error(lambda: sample_chart(f, np.array(s).reshape(4, 1)))
+    assert _type_error(one) == batch == (f"uv-bad: {which} returned {returned!r} "
+                                         f"at {s!r}, not a real number")
+
+
+@pytest.mark.parametrize("view", ("evaluator", "at_spherical"))
+def test_one_point_names_a_stem_that_returns_no_number(view):
+    f = cullen_extend(ComplexStem.named("stem-bad", lambda z: None))
+    s = to_spherical(ONE_POINT)
+    one = (lambda: f(ONE_POINT)) if view == "evaluator" else (lambda: f.at_spherical(s))
+    batch = _type_error(lambda: sample_chart(f, np.array(s).reshape(4, 1)))
+    assert _type_error(one) == batch == (f"stem-bad: the stem returned None at "
+                                         f"{complex(s.t, s.r)!r}, not a complex number")
+
+
 @pytest.mark.parametrize("u, v, u_float, v_float", (
     (lambda s: 2, lambda s: s.t > 0.0, lambda s: 2.0, lambda s: float(s.t > 0.0)),
     # no numpy dtype holds these, so they arrive as objects and are real numbers all the same
@@ -148,3 +182,4 @@ def test_a_stem_that_returns_no_number_is_named():
 def test_other_real_numbers_are_still_numbers(u, v, u_float, v_float):
     chart = SMALL_GRID.chart_array()
     assert sample_chart(from_uv(u, v), chart).tobytes() == sample_chart(from_uv(u_float, v_float), chart).tobytes()
+    assert from_uv(u, v)(ONE_POINT) == from_uv(u_float, v_float)(ONE_POINT)

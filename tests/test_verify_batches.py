@@ -1,11 +1,13 @@
 """The verify-props checks that run on batches keep their numbers.
 
-The sphere-direction Cauchy-Riemann check and the slice extension
-condition are pinned here against values recorded from the materialized
-chart rows and from the scalar form of the condition:
+The sphere-direction Cauchy-Riemann check runs on the grid's open mesh,
+and the slice extension condition is one batch through diffops.stencil.
+Both are pinned here against values recorded from the materialized chart
+rows and from the scalar form of the condition:
 
 * spherical_cr_residuals of the five witnesses of check_spherical_cr on
-  a 4^4 grid, under both schemes, as a digest of the result bytes;
+  a 4^4 grid, under both schemes, as a digest of the result bytes, on the
+  materialized rows and on the open mesh alike;
 * the slice condition |dg/dx + i dg/dy - 2 Im(g)/y| against the scalar
   central difference written out below, at the (t, r) nodes of the
   default grid and at the samples of check_extension_functional;
@@ -13,15 +15,17 @@ chart rows and from the scalar form of the condition:
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from fueterlab.diffops import DiffConfig, spherical_cr_residuals
+from fueterlab.diffops import DiffConfig, StepError, spherical_cr_residuals
 from fueterlab.function_model import DEFAULT_GRID, NAMED_STEMS, ComplexStem, SampleGrid
 from fueterlab.generators import (ci_extend_rinehart, get_witness, rinehart_L,
                                   rinehart_condition_residual)
 from fueterlab.quaternion_core import DomainError
+from fueterlab.verification import check_spherical_cr
 
 CR_GRID = SampleGrid(n_per_axis=4)
 
@@ -47,11 +51,19 @@ def _digest(residuals) -> str:
     return hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest()[:16]
 
 
+@pytest.mark.parametrize("rows", ("chart_array", "mesh"))
 @pytest.mark.parametrize("name, scheme", SPHERE_CR_DIGESTS)
-def test_sphere_cr_residuals_keep_their_bits(name, scheme):
-    got = spherical_cr_residuals(get_witness(name).function, CR_GRID.chart_array(),
+def test_sphere_cr_residuals_keep_their_bits(name, scheme, rows):
+    got = spherical_cr_residuals(get_witness(name).function, getattr(CR_GRID, rows)(),
                                  DiffConfig(scheme=scheme))
     assert _digest(got) == SPHERE_CR_DIGESTS[name, scheme]
+
+
+def test_sphere_cr_check_keeps_its_numbers_on_the_default_mesh():
+    # as recorded from the materialized default grid
+    got = check_spherical_cr()
+    assert (got.passed, got.max_residual, got.detail) == (
+        True, 2.9943616475236468e-09, "counterexample witness residual 0.977")
 
 
 def _scalar_condition(g: ComplexStem, z: complex, h: float = 1e-6) -> float:
@@ -81,6 +93,27 @@ def test_condition_residual_agrees_with_the_scalar_formula(stem, where):
         assert abs(rinehart_condition_residual(g, z) - _scalar_condition(g, z)) <= 1e-8, z
 
 
+def test_condition_residual_keeps_the_shape_of_z():
+    g = rinehart_L(STEMS["z^3"])
+    assert type(rinehart_condition_residual(g, 0.4 + 0.8j)) is float
+    z = np.array(CHECK_SAMPLES).reshape(5, 7)
+    got = rinehart_condition_residual(g, z)
+    assert got.shape == (5, 7)
+    assert got[2, 3] == rinehart_condition_residual(g, z[2, 3])
+
+
+def test_condition_residual_refuses_a_step_that_rounds_away():
+    g = rinehart_L(STEMS["z^3"])
+    with pytest.raises(StepError, match="does not move the slice coordinate 1e\\+16"):
+        rinehart_condition_residual(g, complex(1e16, 1.0))
+
+
+def test_condition_residual_is_nan_next_to_the_domain_edge():
+    # the stencil sample at Im z - 1e-6 leaves the upper half plane
+    g = rinehart_L(STEMS["z^3"])
+    assert math.isnan(rinehart_condition_residual(g, complex(0.3, 5e-7)))
+
+
 def test_a_violation_names_the_first_node_and_its_numbers():
     with pytest.raises(DomainError) as info:
         ci_extend_rinehart(ComplexStem.laurent([(2, 1.0)]))
@@ -102,3 +135,24 @@ def test_a_stem_that_fails_next_to_an_admissible_node_is_refused():
                             domain_ok=lambda z: z.imag >= 0.5)
     with pytest.raises(DomainError, match="L:cut"):
         ci_extend_rinehart(rinehart_L(cut))
+
+
+def test_a_stem_without_finite_values_is_refused():
+    # a NaN residual must not read as a pass
+    nan = ComplexStem.named("nan", lambda z: complex(math.nan, 0.0), lambda z: 0j)
+    with pytest.raises(DomainError) as info:
+        ci_extend_rinehart(nan)
+    assert str(info.value) == ("'nan': no finite slice extension condition residual at "
+                               "(-1+0.5j) (the stem fails at or next to it)")
+
+
+def test_a_stem_that_raises_inside_its_domain_is_refused():
+    def func(z):
+        if z.real > 0.5:
+            raise ZeroDivisionError("user stem")
+        return z ** 3
+
+    broken = ComplexStem.named("broken", func, lambda z: 3.0 * z * z)
+    with pytest.raises(DomainError, match="'L:broken': no finite slice extension condition "
+                                          "residual at \\(0.71428"):
+        ci_extend_rinehart(rinehart_L(broken))
