@@ -62,7 +62,8 @@ domain error gives that point NaN; a StepError (a step that rounds away)
 propagates, as from the single point.  A value that is no number (not a
 Quaternion from an evaluator, a real number from u or v, a complex number
 from a stem) raises TypeError naming the function, the callable and the
-point; the fill checks the dtype of its values once, not each value.
+point; the fill checks the dtype of its values once, not each value.  The
+single-point views of from_uv and cullen_extend raise the same TypeError.
 """
 
 from __future__ import annotations

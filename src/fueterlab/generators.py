@@ -14,7 +14,9 @@ Generators build new functions from old:
 * rinehart_L(stem): g = (i/y) stem' - i Im(stem)/y^2, which satisfies the
   non-analytic slice condition dg/dx + i dg/dy = 2 Im(g)/y;
 * ci_extend_rinehart(g): sweeps such a g into a left-regular function
-  after checking the condition on samples;
+  after checking the condition on the (t, r) nodes of the default grid,
+  all at once: rinehart_condition_residual differences g along Re z and
+  Im z through diffops.stencil, like every finite difference here;
 * chiral_difference(f): fueter_left f - fueter_right f from shared
   stencils (left-regular whenever f is Class II, identically zero iff f
   is Class III);
@@ -202,7 +204,7 @@ def rinehart_condition_residual(g: ComplexStem, z):
     at = np.atleast_1d(np.asarray(z, dtype=complex))  # numpy's 0-d complex path has its own floats
     base = (at.real, at.imag, 0.0, 0.0)
     d = stencil(g, _CONDITION_STEP, base, slice(0, 2), _sample_slice, "slice coordinate")[0][0]
-    resid = np.abs(d[0] + 1j * d[1] - 2.0 * _sample_slice(g, base)[0].imag / at.imag)
+    resid = np.abs(d[0] + 1j * d[1] - 2.0 * g.eval_array(at).imag / at.imag)
     return float(resid[0]) if np.ndim(z) == 0 else resid.reshape(np.shape(z))
 
 
