@@ -41,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diffops import (DiffConfig, chart_ok, fueter_rows, point_rows, require_finite,
-                      require_step_moves, stencil, uv_rows)
+from .diffops import (DiffConfig, _first_failing, _operator, chart_ok, fueter_rows,
+                      require_finite, require_step_moves, stencil, uv_rows)
 from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
                              sample_chart)
 from .quaternion_core import (DomainError, Quaternion, from_spherical_rows, iota_array,
@@ -208,27 +208,30 @@ class JacobianResult:
     advisory: bool
 
 
+@_operator(Quaternion, "jacobian_check")
+def _determinants(f: QFunction, points, cfg: DiffConfig) -> tuple:
+    """ (det_numeric, det_formula) of jacobian_check at Cartesian point rows """
+    r = np.sqrt(iota_coefficient(points, points))  # |Im p|
+    if not r.all():
+        raise DomainError(f"Jacobian factorization undefined on the real axis, at "
+                          f"{_first_failing(points, r != 0.0)}")
+    jac = stencil(f, cfg, points, slice(0, 4), sample_cartesian, "Cartesian coordinate")[0]
+    value = sample_cartesian(f, points)
+    require_finite(f, points, np.concatenate((jac.reshape((16,) + value.shape[1:]), value)))
+    # v against the iota of each point, and its t derivative from the t column
+    dv_dt, v = iota_coefficient(np.stack((jac[:, 0], value), axis=1), [row / r for row in points])
+    # products, not ** 2, which numpy's scalar path at one point takes to pow
+    du_dt = jac[0, 0]
+    return (np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1))),
+            (du_dt * du_dt + dv_dt * dv_dt) * v * v / (r * r))
+
+
 def jacobian_check(f: QFunction, p, cfg: DiffConfig = DiffConfig()) -> JacobianResult:
     """Compare the finite-difference Jacobian determinant of f: R^4 -> R^4
     against the scalar factorization available for Class II functions, at
-    one Quaternion p or at Cartesian point rows p of shape (4, N).  A step
-    that some coordinate rounds away raises StepError."""
-    points = point_rows(p)[:, None] if isinstance(p, Quaternion) else p
-    r = np.sqrt(iota_coefficient(points, points))  # |Im p|
-    if not r.all():
-        raise DomainError("Jacobian factorization undefined on the real axis")
-
-    with np.errstate(all="ignore"):
-        jac = stencil(f, cfg, points, slice(0, 4), sample_cartesian, "Cartesian coordinate")[0]
-        value = sample_cartesian(f, points)
-    require_finite(f, points, np.vstack((jac.reshape(16, -1), value)))
-    det_numeric = np.linalg.det(jac.transpose(2, 0, 1))
-
-    # v against the iota of each point, and its t derivative from the t column
-    dv_dt, v = iota_coefficient(np.stack((jac[:, 0], value), axis=1), points[:, None] / r)
-    det_formula = (jac[0, 0] ** 2 + dv_dt ** 2) * v * v / (r * r)
-
-    advisory = not (f.classes or {}).get("class_II", False)
-    if isinstance(p, Quaternion):
-        return JacobianResult(float(det_numeric[0]), float(det_formula[0]), advisory)
-    return JacobianResult(det_numeric, det_formula, advisory)
+    one Quaternion p (floats) or at Cartesian point rows p that broadcast to
+    a shape S, such as an array (4, N) or a grid mesh's from_spherical_rows
+    (arrays of shape S).  A SphericalPoint raises TypeError, a point on the
+    real axis DomainError naming it, and a step that some coordinate rounds
+    away StepError."""
+    return JacobianResult(*_determinants(f, p, cfg), not (f.classes or {}).get("class_II", False))

@@ -25,7 +25,11 @@ such as an array (4, N), a grid's open mesh or its Cartesian rows
 (from_spherical_rows).  They return value rows (4, *S) with an error
 estimate of shape S (spherical_cr_residuals: two arrays of shape S), or
 for one point a Quaternion and a float; one point goes through stencil as
-the rows (4,), a batch of shape ().
+the rows (4,), a batch of shape ().  One point must be the kind its
+operator reads: a Quaternion for fueter_left and fueter_right, a
+SphericalPoint for the chart operators; the other kind raises TypeError.
+_operator holds this single-point path for every point API, jacobian_check
+and the chiral_difference evaluator included.
 
 * fueter_left   : d/dt f + i d/dx f + j d/dy f + k d/dz f
 * fueter_right  : d/dt f + (d/dx f) i + (d/dy f) j + (d/dz f) k
@@ -224,26 +228,37 @@ def point_rows(p) -> np.ndarray:
     return np.array((p.t, p.r, p.alpha, p.beta))
 
 
-def _operator(body):
-    """The operator of a body over point rows that broadcast to a shape S,
-    also for one point (a Quaternion or a SphericalPoint) as the batch of
-    shape () with scalars; DomainError on a non-finite result."""
+def _operator(point_type, name: str = ""):
+    """Decorator: the operator of a body over point rows that broadcast to a
+    shape S, which reads one point of point_type (Quaternion for Cartesian
+    rows (t, x, y, z), SphericalPoint for chart rows (t, r, alpha, beta)) as
+    the batch of shape () and returns its result with scalars.  The body
+    returns an OperatorValue, whose value rows become a Quaternion and its
+    error a float, or a tuple of arrays, which become floats.  One point of
+    the other type raises TypeError naming the operator (name, else the
+    body's) and the point; a non-finite result raises DomainError."""
 
-    @functools.wraps(body)
-    def operator(f: QFunction, points, cfg: DiffConfig = DiffConfig()):
-        single = isinstance(points, (Quaternion, SphericalPoint))
-        rows = point_rows(points) if single else points
-        with np.errstate(all="ignore"):
-            out = body(f, rows, cfg)
-        values = out.value if isinstance(out, OperatorValue) else np.array(out)
-        require_finite(f, rows, values)
-        if not single:
-            return out
-        if isinstance(out, OperatorValue):
-            return OperatorValue(_quaternion(*values.tolist()), float(out.estimated_error))
-        return tuple(values.tolist())
+    def decorate(body):
+        @functools.wraps(body)
+        def operator(f: QFunction, points, cfg: DiffConfig = DiffConfig()):
+            single = isinstance(points, (Quaternion, SphericalPoint))
+            if single and not isinstance(points, point_type):
+                raise TypeError(f"{name or body.__name__} reads one point as a "
+                                f"{point_type.__name__}, not {points!r}")
+            rows = point_rows(points) if single else points
+            with np.errstate(all="ignore"):
+                out = body(f, rows, cfg)
+            values = out.value if isinstance(out, OperatorValue) else np.array(out)
+            require_finite(f, rows, values)
+            if not single:
+                return out
+            if isinstance(out, OperatorValue):
+                return OperatorValue(_quaternion(*values.tolist()), float(out.estimated_error))
+            return tuple(values.tolist())
 
-    return operator
+        return operator
+
+    return decorate
 
 
 def _flat(f: QFunction, points: np.ndarray, cfg: DiffConfig, right: bool) -> OperatorValue:
@@ -251,13 +266,13 @@ def _flat(f: QFunction, points: np.ndarray, cfg: DiffConfig, right: bool) -> Ope
     return OperatorValue(fueter_rows(d.swapaxes(0, 1), right), err[0] + err[1] + err[2] + err[3])
 
 
-@_operator
+@_operator(Quaternion)
 def fueter_left(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Left Fueter operator at Cartesian points, the units multiplying from the left."""
     return _flat(f, points, cfg, right=False)
 
 
-@_operator
+@_operator(Quaternion)
 def fueter_right(f: QFunction, points, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Right Fueter operator at Cartesian points, the units multiplying from the right."""
     return _flat(f, points, cfg, right=True)
@@ -296,13 +311,13 @@ def _chart_sum(f: QFunction, chart, cfg: DiffConfig, rows: slice,
     return OperatorValue(qmul_array(units, d).sum(axis=1), (norms * err).sum(axis=0))
 
 
-@_operator
+@_operator(SphericalPoint)
 def class1_residual(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """d/dt f + iota d/dr f: zero iff the slice restrictions are holomorphic."""
     return _chart_sum(f, chart, cfg, slice(0, 2))
 
 
-@_operator
+@_operator(SphericalPoint)
 def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """iota_a^-1 d/da f + iota_b^-1 d/db f (left multiplication).
 
@@ -311,13 +326,13 @@ def imaginary_derivative(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) ->
     return _chart_sum(f, chart, cfg, slice(2, 4))
 
 
-@_operator
+@_operator(SphericalPoint)
 def fueter_spherical(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> OperatorValue:
     """Left Fueter operator in chart coordinates: class1_residual - imaginary_derivative / r."""
     return _chart_sum(f, chart, cfg, slice(0, 4), -1.0 / chart[1])
 
 
-@_operator
+@_operator(SphericalPoint)
 def spherical_cr_residuals(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) -> tuple:
     """The two sphere-direction Cauchy-Riemann residuals (S1, S2).
 

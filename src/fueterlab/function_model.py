@@ -355,8 +355,8 @@ def sample_cartesian(f: QFunction, points) -> np.ndarray:
     if pole.any():
         pole = np.broadcast_to(pole, values.shape[1:])
         values = np.array(values, dtype=float)
-        at_pole = stack_rows(points, values.shape[1:])[:, pole]
-        values[:, pole] = _fill_quaternions(f.name, f.evaluator, _quaternions(at_pole))
+        values[:, pole] = _fill_rows(f, f.evaluator, stack_rows(points, pole.shape)[:, pole],
+                                     _quaternions)
     return values
 
 
@@ -466,7 +466,8 @@ class ComplexStem:
                 ok &= np.abs(z) > 1e-12
             return np.where(ok, sum(c * z ** n for n, c in norm), NAN_COMPLEX)
 
-        return cls(label, func, derivative, terms=norm, func_array=func_array)
+        return cls(label, func, derivative, (lambda z: abs(z) > 1e-12) if pole else None,
+                   terms=norm, func_array=func_array)
 
     @classmethod
     def named(cls, label, func, derivative=None, domain_ok=None,
@@ -505,11 +506,7 @@ class ComplexStem:
     def domain_ok(self, z: complex) -> bool:
         if z.imag <= 0.0:
             return False
-        if self._domain_ok is not None:
-            return self._domain_ok(z)
-        if self.terms is not None and any(n < 0 for n, _ in self.terms):
-            return abs(z) > 1e-12
-        return True
+        return self._domain_ok is None or self._domain_ok(z)
 
     def __repr__(self):
         return f"ComplexStem({self.label!r})"

@@ -34,7 +34,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from .classify import classify
-from .diffops import DiffConfig, fueter_rows, point_rows, require_finite, stencil
+from .diffops import DiffConfig, OperatorValue, _operator, fueter_rows, stencil
 from .function_model import (
     DEFAULT_GRID,
     ComplexStem,
@@ -79,17 +79,18 @@ def _atanh_array(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) < 1.0, np.arctanh(x), np.nan)
 
 
+# the expected verdicts of the three angle witnesses: Class II, not Class III
+_ANGLE_WITNESS_CLASSES = {"class_I": True, "class_II": True, "class_III": False, "regular": False}
+
+
 def _make_rho() -> QFunction:
-    expected = {"class_I": True, "class_II": True, "class_III": False, "regular": False}
     return from_uv(lambda s: s.alpha,
                    lambda s: math.log(math.tan(s.beta / 2.0)),
-                   name="rho", classes=expected,
+                   name="rho", classes=_ANGLE_WITNESS_CLASSES,
                    uv_array=lambda c: (c[2], np.log(np.tan(c[3] / 2.0))))
 
 
 def _make_varrho() -> QFunction:
-    expected = {"class_I": True, "class_II": True, "class_III": False, "regular": False}
-
     def u(s: SphericalPoint) -> float:
         return math.atan2(math.sin(s.alpha) * math.sin(s.beta), math.cos(s.beta))
 
@@ -101,12 +102,10 @@ def _make_varrho() -> QFunction:
         sb = np.sin(beta)
         return np.arctan2(np.sin(alpha) * sb, np.cos(beta)), _atanh_array(np.cos(alpha) * sb)
 
-    return from_uv(u, v, name="varrho", classes=expected, uv_array=uv_array)
+    return from_uv(u, v, name="varrho", classes=_ANGLE_WITNESS_CLASSES, uv_array=uv_array)
 
 
 def _make_sigma() -> QFunction:
-    expected = {"class_I": True, "class_II": True, "class_III": False, "regular": False}
-
     def u(s: SphericalPoint) -> float:
         return math.atan2(math.cos(s.beta), math.cos(s.alpha) * math.sin(s.beta))
 
@@ -118,7 +117,7 @@ def _make_sigma() -> QFunction:
         sb = np.sin(beta)
         return np.arctan2(np.cos(beta), np.cos(alpha) * sb), _atanh_array(np.sin(alpha) * sb)
 
-    return from_uv(u, v, name="sigma", classes=expected, uv_array=uv_array)
+    return from_uv(u, v, name="sigma", classes=_ANGLE_WITNESS_CLASSES, uv_array=uv_array)
 
 
 def _make_xri() -> QFunction:
@@ -265,13 +264,10 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
             d = np.concatenate((np.zeros_like(d[:1]), d))
             return fueter_rows(d) - fueter_rows(d, right=True)
 
-    def evaluator(p: Quaternion) -> Quaternion:
-        point = point_rows(p)
-        value = chiral_rows(point)
-        require_finite(delta, point, value)
-        return Quaternion(*value.tolist())
-
-    delta = QFunction(name=f"chiral:{f.name}", evaluator=evaluator, kind="raw",
+    name = f"chiral:{f.name}"
+    # called with delta, whose name the errors give; the body's step is inner
+    chiral = _operator(Quaternion, name)(lambda _, points, cfg: OperatorValue(chiral_rows(points)))
+    delta = QFunction(name=name, evaluator=lambda p: chiral(delta, p).value, kind="raw",
                       array_evaluator=lambda chart: chiral_rows(from_spherical_rows(chart)))
     return delta
 

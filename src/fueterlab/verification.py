@@ -20,7 +20,7 @@ import numpy as np
 from .classify import ClassificationReport, classify, jacobian_check
 from .diffops import (DiffConfig, class1_residual, fueter_left, fueter_right,
                       fueter_spherical, imaginary_derivative, point_rows,
-                      spherical_cr_residuals)
+                      spherical_cr_residuals, uv_rows)
 from .function_model import (ComplexStem, DEFAULT_GRID, QFunction, SampleGrid, _composite,
                              cullen_extend, pointwise_product, pointwise_sum,
                              power_function, sample_cartesian, sample_chart)
@@ -29,8 +29,7 @@ from .generators import (chiral_difference, get_witness, mirror, rinehart_L,
 from .laurent import (AnnulusRegion, coefficient_class_check,
                       laurent_coefficients, mirrored_center_coefficients)
 from .quaternion_core import (Quaternion, SphericalPoint, from_spherical,
-                              from_spherical_array, iota_array, iota_coefficient,
-                              qabs_array, qconj_array)
+                              from_spherical_array, qabs_array, qconj_array)
 
 WITNESS_NAMES = ("rho", "varrho", "sigma")
 POWER_NAMES = tuple(f"pow:{n}" for n in (-2, -1, 0, 2, 3, 4)) + ("identity",)
@@ -107,14 +106,16 @@ def _grid_points(stride: int) -> np.ndarray:
     return DEFAULT_GRID.chart_array()[:, ::stride]
 
 
-def _v(f: QFunction, chart: np.ndarray) -> np.ndarray:
-    """ the v of a CE function u + iota v at chart rows """
-    return iota_coefficient(sample_chart(f, chart), iota_array(chart))
-
-
 def _worst(values: np.ndarray) -> float:
     """ the largest norm among quaternion rows """
     return float(np.max(qabs_array(values)))
+
+
+def _right_class2_residual(f: QFunction, chart: np.ndarray, cfg: DiffConfig) -> float:
+    """ the largest |fueter_right f + 2 v / r| over chart rows: 0 for a right-Class II f """
+    got = fueter_right(f, from_spherical_array(chart), cfg).value
+    got[0] += 2.0 * uv_rows(sample_chart(f, chart), chart)[1] / chart[1]
+    return _worst(got)
 
 
 def check_operator_equivalence(seed: int = 0, cfg: DiffConfig = DiffConfig(),
@@ -270,7 +271,7 @@ def check_imaginary_derivative(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     for name in ("identity",) + WITNESS_NAMES + ("pow:2",):
         f = get_witness(name).function
         got = imaginary_derivative(f, chart, cfg).value
-        got[0] -= 2.0 * _v(f, chart)
+        got[0] -= 2.0 * uv_rows(sample_chart(f, chart), chart)[1]
         worst = max(worst, _worst(got))
     return CheckResult("imaginary-derivative", worst <= tol, worst, tol,
                        "identity + angle witnesses + pow:2")
@@ -281,13 +282,10 @@ def check_conjugate_right(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     function (with its own v, which conjugation negates)."""
     tol = 1e-5
     chart = _grid_points(11)
-    points = from_spherical_array(chart)
     worst = 0.0
     for name in WITNESS_NAMES:
         fbar = conjugate_function(get_witness(name).function)
-        got = fueter_right(fbar, points, cfg).value
-        got[0] += 2.0 * _v(fbar, chart) / chart[1]
-        worst = max(worst, _worst(got))
+        worst = max(worst, _right_class2_residual(fbar, chart, cfg))
     return CheckResult("conjugate-right-handed", worst <= tol, worst, tol,
                        "angle witnesses under conjugation")
 
@@ -343,9 +341,7 @@ def check_mirror(seed: int = 0, cfg: DiffConfig = DiffConfig()) -> CheckResult:
 
     rho = get_witness("rho").function
     mrho = mirror(rho)
-    got = fueter_right(mrho, points, cfg).value
-    got[0] += 2.0 * _v(mrho, chart) / chart[1]
-    right = _worst(got)
+    right = _right_class2_residual(mrho, chart, cfg)
 
     region = AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=3, n_beta=3)
     series = laurent_coefficients(rho, region, n_range=(-2, 2), quadrature_points=64)

@@ -10,6 +10,7 @@ same points, in the same order, the same number of times.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 import struct
@@ -19,14 +20,14 @@ import numpy as np
 import pytest
 
 from fueterlab import diffops
-from fueterlab.classify import classify
+from fueterlab.classify import classify, jacobian_check
 from fueterlab.diffops import DiffConfig
 from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, QFunction, SampleGrid,
                                       cullen_extend, from_uv, pointwise_product, pointwise_sum,
                                       sample_cartesian)
 from fueterlab.generators import chiral_difference, get_witness, mirror, resolve_function_spec
 from fueterlab.quaternion_core import (ChartSingularityError, DomainError, Quaternion,
-                                       SphericalPoint, from_spherical_array,
+                                       SphericalPoint, StepError, from_spherical_array,
                                        from_spherical_rows)
 from fueterlab.verification import conjugate_function, random_polynomial
 
@@ -273,6 +274,30 @@ def test_one_point_errors_name_the_point():
         diffops.spherical_cr_residuals(_witness("rho"), SphericalPoint(0.0, 1.0, 0.3, 3.14))
 
 
+# every single-point entry by the name its TypeError gives, with the kind
+# of point it does not read; a chiral evaluator is the function chiral:rho
+WRONG_KIND = dict.fromkeys(CARTESIAN_OPERATORS + ("jacobian_check", "chiral:rho"),
+                           SphericalPoint(0.3, 0.9, 0.7, 1.1))
+WRONG_KIND.update(dict.fromkeys(CHART_OPERATORS, Quaternion(0.3, 0.9, 0.7, 1.1)))
+
+
+@pytest.mark.parametrize("name", WRONG_KIND)
+def test_one_point_of_the_other_kind_is_refused(name):
+    # a SphericalPoint was read as the quaternion 0.3 + 0.9i + 0.7j + 1.1k,
+    # and a Quaternion as the chart point (t, r, alpha, beta)
+    rho, point = _witness("rho"), WRONG_KIND[name]
+    if name == "jacobian_check":
+        call = functools.partial(jacobian_check, rho, point)
+    elif name == "chiral:rho":
+        call = functools.partial(chiral_difference(rho), point)
+    else:
+        call = functools.partial(getattr(diffops, name), rho, point)
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value).startswith(f"{name} ")
+    assert repr(point) in str(info.value)
+
+
 def _raw_polynomial(p):
     return p * p * Quaternion(0.25, -1.0, 0.5, 2.0) + p
 
@@ -309,6 +334,51 @@ POLE_AXES = (np.array([-0.4, 0.6]), np.array([0.5, 1.2]),
 
 def _holey(p):
     return Quaternion(math.sqrt(p.x), p.t, 0.0, 0.0)  # ValueError where x < 0
+
+
+@pytest.mark.parametrize("scheme", ("central", "richardson"))
+@pytest.mark.parametrize("fn", MESH_OPERATOR_FUNCTIONS)
+def test_jacobian_check_on_a_mesh_gives_the_materialized_results(fn, scheme):
+    # the Cartesian rows of a grid's open mesh, and a (4, 9, 9) array, give
+    # the (4, N) results reshaped, bit for bit
+    f, cfg, grid = MESH_OPERATOR_FUNCTIONS[fn](), DiffConfig(scheme=scheme), SampleGrid(n_per_axis=3)
+    flat = jacobian_check(f, from_spherical_array(grid.chart_array()), cfg)
+    for rows, shape in ((from_spherical_rows(grid.mesh()), (3,) * 4),
+                        (from_spherical_array(grid.chart_array()).reshape(4, 9, 9), (9, 9))):
+        got = jacobian_check(f, rows, cfg)
+        assert got.advisory == flat.advisory
+        for name in ("det_numeric", "det_formula"):
+            assert getattr(got, name).shape == shape
+            _assert_same_floats(getattr(got, name).reshape(-1), getattr(flat, name))
+
+
+# a mesh with a node on the real axis (r = 0), and one with t = 1e12, which
+# a step of 1e-5 does not move
+JACOBIAN_ERROR_AXES = {
+    "real axis": ((DomainError, "undefined on the real axis"),
+                  (np.array([-0.4, 0.6]), np.array([0.5, 0.0]), np.array([-0.3, 1.1]),
+                   np.array([0.6, 1.9]))),
+    "step": ((StepError, "does not move the Cartesian coordinate 1000000000000.0"),
+             (np.array([0.6, 1e12]), np.array([0.5, 1.2]), np.array([-0.3, 1.1]),
+              np.array([0.6, 1.9]))),
+}
+
+
+@pytest.mark.parametrize("case", JACOBIAN_ERROR_AXES)
+def test_jacobian_check_errors_name_the_same_point_on_a_mesh(case):
+    (error, text), axes = JACOBIAN_ERROR_AXES[case]
+    mesh = from_spherical_rows(np.ix_(*axes))
+    rows = _materialized(mesh).reshape(4, -1)
+
+    def message(points):
+        with pytest.raises(error, match=text) as info:
+            jacobian_check(_witness("pow:2"), points)
+        return str(info.value)
+
+    assert message(mesh) == message(rows)
+    if case == "real axis":
+        # the first node with r = 0 in beta-fastest order is node 4
+        assert message(mesh).endswith(f"{tuple(rows[:, 4].tolist())}")
 
 
 @pytest.mark.parametrize("name", CARTESIAN_OPERATORS + CHART_OPERATORS)
