@@ -79,14 +79,15 @@ def _atanh_array(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) < 1.0, np.arctanh(x), np.nan)
 
 
-# the expected verdicts of the three angle witnesses: Class II, not Class III
+# the expected verdicts of the three angle witnesses, Class II but not Class III;
+# each gets its own copy
 _ANGLE_WITNESS_CLASSES = {"class_I": True, "class_II": True, "class_III": False, "regular": False}
 
 
 def _make_rho() -> QFunction:
     return from_uv(lambda s: s.alpha,
                    lambda s: math.log(math.tan(s.beta / 2.0)),
-                   name="rho", classes=_ANGLE_WITNESS_CLASSES,
+                   name="rho", classes=dict(_ANGLE_WITNESS_CLASSES),
                    uv_array=lambda c: (c[2], np.log(np.tan(c[3] / 2.0))))
 
 
@@ -102,7 +103,7 @@ def _make_varrho() -> QFunction:
         sb = np.sin(beta)
         return np.arctan2(np.sin(alpha) * sb, np.cos(beta)), _atanh_array(np.cos(alpha) * sb)
 
-    return from_uv(u, v, name="varrho", classes=_ANGLE_WITNESS_CLASSES, uv_array=uv_array)
+    return from_uv(u, v, name="varrho", classes=dict(_ANGLE_WITNESS_CLASSES), uv_array=uv_array)
 
 
 def _make_sigma() -> QFunction:
@@ -117,7 +118,7 @@ def _make_sigma() -> QFunction:
         sb = np.sin(beta)
         return np.arctan2(np.cos(beta), np.cos(alpha) * sb), _atanh_array(np.sin(alpha) * sb)
 
-    return from_uv(u, v, name="sigma", classes=_ANGLE_WITNESS_CLASSES, uv_array=uv_array)
+    return from_uv(u, v, name="sigma", classes=dict(_ANGLE_WITNESS_CLASSES), uv_array=uv_array)
 
 
 def _make_xri() -> QFunction:
