@@ -266,7 +266,7 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
             return fueter_rows(d) - fueter_rows(d, right=True)
 
     name = f"chiral:{f.name}"
-    # called with delta, whose name the errors give; the body's step is inner
+    # called with delta, so its errors name chiral:<name>; the body differences at inner
     chiral = _operator(Quaternion, name)(lambda _, points, cfg: OperatorValue(chiral_rows(points)))
     delta = QFunction(name=name, evaluator=lambda p: chiral(delta, p).value, kind="raw",
                       array_evaluator=lambda chart: chiral_rows(from_spherical_rows(chart)))
