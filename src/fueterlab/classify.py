@@ -1,19 +1,21 @@
 """Grid classification of quaternionic functions into nested classes.
 
 Every grid node takes one central (or Richardson) stencil along each of
-t, x, y, z, r, and for CE functions alpha, beta, and every residual
-derives from those shared samples.  The nodes go through diffops.stencil
-as one batch, the grid's open mesh: four axis rows that
-broadcast to the whole grid, so an evaluator maps each alpha and beta
-value, and each t + i r pair, once rather than once per node.  The
-Cartesian stencils start from the mesh's Cartesian rows, t on its own
-axis and x, y, z without it, so the chart map of a shifted point and the
-evaluator's trig run once per (x, y, z) point, not once per sample: the
-evaluator gets a t row with its own axis, and r, alpha, beta rows
-without it.  The shifted coordinates of all nodes are sampled together
-(through the function's array evaluator when it has one, else point by
-point, after materializing them) and differenced at once, and the
-verdicts reduce over arrays in the grid's beta-fastest node order.
+t, x, y and z, and every residual derives from those shared samples and
+the node's center sample: the r, alpha and beta partials are the chain
+rule's combinations of the x, y and z partials, r times the alpha and
+beta tangents of iota for the angles.  So every function is sampled at 9
+points a node under central and 17 under Richardson, whatever its kind.
+The nodes go through diffops.stencil as one batch, the grid's open mesh:
+four axis rows that broadcast to the whole grid.  The stencils start from
+the mesh's Cartesian rows, t on its own axis and x, y, z without it, so
+the chart map of a shifted point and the evaluator's trig run once per
+(x, y, z) point, not once per sample: the evaluator gets a t row with its
+own axis, and r, alpha, beta rows without it.  The shifted coordinates of
+all nodes are sampled together (through the function's array evaluator
+when it has one, else point by point, after materializing them) and
+differenced at once, and the verdicts reduce over arrays in the grid's
+beta-fastest node order.
 
 * Class I   : |d/dt f + iota d/dr f|
 * Class II  : |fueter_left f + 2 v / r|
@@ -23,10 +25,12 @@ verdicts reduce over arrays in the grid's beta-fastest node order.
 
 A class passes when at least 99.9% of nodes sit below the pointwise
 tolerance tol_abs + tol_rel * scale (scale = max |f| over the node's
-center and stencil samples, kept by wrapping the samplers classify passes
-to stencil) and no node exceeds 100x its tolerance.  Verdicts must
-respect the inclusion chain Class III < Class II < Class I; the report
-carries an explicit consistency flag.
+center and stencil samples, kept by wrapping the sampler classify passes
+to stencil) and no node exceeds 100x its tolerance.  A node whose scale is
+not finite (some sample is not, or its norm overflows) is dropped; a
+tolerance that overflows to inf keeps its node, and every finite residual
+passes it.  Verdicts must respect the inclusion chain Class III < Class II
+< Class I; the report carries an explicit consistency flag.
 
 The left/right agreement check (centrality) and the Jacobian-determinant
 factorization check for Class II functions live here too.
@@ -36,13 +40,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .diffops import (DiffConfig, _first_failing, _operator, chart_ok, fueter_rows,
-                      require_finite, require_step_moves, stencil, uv_rows)
+                      require_finite, require_step_moves, stencil)
 from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
                              sample_chart)
 from .quaternion_core import (DomainError, Quaternion, from_spherical_rows, iota_array,
@@ -76,20 +80,17 @@ class ClassificationReport:
     regular: ClassStats
     centrality: ClassStats
     inclusion_consistent: bool
+    # why a singular report is singular, for error messages; not in to_dict
+    _singular_nodes: str = field(default="", compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "function": self.function,
-            "grid": self.grid.to_dict(),
-            "config": {"h": self.config.h, "scheme": self.config.scheme,
-                       "tol_abs": self.config.tol_abs, "tol_rel": self.config.tol_rel},
-            "class_I": self.class_I.to_dict(),
-            "class_II": self.class_II.to_dict(),
-            "class_III": self.class_III.to_dict(),
-            "regular": self.regular.to_dict(),
-            "centrality": self.centrality.to_dict(),
-            "inclusion_consistent": self.inclusion_consistent,
-        }
+        doc = {"function": self.function, "grid": self.grid.to_dict(),
+               "config": {"h": self.config.h, "scheme": self.config.scheme,
+                          "tol_abs": self.config.tol_abs, "tol_rel": self.config.tol_rel}}
+        for key in ("class_I", "class_II", "class_III", "regular", "centrality"):
+            doc[key] = getattr(self, key).to_dict()
+        doc["inclusion_consistent"] = self.inclusion_consistent
+        return doc
 
     def passes(self, key: str) -> bool:
         return getattr(self, key).verdict == "pass"
@@ -100,11 +101,26 @@ def _stats(residuals: np.ndarray, tolerances: np.ndarray, singular: bool,
     if residuals.size == 0:
         return None, None, "singular"
     below = np.count_nonzero(residuals <= tolerances)
-    hard = bool(np.all(residuals <= HARD_FAIL_FACTOR * tolerances))
-    verdict = pass_word if (below >= PASS_FRACTION * residuals.size and hard) else fail_word
-    if singular:
-        verdict = "singular"
+    with np.errstate(over="ignore"):  # a tolerance near the float maximum gives inf
+        hard = bool(np.all(residuals <= HARD_FAIL_FACTOR * tolerances))
+    passed = below >= PASS_FRACTION * residuals.size and hard
+    verdict = "singular" if singular else pass_word if passed else fail_word
     return float(np.max(residuals)), float(np.mean(residuals)), verdict
+
+
+def _chart_partials(d, chart) -> tuple:
+    """The r, alpha and beta partials of a function at chart rows, value rows
+    (4, *S) each, from its Cartesian partials d (t, x, y, z partial, value
+    row, *S) by the chain rule, and the quaternion rows they project the
+    gradient grad = (d/dx, d/dy, d/dz) on: iota and its alpha and beta partials
+    d_a iota = (0, -sin a sin b, cos a sin b, 0), d_b iota = (0, cos a cos b,
+    sin a cos b, -sin b).  d/dr = iota . grad, d/da = r d_a iota . grad and
+    d/db = r d_b iota . grad."""
+    _, r, alpha, beta = chart
+    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    frame = (iota_array(chart), (0.0, -sa * sb, ca * sb, 0.0), (0.0, ca * cb, sa * cb, -sb))
+    d_r, d_a, d_b = (iota_coefficient(d, row) for row in frame)
+    return (d_r, r * d_a, r * d_b), frame
 
 
 def classify(f: QFunction, grid: Optional[SampleGrid] = None,
@@ -139,59 +155,55 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
 
     with np.errstate(all="ignore"):
         center = sample_chart(f, nodes)
-        d_cart = stencil(f, cfg, cart, slice(0, 4), lambda f, at: seeing(sample_cartesian(f, at)),
-                         "Cartesian coordinate")[0].swapaxes(0, 1)
-        d_r = stencil(f, cfg, nodes, slice(1, 2), lambda f, at: seeing(sample_chart(f, at)),
-                      "chart coordinate")[0][:, 0]
-        io = iota_array(nodes)
-        fueter_left = fueter_rows(d_cart)
+        d = stencil(f, cfg, cart, slice(0, 4), lambda f, at: seeing(sample_cartesian(f, at)),
+                    "Cartesian coordinate")[0].swapaxes(0, 1)  # (t, x, y, z partial, value row, *S)
+        (d_r, d_a, d_b), (io, io_a, io_b) = _chart_partials(d, nodes)
+        fueter_left = fueter_rows(d)
         residuals = {
-            "class_I": qabs_array(d_cart[0] + qmul_array(io, d_r)),
+            "class_I": qabs_array(d[0] + qmul_array(io, d_r)),
             "regular": qabs_array(fueter_left),
-            "centrality": qabs_array(fueter_left - fueter_rows(d_cart, right=True)),
+            "centrality": qabs_array(fueter_left - fueter_rows(d, right=True)),
         }
         if f.is_ce:
             class2 = fueter_left.copy()
             class2[0] += 2.0 * iota_coefficient(center, io) / nodes[1]
             residuals["class_II"] = qabs_array(class2)
-            angular = stencil(f, cfg, nodes, slice(2, 4),
-                              lambda f, at: uv_rows(seeing(sample_chart(f, at)), at),
-                              "chart coordinate")[0]
-            residuals["class_III"] = np.max(np.abs(np.concatenate(angular)), axis=0)
-        tolerances = cfg.point_tolerance(functools.reduce(np.maximum, seen, qabs_array(center)))
+            # u = f[0], and v = <Im f, iota> by the product rule
+            angular = (d_a[0], d_b[0], iota_coefficient(d_a, io) + iota_coefficient(center, io_a),
+                       iota_coefficient(d_b, io) + iota_coefficient(center, io_b))
+            residuals["class_III"] = np.max(np.abs(angular), axis=0)
+        scale = functools.reduce(np.maximum, seen, qabs_array(center))
+        tolerances = cfg.point_tolerance(scale)
 
-    finite = np.isfinite(tolerances)
+    finite = np.isfinite(scale)  # a tolerance that overflows to inf keeps its node
     for values in residuals.values():
         finite &= np.isfinite(values)
     singular = n_nodes < grid.size or not finite.all()
     tolerances = tolerances[finite]
 
-    def build(key):
-        return ClassStats(*_stats(residuals[key][finite], tolerances, singular))
+    def build(key, *words):
+        return ClassStats(*_stats(residuals[key][finite], tolerances, singular, *words))
 
     class_I = build("class_I")
-    regular = build("regular")
+    class_II = class_III = ClassStats(None, None, "not-CE")
     if f.is_ce:
-        class_II = build("class_II")
-        angular = build("class_III")
-        class3_verdict = angular.verdict
-        if class3_verdict == "pass" and class_I.verdict != "pass":
-            class3_verdict = "fail"
-        class_III = ClassStats(angular.max, angular.mean, class3_verdict)
-    else:
-        class_II = ClassStats(None, None, "not-CE")
-        class_III = ClassStats(None, None, "not-CE")
-
-    centrality = ClassStats(*_stats(residuals["centrality"][finite], tolerances,
-                                    singular, "central", "not-central"))
-
+        class_II, class_III = build("class_II"), build("class_III")
+        if class_III.verdict == "pass" and class_I.verdict != "pass":
+            class_III = replace(class_III, verdict="fail")
     ok = not ((class_III.verdict == "pass" and class_II.verdict == "fail")
               or (class_II.verdict == "pass" and class_I.verdict == "fail"))
 
+    why = ""
+    if singular:
+        dropped = finite.size - np.count_nonzero(finite)
+        first = f", the first at (t, r, alpha, beta) = {_first_failing(nodes, finite)}" if dropped else ""
+        why = (f"{grid.size - n_nodes} of {grid.size} nodes outside the chart margins, "
+               f"{dropped} without a finite sample or residual{first}")
     return ClassificationReport(
         function=f.name, grid=grid, config=cfg,
-        class_I=class_I, class_II=class_II, class_III=class_III,
-        regular=regular, centrality=centrality, inclusion_consistent=ok)
+        class_I=class_I, class_II=class_II, class_III=class_III, regular=build("regular"),
+        centrality=build("centrality", "central", "not-central"), inclusion_consistent=ok,
+        _singular_nodes=why)
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,7 @@ def cmd_laurent(args) -> int:
         # np.max keeps a NaN probe error, which max() would drop
         recon_err = float(np.max([abs(reconstruct(series, q) - f(q))
                                   for q in map(from_spherical, _probe_points(region))]))
+        stats = coefficient_class_check(series, cfg) if args.check_class else None
     except (ValueError, FunctionKindError) as exc:
         raise SpecError(str(exc)) from exc
     except OverflowError as exc:
@@ -231,8 +232,7 @@ def cmd_laurent(args) -> int:
         "max_reconstruction_error": recon_err,
     }
     status = 0
-    if args.check_class:
-        stats = coefficient_class_check(series, cfg)
+    if stats is not None:
         doc["class_check"] = {str(n): v for n, v in sorted(stats.items())}
         if any(v["verdict"] != "pass" for v in stats.values()):
             status = 1

@@ -250,10 +250,14 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
     if not f.is_ce:
         raise FunctionKindError(f"{f.name}: chiral difference needs a CE/CI function")
     if f.classes is None:
-        spot = classify(f, _SPOT_CHECK_GRID, inner).class_II
+        report = classify(f, _SPOT_CHECK_GRID, inner)
+        spot = report.class_II
         if spot.verdict != "pass":
+            why = report._singular_nodes
+            if spot.max is not None:
+                why = f"max residual {spot.max}" + (why and f"; {why}")
             raise DomainError(f"{f.name} failed the Class II spot check: {spot.verdict} "
-                              f"(max residual {spot.max}); chiral difference undefined")
+                              f"({why}); chiral difference undefined")
     elif not f.classes.get("class_II", False):
         raise DomainError(f"{f.name} is not Class II; chiral difference undefined")
 
@@ -315,9 +319,7 @@ def parse_stem_spec(text: str) -> ComplexStem:
 
 
 def _resolve_base(spec: str) -> QFunction:
-    if spec in CATALOG:
-        return CATALOG[spec].function
-    if _POW_RE.match(spec):
+    if spec in CATALOG or _POW_RE.match(spec):
         return get_witness(spec).function
     if spec.startswith("stem:"):
         return cullen_extend(parse_stem_spec(spec[len("stem:"):]))
@@ -334,20 +336,13 @@ def resolve_function_spec(spec: str) -> QFunction:
     spec = spec.strip()
     if spec.startswith("L:"):
         return ci_extend_rinehart(rinehart_L(parse_stem_spec(spec[len("L:"):])))
-    if spec.startswith("chiral:"):
-        return chiral_difference(_resolve_base(spec[len("chiral:"):]))
-    if spec.startswith("mirror:"):
-        return mirror(_resolve_base(spec[len("mirror:"):]))
-    if spec.startswith("product:"):
-        body = spec[len("product:"):]
-        if body.count("*") != 1:
-            raise SpecError(f"product spec needs exactly one '*': {spec!r}")
-        left, right = body.split("*")
-        return pointwise_product(_resolve_base(left), _resolve_base(right))
-    if spec.startswith("sum:"):
-        body = spec[len("sum:"):]
-        if body.count("+") != 1:
-            raise SpecError(f"sum spec needs exactly one '+': {spec!r}")
-        left, right = body.split("+")
-        return pointwise_sum(_resolve_base(left), _resolve_base(right))
+    for prefix, generator in (("chiral:", chiral_difference), ("mirror:", mirror)):
+        if spec.startswith(prefix):
+            return generator(_resolve_base(spec[len(prefix):]))
+    for prefix, sep, combine in (("product:", "*", pointwise_product), ("sum:", "+", pointwise_sum)):
+        if spec.startswith(prefix):
+            bases = spec[len(prefix):].split(sep)
+            if len(bases) != 2:
+                raise SpecError(f"{prefix[:-1]} spec needs exactly one {sep!r}: {spec!r}")
+            return combine(*map(_resolve_base, bases))
     return _resolve_base(spec)

@@ -124,13 +124,16 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     The slices go in batches of whole contours through the function's array
     evaluator, or point by point through at_spherical without one.  A
     sample that is not finite, or whose value leaves the slice plane, raises
-    DomainError naming the slice's own angles.
+    DomainError naming the slice's own angles; samples whose quadrature
+    overflows to a coefficient that is not finite raise OverflowError naming
+    the slice.
     """
     if abs(center.imag) <= radius:
         raise DomainError("contour crosses the real axis")
     npts = quadrature_points
     orders = range(n_range[0], n_range[1] + 1)
     columns = [n % npts for n in orders]
+    scale = [npts * radius ** n for n in orders]
     thetas = 2.0 * math.pi * np.arange(npts) / npts
     ring = center + radius * (np.cos(thetas) + 1j * np.sin(thetas))
     t, r = ring.real[None, :], np.abs(ring.imag)[None, :]
@@ -147,6 +150,7 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
             misalign = np.sqrt(np.maximum(0.0, np.sum(w[1:] * w[1:], axis=0) - v * v))
             finite = np.isfinite(w).all(axis=0)
             bad = ~finite | (misalign > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
+            modes.append(np.fft.fft(w[0] + 1j * v, axis=1)[:, columns] / scale)
         if bad.any():
             m, k = np.unravel_index(np.argmax(bad), bad.shape)
             where = (f"z={ring[k]:.4f} on the slice (alpha, beta) = "
@@ -156,9 +160,13 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
             raise DomainError(
                 f"{f.name}: values leave the slice plane at {where} "
                 f"(misalignment {misalign[m, k]:.3e}); not a CE function there")
-        modes.append(np.fft.fft(w[0] + 1j * v, axis=1)[:, columns])
-    modes = np.concatenate(modes)
-    return {n: modes[:, k] / (npts * radius ** n) for k, n in enumerate(orders)}
+    coefficients = np.concatenate(modes)
+    overflow = ~np.isfinite(coefficients).all(axis=1)
+    if overflow.any():
+        m = int(np.argmax(overflow))
+        raise OverflowError(f"the contour quadrature overflows on the slice (alpha, beta) = "
+                            f"({alphas[m, 0]:.4f}, {betas[m, 0]:.4f})")
+    return dict(zip(orders, coefficients.T))
 
 
 def _validate_orders(n_range: Tuple[int, int], quadrature_points: int):

@@ -8,19 +8,24 @@ import pytest
 
 from fueterlab.classify import (
     ClassificationReport,
+    _chart_partials,
     classify,
     jacobian_check,
 )
-from fueterlab.diffops import DiffConfig, StepError
+from fueterlab.diffops import DiffConfig, StepError, stencil
 from fueterlab.function_model import (
+    DEFAULT_GRID,
     QFunction,
     SampleGrid,
     from_uv,
     pointwise_product,
     pointwise_sum,
+    sample_cartesian,
+    sample_chart,
 )
 from fueterlab.generators import get_witness, resolve_function_spec
-from fueterlab.quaternion_core import DomainError, Quaternion
+from fueterlab.quaternion_core import DomainError, Quaternion, from_spherical_rows
+from fueterlab.verification import random_polynomial
 
 CFG = DiffConfig()
 # a 4^4 grid keeps each classification cheap while straddling the chart the
@@ -102,10 +107,14 @@ RAW_POLYNOMIALS = {
 }
 
 
-@pytest.mark.parametrize("scheme, per_node", [("central", 11), ("richardson", 21)])
+# the center plus the t, x, y, z stencils: every residual, of every kind of
+# function, takes its r, alpha and beta partials from those by the chain rule
+POINTS_PER_NODE = {"central": 9, "richardson": 17}
+
+
+@pytest.mark.parametrize("scheme", sorted(POINTS_PER_NODE))
 @pytest.mark.parametrize("name", sorted(RAW_POLYNOMIALS))
-def test_raw_function_samples_no_angular_stencils(name, scheme, per_node):
-    # the center plus the t, x, y, z and r stencils; no raw residual needs alpha or beta
+def test_raw_function_samples_no_angular_stencils(name, scheme):
     evaluate, expected, centrality = RAW_POLYNOMIALS[name]
     calls = []
 
@@ -114,9 +123,67 @@ def test_raw_function_samples_no_angular_stencils(name, scheme, per_node):
         return evaluate(p)
 
     rep = classify(QFunction(name, counted), grid=FAST_GRID, cfg=DiffConfig(scheme=scheme))
-    assert len(calls) == per_node * FAST_GRID.size
+    assert len(calls) == POINTS_PER_NODE[scheme] * FAST_GRID.size
     assert verdicts(rep) == expected
     assert rep.centrality.verdict == centrality
+
+
+def _counting(f: QFunction, points: list) -> QFunction:
+    """ f whose views add the number of points each call evaluates to points:
+    one per scalar call, the broadcast size of the rows per array call """
+    def each(view):
+        def counted(p):
+            points.append(1)
+            return view(p)
+        return view and counted
+
+    def array_evaluator(chart):
+        points.append(np.broadcast(*chart).size)
+        return f.array_evaluator(chart)
+
+    return replace(f, evaluator=each(f.evaluator), spherical_evaluator=each(f.spherical_evaluator),
+                   array_evaluator=f.array_evaluator and array_evaluator)
+
+
+KINDS = {
+    "raw": lambda: QFunction("raw", RAW_POLYNOMIALS["quaternion-coefficients"][0]),
+    "from_uv": lambda: from_uv(lambda s: s.t * s.r, lambda s: math.sin(s.alpha) + s.beta),
+    "sweep": lambda: get_witness("pow:3").function,
+    "composite": lambda: pointwise_sum(get_witness("rho").function,
+                                       QFunction("raw", RAW_POLYNOMIALS["real-coefficients"][0])),
+    "chiral": lambda: resolve_function_spec("chiral:rho"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(POINTS_PER_NODE))
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_samples_the_same_points_per_node(kind, scheme):
+    points = []
+    classify(_counting(KINDS[kind](), points), DEFAULT_GRID, DiffConfig(scheme=scheme))
+    assert sum(points) == POINTS_PER_NODE[scheme] * DEFAULT_GRID.size
+
+
+CHAIN_RULE_FUNCTIONS = {
+    "random_polynomial": lambda: random_polynomial(np.random.default_rng(21)),
+    "rho": lambda: get_witness("rho").function,
+    "sigma": lambda: get_witness("sigma").function,
+    "pow:3": lambda: get_witness("pow:3").function,
+}
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("name", CHAIN_RULE_FUNCTIONS)
+def test_chain_rule_partials_match_the_chart_stencils(name, scheme):
+    # classify's r, alpha and beta partials, from the Cartesian ones, against
+    # the stencils of the function composed with the chart; the signs of the
+    # tangents of iota show here, independently of any golden report
+    f, cfg, mesh = CHAIN_RULE_FUNCTIONS[name](), DiffConfig(scheme=scheme), FAST_GRID.mesh()
+    cart = stencil(f, cfg, from_spherical_rows(mesh), slice(0, 4), sample_cartesian,
+                   "Cartesian coordinate")[0].swapaxes(0, 1)
+    chart = stencil(f, cfg, mesh, slice(0, 4), sample_chart, "chart coordinate")[0].swapaxes(0, 1)
+    partials, _ = _chart_partials(cart, mesh)
+    for got, want in zip((cart[0],) + partials, chart):
+        assert np.max(np.abs(got - want)) <= 1e-7 * (1.0 + np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])

@@ -11,6 +11,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -296,6 +297,38 @@ def test_laurent_float_overflow_exits_2(capsys, argv):
     rc, doc, err = run_cli(capsys, argv)
     assert rc == 2 and doc is None
     assert err.startswith("error: ") and "float overflow" in err
+
+
+def run_strict(capsys, argv):
+    """ run_cli with every Python warning raised as an error """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(capsys, argv)
+
+
+def test_tolerance_overflowing_to_inf_keeps_every_node(capsys):
+    # 1e308 * max|f| overflows to inf, and so does 100 times a finite tolerance
+    rc, doc, err = run_strict(capsys, ["classify", "rho", "--tol-rel", "1e308"])
+    assert rc == 0 and err == ""
+    assert _verdicts(doc) == ["pass"] * 4 + ["central"]
+
+
+def test_laurent_quadrature_overflow_exits_2(capsys):
+    # every sample is finite, but the FFT of 1e308 z over the ring is not
+    rc, doc, err = run_strict(capsys, ["laurent", "stem:1:1e308:0", "--check-class"])
+    assert rc == 2 and doc is None
+    assert err == ("error: stem:1:1e+308:0: float overflow on this region (the contour "
+                   "quadrature overflows on the slice (alpha, beta) = (-0.5000, 1.0708))\n")
+
+
+def test_chiral_spot_check_names_the_nodes_without_a_finite_sample(capsys):
+    # the samples are finite, but their norms overflow, so no node has a finite scale
+    rc, doc, err = run_strict(capsys, ["classify", "chiral:stem:1:1e200:0"])
+    assert rc == 2 and doc is None
+    assert err == ("error: stem:1:1e+200:0 failed the Class II spot check: singular (0 of 81 "
+                   "nodes outside the chart margins, 81 without a finite sample or residual, "
+                   "the first at (t, r, alpha, beta) = (-1.0, 0.5, -2.5, 0.4)); chiral "
+                   "difference undefined\n")
 
 
 def test_laurent_nan_probe_error_is_reported_as_nan(capsys, monkeypatch):

@@ -223,6 +223,18 @@ def test_chiral_spot_check_names_the_failing_verdict():
         chiral_difference(broken)
 
 
+def test_chiral_spot_check_names_the_nodes_it_dropped():
+    # a step of 0.45 leaves the margin beta > h at the spot grid's beta = 0.4 nodes
+    with pytest.raises(DomainError, match=r"varrho failed the Class II spot check: singular "
+                                          r"\(max residual .*; 27 of 81 nodes outside the chart "
+                                          r"margins, 0 without a finite sample or residual\);"):
+        chiral_difference(_without_classes("varrho"), inner=DiffConfig(h=0.45))
+    broken = from_uv(lambda s: s.alpha, lambda s: math.log(s.t + 0.5), name="broken")
+    with pytest.raises(DomainError, match=r"27 without a finite sample or residual, the first "
+                                          r"at \(t, r, alpha, beta\) = \(-1.0, 0.5, -2.5, 0.4\)\)"):
+        chiral_difference(broken)
+
+
 # at x = 1e12 the inner step 1e-5 is below half an ulp, so x + h == x: each x
 # sample was differenced with itself, and chiral:pow:3 read exactly 0 there
 FAR_X = Quaternion(0.3, 1e12, 0.5, 0.5)

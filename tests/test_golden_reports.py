@@ -6,7 +6,10 @@ exactly.  A residual maximum may drift with summation order but must stay
 within a factor of GOLDEN_FACTOR of the stored value, unless both values
 sit at the rounding floor of the default step h = 1e-5.
 
-Regenerate the file (only when a verdict change is intended) with
+Regenerate the file only when a verdict change is intended, or when the
+points that classify samples change by design and a maximum moves outside
+the rule above (as when the chart partials came to be taken from the
+Cartesian stencil by the chain rule), with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """

@@ -179,18 +179,21 @@ def _user_function(kind, log):
 
 
 # (calls, digest of the call arguments in order) of a 4^4 classify, as
-# recorded before classify sampled on an open mesh
+# recorded once classify took its r, alpha and beta partials from the
+# Cartesian stencil by the chain rule: the center and the t, x, y, z
+# stencils, 9 points a node under central and 17 under Richardson (a user
+# callable is called 2 times a point for from_uv, once each for u and v)
 USER_CALLS = {
-    ("raw", "central"): (2816, "bd130819139e8178"),
-    ("raw", "richardson"): (5376, "8900e35b9452b735"),
-    ("uv", "central"): (7680, "96b11b2fae54368b"),
-    ("uv", "richardson"): (14848, "03494aba84982b21"),
-    ("stem", "central"): (564, "b4f61632414a5ae9"),
-    ("stem", "richardson"): (1108, "3f9c8295ddfcb649"),
-    ("product", "central"): (2816, "bd130819139e8178"),
-    ("product", "richardson"): (5376, "8900e35b9452b735"),
-    ("mirror", "central"): (7680, "d4dd6401cf1bfca4"),
-    ("mirror", "richardson"): (14848, "26f8e3a95b574db4"),
+    ("raw", "central"): (2304, "719647f147b280d5"),
+    ("raw", "richardson"): (4352, "3652ac1cf00632ae"),
+    ("uv", "central"): (4608, "221991be54a10e1e"),
+    ("uv", "richardson"): (8704, "cda5fe7c71f376df"),
+    ("stem", "central"): (516, "430c06ab91806fd2"),
+    ("stem", "richardson"): (1028, "0a3e48b61b9da227"),
+    ("product", "central"): (2304, "719647f147b280d5"),
+    ("product", "richardson"): (4352, "3652ac1cf00632ae"),
+    ("mirror", "central"): (4608, "2c6595651d113c32"),
+    ("mirror", "richardson"): (8704, "c4c3bdbb278a7f6d"),
 }
 
 
