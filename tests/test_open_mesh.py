@@ -181,8 +181,8 @@ def _user_function(kind, log):
 # (calls, digest of the call arguments in order) of a 4^4 classify, as
 # recorded once classify took its r, alpha and beta partials from the
 # Cartesian stencil by the chain rule: the center and the t, x, y, z
-# stencils, 9 points a node under central and 17 under Richardson (a user
-# callable is called 2 times a point for from_uv, once each for u and v)
+# stencils, 9 points a node under central and 17 under Richardson (a
+# from_uv point calls u and v, and a stem is called once per distinct t + i r)
 USER_CALLS = {
     ("raw", "central"): (2304, "719647f147b280d5"),
     ("raw", "richardson"): (4352, "3652ac1cf00632ae"),
