@@ -133,7 +133,7 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     npts = quadrature_points
     orders = range(n_range[0], n_range[1] + 1)
     columns = [n % npts for n in orders]
-    scale = [npts * radius ** n for n in orders]
+    scale = np.array([npts * radius ** n for n in orders])
     thetas = 2.0 * math.pi * np.arange(npts) / npts
     ring = center + radius * (np.cos(thetas) + 1j * np.sin(thetas))
     t, r = ring.real[None, :], np.abs(ring.imag)[None, :]
@@ -160,13 +160,13 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
             raise DomainError(
                 f"{f.name}: values leave the slice plane at {where} "
                 f"(misalignment {misalign[m, k]:.3e}); not a CE function there")
-    coefficients = np.concatenate(modes)
-    overflow = ~np.isfinite(coefficients).all(axis=1)
+    coefficients = np.concatenate(modes, axis=0).T.copy()  # a contiguous row per order
+    overflow = ~np.isfinite(coefficients).all(axis=0)
     if overflow.any():
         m = int(np.argmax(overflow))
         raise OverflowError(f"the contour quadrature overflows on the slice (alpha, beta) = "
                             f"({alphas[m, 0]:.4f}, {betas[m, 0]:.4f})")
-    return dict(zip(orders, coefficients.T))
+    return dict(zip(orders, coefficients))
 
 
 def _validate_orders(n_range: Tuple[int, int], quadrature_points: int):
