@@ -27,10 +27,11 @@ A class passes when at least 99.9% of nodes sit below the pointwise
 tolerance tol_abs + tol_rel * scale (scale = max |f| over the node's
 center and stencil samples, kept by wrapping the sampler classify passes
 to stencil) and no node exceeds 100x its tolerance.  A node whose scale is
-not finite (some sample is not, or its norm overflows) is dropped; a
-tolerance that overflows to inf keeps its node, and every finite residual
-passes it.  Verdicts must respect the inclusion chain Class III < Class II
-< Class I; the report carries an explicit consistency flag.
+not finite (some sample is not, or its norm exceeds the float maximum) is
+dropped; a tolerance that overflows to inf keeps its node, and every
+finite residual passes it.  Verdicts must respect the inclusion chain
+Class III < Class II < Class I; the report carries an explicit consistency
+flag.
 
 The left/right agreement check (centrality) and the Jacobian-determinant
 factorization check for Class II functions live here too.
@@ -101,26 +102,32 @@ def _stats(residuals: np.ndarray, tolerances: np.ndarray, singular: bool,
     if residuals.size == 0:
         return None, None, "singular"
     below = np.count_nonzero(residuals <= tolerances)
-    with np.errstate(over="ignore"):  # a tolerance near the float maximum gives inf
+    # a tolerance near the float maximum gives inf, and so may the sum of the mean
+    with np.errstate(over="ignore"):
         hard = bool(np.all(residuals <= HARD_FAIL_FACTOR * tolerances))
+        largest, mean = np.max(residuals), np.mean(residuals)
+    if np.isinf(mean):
+        mean = largest * np.mean(residuals / largest)
     passed = below >= PASS_FRACTION * residuals.size and hard
     verdict = "singular" if singular else pass_word if passed else fail_word
-    return float(np.max(residuals)), float(np.mean(residuals)), verdict
+    return float(largest), float(mean), verdict
 
 
-def _chart_partials(d, chart) -> tuple:
-    """The r, alpha and beta partials of a function at chart rows, value rows
-    (4, *S) each, from its Cartesian partials d (t, x, y, z partial, value
-    row, *S) by the chain rule, and the quaternion rows they project the
-    gradient grad = (d/dx, d/dy, d/dz) on: iota and its alpha and beta partials
-    d_a iota = (0, -sin a sin b, cos a sin b, 0), d_b iota = (0, cos a cos b,
-    sin a cos b, -sin b).  d/dr = iota . grad, d/da = r d_a iota . grad and
-    d/db = r d_b iota . grad."""
+def _chart_partials(d, chart, angles: bool = True) -> tuple:
+    """The r partial and, with angles, the alpha and beta partials of a
+    function at chart rows, value rows (4, *S) each, from its Cartesian
+    partials d (t, x, y, z partial, value row, *S) by the chain rule, and the
+    quaternion rows they project the gradient grad = (d/dx, d/dy, d/dz) on:
+    iota and its alpha and beta partials d_a iota = (0, -sin a sin b,
+    cos a sin b, 0), d_b iota = (0, cos a cos b, sin a cos b, -sin b).
+    d/dr = iota . grad, d/da = r d_a iota . grad and d/db = r d_b iota . grad."""
     _, r, alpha, beta = chart
-    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
-    frame = (iota_array(chart), (0.0, -sa * sb, ca * sb, 0.0), (0.0, ca * cb, sa * cb, -sb))
-    d_r, d_a, d_b = (iota_coefficient(d, row) for row in frame)
-    return (d_r, r * d_a, r * d_b), frame
+    frame = (iota_array(chart),)
+    if angles:
+        sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+        frame += ((0.0, -sa * sb, ca * sb, 0.0), (0.0, ca * cb, sa * cb, -sb))
+    d_r, *d_angles = (iota_coefficient(d, row) for row in frame)
+    return (d_r, *(r * d_angle for d_angle in d_angles)), frame
 
 
 def classify(f: QFunction, grid: Optional[SampleGrid] = None,
@@ -132,11 +139,11 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     center and along t, x, y and z: 9 points a node under central, 17
     under Richardson.  A node whose stencil leaves the chart margins, or
     where some sample raises a math or domain error or is not finite (or
-    its norm overflows), marks the report "singular"; the statistics then
-    cover the remaining nodes.  A step h that some node coordinate, chart or
-    Cartesian, rounds away raises StepError (a ValueError): the chart nodes
-    are checked before anything is sampled, the Cartesian rows by their
-    stencils.
+    its norm exceeds the float maximum), marks the report "singular"; the
+    statistics then cover the remaining nodes.  A step h that some node
+    coordinate, chart or Cartesian, rounds away raises StepError (a
+    ValueError): the chart nodes are checked before anything is sampled,
+    the Cartesian rows by their stencils.
     """
     grid = grid or DEFAULT_GRID
     # the margins are r > h and conditions on beta alone, so the passing
@@ -159,7 +166,8 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
         center = sample_chart(f, nodes)
         d = stencil(f, cfg, cart, slice(0, 4), lambda f, at: seeing(sample_cartesian(f, at)),
                     "Cartesian coordinate")[0].swapaxes(0, 1)  # (t, x, y, z partial, value row, *S)
-        (d_r, d_a, d_b), (io, io_a, io_b) = _chart_partials(d, nodes)
+        # the angle partials only for Class III, which a raw function has not
+        (d_r, *d_angles), (io, *tangents) = _chart_partials(d, nodes, f.is_ce)
         fueter_left = fueter_rows(d)
         residuals = {
             "class_I": qabs_array(d[0] + qmul_array(io, d_r)),
@@ -171,6 +179,7 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
             class2[0] += 2.0 * iota_coefficient(center, io) / nodes[1]
             residuals["class_II"] = qabs_array(class2)
             # u = f[0], and v = <Im f, iota> by the product rule
+            (d_a, d_b), (io_a, io_b) = d_angles, tangents
             angular = (d_a[0], d_b[0], iota_coefficient(d_a, io) + iota_coefficient(center, io_a),
                        iota_coefficient(d_b, io) + iota_coefficient(center, io_b))
             residuals["class_III"] = np.max(np.abs(angular), axis=0)

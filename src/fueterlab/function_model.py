@@ -34,8 +34,19 @@ The library's evaluators compute each intermediate on the rows it depends
 on: the trig of a grid's alpha and beta axes once per axis value, a stem on
 the t + i r plane once per (t, r) pair.
 
-from_uv and cullen_extend always supply one; a product, sum, mirror or
-conjugate has a spherical or array view only when all its inputs have it.
+A CE function may also carry a (u, v) view, uv_array: the same chart rows
+in, the pair of real arrays (u, v) out, with f = u + iota v at each point.
+The two arrays broadcast with the rows and may keep only the axes they
+depend on (a sweep's the t and r axes).  from_uv takes its uv_array, or its
+per-point fill of u and v, as the view; cullen_extend gives (Re g, Im g) of
+its stem on the t and r rows alone; a product or sum of two CE functions
+gives the complex product or sum of their views, a mirror its input's view
+at the antipodal angles, and verification.conjugate_function (u, -v).  The
+Laurent quadrature reads u + i v from it.  A raw function has none.
+
+from_uv and cullen_extend always supply an array evaluator, built from
+their (u, v) view; a product, sum, mirror or conjugate has a spherical,
+array or (u, v) view only when all its inputs have it.
 A scalar callable input is called with scalars, and the chart maps, the
 trig and the u + iota v assembly run on arrays:
 
@@ -113,8 +124,8 @@ class QFunction:
     Cartesian view through the chart; constructors here guarantee that by
     deriving one view from the other.  classes optionally records the
     expected classification verdicts for catalog entries.  array_evaluator,
-    when given, is the batched chart view described in the module
-    docstring.
+    when given, is the batched chart view, and uv_array, only on a CE
+    function, its (u, v) view, both described in the module docstring.
     """
 
     name: str
@@ -123,10 +134,13 @@ class QFunction:
     spherical_evaluator: Optional[Callable[[SphericalPoint], Quaternion]] = None
     classes: Optional[Mapping[str, bool]] = None
     array_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    uv_array: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown function kind {self.kind!r}")
+        if self.uv_array is not None and not self.is_ce:
+            raise ValueError(f"{self.name}: a raw function has no (u, v) view")
 
     def __call__(self, p: Quaternion) -> Quaternion:
         return self.evaluator(p)
@@ -416,6 +430,14 @@ def from_uv(u: Callable[[SphericalPoint], float],
                                lambda k: SphericalPoint(*columns[:, k].tolist()))
             return uv.reshape((2,) + shape)
 
+    return QFunction(name=name, evaluator=evaluator, kind="CE",
+                     spherical_evaluator=at_spherical, classes=classes,
+                     array_evaluator=_uv_evaluator(uv_array), uv_array=uv_array)
+
+
+def _uv_evaluator(uv_array: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], np.ndarray]:
+    """ the array evaluator u + iota v of a (u, v) view """
+
     def array_evaluator(chart) -> np.ndarray:
         with np.errstate(all="ignore"):
             values = from_spherical_array((*uv_array(chart), chart[2], chart[3]))
@@ -423,9 +445,7 @@ def from_uv(u: Callable[[SphericalPoint], float],
         shape = rows_shape(chart)
         return values if values.shape[1:] == shape else stack_rows(values, shape)
 
-    return QFunction(name=name, evaluator=evaluator, kind="CE",
-                     spherical_evaluator=at_spherical, classes=classes,
-                     array_evaluator=array_evaluator)
+    return array_evaluator
 
 
 class ComplexStem:
@@ -555,7 +575,7 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         scale = w.imag / r
         return Quaternion(w.real, scale * p.x, scale * p.y, scale * p.z)
 
-    def array_evaluator(chart) -> np.ndarray:
+    def uv_array(chart) -> tuple:
         # z = t + i r over the t and r axes alone: every slice repeats it.
         # A 0-d z would put numpy's complex arithmetic on its scalar path,
         # whose floats can differ from the array loop's, so it goes as (1,)
@@ -563,12 +583,11 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         z = np.empty(shape or (1,), complex)
         z.real, z.imag = chart[0], chart[1]
         w = stem.eval_array(z).reshape(shape)
-        with np.errstate(all="ignore"):
-            return from_spherical_array((w.real, w.imag, chart[2], chart[3]))
+        return w.real, w.imag
 
     return QFunction(name=name or stem.label, evaluator=evaluator, kind="CI",
                      spherical_evaluator=at_spherical, classes=classes,
-                     array_evaluator=array_evaluator)
+                     array_evaluator=_uv_evaluator(uv_array), uv_array=uv_array)
 
 
 def power_function(n: int) -> QFunction:
@@ -601,17 +620,19 @@ def restrict_to_slice(f: QFunction, alpha: float, beta: float) -> Callable[[comp
     return slice_fn
 
 
-def _composite(inputs: tuple, spherical, array_evaluator, **fields) -> QFunction:
+def _composite(inputs: tuple, spherical, array_evaluator, uv_array, **fields) -> QFunction:
     """ the composite of inputs with the chart views that every input has """
-    if any(f.spherical_evaluator is None for f in inputs):
-        spherical = None
-    if any(f.array_evaluator is None for f in inputs):
-        array_evaluator = None
-    return QFunction(spherical_evaluator=spherical, array_evaluator=array_evaluator, **fields)
+    views = {"spherical_evaluator": spherical, "array_evaluator": array_evaluator,
+             "uv_array": uv_array}
+    for view in views:
+        if any(getattr(f, view) is None for f in inputs):
+            views[view] = None
+    return QFunction(**views, **fields)
 
 
 def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction:
-    """ f op g pointwise """
+    """ f op g pointwise; two CE functions share each slice plane, so their
+    (u, v) views combine by op on the complex numbers u + i v """
 
     def evaluator(p: Quaternion) -> Quaternion:
         return op(f(p), g(p))
@@ -624,11 +645,17 @@ def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction
         with np.errstate(all="ignore"):
             return array_op(a, b)
 
+    def uv_array(chart) -> tuple:
+        (u_f, v_f), (u_g, v_g) = f.uv_array(chart), g.uv_array(chart)
+        with np.errstate(all="ignore"):
+            w = op(u_f + 1j * v_f, u_g + 1j * v_g)
+        return w.real, w.imag
+
     if f.kind == "CI" and g.kind == "CI":
         kind = "CI"
     else:
         kind = "CE" if f.is_ce and g.is_ce else "raw"
-    return _composite((f, g), spherical, array_evaluator,
+    return _composite((f, g), spherical, array_evaluator, uv_array,
                       name=name, evaluator=evaluator, kind=kind)
 
 

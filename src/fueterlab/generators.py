@@ -292,10 +292,15 @@ def mirror(f: QFunction) -> QFunction:
         t, r, alpha, beta = chart
         return qconj_array(f.array_evaluator((t, r, *antipodal_angles(alpha, beta))))
 
+    def uv_array(chart) -> tuple:
+        # conj(u + (-iota) v) = u + iota v, with (u, v) read at -iota
+        t, r, alpha, beta = chart
+        return f.uv_array((t, r, *antipodal_angles(alpha, beta)))
+
     # left-handed class expectations do not transfer unless the function is
     # a pure slice sweep, which mirror fixes pointwise
     classes = f.classes if f.kind == "CI" else None
-    return _composite((f,), spherical, array_evaluator, name=f"mirror:{f.name}",
+    return _composite((f,), spherical, array_evaluator, uv_array, name=f"mirror:{f.name}",
                       evaluator=evaluator, kind=f.kind, classes=classes)
 
 

@@ -14,8 +14,10 @@ taken on the mid-circle of the annulus.  With equispaced angles the
 trapezoid rule is exponentially accurate for analytic F and reduces to an
 FFT, which yields every order from one ring of samples.  The rings of many
 slices are sampled together in the chart, as the open mesh of the ring's
-(t, r) rows and the slices' angles, through the function's array evaluator
-when it has one.
+(t, r) rows and the slices' angles.  The quadrature reads u + i v from the
+function's (u, v) view when it has one; otherwise it samples quaternion
+values (through the array evaluator when there is one) and projects them
+on the slice's iota, checking that they stay in the slice plane.
 
 The slice plane is treated with a signed radius: z with Im z < 0 addresses
 the quaternion t + (Im z) iota, i.e. the antipodal half of the same plane,
@@ -118,15 +120,19 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     and each ring point once per batch.  About a center below the real axis
     every ring point has Im z < 0, and the signed radius is realized as the
     antipodal angles of each slice: t + (Im z) iota(alpha, beta) is
-    t + |Im z| iota(antipode).  The value is projected on the iota of the
+    t + |Im z| iota(antipode).  The value is read against the iota of the
     slice itself either way.
 
-    The slices go in batches of whole contours through the function's array
-    evaluator, or point by point through at_spherical without one.  A
-    sample that is not finite, or whose value leaves the slice plane, raises
-    DomainError naming the slice's own angles; samples whose quadrature
-    overflows to a coefficient that is not finite raise OverflowError naming
-    the slice.
+    The slices go in batches of whole contours.  With a (u, v) view the
+    samples are u + i v, conjugated about a center below the real axis
+    (where the slice's own iota is minus the sampled one); a view without
+    a slice axis, a sweep's, gives one FFT for all slices of a batch.
+    Without the view they are quaternion rows, from the array evaluator or
+    point by point through at_spherical, projected on the slice's iota.  A
+    sample that is not finite, or (without the view) whose value leaves the
+    slice plane, raises DomainError naming the slice's own angles; samples
+    whose quadrature overflows to a coefficient that is not finite raise
+    OverflowError naming the slice.
     """
     if abs(center.imag) <= radius:
         raise DomainError("contour crosses the real axis")
@@ -139,18 +145,33 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     t, r = ring.real[None, :], np.abs(ring.imag)[None, :]
     alphas, betas = alphas[:, None], betas[:, None]
     at_alpha, at_beta = antipodal_angles(alphas, betas) if center.imag < 0.0 else (alphas, betas)
-    io = iota_array((0.0, 1.0, alphas, betas))  # (4, M, 1)
+    view = f.uv_array
+    if view is None:
+        io = iota_array((0.0, 1.0, alphas, betas))  # (4, M, 1)
     per_call = max(1, CALL_POINTS // npts)
     modes = []
     for start in range(0, len(alphas), per_call):
         part = slice(start, start + per_call)
-        w = sample_chart(f, (t, r, at_alpha[part], at_beta[part]))
+        rows = (t, r, at_alpha[part], at_beta[part])
         with np.errstate(all="ignore"):
-            v = iota_coefficient(w, io[:, part])
-            misalign = np.sqrt(np.maximum(0.0, np.sum(w[1:] * w[1:], axis=0) - v * v))
-            finite = np.isfinite(w).all(axis=0)
-            bad = ~finite | (misalign > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
-            modes.append(np.fft.fft(w[0] + 1j * v, axis=1)[:, columns] / scale)
+            if view is not None:
+                # u + i v, conjugated at the antipodal angles; samples
+                # without a slice axis (a sweep's) serve every slice at once
+                u, v = view(rows)
+                samples = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v), (1, npts)),
+                                   complex)
+                samples.real, samples.imag = u, (-v if center.imag < 0.0 else v)
+                finite = np.isfinite(samples)
+                bad = ~finite
+            else:
+                w = sample_chart(f, rows)
+                v = iota_coefficient(w, io[:, part])
+                misalign = np.sqrt(np.maximum(0.0, np.sum(w[1:] * w[1:], axis=0) - v * v))
+                finite = np.isfinite(w).all(axis=0)
+                bad = ~finite | (misalign > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
+                samples = w[0] + 1j * v
+            coefficients = np.fft.fft(samples, axis=1)[:, columns] / scale
+            modes.append(np.broadcast_to(coefficients, (len(rows[2]), len(columns))))
         if bad.any():
             m, k = np.unravel_index(np.argmax(bad), bad.shape)
             where = (f"z={ring[k]:.4f} on the slice (alpha, beta) = "

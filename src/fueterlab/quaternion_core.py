@@ -236,8 +236,21 @@ def qconj_array(q) -> np.ndarray:
 
 
 def qabs_array(q) -> np.ndarray:
-    """ norms of quaternion rows, summed in the order Quaternion.norm uses """
-    return np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    """Norms of quaternion rows, summed in the order Quaternion.norm uses.
+
+    Where that sum overflows though every component is finite (a component
+    above about 1.3e154), the norm is taken again with the components
+    scaled by the largest of them; every other norm keeps its bits.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+        over = np.isinf(norm)
+        if over.any():
+            over &= np.isfinite(q).all(axis=0)
+            big = np.where(over, np.max(np.abs(q), axis=0), 1.0)
+            scaled = [row / big for row in q]
+            norm = np.where(over, big * np.sqrt(sum(row * row for row in scaled)), norm)
+    return norm
 
 
 def rows_shape(rows) -> tuple:

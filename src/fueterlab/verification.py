@@ -92,7 +92,11 @@ def conjugate_function(f: QFunction) -> QFunction:
     def array_evaluator(chart) -> np.ndarray:
         return qconj_array(f.array_evaluator(chart))
 
-    return _composite((f,), spherical, array_evaluator, name=f"conj:{f.name}",
+    def uv_array(chart) -> tuple:
+        u, v = f.uv_array(chart)
+        return u, -v
+
+    return _composite((f,), spherical, array_evaluator, uv_array, name=f"conj:{f.name}",
                       evaluator=lambda p: f(p).conjugate(), kind=f.kind)
 
 

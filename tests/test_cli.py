@@ -321,11 +321,24 @@ def test_laurent_quadrature_overflow_exits_2(capsys):
                    "quadrature overflows on the slice (alpha, beta) = (-0.5000, 1.0708))\n")
 
 
+@pytest.mark.parametrize("spec", ["stem:1:1e200:0", "stem:3:1e307:0"])
+def test_finite_samples_past_the_root_of_the_float_maximum_classify(capsys, spec):
+    # the sum of squares of a norm overflows from about 1.3e154, so these norms
+    # are scaled by their largest component; on 1e307 z^3 the sum of the mean
+    # of the regular residuals overflows too, and is scaled by their maximum
+    rc, doc, err = run_strict(capsys, ["classify", spec])
+    assert rc == 0 and err == ""
+    assert _verdicts(doc) == ["pass"] * 3 + ["fail", "central"]
+    for key in ("class_I", "class_II", "class_III", "regular", "centrality"):
+        stats = doc["report"][key]
+        assert 0.0 < stats["mean"] <= stats["max"] < math.inf, key
+
+
 def test_chiral_spot_check_names_the_nodes_without_a_finite_sample(capsys):
-    # the samples are finite, but their norms overflow, so no node has a finite scale
-    rc, doc, err = run_strict(capsys, ["classify", "chiral:stem:1:1e200:0"])
+    # the samples are finite, but at every node some residual overflows
+    rc, doc, err = run_strict(capsys, ["classify", "chiral:stem:1:1e308:0"])
     assert rc == 2 and doc is None
-    assert err == ("error: stem:1:1e+200:0 failed the Class II spot check: singular (0 of 81 "
+    assert err == ("error: stem:1:1e+308:0 failed the Class II spot check: singular (0 of 81 "
                    "nodes outside the chart margins, 81 without a finite sample or residual, "
                    "the first at (t, r, alpha, beta) = (-1.0, 0.5, -2.5, 0.4)); chiral "
                    "difference undefined\n")

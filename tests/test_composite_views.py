@@ -1,11 +1,12 @@
 """Products, sums, mirrors and conjugates keep exactly their inputs' views.
 
 A composite of QFunctions has a spherical_evaluator only when every input
-has one, and an array_evaluator only when every input has one.  Each view
+has one, an array_evaluator only when every input has one, and a (u, v)
+view uv_array only when every input has one.  Each view
 it has must give, bit for bit, what the formula written out below gives
 from the inputs' own views, on seeded points inside the default grid box.
 The inputs cover every mix of views: a raw function (Cartesian only), a raw
-function with a chart view, a from_uv and a Cullen sweep (all three views)
+function with a chart view, a from_uv and a Cullen sweep (all four views)
 and a chiral difference (Cartesian and array views).
 """
 
@@ -70,6 +71,14 @@ def _hamilton_rows(a, b):
                      a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]))
 
 
+def _complex_rows(w):
+    return w.real, w.imag
+
+
+def _complex(uv):
+    return uv[0] + 1j * uv[1]
+
+
 def _antipode(s):
     return SphericalPoint(s.t, s.r, s.alpha - math.copysign(math.pi, s.alpha), math.pi - s.beta)
 
@@ -79,13 +88,15 @@ def _antipodal_chart(chart):
     return np.array((t, r, alpha - np.copysign(np.pi, alpha), np.pi - beta))
 
 
-def _assert_views(h, inputs, cartesian, spherical, array):
-    """h has a chart view (array view) exactly when every input has one, and
-    each of its views equals the written-out formula bit for bit"""
+def _assert_views(h, inputs, cartesian, spherical, array, uv):
+    """h has a chart view (array view, (u, v) view) exactly when every input
+    has one, and each of its views equals the written-out formula bit for bit"""
     has_spherical = all(f.spherical_evaluator is not None for f in inputs)
     has_array = all(f.array_evaluator is not None for f in inputs)
+    has_uv = all(f.uv_array is not None for f in inputs)
     assert (h.spherical_evaluator is not None) == has_spherical
     assert (h.array_evaluator is not None) == has_array
+    assert (h.uv_array is not None) == has_uv
     for p in CARTESIAN:
         assert _bits(h(p)) == _bits(cartesian(p)), p
     if has_spherical:
@@ -93,6 +104,9 @@ def _assert_views(h, inputs, cartesian, spherical, array):
             assert _bits(h.spherical_evaluator(s)) == _bits(spherical(s)), s
     if has_array:
         assert _row_bits(h.array_evaluator(CHART)) == _row_bits(array(CHART))
+    if has_uv:
+        assert _row_bits(np.broadcast_arrays(*h.uv_array(CHART))) == \
+            _row_bits(np.broadcast_arrays(*uv(CHART)))
 
 
 def _pair_kind(f, g):
@@ -109,7 +123,8 @@ def test_product_views(f, g):
     _assert_views(h, (f, g),
                   lambda p: f(p) * g(p),
                   lambda s: f.at_spherical(s) * g.at_spherical(s),
-                  lambda c: _hamilton_rows(f.array_evaluator(c), g.array_evaluator(c)))
+                  lambda c: _hamilton_rows(f.array_evaluator(c), g.array_evaluator(c)),
+                  lambda c: _complex_rows(_complex(f.uv_array(c)) * _complex(g.uv_array(c))))
 
 
 @pytest.mark.parametrize("f, g", itertools.product(INPUTS, repeat=2),
@@ -120,7 +135,8 @@ def test_sum_views(f, g):
     _assert_views(h, (f, g),
                   lambda p: f(p) + g(p),
                   lambda s: f.at_spherical(s) + g.at_spherical(s),
-                  lambda c: f.array_evaluator(c) + g.array_evaluator(c))
+                  lambda c: f.array_evaluator(c) + g.array_evaluator(c),
+                  lambda c: _complex_rows(_complex(f.uv_array(c)) + _complex(g.uv_array(c))))
 
 
 @pytest.mark.parametrize("f", INPUTS, ids=IDS)
@@ -131,7 +147,8 @@ def test_mirror_views(f):
     _assert_views(h, (f,),
                   lambda p: f(p.conjugate()).conjugate(),
                   lambda s: f.at_spherical(_antipode(s)).conjugate(),
-                  lambda c: _conj_rows(f.array_evaluator(_antipodal_chart(c))))
+                  lambda c: _conj_rows(f.array_evaluator(_antipodal_chart(c))),
+                  lambda c: f.uv_array(_antipodal_chart(c)))
 
 
 @pytest.mark.parametrize("f", INPUTS, ids=IDS)
@@ -141,4 +158,5 @@ def test_conjugate_views(f):
     _assert_views(h, (f,),
                   lambda p: f(p).conjugate(),
                   lambda s: f.at_spherical(s).conjugate(),
-                  lambda c: _conj_rows(f.array_evaluator(c)))
+                  lambda c: _conj_rows(f.array_evaluator(c)),
+                  lambda c: (f.uv_array(c)[0], -f.uv_array(c)[1]))

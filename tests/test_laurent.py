@@ -9,8 +9,9 @@ import pytest
 
 from fueterlab import laurent
 from fueterlab.diffops import DiffConfig
-from fueterlab.function_model import (ComplexStem, FunctionKindError, QFunction, cullen_extend,
-                                      from_uv, sample_cartesian)
+from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, FunctionKindError, QFunction,
+                                      cullen_extend, from_uv, pointwise_product, pointwise_sum,
+                                      sample_cartesian)
 from fueterlab.generators import get_witness, mirror, resolve_function_spec
 from fueterlab.laurent import (
     AnnulusRegion,
@@ -21,6 +22,7 @@ from fueterlab.laurent import (
     mirrored_center_coefficients,
     reconstruct,
 )
+from fueterlab.verification import conjugate_function
 from fueterlab.quaternion_core import (
     DomainError,
     Quaternion,
@@ -156,9 +158,11 @@ def test_slice_extraction_validates_contour():
 
 
 def test_misaligned_values_are_rejected():
-    # values off the (1, iota) plane make the slice projection meaningless
+    # values off the (1, iota) plane make the slice projection meaningless; a
+    # CE function without a (u, v) view is checked for them
     skew = QFunction("skew", lambda p: Quaternion(0.0, 0.0, 0.0, 1.0), kind="CE")
-    with pytest.raises(DomainError):
+    assert skew.uv_array is None
+    with pytest.raises(DomainError, match="skew: values leave the slice plane at z="):
         laurent_coefficients(skew, REGION, n_range=(0, 1), quadrature_points=32)
 
 
@@ -352,7 +356,7 @@ def test_mirror_conjugates_coefficients_about_mirrored_center():
 
 
 def _scalar_only(f):
-    return dataclasses.replace(f, array_evaluator=None)
+    return dataclasses.replace(f, array_evaluator=None, uv_array=None)
 
 
 def _assert_grids_agree(got, want):
@@ -490,3 +494,90 @@ def test_a_scalar_stem_is_called_once_per_ring_point():
     calls.clear()
     coefficient_class_check(series)
     assert len(calls) == 11 * 128
+
+
+# ---------------------------------------------------------------------------
+# the (u, v) view against the projection of the quaternion values on iota
+
+
+def _uv_functions():
+    """ every library constructor of a CE function, each with its (u, v) view """
+    stem = ComplexStem.laurent([(-1, 0.5 - 0.25j), (2, 1.0 + 0.75j)])
+    uv_closed = from_uv(lambda s: s.alpha * s.t, lambda s: math.cos(s.beta) + s.r, name="uv",
+                        uv_array=lambda c: (c[2] * c[0], np.cos(c[3]) + c[1]))
+    uv_filled = from_uv(lambda s: s.alpha * s.t, lambda s: math.cos(s.beta) + s.r,
+                        name="uv-filled")
+    sweep = cullen_extend(stem)
+    rho = get_witness("rho").function
+    return {
+        "from_uv": uv_closed,
+        "from_uv-filled": uv_filled,
+        "cullen_extend": sweep,
+        "cullen_extend-log-tan": resolve_function_spec("stem:log-tan"),
+        "L:": resolve_function_spec("L:-1:0.5:0,2:1:0.25"),
+        "product": pointwise_product(rho, sweep),
+        "sum": pointwise_sum(uv_filled, sweep),
+        "mirror": mirror(pointwise_product(uv_closed, sweep)),
+        "conjugate_function": conjugate_function(pointwise_sum(rho, sweep)),
+    }
+
+
+UV_FUNCTIONS = _uv_functions()
+# about 0 + 1i (above the real axis) and its mirror 0 - 1i (below it)
+UV_REGION = AnnulusRegion(0.0, 1.0, 0.2, 0.4, n_alpha=3, n_beta=2)
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", UV_FUNCTIONS)
+def test_the_uv_view_is_the_projection_of_the_array_view(name):
+    f = UV_FUNCTIONS[name]
+    assert f.uv_array is not None and f.is_ce
+    chart = DEFAULT_GRID.random_chart(np.random.default_rng(22), 64)
+    w = f.array_evaluator(chart)
+    u, v = np.broadcast_arrays(*f.uv_array(chart), chart[0])[:2]
+    assert _relative_gap(u, w[0]) <= 1e-12
+    assert _relative_gap(v, iota_coefficient(w, iota_array(chart))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", UV_FUNCTIONS)
+def test_the_uv_quadrature_matches_the_projected_one(name):
+    # about the center above the real axis and the mirrored one below it
+    f = UV_FUNCTIONS[name]
+    projected = dataclasses.replace(f, uv_array=None)
+    got = laurent_coefficients(f, UV_REGION, n_range=(-3, 3), quadrature_points=32)
+    want = laurent_coefficients(projected, UV_REGION, n_range=(-3, 3), quadrature_points=32)
+    got_below = mirrored_center_coefficients(f, UV_REGION, n_range=(-3, 3), quadrature_points=32)
+    want_below = mirrored_center_coefficients(projected, UV_REGION, n_range=(-3, 3),
+                                              quadrature_points=32)
+    for n in range(-3, 4):
+        assert _relative_gap(got.coefficients[n], want.coefficients[n]) <= 1e-12, n
+        assert _relative_gap(got_below[n], want_below[n]) <= 1e-12, n
+
+
+def test_a_raw_function_has_no_uv_view():
+    with pytest.raises(ValueError, match="raw: a raw function has no"):
+        QFunction("raw", lambda p: p, uv_array=lambda c: (c[0], c[1]))
+
+
+def test_a_uv_view_without_a_finite_value_is_a_domain_error():
+    f = from_uv(lambda s: 0.0, lambda s: 1.0, name="nan-view",
+                uv_array=lambda c: (np.where(c[0] > 0.3, np.nan, 0.0), np.ones_like(c[0])))
+    with pytest.raises(DomainError, match=r"nan-view: no finite value at z=0\.\d+\+\d\.\d+j "
+                                          r"on the slice \(alpha, beta\) = \(-0\.5000, 1\.0708\)$"):
+        laurent_coefficients(f, REGION, n_range=(-2, 2), quadrature_points=32)
+
+
+@pytest.mark.parametrize("spec", ["pow:2", "pow:-1", "stem:-2:0.5:0.25,1:-0.75:0.5,3:0.25:-1",
+                                  "mirror:pow:3"])
+def test_a_sweep_has_the_same_coefficients_on_every_slice(spec):
+    # its view reads the stem on the ring's (t, r) alone, so the angle stencils
+    # difference equal numbers
+    series = laurent_coefficients(resolve_function_spec(spec), REGION)
+    for n, grid in series.coefficients.items():
+        assert np.all(grid == grid[0, 0]), n
+    for scheme in ("central", "richardson"):
+        out = coefficient_class_check(series, DiffConfig(scheme=scheme))
+        assert all(stats["max_residual"] == 0.0 for stats in out.values()), scheme
