@@ -94,16 +94,16 @@ def _array_layout(shape: tuple, level: int) -> str:
 
 
 def _array_text(a: np.ndarray, level: int) -> str:
-    """A float array laid out as nested JSON lists: its numbers are formatted
-    at once and filled into the layout, cached per (shape, level), by one %."""
+    """A float array laid out as nested JSON lists: each distinct number (by
+    bit pattern, so -0.0 and 0.0 stay apart) is formatted once, and the texts
+    are filled into the layout, cached per (shape, level), by one %."""
     if a.dtype.kind != "f":
         raise TypeError(f"arrays of dtype {a.dtype} are not JSON serializable")
     if a.size == 0:
         return _value_text(a.tolist(), level)
-    flat = a.ravel().tolist()  # %s of a float is its repr
-    if not np.isfinite(a).all():
-        flat = [_float_text(x) for x in flat]
-    return _array_layout(a.shape, level) % tuple(flat)
+    distinct, where = np.unique(a.reshape(-1).view(f"V{a.itemsize}"), return_inverse=True)
+    texts = [_float_text(x) for x in distinct.view(a.dtype).tolist()]
+    return _array_layout(a.shape, level) % tuple(map(texts.__getitem__, where.tolist()))
 
 
 def _value_text(value, level: int) -> str:

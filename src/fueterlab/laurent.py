@@ -125,8 +125,10 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
 
     The slices go in batches of whole contours.  With a (u, v) view the
     samples are u + i v, conjugated about a center below the real axis
-    (where the slice's own iota is minus the sampled one); a view without
-    a slice axis, a sweep's, gives one FFT for all slices of a batch.
+    (where the slice's own iota is minus the sampled one).  A view without
+    a slice axis, a sweep's, is sampled in one batch: when the samples of a
+    batch of several slices have shape (1, Q), their one FFT serves every
+    slice left.
     Without the view they are quaternion rows, from the array evaluator or
     point by point through at_spherical, projected on the slice's iota.  A
     sample that is not finite, or (without the view) whose value leaves the
@@ -155,8 +157,7 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
         rows = (t, r, at_alpha[part], at_beta[part])
         with np.errstate(all="ignore"):
             if view is not None:
-                # u + i v, conjugated at the antipodal angles; samples
-                # without a slice axis (a sweep's) serve every slice at once
+                # u + i v, conjugated at the antipodal angles
                 u, v = view(rows)
                 samples = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v), (1, npts)),
                                    complex)
@@ -171,7 +172,9 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
                 bad = ~finite | (misalign > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
                 samples = w[0] + 1j * v
             coefficients = np.fft.fft(samples, axis=1)[:, columns] / scale
-            modes.append(np.broadcast_to(coefficients, (len(rows[2]), len(columns))))
+        # samples without a slice axis (a sweep's) serve every slice left
+        stop = len(alphas) if len(samples) < len(rows[2]) else start + len(rows[2])
+        modes.append(np.broadcast_to(coefficients, (stop - start, len(columns))))
         if bad.any():
             m, k = np.unravel_index(np.argmax(bad), bad.shape)
             where = (f"z={ring[k]:.4f} on the slice (alpha, beta) = "
@@ -181,6 +184,8 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
             raise DomainError(
                 f"{f.name}: values leave the slice plane at {where} "
                 f"(misalignment {misalign[m, k]:.3e}); not a CE function there")
+        if stop == len(alphas):
+            break
     coefficients = np.concatenate(modes, axis=0).T.copy()  # a contiguous row per order
     overflow = ~np.isfinite(coefficients).all(axis=0)
     if overflow.any():

@@ -484,16 +484,40 @@ def test_a_scalar_stem_is_called_once_per_ring_point():
 
     f = cullen_extend(ComplexStem.named("log-tan-counted", log_tan))
     region = AnnulusRegion(0.0, 1.0, 0.2, 0.6)
-    # the 81 window slices go in batches of 32, 32 and 17 contours of 128 points
+    # the sweep's view has no slice axis, so the first batch of 32 contours
+    # of 128 points serves all 81 window slices
     series = laurent_coefficients(f, region)
-    assert len(calls) == 3 * 128
+    assert len(calls) == 128
     calls.clear()
     mirrored_center_coefficients(f, region)
-    assert len(calls) == 3 * 128
+    assert len(calls) == 128
+    # and all 4 * 81 shifted slices of the central class check
+    calls.clear()
+    coefficient_class_check(series)
+    assert len(calls) == 128
+
+
+def test_a_view_with_a_slice_axis_is_called_once_per_batch():
+    calls = []
+
+    def uv_array(c):
+        # alpha z on the slice: a slice axis through c[2]
+        calls.append(np.broadcast_shapes(*map(np.shape, c)))
+        return c[2] * c[0], c[2] * c[1]
+
+    f = from_uv(lambda s: s.alpha * s.t, lambda s: s.alpha * s.r, name="alpha-z",
+                uv_array=uv_array)
+    region = AnnulusRegion(0.0, 1.0, 0.2, 0.6)
+    # the 81 window slices go in batches of 32, 32 and 17 contours of 128 points
+    series = laurent_coefficients(f, region)
+    assert calls == [(32, 128), (32, 128), (17, 128)]
+    calls.clear()
+    mirrored_center_coefficients(f, region)
+    assert len(calls) == 3
     # the 4 * 81 shifted slices of the central class check, in 11 batches
     calls.clear()
     coefficient_class_check(series)
-    assert len(calls) == 11 * 128
+    assert calls == [(32, 128)] * 10 + [(4, 128)]
 
 
 # ---------------------------------------------------------------------------

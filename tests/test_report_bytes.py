@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from fueterlab import cli
 from fueterlab.cli import _probe_points, main, report_json
 from fueterlab.generators import resolve_function_spec
 from fueterlab.laurent import AnnulusRegion, laurent_coefficients, reconstruct
@@ -27,6 +28,8 @@ REPORT_ARGVS = {
     "laurent-rho": ["laurent", "rho", "--check-class"],
     "laurent-pow3": ["laurent", "pow:3", "--check-class", "--n-range=-2,2",
                      "--quad-points", "32"],
+    # a sweep on the default window: every slice repeats the same floats
+    "laurent-sweep": ["laurent", "stem:-1:0.5:0.25,2:1:0.75", "--check-class"],
 }
 
 
@@ -67,7 +70,12 @@ AWKWARD_DOCS = {
                "3d": np.array([[[np.inf, 1e16], [0.5, -0.0]], [[np.nan, 2.0], [3.0, 1e-7]]]),
                "finite-3d": np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4),
                "empty": np.zeros((2, 0)), "scalar": np.array(2.5),
-               "in-list": [np.ones(2), {"deep": np.full((1, 1, 1), -1e300)}]},
+               "in-list": [np.ones(2), {"deep": np.full((1, 1, 1), -1e300)}],
+               # repeats that are equal but not the same bits, or the same text
+               "repeats": np.array([[0.0, -0.0, 0.0, -0.0, 5e-324, 0.0],
+                                    [np.nan, np.inf, -np.nan, -np.inf, np.inf, np.nan],
+                                    [5e-324, -0.0, np.nan, 0.0, -np.inf, 5e-324]]),
+               "float32": np.array([0.1, 0.1, -0.0, 0.0, 3e38, np.nan, 0.1], np.float32)},
 }
 
 
@@ -95,6 +103,29 @@ def test_writer_matches_json_dumps(name):
 def test_writer_rejects_what_it_cannot_lay_out(value):
     with pytest.raises(TypeError):
         report_json({"v": value})
+
+
+def test_a_sweep_report_formats_each_grid_from_at_most_two_floats(tmp_path, monkeypatch):
+    # pow:3 has the same coefficients on all 81 slices: one real and one
+    # imaginary part per order
+    formatted, grids = [], []
+    float_text, array_text = cli._float_text, cli._array_text
+
+    def counted_float_text(x):
+        formatted.append(x)
+        return float_text(x)
+
+    def counted_array_text(a, level):
+        start = len(formatted)
+        text = array_text(a, level)
+        grids.append((a.shape, len(formatted) - start))
+        return text
+
+    monkeypatch.setattr(cli, "_float_text", counted_float_text)
+    monkeypatch.setattr(cli, "_array_text", counted_array_text)
+    assert main(["laurent", "pow:3", "--check-class", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(grids) == 17
+    assert all(shape == (9, 9, 2) and 1 <= n <= 2 for shape, n in grids), grids
 
 
 def test_array_layout_is_cached_per_shape_and_level():
