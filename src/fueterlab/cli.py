@@ -31,7 +31,7 @@ from .function_model import FunctionKindError, SampleGrid
 from .generators import SpecError, resolve_function_spec
 from .laurent import (AnnulusRegion, coefficient_class_check,
                       laurent_coefficients, reconstruct)
-from .quaternion_core import DomainError, from_spherical, SphericalPoint
+from .quaternion_core import DomainError, from_spherical, qabs_array, SphericalPoint
 from .verification import run_all_checks
 
 
@@ -94,16 +94,23 @@ def _array_layout(shape: tuple, level: int) -> str:
 
 
 def _array_text(a: np.ndarray, level: int) -> str:
-    """A float array laid out as nested JSON lists: each distinct number (by
-    bit pattern, so -0.0 and 0.0 stay apart) is formatted once, and the texts
-    are filled into the layout, cached per (shape, level), by one %."""
+    """A float array laid out as nested JSON lists.
+
+    While every sub-array along the leading axis has the bytes of the first
+    (so -0.0 and 0.0, and NaNs of other signs or payloads, stay apart), only
+    the first is laid out, and its text is repeated.  The numbers of the
+    sub-array left are formatted and filled into its layout by one %; the
+    layouts are cached per (shape, level).
+    """
     if a.dtype.kind != "f":
         raise TypeError(f"arrays of dtype {a.dtype} are not JSON serializable")
     if a.size == 0:
         return _value_text(a.tolist(), level)
-    distinct, where = np.unique(a.reshape(-1).view(f"V{a.itemsize}"), return_inverse=True)
-    texts = [_float_text(x) for x in distinct.view(a.dtype).tolist()]
-    return _array_layout(a.shape, level) % tuple(map(texts.__getitem__, where.tolist()))
+    first, depth = a, 0
+    while first.ndim and first.tobytes() == first[:1].tobytes() * len(first):
+        first, depth = first[0], depth + 1
+    text = _array_layout(first.shape, level + depth) % tuple(map(_float_text, first.ravel().tolist()))
+    return _array_layout(a.shape[:depth], level) % ((text,) * (a.size // first.size))
 
 
 def _value_text(value, level: int) -> str:
@@ -217,9 +224,11 @@ def cmd_laurent(args) -> int:
     try:
         region = AnnulusRegion(c1, c2, inner, outer)
         series = laurent_coefficients(f, region, (n_lo, n_hi), args.quad_points)
+        probes = [from_spherical(s) for s in _probe_points(region)]
+        exact = np.array([(v.t, v.x, v.y, v.z) for v in map(f, probes)]).T
+        rows = np.array([(q.t, q.x, q.y, q.z) for q in probes]).T
         # np.max keeps a NaN probe error, which max() would drop
-        recon_err = float(np.max([abs(reconstruct(series, q) - f(q))
-                                  for q in map(from_spherical, _probe_points(region))]))
+        recon_err = float(np.max(qabs_array(reconstruct(series, rows) - exact)))
         stats = coefficient_class_check(series, cfg) if args.check_class else None
     except (ValueError, FunctionKindError) as exc:
         raise SpecError(str(exc)) from exc

@@ -89,9 +89,15 @@ class AnnulusRegion:
         return np.linspace(self.beta_window[0], self.beta_window[1], self.n_beta)
 
     def window_angles(self) -> Tuple[np.ndarray, np.ndarray]:
-        """ (alpha, beta) of every window node, beta fastest """
-        alphas, betas = np.meshgrid(self.alphas(), self.betas(), indexing="ij")
-        return alphas.ravel(), betas.ravel()
+        """ (alpha, beta) of every window node, beta fastest: read-only arrays,
+        computed once per region """
+        return self._window_angles
+
+    @functools.cached_property
+    def _window_angles(self) -> Tuple[np.ndarray, np.ndarray]:
+        alphas, betas = (a.ravel() for a in np.meshgrid(self.alphas(), self.betas(), indexing="ij"))
+        alphas.flags.writeable = betas.flags.writeable = False
+        return alphas, betas
 
     def contains(self, t: float, r: float, alpha: float, beta: float) -> bool:
         dist = abs(complex(t, r) - self.center)
@@ -261,8 +267,8 @@ class LaurentSeries:
         doc.update(self.region.to_dict())
         doc["n_range"] = [self.n_range[0], self.n_range[1]]
         doc["quadrature_points"] = self.quadrature_points
-        doc["coefficients"] = {str(n): np.stack((grid.real, grid.imag), -1)
-                               for n, grid in sorted(self.coefficients.items())}
+        doc["coefficients"] = dict(zip(map(str, range(self.n_range[0], self.n_range[1] + 1)),
+                                       np.stack((self._stacked.real, self._stacked.imag), -1)))
         return doc
 
 
@@ -306,22 +312,34 @@ def mirrored_center_coefficients(f: QFunction, region: AnnulusRegion,
     return _window_grids(f, region, region.center.conjugate(), n_range, quadrature_points)
 
 
-def reconstruct(series: LaurentSeries, p: Quaternion) -> Quaternion:
-    """Evaluate the truncated series at p (inside region only): every order is
-    interpolated at once from the stacked grids, then summed order by order."""
-    s = to_spherical(p)
-    region = series.region
-    if not region.contains(s.t, s.r, s.alpha, s.beta):
-        raise DomainError(
-            f"point (t={s.t:.3f}, r={s.r:.3f}, alpha={s.alpha:.3f}, beta={s.beta:.3f}) "
-            "outside the expansion region")
-    dz = complex(s.t, s.r) - region.center
-    coeffs = _interpolate(series._stacked, *series._cell(s.alpha, s.beta)).tolist()
-    total = 0j
-    for n, c in zip(range(series.n_range[0], series.n_range[1] + 1), coeffs):
-        total += c * dz ** n
-    io = iota(s.alpha, s.beta)
-    return Quaternion(total.real, total.imag * io.x, total.imag * io.y, total.imag * io.z)
+def reconstruct(series: LaurentSeries, p: Quaternion | np.ndarray) -> Quaternion | np.ndarray:
+    """Evaluate the truncated series inside the region: at one Quaternion, which
+    gives a Quaternion, or at quaternion rows (4, N), which give rows (4, N).
+
+    Each point's chart coordinates and window cell are found point by point,
+    the corners of every order at every point are gathered from the stacked
+    grids at once, and each point's orders are summed in Python complex
+    arithmetic.  A point outside the region raises DomainError naming it.
+    """
+    if isinstance(p, Quaternion):
+        return Quaternion(*reconstruct(series, np.array([[p.t], [p.x], [p.y], [p.z]]))[:, 0])
+    charts = [to_spherical(Quaternion(*q)) for q in np.transpose(p).tolist()]
+    for s in charts:
+        if not series.region.contains(s.t, s.r, s.alpha, s.beta):
+            raise DomainError(
+                f"point (t={s.t:.3f}, r={s.r:.3f}, alpha={s.alpha:.3f}, beta={s.beta:.3f}) "
+                "outside the expansion region")
+    ia, ib, weights = zip(*(series._cell(s.alpha, s.beta) for s in charts))
+    coeffs = _interpolate(series._stacked, np.array(ia), np.array(ib), np.transpose(weights))
+    values = []
+    for s, column in zip(charts, coeffs.T.tolist()):
+        dz = complex(s.t, s.r) - series.region.center
+        total = 0j
+        for n, c in zip(range(series.n_range[0], series.n_range[1] + 1), column):
+            total += c * dz ** n
+        io = iota(s.alpha, s.beta)
+        values.append((total.real, total.imag * io.x, total.imag * io.y, total.imag * io.z))
+    return np.transpose(values)
 
 
 def coefficient_class_check(series: LaurentSeries,

@@ -147,7 +147,9 @@ class Quaternion:
         return self.t * self.t + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        """ |p|; where the sum of squares overflows, qabs_array's rescaled norm """
+        norm = math.sqrt(self.norm_sq())
+        return norm if norm != math.inf else float(qabs_array((self.t, self.x, self.y, self.z)))
 
     __abs__ = norm
 

@@ -19,7 +19,6 @@ import fueterlab
 from fueterlab import cli
 from fueterlab.cli import _config_from_args, build_parser, main
 from fueterlab.diffops import DiffConfig
-from fueterlab.quaternion_core import Quaternion
 
 # three nodes per axis, placed so no node hits the atanh ridges of the
 # varrho/sigma witnesses (alpha = 0 or +-pi/2 together with beta = pi/2)
@@ -334,6 +333,15 @@ def test_finite_samples_past_the_root_of_the_float_maximum_classify(capsys, spec
         assert 0.0 < stats["mean"] <= stats["max"] < math.inf, key
 
 
+def test_laurent_probe_errors_past_the_root_of_the_float_maximum_stay_finite(capsys):
+    # the probe values are about 1e200, whose squares overflow; their errors are
+    # about 1e185, a relative 1e-15
+    rc, doc, err = run_strict(capsys, ["laurent", "stem:1:1e200:0", "--check-class"])
+    assert rc == 0 and err == ""
+    assert [v["verdict"] for v in doc["class_check"].values()] == ["pass"] * 17
+    assert 0.0 < doc["max_reconstruction_error"] < 1e-13 * 1e200
+
+
 def test_chiral_spot_check_names_the_nodes_without_a_finite_sample(capsys):
     # the samples are finite, but at every node some residual overflows
     rc, doc, err = run_strict(capsys, ["classify", "chiral:stem:1:1e308:0"])
@@ -345,15 +353,18 @@ def test_chiral_spot_check_names_the_nodes_without_a_finite_sample(capsys):
 
 
 def test_laurent_nan_probe_error_is_reported_as_nan(capsys, monkeypatch):
-    probes, exact = [], cli.reconstruct
+    # all probes are reconstructed in one batch; one NaN column must not be dropped
+    batches, exact = [], cli.reconstruct
 
-    def reconstruct(series, q):
-        probes.append(q)
-        return Quaternion(math.nan) if len(probes) == 3 else exact(series, q)
+    def reconstruct(series, rows):
+        batches.append(rows.shape)
+        values = exact(series, rows)
+        values[0, 2] = math.nan
+        return values
 
     monkeypatch.setattr(cli, "reconstruct", reconstruct)
     rc, doc, _ = run_cli(capsys, ["laurent", "pow:2", "--quad-points", "32"])
-    assert rc == 0 and len(probes) > 3
+    assert rc == 0 and batches == [(4, 24)]
     assert math.isnan(doc["max_reconstruction_error"])
 
 

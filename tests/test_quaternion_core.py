@@ -133,6 +133,24 @@ def test_norm_accessors():
     assert q.norm_sq() == pytest.approx(0.25 + 14.0)
 
 
+def test_a_norm_whose_sum_of_squares_overflows_is_rescaled():
+    # (2e199)^2 overflows; the rescaled sum is 4 exactly
+    assert abs(Quaternion(2e199, 2e199, -2e199, 2e199)) == 4e199
+    assert abs(Quaternion(2e199)) == 2e199
+    assert abs(Quaternion(math.inf, 1.0)) == math.inf
+    assert math.isnan(abs(Quaternion(math.nan, 1e200)))
+
+
+def test_abs_equals_qabs_array_bit_for_bit():
+    # seeded draws at every scale, past the root of the float maximum included
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((4, 400)) * 10.0 ** rng.integers(-300, 307, (4, 400))
+    rows[:, :8] = [[1e154, 2e199, 0.0, -8e307, 8.9e307, 5e-324, 3.0, 1e-160]] * 4
+    want = qabs_array(rows).tolist()
+    assert [abs(Quaternion(*column)) for column in rows.T.tolist()] == want
+    assert all(math.isfinite(n) for n in want)
+
+
 # ---------------------------------------------------------------------------
 # imaginary-direction frame
 

@@ -10,12 +10,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fueterlab import cli
 from fueterlab.cli import _probe_points, main, report_json
 from fueterlab.generators import resolve_function_spec
 from fueterlab.laurent import AnnulusRegion, laurent_coefficients, reconstruct
-from fueterlab.quaternion_core import Quaternion, from_spherical, iota, to_spherical
+from fueterlab.quaternion_core import (DomainError, Quaternion, SphericalPoint, from_spherical,
+                                      iota, to_spherical)
 
 COARSE_GRID = "--grid=-1,1,0.5,1.5,-2.2,2.4,0.5,2.5,3"
 DEFAULT_REGION = AnnulusRegion(0.0, 1.0, 0.2, 0.6)
@@ -75,7 +78,10 @@ AWKWARD_DOCS = {
                "repeats": np.array([[0.0, -0.0, 0.0, -0.0, 5e-324, 0.0],
                                     [np.nan, np.inf, -np.nan, -np.inf, np.inf, np.nan],
                                     [5e-324, -0.0, np.nan, 0.0, -np.inf, 5e-324]]),
-               "float32": np.array([0.1, 0.1, -0.0, 0.0, 3e38, np.nan, 0.1], np.float32)},
+               "float32": np.array([0.1, 0.1, -0.0, 0.0, 3e38, np.nan, 0.1], np.float32),
+               # sub-arrays equal as floats but not as bits, at both levels
+               "signed-zero-rows": np.array([[[0.0, 1.0], [-0.0, 1.0]],
+                                             [[-0.0, 1.0], [0.0, 1.0]]])},
 }
 
 
@@ -95,6 +101,41 @@ def test_writer_matches_json_dumps(name):
     assert report_json(doc) == json.dumps(_tolist(doc), indent=2, sort_keys=True)
     assert report_json({"doc": doc}) == json.dumps({"doc": _tolist(doc)}, indent=2,
                                                      sort_keys=True)
+
+
+# zeros of both signs, NaNs of both signs and with payloads, infinities, the
+# smallest subnormal, and ordinary numbers, each dtype's own bit patterns
+SPECIAL_FLOATS = {
+    np.float64: np.array([0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                          0xFFF0000000000002, 0x7FF0000000000000, 0xFFF0000000000000, 1,
+                          0x3FB999999999999A], np.uint64).view(np.float64),
+    np.float32: np.array([0, 1 << 31, 0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFF800003,
+                          0x7F800000, 0xFF800000, 1, 0x3DCCCCCD], np.uint32).view(np.float32),
+}
+
+
+@st.composite
+def repeating_arrays(draw):
+    """A float64 or float32 array of 1-4 dims, axes of 0-3 entries, with special
+    numbers mixed in and the sub-arrays along some axes copies of the first."""
+    dtype = draw(st.sampled_from(list(SPECIAL_FLOATS)))
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    size = int(np.prod(shape))
+    width = np.dtype(dtype).itemsize * 8
+    a = np.array(draw(st.lists(st.floats(width=width), min_size=size, max_size=size)), dtype)
+    picks = np.array(draw(st.lists(st.integers(-1, 9), min_size=size, max_size=size)), int)
+    a[picks >= 0] = SPECIAL_FLOATS[dtype][picks[picks >= 0]]
+    a = a.reshape(shape)
+    for axis in draw(st.sets(st.integers(0, len(shape) - 1))):
+        a = np.repeat(a.take([0], axis=axis), shape[axis], axis=axis) if shape[axis] else a
+    return a
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(repeating_arrays())
+def test_writer_matches_json_dumps_on_repeating_arrays(a):
+    for doc in ({"a": a}, {"doc": {"in-list": [a, 1.5]}}):
+        assert report_json(doc) == json.dumps(_tolist(doc), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", [np.int64(3), np.float32(1.0), {1: "int key"},
@@ -168,8 +209,23 @@ def _reference_reconstruct(series, p):
 @pytest.mark.parametrize("spec", ["rho", "pow:-1", "pow:3", "mirror:pow:3",
                                   "stem:-2:0.5:0.25,1:-0.75:0.5,3:0.25:-1"])
 def test_reconstruct_matches_the_per_order_formula(spec):
+    # one point gives a Quaternion, rows (4, N) give rows; both have the formula's bits
     series = laurent_coefficients(resolve_function_spec(spec), DEFAULT_REGION)
-    for s in _probe_points(DEFAULT_REGION):
-        q = from_spherical(s)
+    probes = [from_spherical(s) for s in _probe_points(DEFAULT_REGION)]
+    rows = reconstruct(series, np.array([(q.t, q.x, q.y, q.z) for q in probes]).T)
+    assert rows.shape == (4, len(probes))
+    for q, column in zip(probes, rows.T.tolist()):
         got, want = reconstruct(series, q), _reference_reconstruct(series, q)
-        assert (got.t, got.x, got.y, got.z) == (want.t, want.x, want.y, want.z)
+        assert type(got) is Quaternion
+        assert (got.t, got.x, got.y, got.z) == (want.t, want.x, want.y, want.z) == tuple(column)
+
+
+def test_reconstruct_names_the_first_point_outside_the_region():
+    series = laurent_coefficients(resolve_function_spec("pow:2"), DEFAULT_REGION,
+                                  quadrature_points=32)
+    inside = from_spherical(SphericalPoint(0.0, 1.4, 0.1, 1.6))
+    outside = from_spherical(SphericalPoint(0.0, 1.4, 0.7, 1.6))  # alpha past the window
+    rows = np.array([(q.t, q.x, q.y, q.z) for q in (inside, outside, inside)]).T
+    with pytest.raises(DomainError, match=r"point \(t=0\.000, r=1\.400, alpha=0\.700, "
+                                          r"beta=1\.600\) outside the expansion region"):
+        reconstruct(series, rows)
