@@ -273,7 +273,8 @@ class LaurentSeries:
 
 
 def _interpolate(grid: np.ndarray, ia: int, ib: int, weights: Tuple[float, ...]):
-    """ bilinear value in cell (ia, ib) of the last two axes of grid """
+    """ bilinear value in cell (ia, ib) of the last two axes of grid; with index arrays
+    ia, ib and weight rows, the values of every cell, along a last axis """
     w00, w10, w01, w11 = weights
     return (w00 * grid[..., ia, ib] + w10 * grid[..., ia + 1, ib]
             + w01 * grid[..., ia, ib + 1] + w11 * grid[..., ia + 1, ib + 1])
