@@ -56,8 +56,8 @@ import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
 from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, SphericalPoint,
-                              StepError, _quaternion, iota_array, iota_coefficient, qmul_array,
-                              rows_shape, stack_rows)
+                              StepError, _quaternion, iota_array, iota_coefficient, qabs_array,
+                              qmul_array, rows_shape, stack_rows)
 
 SCHEMES = ("central", "richardson")
 
@@ -123,8 +123,8 @@ def stencil(f: QFunction, cfg: DiffConfig, base, rows: slice, sample, label: str
     Returns (derivative rows (n_values, len(rows), *S), spreads (len(rows),
     *S)).  A derivative is the central difference d1 at step h, or under
     Richardson (4 d2 - d1) / 3 with d2 the one at h/2.  The spread is the
-    norm of d2 - d1 over the value rows (for quaternion rows, the Richardson
-    error estimate), zeros under central.
+    norm of d2 - d1 over the value rows (qabs_array, safe from overflow; for
+    quaternion rows, the Richardson error estimate), zeros under central.
     """
     moved = base[rows]  # an array base is checked as one block, a tuple row by row
     require_step_moves((moved,) if isinstance(moved, np.ndarray) else moved, cfg, label)
@@ -152,7 +152,7 @@ def stencil(f: QFunction, cfg: DiffConfig, base, rows: slice, sample, label: str
     d = np.concatenate(d, axis=1)
     if not spread:
         return d, np.zeros(d.shape[1:])
-    return d, np.sqrt(sum(row * row for row in np.concatenate(spread, axis=1)))
+    return d, qabs_array(np.concatenate(spread, axis=1))
 
 
 def uv_rows(values: np.ndarray, chart) -> np.ndarray:

@@ -203,8 +203,9 @@ def rinehart_condition_residual(g: ComplexStem, z):
     """
     at = np.atleast_1d(np.asarray(z, dtype=complex))  # numpy's 0-d complex path has its own floats
     base = (at.real, at.imag, 0.0, 0.0)
-    d = stencil(g, _CONDITION_STEP, base, slice(0, 2), _sample_slice, "slice coordinate")[0][0]
-    resid = np.abs(d[0] + 1j * d[1] - 2.0 * g.eval_array(at).imag / at.imag)
+    with np.errstate(all="ignore"):  # a non-finite sample reads as a NaN residual
+        d = stencil(g, _CONDITION_STEP, base, slice(0, 2), _sample_slice, "slice coordinate")[0][0]
+        resid = np.abs(d[0] + 1j * d[1] - 2.0 * g.eval_array(at).imag / at.imag)
     return float(resid[0]) if np.ndim(z) == 0 else resid.reshape(np.shape(z))
 
 

@@ -315,7 +315,8 @@ def mirrored_center_coefficients(f: QFunction, region: AnnulusRegion,
 
 def reconstruct(series: LaurentSeries, p: Quaternion | np.ndarray) -> Quaternion | np.ndarray:
     """Evaluate the truncated series inside the region: at one Quaternion, which
-    gives a Quaternion, or at quaternion rows (4, N), which give rows (4, N).
+    gives a Quaternion, or at quaternion rows (4, N), which give rows (4, N)
+    (N = 0 included).
 
     Each point's chart coordinates and window cell are found point by point,
     the corners of every order at every point are gathered from the stacked
@@ -325,6 +326,8 @@ def reconstruct(series: LaurentSeries, p: Quaternion | np.ndarray) -> Quaternion
     if isinstance(p, Quaternion):
         return Quaternion(*reconstruct(series, np.array([[p.t], [p.x], [p.y], [p.z]]))[:, 0])
     charts = [to_spherical(Quaternion(*q)) for q in np.transpose(p).tolist()]
+    if not charts:
+        return np.zeros((4, 0))
     for s in charts:
         if not series.region.contains(s.t, s.r, s.alpha, s.beta):
             raise DomainError(

@@ -35,6 +35,7 @@ Points where the scalar form raises come back as NaN columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -237,21 +238,26 @@ def qconj_array(q) -> np.ndarray:
     return np.concatenate((q[:1], -q[1:]))
 
 
+def _sum_of_squares(rows):
+    """ the squares of rows summed first to last, the first square taken as the start """
+    return functools.reduce(np.add, (row * row for row in rows))
+
+
 def qabs_array(q) -> np.ndarray:
-    """Norms of quaternion rows, summed in the order Quaternion.norm uses.
+    """Euclidean norms across the rows of q, any number of them: for
+    quaternion rows, summed in the order Quaternion.norm uses.
 
     Where that sum overflows though every component is finite (a component
     above about 1.3e154), the norm is taken again with the components
     scaled by the largest of them; every other norm keeps its bits.
     """
     with np.errstate(over="ignore"):
-        norm = np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+        norm = np.sqrt(_sum_of_squares(q))
         over = np.isinf(norm)
         if over.any():
             over &= np.isfinite(q).all(axis=0)
             big = np.where(over, np.max(np.abs(q), axis=0), 1.0)
-            scaled = [row / big for row in q]
-            norm = np.where(over, big * np.sqrt(sum(row * row for row in scaled)), norm)
+            norm = np.where(over, big * np.sqrt(_sum_of_squares(row / big for row in q)), norm)
     return norm
 
 

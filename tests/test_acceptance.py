@@ -4,37 +4,32 @@ Every test prints a single ``[PASS]``/``[FAIL]`` line with the measured
 value and the pinned tolerance, so ``pytest tests/test_acceptance.py -s``
 reads as a checklist.  Tolerances here are contractual — do not loosen
 them to make a regression green.
+
+The operator sweeps of criteria 3 to 7 and 10 are one batch call per
+function on every default-grid node (test_one_point_bits and test_open_mesh
+pin one point to its batch column, bit for bit); v is uv_at's formula on
+rows.  Three reads stay on scalar views, as each states an exact identity
+of that view: criterion 5's closed forms of rinehart_L, criterion 7's pow:3
+image delta_p3(q) and criterion 10's involution, which is exactly 0.0
+through the scalar evaluators and rounding noise on array rows.
 """
 
 import math
 import time
 
+import numpy as np
 import pytest
 
 from fueterlab.classify import classify, jacobian_check
-from fueterlab.diffops import (
-    DiffConfig,
-    fueter_left,
-    fueter_right,
-    imaginary_derivative,
-    spherical_cr_residuals,
-)
-from fueterlab.function_model import DEFAULT_GRID, ComplexStem, uv_at
-from fueterlab.generators import (
-    chiral_difference,
-    ci_extend_rinehart,
-    get_witness,
-    mirror,
-    resolve_function_spec,
-    rinehart_L,
-)
-from fueterlab.laurent import (
-    AnnulusRegion,
-    coefficient_class_check,
-    laurent_coefficients,
-    reconstruct,
-)
-from fueterlab.quaternion_core import Quaternion, SphericalPoint, from_spherical, iota
+from fueterlab.diffops import (DiffConfig, fueter_left, fueter_right, imaginary_derivative,
+                               spherical_cr_residuals)
+from fueterlab.function_model import DEFAULT_GRID, ComplexStem, sample_cartesian
+from fueterlab.generators import (chiral_difference, ci_extend_rinehart, get_witness, mirror,
+                                  resolve_function_spec, rinehart_L)
+from fueterlab.laurent import (AnnulusRegion, coefficient_class_check, laurent_coefficients,
+                               reconstruct)
+from fueterlab.quaternion_core import (Quaternion, SphericalPoint, from_spherical,
+                                       from_spherical_array, iota, iota_coefficient, qabs_array)
 from fueterlab.verification import check_operator_equivalence
 
 CFG = DiffConfig()
@@ -74,8 +69,23 @@ def catalog_reports():
     return reports
 
 
+CHART = DEFAULT_GRID.chart_array()
+POINTS = from_spherical_array(CHART)
+
+
 def grid_points():
-    return map(SphericalPoint._make, DEFAULT_GRID.chart_array().T.tolist())
+    return map(SphericalPoint._make, CHART.T.tolist())
+
+
+def worst_norm(values):
+    """ the largest norm among quaternion rows """
+    return float(qabs_array(values).max())
+
+
+def v_rows(f):
+    """ uv_at's v at every grid node: the iota coefficient of f over |Im p| """
+    return iota_coefficient(sample_cartesian(f, POINTS), POINTS) / np.sqrt(
+        iota_coefficient(POINTS, POINTS))
 
 
 def test_c01_operator_equivalence():
@@ -109,13 +119,10 @@ def test_c03_spherical_cr_residuals(catalog_reports):
     for name, rep in catalog_reports.items():
         if rep.class_II.verdict != "pass":
             continue
-        f = get_witness(name).function
-        for s in grid_points():
-            s1, s2 = spherical_cr_residuals(f, s, CFG)
-            worst = max(worst, abs(s1), abs(s2))
+        residuals = spherical_cr_residuals(get_witness(name).function, CHART, CFG)
+        worst = max(worst, float(np.abs(residuals).max()))
     xri = get_witness("x-over-r-iota").function
-    counter = max(max(abs(v) for v in spherical_cr_residuals(xri, s, CFG))
-                  for s in grid_points())
+    counter = float(np.abs(spherical_cr_residuals(xri, CHART, CFG)).max())
     ok = worst < 1e-5 and counter > 1e-2
     report_line(3, f"angular CR residuals (counter-witness {counter:.2e})",
                 ok, worst, 1e-5)
@@ -124,14 +131,11 @@ def test_c03_spherical_cr_residuals(catalog_reports):
 
 
 def test_c04_jacobian_factorization():
-    import numpy as np
     rng = np.random.default_rng(0)
     pow2 = get_witness("pow:2").function
-    worst = 0.0
-    for s in map(SphericalPoint._make, DEFAULT_GRID.random_chart(rng, 100).T.tolist()):
-        res = jacobian_check(pow2, from_spherical(s), CFG)
-        rel = abs(res.det_numeric - res.det_formula) / (1.0 + abs(res.det_formula))
-        worst = max(worst, rel)
+    res = jacobian_check(pow2, from_spherical_array(DEFAULT_GRID.random_chart(rng, 100)), CFG)
+    worst = float((np.abs(res.det_numeric - res.det_formula)
+                   / (1.0 + np.abs(res.det_formula))).max())
     exact = jacobian_check(pow2, Quaternion(1.0, 1.0, 0.0, 0.0), CFG)
     exact_err = abs(exact.det_numeric - 32.0)
     ok = worst < 1e-4 and exact_err < 1e-6
@@ -146,9 +150,7 @@ def test_c05_rinehart_pipeline():
     worst = 0.0
     for n in (1, 2, 3, 4, -1):
         ext = ci_extend_rinehart(rinehart_L(ComplexStem.laurent([(n, 1.0)])))
-        for s in grid_points():
-            q = from_spherical(s)
-            worst = max(worst, abs(fueter_left(ext, q, CFG).value))
+        worst = max(worst, worst_norm(fueter_left(ext, POINTS, CFG).value))
     z2 = rinehart_L(ComplexStem.laurent([(2, 1.0)]))
     z3 = rinehart_L(ComplexStem.laurent([(3, 1.0)]))
     closed = 0.0
@@ -168,10 +170,9 @@ def test_c06_imaginary_derivative(catalog_reports):
         if rep.class_II.verdict != "pass":
             continue
         f = get_witness(name).function
-        for s in grid_points():
-            got = imaginary_derivative(f, s, CFG).value
-            _, v = uv_at(f, from_spherical(s))
-            worst = max(worst, abs(got - Quaternion(2.0 * v)))
+        got = imaginary_derivative(f, CHART, CFG).value
+        got[0] -= 2.0 * v_rows(f)
+        worst = max(worst, worst_norm(got))
     ok = worst < 1e-5
     report_line(6, "imaginary derivative equals 2v on Class II", ok, worst, 1e-5)
     assert ok
@@ -180,10 +181,7 @@ def test_c06_imaginary_derivative(catalog_reports):
 def test_c07_chiral_difference():
     outer = DiffConfig(h=1e-4, scheme="richardson")
     delta_rho = chiral_difference(get_witness("rho").function)
-    worst = 0.0
-    for s in grid_points():
-        q = from_spherical(s)
-        worst = max(worst, abs(fueter_left(delta_rho, q, outer).value))
+    worst = worst_norm(fueter_left(delta_rho, POINTS, outer).value)
     delta_p3 = chiral_difference(get_witness("pow:3").function)
     vanish = max(abs(delta_p3(from_spherical(s))) for s in grid_points())
     ok = worst < 1e-4 and vanish < 1e-8
@@ -253,12 +251,9 @@ def test_c09_laurent_series():
 def test_c10_mirror_operator():
     rho = get_witness("rho").function
     mrho = mirror(rho)
-    right_worst = 0.0
-    for s in grid_points():
-        q = from_spherical(s)
-        _, v = uv_at(mrho, q)
-        got = fueter_right(mrho, q, CFG).value
-        right_worst = max(right_worst, abs(got + Quaternion(2.0 * v / s.r)))
+    got = fueter_right(mrho, POINTS, CFG).value
+    got[0] += 2.0 * v_rows(mrho) / CHART[1]
+    right_worst = worst_norm(got)
     invol = 0.0
     for name in ("rho", "pow:3"):
         f = get_witness(name).function

@@ -342,6 +342,29 @@ def test_laurent_probe_errors_past_the_root_of_the_float_maximum_stay_finite(cap
     assert 0.0 < doc["max_reconstruction_error"] < 1e-13 * 1e200
 
 
+@pytest.mark.parametrize("argv", (
+    ["classify", "L:2:1e300:0,7:2:-1,-1:1e154:1e308", "--grid=-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,3"],
+    ["laurent", "L:2:1e-12:1e-300,-4:1e200:1,-1:-1e308:1", "--scheme", "richardson",
+     "--quad-points", "32"],
+))
+def test_non_finite_extension_condition_prints_only_its_error_line(capsys, argv):
+    # the stem's samples overflow next to the first node, so the differences of the
+    # slice extension condition are not finite there; no warning precedes the error
+    rc, doc, err = run_strict(capsys, argv)
+    assert rc == 2 and doc is None
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "no finite slice extension condition residual at (-1+0.5j)" in err
+
+
+def test_richardson_spread_past_the_root_of_the_float_maximum_stays_quiet(capsys):
+    # the h vs h/2 spreads of 1e200 z^3 rho square past the float maximum; the
+    # verdicts themselves are not pinned here
+    rc, doc, err = run_strict(capsys, ["laurent", "product:stem:3:1e200:0*rho",
+                                       "--scheme", "richardson", "--check-class"])
+    assert rc in (0, 1) and err == ""
+    assert doc["class_check"]
+
+
 def test_chiral_spot_check_names_the_nodes_without_a_finite_sample(capsys):
     # the samples are finite, but at every node some residual overflows
     rc, doc, err = run_strict(capsys, ["classify", "chiral:stem:1:1e308:0"])

@@ -361,6 +361,20 @@ def test_richardson_operator_carries_error_estimate():
     assert central.estimated_error == 0.0
 
 
+@pytest.mark.parametrize("name", ["identity", "rho", "varrho", "sigma", "pow:3"])
+def test_fueter_spherical_estimate_weights_the_angular_one_by_one_over_r(name):
+    # fueter_spherical = class1_residual - imaginary_derivative / r: its Richardson
+    # estimate is theirs, the angular one scaled by |-1 / r|
+    cfg = DiffConfig(scheme="richardson")
+    f, s = get_witness(name).function, SphericalPoint(0.3, 0.9, 0.7, 1.1)
+    want = (class1_residual(f, s, cfg).estimated_error
+            + imaginary_derivative(f, s, cfg).estimated_error / s.r)
+    got = fueter_spherical(f, s, cfg).estimated_error
+    assert got > 0.0 and got == pytest.approx(want, rel=1e-12)
+    if name == "rho":
+        assert got == want
+
+
 def test_central_convergence_is_second_order():
     # halving h divides the truncation error by ~4 on a cubic
     s = SphericalPoint(0.37, 0.94, 0.61, 1.18)

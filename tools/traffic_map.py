@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/traffic_map.py            # the bench workloads only
-    python3 tools/traffic_map.py --tests    # and the tier-1 suite (about 90 s)
+    python3 tools/traffic_map.py --tests    # and the tier-1 suite (about 35 s)
 
 Each trace runs in a child process of its own, under sys.settrace from
 before fueterlab is imported, so module-level lines count too:
