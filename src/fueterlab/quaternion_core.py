@@ -35,7 +35,6 @@ Points where the scalar form raises come back as NaN columns.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -240,7 +239,8 @@ def qconj_array(q) -> np.ndarray:
 
 def _sum_of_squares(rows):
     """ the squares of rows summed first to last, the first square taken as the start """
-    return functools.reduce(np.add, (row * row for row in rows))
+    first, *rest = rows
+    return sum((row * row for row in rest), first * first)
 
 
 def qabs_array(q) -> np.ndarray:
