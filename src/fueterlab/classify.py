@@ -107,6 +107,7 @@ def _stats(residuals: np.ndarray, tolerances: np.ndarray, singular: bool,
         hard = bool(np.all(residuals <= HARD_FAIL_FACTOR * tolerances))
         largest, mean = np.max(residuals), np.mean(residuals)
     if np.isinf(mean):
+        # qabs_array rescales squares per column; a mean sums one array, so its largest is the scale
         mean = largest * np.mean(residuals / largest)
     passed = below >= PASS_FRACTION * residuals.size and hard
     verdict = "singular" if singular else pass_word if passed else fail_word

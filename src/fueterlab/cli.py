@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -195,12 +196,13 @@ def cmd_verify_props(args) -> int:
     return 0 if all_passed else 1
 
 
-def _probe_points(region: AnnulusRegion, n: int = 24) -> list:
-    """Deterministic probe points spread through the region interior.
+def _probe_points(region: AnnulusRegion) -> list:
+    """24 deterministic probe points spread through the region interior.
 
     Every fraction is taken at k + 0.5, so no probe sits on the window
     boundary, where the chart round trip in reconstruct could move it out.
     """
+    n = 24
     a0, a1 = region.alpha_window
     b0, b1 = region.beta_window
     points = []
@@ -288,6 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_lau.add_argument("--check-class", action="store_true",
                        help="also test each coefficient field for Class II")
     p_lau.set_defaults(func=cmd_laurent)
+    # a word starting with '-' and a digit, or '-.' and a digit, is a value: argparse alone
+    # reads '--tol-rel -1e-7' or '--n-range -2,2' as a flag missing its argument
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -18,12 +18,6 @@ slices are sampled together in the chart, as the open mesh of the ring's
 function's (u, v) view when it has one; otherwise it samples quaternion
 values (through the array evaluator when there is one) and projects them
 on the slice's iota, checking that they stay in the slice plane.
-
-The slice plane is treated with a signed radius: z with Im z < 0 addresses
-the quaternion t + (Im z) iota, i.e. the antipodal half of the same plane,
-which the chart reaches as t + |Im z| iota at the antipodal angles.  That
-makes expansions about the mirrored center c1 - i c2 available, which is
-how the coefficient symmetry of the mirror involution is verified.
 """
 
 from __future__ import annotations
@@ -38,8 +32,8 @@ import numpy as np
 from .diffops import DiffConfig, sphere_cr, stencil
 from .function_model import (CALL_POINTS, FunctionKindError, QFunction, check_beta_window,
                              sample_chart)
-from .quaternion_core import (DomainError, Quaternion, antipodal_angles, iota, iota_array,
-                              iota_coefficient, qabs_array, to_spherical)
+from .quaternion_core import (DomainError, Quaternion, iota, iota_array, iota_coefficient,
+                              qabs_array, to_spherical)
 
 MIN_QUADRATURE_POINTS = 16
 ALIGNMENT_TOL = 1e-6
@@ -120,39 +114,32 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     """Laurent coefficients of f on the slices through iota(alphas[m], betas[m])
     by FFT contour quadrature, as {n: (M,) complex array}.
 
-    The contour points t + (Im z) iota are sampled in the chart, as an open
-    mesh: the ring's rows (Re z, |Im z|), each of shape (1, Q), and the
-    slice angles, each (M, 1), so an evaluator maps each slice's angles once
-    and each ring point once per batch.  About a center below the real axis
-    every ring point has Im z < 0, and the signed radius is realized as the
-    antipodal angles of each slice: t + (Im z) iota(alpha, beta) is
-    t + |Im z| iota(antipode).  The value is read against the iota of the
-    slice itself either way.
+    Every ring lies above the real axis, so its points t + (Im z) iota are
+    the chart's rows (Re z, Im z), each of shape (1, Q), on the slice angles,
+    each (M, 1): an open mesh, so an evaluator maps each slice's angles once
+    and each ring point once per batch.
 
     The slices go in batches of whole contours.  With a (u, v) view the
-    samples are u + i v, conjugated about a center below the real axis
-    (where the slice's own iota is minus the sampled one).  A view without
-    a slice axis, a sweep's, is sampled in one batch: when the samples of a
-    batch of several slices have shape (1, Q), their one FFT serves every
-    slice left.
+    samples are u + i v.  A view without a slice axis, a sweep's, is sampled
+    in one batch: when the samples of a batch of several slices have shape
+    (1, Q), their one FFT serves every slice left.
     Without the view they are quaternion rows, from the array evaluator or
     point by point through at_spherical, projected on the slice's iota.  A
     sample that is not finite, or (without the view) whose value leaves the
-    slice plane, raises DomainError naming the slice's own angles; samples
-    whose quadrature overflows to a coefficient that is not finite raise
+    slice plane, raises DomainError naming the slice; samples whose
+    quadrature overflows to a coefficient that is not finite raise
     OverflowError naming the slice.
     """
-    if abs(center.imag) <= radius:
-        raise DomainError("contour crosses the real axis")
+    if center.imag - radius <= 0.0:
+        raise DomainError("contour leaves the upper half plane")
     npts = quadrature_points
     orders = range(n_range[0], n_range[1] + 1)
     columns = [n % npts for n in orders]
     scale = np.array([npts * radius ** n for n in orders])
     thetas = 2.0 * math.pi * np.arange(npts) / npts
     ring = center + radius * (np.cos(thetas) + 1j * np.sin(thetas))
-    t, r = ring.real[None, :], np.abs(ring.imag)[None, :]
+    t, r = ring.real[None, :], ring.imag[None, :]
     alphas, betas = alphas[:, None], betas[:, None]
-    at_alpha, at_beta = antipodal_angles(alphas, betas) if center.imag < 0.0 else (alphas, betas)
     view = f.uv_array
     if view is None:
         io = iota_array((0.0, 1.0, alphas, betas))  # (4, M, 1)
@@ -160,14 +147,13 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     modes = []
     for start in range(0, len(alphas), per_call):
         part = slice(start, start + per_call)
-        rows = (t, r, at_alpha[part], at_beta[part])
+        rows = (t, r, alphas[part], betas[part])
         with np.errstate(all="ignore"):
             if view is not None:
-                # u + i v, conjugated at the antipodal angles
                 u, v = view(rows)
                 samples = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v), (1, npts)),
                                    complex)
-                samples.real, samples.imag = u, (-v if center.imag < 0.0 else v)
+                samples.real, samples.imag = u, v
                 finite = np.isfinite(samples)
                 bad = ~finite
             else:
@@ -280,37 +266,19 @@ def _interpolate(grid: np.ndarray, ia: int, ib: int, weights: Tuple[float, ...])
             + w01 * grid[..., ia, ib + 1] + w11 * grid[..., ia + 1, ib + 1])
 
 
-def _window_grids(f: QFunction, region: AnnulusRegion, center: complex,
-                  n_range: Tuple[int, int], quadrature_points: int) -> Dict[int, np.ndarray]:
-    """ (n_alpha, n_beta) coefficient grids of f about center on every window slice """
-    if not f.is_ce:
-        raise FunctionKindError(f"{f.name}: Laurent expansion needs a CE/CI function")
-    _validate_orders(n_range, quadrature_points)
-    coeffs = _ring_coefficients(f, *region.window_angles(), center,
-                                region.mid_radius, n_range, quadrature_points)
-    return {n: c.reshape(region.n_alpha, region.n_beta) for n, c in coeffs.items()}
-
-
 def laurent_coefficients(f: QFunction, region: AnnulusRegion,
                          n_range: Tuple[int, int] = (-8, 8),
                          quadrature_points: int = 128) -> LaurentSeries:
     """Expand f on every window slice of the region."""
-    grids = _window_grids(f, region, region.center, n_range, quadrature_points)
+    if not f.is_ce:
+        raise FunctionKindError(f"{f.name}: Laurent expansion needs a CE/CI function")
+    _validate_orders(n_range, quadrature_points)
+    coeffs = _ring_coefficients(f, *region.window_angles(), region.center,
+                                region.mid_radius, n_range, quadrature_points)
+    grids = {n: c.reshape(region.n_alpha, region.n_beta) for n, c in coeffs.items()}
     return LaurentSeries(function=f.name, region=region, n_range=n_range,
                          quadrature_points=quadrature_points, coefficients=grids,
                          source=f)
-
-
-def mirrored_center_coefficients(f: QFunction, region: AnnulusRegion,
-                                 n_range: Tuple[int, int] = (-8, 8),
-                                 quadrature_points: int = 128) -> Dict[int, np.ndarray]:
-    """Coefficient grids of f about the mirrored center c1 - i c2.
-
-    The contour then runs on the antipodal side of each window slice; the
-    mirror involution sends the ordinary expansion of f to the conjugate of
-    this one.
-    """
-    return _window_grids(f, region, region.center.conjugate(), n_range, quadrature_points)
 
 
 def reconstruct(series: LaurentSeries, p: Quaternion | np.ndarray) -> Quaternion | np.ndarray:
@@ -358,8 +326,11 @@ def coefficient_class_check(series: LaurentSeries,
     base (0, 0, alphas, betas); the stencil shifts re-run the contour
     quadrature, all shifted windows in one batch with the orders as complex
     value rows, so the window grid spacing does not limit the accuracy.  The
-    tolerance scale of order n is max |a_n| over the series' window nodes.
-    The residuals and both maxima of all orders are reduced in one pass.
+    tolerance scale of order n is S / rho^n, with rho the mid radius and S
+    the largest max |a_m| rho^m over the orders m and the window nodes: a
+    lower bound on M in Cauchy's estimate |a_n| <= M / rho^n, which also
+    bounds the rounding of the quadrature, so the verdicts do not move when
+    f is scaled.  The residuals of all orders are reduced in one pass.
     Returns per-order statistics and verdicts.  A step h that some window
     angle rounds away raises StepError (a ValueError).
     """
@@ -382,7 +353,11 @@ def coefficient_class_check(series: LaurentSeries,
     d = stencil(series.source, cfg, (0.0, 0.0, alphas, betas), slice(2, 4), sample,
                 "window angle")[0].swapaxes(0, 1)  # (alpha or beta, orders, window nodes)
     worst = np.max(np.abs(sphere_cr(d.real, d.imag, np.sin(betas))), axis=(0, 2))
-    passed = worst <= cfg.point_tolerance(np.max(np.abs(series._stacked), axis=(1, 2)))
     orders = range(series.n_range[0], series.n_range[1] + 1)
+    powers = region.mid_radius ** np.array(orders, dtype=float)
+    # a scale past the float range is held at its maximum, so tol_rel = 0 still gives tol_abs
+    with np.errstate(over="ignore"):
+        scale = np.max(np.max(np.abs(series._stacked), axis=(1, 2)) * powers) / powers
+        passed = worst <= cfg.point_tolerance(np.minimum(scale, np.finfo(float).max))
     return {n: {"max_residual": w, "verdict": "pass" if ok else "fail"}
             for n, w, ok in zip(orders, worst.tolist(), passed.tolist())}

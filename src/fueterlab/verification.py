@@ -26,8 +26,7 @@ from .function_model import (ComplexStem, DEFAULT_GRID, QFunction, SampleGrid, _
                              power_function, sample_cartesian, sample_chart)
 from .generators import (chiral_difference, get_witness, mirror, rinehart_L,
                          rinehart_condition_residual, ci_extend_rinehart)
-from .laurent import (AnnulusRegion, coefficient_class_check,
-                      laurent_coefficients, mirrored_center_coefficients)
+from .laurent import AnnulusRegion, coefficient_class_check, laurent_coefficients
 from .quaternion_core import (Quaternion, SphericalPoint, from_spherical,
                               from_spherical_array, qabs_array, qconj_array)
 
@@ -122,11 +121,10 @@ def _right_class2_residual(f: QFunction, chart: np.ndarray, cfg: DiffConfig) -> 
     return _worst(got)
 
 
-def check_operator_equivalence(seed: int = 0, cfg: DiffConfig = DiffConfig(),
-                               n_functions: int = 20, n_points: int = 200,
-                               tol: float = 1e-6) -> CheckResult:
+def check_operator_equivalence(seed: int = 0, cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """Cartesian and chart assemblies of the left operator agree on random
     smooth (non-CE) polynomials."""
+    n_functions, n_points, tol = 20, 200, 1e-6
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_functions):
@@ -331,7 +329,8 @@ def check_coefficient_classhood(cfg: DiffConfig = DiffConfig()) -> CheckResult:
 
 def check_mirror(seed: int = 0, cfg: DiffConfig = DiffConfig()) -> CheckResult:
     """The mirror is an involution, sends left-Class II to right-Class II,
-    and conjugates series coefficients about the mirrored center."""
+    and gives each slice (alpha, beta) the series coefficients of its input on
+    the antipodal slice (alpha - pi, pi - beta)."""
     tol = 1e-5
     rng = np.random.default_rng(seed)
     chart = DEFAULT_GRID.random_chart(rng, 80)
@@ -347,19 +346,18 @@ def check_mirror(seed: int = 0, cfg: DiffConfig = DiffConfig()) -> CheckResult:
     mrho = mirror(rho)
     right = _right_class2_residual(mrho, chart, cfg)
 
-    region = AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=3, n_beta=3)
-    series = laurent_coefficients(rho, region, n_range=(-2, 2), quadrature_points=64)
-    mirrored = mirrored_center_coefficients(mrho, region, n_range=(-2, 2),
-                                            quadrature_points=64)
-    series_dev = 0.0
-    for n, grid_vals in mirrored.items():
-        series_dev = max(series_dev,
-                         float(np.max(np.abs(grid_vals - np.conj(series.coefficients[n])))))
+    def expand(f, alpha_window):
+        region = AnnulusRegion(0.0, 1.0, 0.2, 0.6, alpha_window, n_alpha=3, n_beta=3)
+        return laurent_coefficients(f, region, n_range=(-2, 2), quadrature_points=64).coefficients
+
+    # windows clear of alpha = 0 and +-pi; pi - beta reverses the beta window
+    series, antipodal = expand(mrho, (0.1, 0.5)), expand(rho, (0.1 - math.pi, 0.5 - math.pi))
+    series_dev = max(float(np.max(np.abs(series[n] - antipodal[n][:, ::-1]))) for n in series)
 
     passed = invol <= 1e-12 and right <= tol and series_dev <= 1e-8
     return CheckResult("mirror-involution", passed, max(invol, right, series_dev), tol,
                        f"involution {invol:.1e}; right-handed residual {right:.2e}; "
-                       f"mirrored-center series deviation {series_dev:.2e}")
+                       f"antipodal-slice series deviation {series_dev:.2e}")
 
 
 def check_chirality_pairing(cfg: DiffConfig = DiffConfig()) -> CheckResult:

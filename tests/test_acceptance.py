@@ -97,8 +97,7 @@ def v_rows(f):
 
 def test_c01_operator_equivalence():
     t0 = time.time()
-    res = check_operator_equivalence(seed=0, cfg=CFG, n_functions=20,
-                                     n_points=200, tol=1e-6)
+    res = check_operator_equivalence(seed=0, cfg=CFG)
     elapsed = time.time() - t0
     report_line(1, f"spherical vs flat operator ({elapsed:.1f}s)",
                 res.passed and elapsed < 10.0, res.max_residual, 1e-6)

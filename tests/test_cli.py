@@ -1,9 +1,8 @@
 """Command-line interface tests.
 
 Most cases drive ``fueterlab.cli.main`` in-process; one subprocess smoke
-test covers the installed entry point.  Values with a leading minus sign
-must use the ``--flag=value`` form, which is what these tests (and the
-README examples) do.
+test covers the installed entry point.  A value with a leading minus sign
+may follow its flag as the next word or in the ``--flag=value`` form.
 """
 
 import json
@@ -342,6 +341,16 @@ def test_laurent_probe_errors_past_the_root_of_the_float_maximum_stay_finite(cap
     assert 0.0 < doc["max_reconstruction_error"] < 1e-13 * 1e200
 
 
+@pytest.mark.parametrize("tol_rel", [[], ["--tol-rel", "0"]], ids=["default", "0"])
+def test_a_class_check_scale_past_the_float_maximum_stays_quiet(capsys, tol_rel):
+    # the scale S / rho^n of the constant 1e300 about a ring of radius 0.015 overflows
+    # from order 5 on; it is held at the float maximum, so tol_rel = 0 leaves tol_abs
+    rc, doc, err = run_strict(capsys, ["laurent", "stem:0:1e300:0", "--radii", "0.01,0.02",
+                                       "--n-range", "-40,40", "--check-class", *tol_rel])
+    assert rc == 0 and err == ""
+    assert [v["verdict"] for v in doc["class_check"].values()] == ["pass"] * 81
+
+
 @pytest.mark.parametrize("argv", (
     ["classify", "L:2:1e300:0,7:2:-1,-1:1e154:1e308", "--grid=-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,3"],
     ["laurent", "L:2:1e-12:1e-300,-4:1e200:1,-1:-1e308:1", "--scheme", "richardson",
@@ -358,11 +367,29 @@ def test_non_finite_extension_condition_prints_only_its_error_line(capsys, argv)
 
 def test_richardson_spread_past_the_root_of_the_float_maximum_stays_quiet(capsys):
     # the h vs h/2 spreads of 1e200 z^3 rho square past the float maximum; the
-    # verdicts themselves are not pinned here
+    # class check's scale grows with f, so every order passes as for z^3 rho
     rc, doc, err = run_strict(capsys, ["laurent", "product:stem:3:1e200:0*rho",
                                        "--scheme", "richardson", "--check-class"])
-    assert rc in (0, 1) and err == ""
-    assert doc["class_check"]
+    assert rc == 0 and err == ""
+    assert [v["verdict"] for v in doc["class_check"].values()] == ["pass"] * 17
+
+
+@pytest.mark.parametrize("argv", (
+    ["classify", "rho", "--tol-rel", "-1e-7"],
+    ["laurent", "rho", "--n-range", "-2,2"],
+    ["classify", "rho", "--grid", "-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,3"],
+))
+def test_a_negative_value_after_a_flag_is_that_flags_value(capsys, argv):
+    # argparse alone reads -1e-7 or -2,2 as a flag, and the flag before it as
+    # missing its argument
+    *head, flag, value = argv
+    spaced = run_strict(capsys, argv)
+    joined = run_strict(capsys, head + [f"{flag}={value}"])
+    for rc, doc, err in (spaced, joined):
+        if doc is not None:
+            doc.pop("timestamp")
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
 
 
 def test_chiral_spot_check_names_the_nodes_without_a_finite_sample(capsys):

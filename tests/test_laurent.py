@@ -19,7 +19,6 @@ from fueterlab.laurent import (
     _ring_coefficients,
     coefficient_class_check,
     laurent_coefficients,
-    mirrored_center_coefficients,
     reconstruct,
 )
 from fueterlab.verification import conjugate_function
@@ -151,6 +150,10 @@ def test_slice_extraction_validates_contour():
     with pytest.raises(DomainError):
         # circle of radius 1.2 about Im = 1 dips below the real axis
         _ring_coefficients(f, np.array([0.0]), np.array([math.pi / 2]), 1.0j, 1.2,
+                           (-1, 1), 64)
+    with pytest.raises(DomainError):
+        # every ring lies above the real axis; one about a center below it is refused
+        _ring_coefficients(f, np.array([0.0]), np.array([math.pi / 2]), -1.0j, 0.5,
                            (-1, 1), 64)
     raw = QFunction("swap", lambda p: Quaternion(p.x, p.t, 0.0, 0.0))
     with pytest.raises(FunctionKindError):
@@ -303,8 +306,12 @@ def test_classhood_requires_source():
 
 
 def _reference_class_check(series, cfg):
-    """Per-order stencils, residuals, maxima and verdicts, written out in full."""
+    """Per-order stencils, residuals, scales and verdicts, written out in full:
+    order n is judged against tol_abs + tol_rel S / rho^n, with S the largest
+    max |a_m| rho^m over the orders m."""
     region, h = series.region, cfg.h
+    rho = region.mid_radius
+    peak = max(float(np.max(np.abs(grid))) * rho ** m for m, grid in series.coefficients.items())
     offsets = [h, -h] if cfg.scheme == "central" else [h, -h, h / 2.0, -h / 2.0]
     alphas, betas = region.window_angles()
     shift = np.repeat(offsets, alphas.size)
@@ -323,7 +330,7 @@ def _reference_class_check(series, cfg):
             derivatives.append(d)
         da, db = derivatives
         worst = float(np.max(np.abs((da.imag / sb + db.real, da.real / sb - db.imag))))
-        scale = float(np.max(np.abs(series.coefficients[n])))
+        scale = peak / rho ** n
         out[n] = {"max_residual": worst,
                   "verdict": "pass" if worst <= cfg.tol_abs + cfg.tol_rel * scale else "fail"}
     return out
@@ -351,19 +358,44 @@ def test_classhood_flags_non_class_ii_sources():
     assert out[0]["max_residual"] > 1e-2
 
 
+SCALED_PAIRS = [("product:stem:3:{C}:0*rho", "product:pow:3*rho"),
+                ("product:stem:0:{C}:0*rho", "rho"),
+                ("stem:-1:{C}:0", "pow:-1")]
+
+
+def _class_verdicts(spec, scheme):
+    series = laurent_coefficients(resolve_function_spec(spec), AnnulusRegion(0.0, 1.0, 0.2, 0.6))
+    return {n: v["verdict"] for n, v in
+            coefficient_class_check(series, DiffConfig(scheme=scheme)).items()}
+
+
+@pytest.mark.parametrize("scheme", ["central", "richardson"])
+@pytest.mark.parametrize("scaled, plain", SCALED_PAIRS, ids=[p for _, p in SCALED_PAIRS])
+def test_class_check_verdicts_do_not_move_when_f_is_scaled(scaled, plain, scheme):
+    # C f is in the class of f; each order's scale grows with C, and so does its rounding
+    want = _class_verdicts(plain, scheme)
+    for factor in ("1e3", "1e8", "1e100"):
+        assert _class_verdicts(scaled.format(C=factor), scheme) == want, factor
+
+
 # ---------------------------------------------------------------------------
-# mirrored-center quadrature
+# the mirror on the slices
 
 
-def test_mirror_conjugates_coefficients_about_mirrored_center():
-    rho = get_witness("rho").function
-    series = laurent_coefficients(rho, REGION, n_range=(-2, 2),
-                                  quadrature_points=64)
-    mirrored = mirrored_center_coefficients(mirror(rho), REGION,
-                                            n_range=(-2, 2),
-                                            quadrature_points=64)
-    for n, grid_vals in mirrored.items():
-        dev = np.max(np.abs(grid_vals - np.conj(series.coefficients[n])))
+@pytest.mark.parametrize("spec", ["rho", "L:-1:0.5:0,2:1:0.25"])
+def test_mirror_takes_the_series_of_the_antipodal_slice(spec):
+    # mirror(f) on the slice (alpha, beta) is f on (alpha - pi, pi - beta); the beta
+    # window is symmetric about pi / 2, so pi - beta reverses it
+    f = resolve_function_spec(spec)
+
+    def expand(g, alpha_window):
+        region = AnnulusRegion(0.0, 1.0, 0.2, 0.6, alpha_window, n_alpha=3, n_beta=3)
+        return laurent_coefficients(g, region, n_range=(-2, 2), quadrature_points=64).coefficients
+
+    mirrored = expand(mirror(f), (0.1, 0.5))
+    antipodal = expand(f, (0.1 - math.pi, 0.5 - math.pi))
+    for n, grid in mirrored.items():
+        dev = np.max(np.abs(grid - antipodal[n][:, ::-1]))
         assert dev < 1e-8, n
 
 
@@ -391,24 +423,10 @@ def _assert_verdicts_agree(batched, pointwise):
             {n: v["verdict"] for n, v in want.items()}
 
 
-@pytest.mark.parametrize("spec", ["rho", "pow:3", "stem:-1:0.5:-0.25,2:1:0.75"])
+@pytest.mark.parametrize("spec", ["rho", "pow:3", "stem:-1:0.5:-0.25,2:1:0.75", "mirror:rho"])
 def test_array_and_scalar_paths_agree(spec):
     f = resolve_function_spec(spec)
     assert f.array_evaluator is not None
-    batched = laurent_coefficients(f, REGION, n_range=(-4, 4), quadrature_points=64)
-    pointwise = laurent_coefficients(_scalar_only(f), REGION, n_range=(-4, 4),
-                                     quadrature_points=64)
-    _assert_grids_agree(batched.coefficients, pointwise.coefficients)
-    _assert_verdicts_agree(batched, pointwise)
-
-
-def test_array_and_scalar_paths_agree_about_mirrored_center():
-    f = mirror(get_witness("rho").function)
-    assert f.array_evaluator is not None
-    _assert_grids_agree(
-        mirrored_center_coefficients(f, REGION, n_range=(-4, 4), quadrature_points=64),
-        mirrored_center_coefficients(_scalar_only(f), REGION, n_range=(-4, 4),
-                                     quadrature_points=64))
     batched = laurent_coefficients(f, REGION, n_range=(-4, 4), quadrature_points=64)
     pointwise = laurent_coefficients(_scalar_only(f), REGION, n_range=(-4, 4),
                                      quadrature_points=64)
@@ -456,24 +474,13 @@ def test_chart_contours_match_the_cartesian_construction(spec, path, monkeypatch
         verdicts = {scheme: {n: v["verdict"] for n, v in
                              coefficient_class_check(series, DiffConfig(scheme=scheme)).items()}
                     for scheme in ("central", "richardson")}
-        return series.coefficients, mirrored_center_coefficients(f, REGION), verdicts
+        return series.coefficients, verdicts
 
     chart = expand()
     monkeypatch.setattr(laurent, "_ring_coefficients", _cartesian_ring_coefficients)
     cartesian = expand()
     _assert_grids_agree(chart[0], cartesian[0])
-    _assert_grids_agree(chart[1], cartesian[1])
-    assert chart[2] == cartesian[2]
-
-
-def test_mirrored_center_errors_name_the_window_angles():
-    # sampled at the antipodal angles (0.1 - pi, pi - 1.2), reported at the slice's own
-    f = from_uv(lambda s: 1 / 0 if s.t > 0.3 else 0.0, lambda s: 1.0, name="holey")
-    region = AnnulusRegion(0.0, 1.0, 0.2, 0.6, alpha_window=(0.1, 0.3),
-                           beta_window=(1.2, 1.4), n_alpha=2, n_beta=2)
-    with pytest.raises(DomainError, match=r"holey: no finite value at z=0\.\d+-\d\.\d+j "
-                                          r"on the slice \(alpha, beta\) = \(0\.1000, 1\.2000\)$"):
-        mirrored_center_coefficients(f, region, n_range=(-2, 2), quadrature_points=32)
+    assert chart[1] == cartesian[1]
 
 
 def test_rho_slices_are_exact_constants_on_the_default_window():
@@ -504,9 +511,6 @@ def test_a_scalar_stem_is_called_once_per_ring_point():
     # of 128 points serves all 81 window slices
     series = laurent_coefficients(f, region)
     assert len(calls) == 128
-    calls.clear()
-    mirrored_center_coefficients(f, region)
-    assert len(calls) == 128
     # and all 4 * 81 shifted slices of the central class check
     calls.clear()
     coefficient_class_check(series)
@@ -527,9 +531,6 @@ def test_a_view_with_a_slice_axis_is_called_once_per_batch():
     # the 81 window slices go in batches of 32, 32 and 17 contours of 128 points
     series = laurent_coefficients(f, region)
     assert calls == [(32, 128), (32, 128), (17, 128)]
-    calls.clear()
-    mirrored_center_coefficients(f, region)
-    assert len(calls) == 3
     # the 4 * 81 shifted slices of the central class check, in 11 batches
     calls.clear()
     coefficient_class_check(series)
@@ -563,7 +564,6 @@ def _uv_functions():
 
 
 UV_FUNCTIONS = _uv_functions()
-# about 0 + 1i (above the real axis) and its mirror 0 - 1i (below it)
 UV_REGION = AnnulusRegion(0.0, 1.0, 0.2, 0.4, n_alpha=3, n_beta=2)
 
 
@@ -584,17 +584,12 @@ def test_the_uv_view_is_the_projection_of_the_array_view(name):
 
 @pytest.mark.parametrize("name", UV_FUNCTIONS)
 def test_the_uv_quadrature_matches_the_projected_one(name):
-    # about the center above the real axis and the mirrored one below it
     f = UV_FUNCTIONS[name]
     projected = dataclasses.replace(f, uv_array=None)
     got = laurent_coefficients(f, UV_REGION, n_range=(-3, 3), quadrature_points=32)
     want = laurent_coefficients(projected, UV_REGION, n_range=(-3, 3), quadrature_points=32)
-    got_below = mirrored_center_coefficients(f, UV_REGION, n_range=(-3, 3), quadrature_points=32)
-    want_below = mirrored_center_coefficients(projected, UV_REGION, n_range=(-3, 3),
-                                              quadrature_points=32)
     for n in range(-3, 4):
         assert _relative_gap(got.coefficients[n], want.coefficients[n]) <= 1e-12, n
-        assert _relative_gap(got_below[n], want_below[n]) <= 1e-12, n
 
 
 def test_a_raw_function_has_no_uv_view():

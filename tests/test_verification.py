@@ -77,7 +77,7 @@ def test_convergence_order_check_passes():
 
 
 def test_operator_equivalence_small_sample():
-    # trimmed-down version of the acceptance sweep
-    res = check_operator_equivalence(n_functions=3, n_points=40)
-    assert res.passed
-    assert res.max_residual < 1e-6
+    # the sample sizes and the tolerance are fixed; this is the sweep on another seed
+    res = check_operator_equivalence(seed=3)
+    assert res.passed and res.tolerance == 1e-6
+    assert res.detail == "20 random polynomials x 200 points"
