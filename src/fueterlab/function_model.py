@@ -58,11 +58,12 @@ trig and the u + iota v assembly run on arrays:
 
 Only a QFunction built directly from an evaluator (or a composite of one)
 has none; sample_chart/sample_cartesian then materialize the rows and fill
-the same arrays from its scalar views, one point at a time,
-appending each value's components to four lists: for chart rows (the
-Laurent contours are chart rows too) the view at_spherical would call, and
-evaluator for Cartesian ones.  No user callable is ever called with an
-array.
+the same arrays from its evaluator, one point at a time, appending each
+value's components to four lists.  Chart rows (the Laurent contours are
+chart rows too) are first mapped to quaternion rows by from_spherical_rows,
+whose floats are from_spherical's.  A spherical view of such a function is
+read only through at_spherical; it must agree with the evaluator through
+the chart.  No user callable is ever called with an array.
 
 These per-point fills read the points from the four flat row lists of
 rows.tolist(), building each point's SphericalPoint or Quaternion as the
@@ -98,6 +99,7 @@ from .quaternion_core import (
     _quaternion,
     from_spherical,
     from_spherical_array,
+    from_spherical_rows,
     iota,
     iota_coefficient,
     qmul_array,
@@ -194,8 +196,10 @@ class SampleGrid:
     def __post_init__(self):
         for rng, label in ((self.t_range, "t"), (self.r_range, "r"),
                            (self.alpha_range, "alpha"), (self.beta_range, "beta")):
-            if len(rng) != 2 or not -math.inf < rng[0] <= rng[1] < math.inf:
-                raise ValueError(f"bad {label} range {rng!r}")
+            # a finite width also keeps both ends finite
+            if len(rng) != 2 or not 0.0 <= rng[1] - rng[0] < math.inf:
+                raise ValueError(f"bad {label} range {rng!r}: "
+                                 "need lo <= hi and a finite width hi - lo")
         n = self.n_per_axis
         if not isinstance(n, numbers.Integral):
             raise ValueError(f"n_per_axis must be an integer, got {n!r}")
@@ -299,15 +303,32 @@ def _fill_complex(name: str, evaluate, args: list) -> np.ndarray:
     return _number_array((out,), complex, name, ("the stem",), args.__getitem__)[0]
 
 
-def _fill_quaternions(name: str, evaluate, args) -> np.ndarray:
-    """Value rows of evaluate over args, a NaN column where it fails.
+def _chart_points(chart: np.ndarray):
+    """ the columns of chart rows (4, N) as SphericalPoint objects, each read
+    from the flat row lists as the loop reaches it """
+    return map(functools.partial(tuple.__new__, SphericalPoint), zip(*chart.tolist()))
 
-    TypeError naming name and the point where evaluate returns no Quaternion.
+
+def _columns(rows) -> tuple:
+    """ (the points of rows that broadcast together, as columns (4, N); their shape) """
+    shape = rows_shape(rows)
+    return stack_rows(rows, shape).reshape(4, -1), shape
+
+
+def _fill_rows(f: QFunction, points) -> np.ndarray:
+    """Value rows (4, *shape) of f's evaluator over the points of quaternion
+    rows, a NaN column where it fails.
+
+    Each point's Quaternion is read from the flat row lists as the loop
+    reaches it.  TypeError naming f and the point where the evaluator
+    returns no Quaternion.
     """
+    columns, shape = _columns(points)
+    evaluate = f.evaluator
     t, x, y, z = [], [], [], []
-    for arg in args:
+    for p in map(_quaternion, *columns.tolist()):
         try:
-            val = evaluate(arg)
+            val = evaluate(p)
         except StepError:
             raise
         except _SAMPLE_ERRORS:
@@ -318,42 +339,16 @@ def _fill_quaternions(name: str, evaluate, args) -> np.ndarray:
             y.append(val.y)
             z.append(val.z)
         except AttributeError:
-            raise TypeError(f"{name}: the evaluator returned {val!r} at {arg!r}, "
+            raise TypeError(f"{f.name}: the evaluator returned {val!r} at {p!r}, "
                             f"not a Quaternion") from None
-    return np.array((t, x, y, z), dtype=float)
-
-
-def _chart_points(chart: np.ndarray):
-    """ the columns of chart rows (4, N) as SphericalPoint objects, each read
-    from the flat row lists as the loop reaches it """
-    return map(functools.partial(tuple.__new__, SphericalPoint), zip(*chart.tolist()))
-
-
-def _quaternions(points: np.ndarray):
-    """ the columns of quaternion rows (4, N) as Quaternion objects, each read
-    from the flat row lists as the loop reaches it """
-    return map(_quaternion, *points.tolist())
-
-
-def _columns(rows) -> tuple:
-    """ (the points of rows that broadcast together, as columns (4, N); their shape) """
-    shape = rows_shape(rows)
-    return stack_rows(rows, shape).reshape(4, -1), shape
-
-
-def _fill_rows(f: QFunction, evaluate, rows, as_points) -> np.ndarray:
-    """ value rows (4, *shape) of f's view evaluate over the points of rows, read by as_points """
-    columns, shape = _columns(rows)
-    return _fill_quaternions(f.name, evaluate, as_points(columns)).reshape((4,) + shape)
+    return np.array((t, x, y, z), dtype=float).reshape((4,) + shape)
 
 
 def sample_chart(f: QFunction, chart) -> np.ndarray:
     """ value rows of f at chart rows (t, r, alpha, beta), NaN where it fails """
     if f.array_evaluator is not None:
         return f.array_evaluator(chart)
-    if f.spherical_evaluator is not None:
-        return _fill_rows(f, f.spherical_evaluator, chart, _chart_points)
-    return _fill_rows(f, f.evaluator, chart, lambda columns: map(from_spherical, _chart_points(columns)))
+    return _fill_rows(f, from_spherical_rows(chart))
 
 
 def sample_cartesian(f: QFunction, points) -> np.ndarray:
@@ -363,14 +358,13 @@ def sample_cartesian(f: QFunction, points) -> np.ndarray:
     which may well be defined there (a profile sweep off the real axis).
     """
     if f.array_evaluator is None:
-        return _fill_rows(f, f.evaluator, points, _quaternions)
+        return _fill_rows(f, points)
     values = f.array_evaluator(to_spherical_array(points))
     pole = (points[1] == 0.0) & (points[2] == 0.0)
     if pole.any():
         pole = np.broadcast_to(pole, values.shape[1:])
         values = np.array(values, dtype=float)
-        values[:, pole] = _fill_rows(f, f.evaluator, stack_rows(points, pole.shape)[:, pole],
-                                     _quaternions)
+        values[:, pole] = _fill_rows(f, stack_rows(points, pole.shape)[:, pole])
     return values
 
 
@@ -467,11 +461,10 @@ class ComplexStem:
         self._func_array = func_array
 
     @classmethod
-    def laurent(cls, terms, label: Optional[str] = None) -> "ComplexStem":
+    def laurent(cls, terms) -> "ComplexStem":
         """ stem from (exponent, coefficient) pairs """
         norm = tuple((int(n), complex(c)) for n, c in terms)
-        if label is None:
-            label = "stem:" + ",".join(f"{n}:{c.real:g}:{c.imag:g}" for n, c in norm)
+        label = "stem:" + ",".join(f"{n}:{c.real:g}:{c.imag:g}" for n, c in norm)
         pole = any(n < 0 for n, _ in norm)
 
         def func(z: complex) -> complex:

@@ -6,7 +6,7 @@ surface under stable string names:
 * "identity", "pow:n"  — powers p^n swept from z^n (Class III);
 * "rho", "varrho", "sigma" — the three angle-only witnesses that are
   Class II but not Class III (azimuth-type u plus inverse-hyperbolic v,
-  cyclically permuted axes);
+  cyclically permuted axes; varrho and sigma share one constructor);
 * "x-over-r-iota" — u = 0, v = x/r: Class I but not Class II.
 
 Generators build new functions from old:
@@ -91,34 +91,26 @@ def _make_rho() -> QFunction:
                    uv_array=lambda c: (c[2], np.log(np.tan(c[3] / 2.0))))
 
 
-def _make_varrho() -> QFunction:
+def _make_angle_witness(name: str, p: int, q: int, w: int) -> QFunction:
+    """atan2(iota_p, iota_q) + iota artanh(iota_w), with iota's components
+    (cos(alpha) sin(beta), sin(alpha) sin(beta), cos(beta)) indexed 0, 1, 2."""
+
+    def components(lib, alpha, beta) -> tuple:
+        sb = lib.sin(beta)
+        return lib.cos(alpha) * sb, lib.sin(alpha) * sb, lib.cos(beta)
+
     def u(s: SphericalPoint) -> float:
-        return math.atan2(math.sin(s.alpha) * math.sin(s.beta), math.cos(s.beta))
+        io = components(math, s.alpha, s.beta)
+        return math.atan2(io[p], io[q])
 
     def v(s: SphericalPoint) -> float:
-        return _atanh(math.cos(s.alpha) * math.sin(s.beta))
+        return _atanh(components(math, s.alpha, s.beta)[w])
 
     def uv_array(c):
-        _, _, alpha, beta = c
-        sb = np.sin(beta)
-        return np.arctan2(np.sin(alpha) * sb, np.cos(beta)), _atanh_array(np.cos(alpha) * sb)
+        io = components(np, c[2], c[3])
+        return np.arctan2(io[p], io[q]), _atanh_array(io[w])
 
-    return from_uv(u, v, name="varrho", classes=dict(_ANGLE_WITNESS_CLASSES), uv_array=uv_array)
-
-
-def _make_sigma() -> QFunction:
-    def u(s: SphericalPoint) -> float:
-        return math.atan2(math.cos(s.beta), math.cos(s.alpha) * math.sin(s.beta))
-
-    def v(s: SphericalPoint) -> float:
-        return _atanh(math.sin(s.alpha) * math.sin(s.beta))
-
-    def uv_array(c):
-        _, _, alpha, beta = c
-        sb = np.sin(beta)
-        return np.arctan2(np.cos(beta), np.cos(alpha) * sb), _atanh_array(np.sin(alpha) * sb)
-
-    return from_uv(u, v, name="sigma", classes=dict(_ANGLE_WITNESS_CLASSES), uv_array=uv_array)
+    return from_uv(u, v, name=name, classes=dict(_ANGLE_WITNESS_CLASSES), uv_array=uv_array)
 
 
 def _make_xri() -> QFunction:
@@ -132,8 +124,8 @@ def _make_xri() -> QFunction:
 CATALOG: Dict[str, WitnessEntry] = {}
 for _f, _formula in ((power_function(1), "p"),
                      (_make_rho(), "alpha + iota*ln(tan(beta/2))"),
-                     (_make_varrho(), "arctan(y/z) + iota*artanh(x/r)"),
-                     (_make_sigma(), "arctan(z/x) + iota*artanh(y/r)"),
+                     (_make_angle_witness("varrho", 1, 2, 0), "arctan(y/z) + iota*artanh(x/r)"),
+                     (_make_angle_witness("sigma", 2, 0, 1), "arctan(z/x) + iota*artanh(y/r)"),
                      (_make_xri(), "(x/r)*iota")):
     CATALOG[_f.name] = WitnessEntry(_f.name, _f, _f.classes, _formula)
 

@@ -29,11 +29,10 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .diffops import DiffConfig, sphere_cr, stencil
+from .diffops import DiffConfig, sphere_cr, stencil, uv_rows
 from .function_model import (CALL_POINTS, FunctionKindError, QFunction, check_beta_window,
                              sample_chart)
-from .quaternion_core import (DomainError, Quaternion, iota, iota_array, iota_coefficient,
-                              qabs_array, to_spherical)
+from .quaternion_core import DomainError, Quaternion, iota, qabs_array, to_spherical
 
 MIN_QUADRATURE_POINTS = 16
 ALIGNMENT_TOL = 1e-6
@@ -62,8 +61,9 @@ class AnnulusRegion:
                 f"annulus (center_r={self.center_r}, outer={self.outer}) "
                 "leaves the positive-radius half of the slice")
         for label, (lo, hi) in (("alpha", self.alpha_window), ("beta", self.beta_window)):
-            if not lo < hi:
-                raise ValueError(f"bad {label} window {(lo, hi)}")
+            if not 0.0 < hi - lo < math.inf:
+                raise ValueError(f"bad {label} window {(lo, hi)}: "
+                                 "need lo < hi and a finite width hi - lo")
         check_beta_window(*self.beta_window, f"beta window {self.beta_window}")
         if self.n_alpha < 2 or self.n_beta < 2:
             raise ValueError("window needs at least 2 nodes per angle")
@@ -124,11 +124,11 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     in one batch: when the samples of a batch of several slices have shape
     (1, Q), their one FFT serves every slice left.
     Without the view they are quaternion rows, from the array evaluator or
-    point by point through at_spherical, projected on the slice's iota.  A
-    sample that is not finite, or (without the view) whose value leaves the
-    slice plane, raises DomainError naming the slice; samples whose
-    quadrature overflows to a coefficient that is not finite raise
-    OverflowError naming the slice.
+    point by point through the evaluator (sample_chart), projected on the
+    slice's iota by diffops.uv_rows.  A sample that is not finite, or
+    (without the view) whose value leaves the slice plane, raises
+    DomainError naming the slice; samples whose quadrature overflows to a
+    coefficient that is not finite raise OverflowError naming the slice.
     """
     if center.imag - radius <= 0.0:
         raise DomainError("contour leaves the upper half plane")
@@ -141,8 +141,6 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     t, r = ring.real[None, :], ring.imag[None, :]
     alphas, betas = alphas[:, None], betas[:, None]
     view = f.uv_array
-    if view is None:
-        io = iota_array((0.0, 1.0, alphas, betas))  # (4, M, 1)
     per_call = max(1, CALL_POINTS // npts)
     modes = []
     for start in range(0, len(alphas), per_call):
@@ -158,11 +156,11 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
                 bad = ~finite
             else:
                 w = sample_chart(f, rows)
-                v = iota_coefficient(w, io[:, part])
+                u, v = uv_rows(w, rows)
                 misalign = np.sqrt(np.maximum(0.0, np.sum(w[1:] * w[1:], axis=0) - v * v))
                 finite = np.isfinite(w).all(axis=0)
                 bad = ~finite | (misalign > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
-                samples = w[0] + 1j * v
+                samples = u + 1j * v
             coefficients = np.fft.fft(samples, axis=1)[:, columns] / scale
         # samples without a slice axis (a sweep's) serve every slice left
         stop = len(alphas) if len(samples) < len(rows[2]) else start + len(rows[2])

@@ -154,8 +154,10 @@ class Quaternion:
     __abs__ = norm
 
     def vector_norm(self) -> float:
-        """ length of the imaginary part """
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        """ length of the imaginary part; where its sum of squares overflows,
+        qabs_array's rescaled norm """
+        norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return norm if norm != math.inf else float(qabs_array((self.x, self.y, self.z)))
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()

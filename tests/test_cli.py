@@ -146,7 +146,13 @@ def test_grid_flat_form_round_trip(capsys):
     ("-1,1,0.05,1.5,-2.5,2.5,0.4,2.7,3", "r range (0.05, 1.5) enters the real-axis margin r >= 0.1"),
     ("-1,1,0.5,1.5,-2.5,2.5,0.4,2.7,1", "need at least 2 points per axis"),
     ("-1,1,0.5,1.5,-2.5,2.5,-0.1,2.7,4", "beta range (-0.1, 2.7) leaves (0, pi)"),
-], ids=["count", "not-a-number", "nan-n", "r-margin", "one-node", "beta-outside"])
+    # hi - lo overflows though both ends are finite
+    ("-1,1,0.5,1.5,-1e308,1e308,0.4,2.7,3",
+     "bad alpha range (-1e+308, 1e+308): need lo <= hi and a finite width hi - lo"),
+    ("-1e308,1e308,0.5,1.5,-2.5,2.5,0.4,2.7,3",
+     "bad t range (-1e+308, 1e+308): need lo <= hi and a finite width hi - lo"),
+], ids=["count", "not-a-number", "nan-n", "r-margin", "one-node", "beta-outside",
+        "alpha-width-overflows", "t-width-overflows"])
 def test_grid_flat_form_errors(capsys, grid, message):
     assert run_cli(capsys, ["classify", "rho", f"--grid={grid}"]) == (2, None, f"error: {message}\n")
 

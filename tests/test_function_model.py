@@ -20,6 +20,7 @@ from fueterlab.function_model import (
     pointwise_sum,
     power_function,
     restrict_to_slice,
+    sample_chart,
     uv_at,
 )
 from fueterlab.generators import resolve_function_spec
@@ -240,6 +241,9 @@ def test_power_function_values():
     assert abs(power_function(2)(p) - p * p) <= 1e-14
     assert abs(power_function(-1)(p) - p.inverse()) <= 1e-14
     assert power_function(0)(p) == Quaternion(1.0)
+    # a point whose imaginary squares overflow
+    far = Quaternion(0.5, 1e200, 1e200, 0.0)
+    assert power_function(1)(far) == far
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +339,31 @@ def test_qfunction_spherical_evaluator_is_used():
     s = SphericalPoint(0.3, 1.0, 0.2, 1.4)
     assert f.at_spherical(s) == Quaternion(0.3)
     assert calls  # went through the chart-free path
+
+
+def test_sample_chart_fills_through_the_evaluator_not_the_spherical_view():
+    # both scalar views and no array view: a chart batch goes point by point
+    # through the evaluator; only at_spherical reads the spherical view
+    evaluated, spherical = [], []
+
+    def evaluator(p):
+        evaluated.append(p)
+        return p * p
+
+    def sph(s):
+        spherical.append(s)
+        return evaluator(from_spherical(s))
+
+    f = QFunction("both-views", evaluator, spherical_evaluator=sph)
+    chart = DEFAULT_GRID.random_chart(np.random.default_rng(5), 6)
+    points = [from_spherical(SphericalPoint(*column)) for column in chart.T.tolist()]
+    values = sample_chart(f, chart)
+    assert spherical == []
+    assert [(p.t, p.x, p.y, p.z) for p in evaluated] == [(p.t, p.x, p.y, p.z) for p in points]
+    assert values.T.tolist() == [[q.t, q.x, q.y, q.z] for q in (p * p for p in points)]
+    s = SphericalPoint(*chart[:, 0].tolist())
+    assert f.at_spherical(s) == points[0] * points[0]
+    assert spherical == [s]
 
 
 def test_qfunction_at_spherical_falls_back_to_cartesian():

@@ -67,6 +67,9 @@ def test_region_validation():
         AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=1)
     with pytest.raises(ValueError, match="bad beta window"):
         AnnulusRegion(0.0, 1.0, 0.2, 0.6, beta_window=(1.2, 1.0))
+    for window in ((-math.inf, 0.0), (-1e308, 1e308)):  # a width that is not finite
+        with pytest.raises(ValueError, match=r"bad alpha window .* a finite width hi - lo"):
+            AnnulusRegion(0.0, 1.0, 0.2, 0.6, alpha_window=window)
     with pytest.raises(ValueError, match="not finite"):
         AnnulusRegion(0.0, math.inf, 0.2, 0.6)
     # the class check's angle stencils widen the window into the pole margin

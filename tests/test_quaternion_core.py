@@ -139,6 +139,11 @@ def test_a_norm_whose_sum_of_squares_overflows_is_rescaled():
     assert abs(Quaternion(2e199)) == 2e199
     assert abs(Quaternion(math.inf, 1.0)) == math.inf
     assert math.isnan(abs(Quaternion(math.nan, 1e200)))
+    # the imaginary part's length too
+    p = Quaternion(0.5, 1e200, 1e200, 0.0)
+    assert p.vector_norm() == to_spherical(p).r == 1.414213562373095e+200
+    assert Quaternion(0.0, math.inf, 1.0).vector_norm() == math.inf
+    assert math.isnan(Quaternion(0.0, math.nan, 1e200).vector_norm())
 
 
 def test_abs_equals_qabs_array_bit_for_bit():

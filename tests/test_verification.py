@@ -8,6 +8,7 @@ checks that run in well under a second each.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from fueterlab.classify import classify
 from fueterlab.function_model import SampleGrid
@@ -17,6 +18,7 @@ from fueterlab.verification import (
     check_extension_functional,
     check_inclusion,
     check_jacobian,
+    check_mirror,
     check_operator_equivalence,
     conjugate_function,
     random_polynomial,
@@ -81,3 +83,11 @@ def test_operator_equivalence_small_sample():
     res = check_operator_equivalence(seed=3)
     assert res.passed and res.tolerance == 1e-6
     assert res.detail == "20 random polynomials x 200 points"
+
+
+@pytest.mark.parametrize("seed", [925, 1537, 5219])
+def test_mirror_check_passes_where_a_random_point_meets_the_branch_cut(seed):
+    # one of the seed's 80 random points lies within a stencil step of
+    # mirror(rho)'s cut alpha = 0; the right-handed residual is read on the grid
+    res = check_mirror(seed=seed)
+    assert res.passed, res.detail
