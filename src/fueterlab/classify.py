@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .diffops import (DiffConfig, _first_failing, _operator, chart_ok, fueter_rows,
-                      require_finite, require_step_moves, stencil)
+                      require_step_moves, stencil)
 from .function_model import (DEFAULT_GRID, QFunction, SampleGrid, sample_cartesian,
                              sample_chart)
 from .quaternion_core import (DomainError, Quaternion, from_spherical_rows, iota_array,
@@ -142,9 +142,9 @@ def classify(f: QFunction, grid: Optional[SampleGrid] = None,
     where some sample raises a math or domain error or is not finite (or
     its norm exceeds the float maximum), marks the report "singular"; the
     statistics then cover the remaining nodes.  A step h that some node
-    coordinate, chart or Cartesian, rounds away raises StepError (a
-    ValueError): the chart nodes are checked before anything is sampled,
-    the Cartesian rows by their stencils.
+    coordinate, chart or Cartesian, rounds away raises StepError: the chart
+    nodes are checked before anything is sampled, the Cartesian rows by
+    their stencils.
     """
     grid = grid or DEFAULT_GRID
     # the margins are r > h and conditions on beta alone, so the passing
@@ -241,7 +241,6 @@ def _determinants(f: QFunction, points, cfg: DiffConfig) -> tuple:
                           f"{_first_failing(points, r != 0.0)}")
     jac = stencil(f, cfg, points, slice(0, 4), sample_cartesian, "Cartesian coordinate")[0]
     value = sample_cartesian(f, points)
-    require_finite(f, points, np.concatenate((jac.reshape((16,) + value.shape[1:]), value)))
     # v against the iota of each point, and its t derivative from the t column
     dv_dt, v = iota_coefficient(np.stack((jac[:, 0], value), axis=1), [row / r for row in points])
     # products, not ** 2, which numpy's scalar path at one point takes to pow

@@ -56,8 +56,8 @@ import numpy as np
 
 from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
 from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, SphericalPoint,
-                              StepError, _quaternion, iota_array, iota_coefficient, qabs_array,
-                              qmul_array, rows_shape, stack_rows)
+                              _quaternion, iota_array, iota_coefficient, qabs_array, qmul_array,
+                              rows_shape, stack_rows)
 
 SCHEMES = ("central", "richardson")
 
@@ -93,6 +93,12 @@ def stencil_offsets(cfg: DiffConfig) -> np.ndarray:
     if cfg.scheme == "richardson":
         return np.array([cfg.h, -cfg.h, cfg.h / 2.0, -cfg.h / 2.0])
     return np.array([cfg.h, -cfg.h])
+
+
+class StepError(Exception):
+    """A stencil step that some coordinate rounds away.  Not a ValueError, so
+    the samplers, which read a math or domain error as a NaN sample, let it
+    propagate from every path."""
 
 
 def require_step_moves(rows, cfg: DiffConfig, label: str):

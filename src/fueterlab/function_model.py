@@ -70,12 +70,13 @@ rows.tolist(), building each point's SphericalPoint or Quaternion as the
 loop reaches it and freeing it with its sample: no container per point is
 built ahead of the loop and held for the batch, which would leave the
 cyclic garbage collector thousands of live objects to traverse.  A math or
-domain error gives that point NaN; a StepError (a step that rounds away)
-propagates, as from the single point.  A value that is no number (not a
-Quaternion from an evaluator, a real number from u or v, a complex number
-from a stem) raises TypeError naming the function, the callable and the
-point; the fill checks the dtype of its values once, not each value.  The
-single-point views of from_uv and cullen_extend raise the same TypeError.
+domain error gives that point NaN; any other error, such as a stencil step
+that rounds away, propagates, as from the single point.  A value that is no
+number (not a Quaternion from an evaluator, a real number from u or v, a
+complex number from a stem) raises TypeError naming the function, the
+callable and the point; the fill checks the dtype of its values once, not
+each value.  The single-point views of from_uv and cullen_extend raise the
+same TypeError.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ from .quaternion_core import (
     DomainError,
     Quaternion,
     SphericalPoint,
-    StepError,
     _quaternion,
     from_spherical,
     from_spherical_array,
@@ -262,9 +262,7 @@ CALL_POINTS = 4096
 NAN_COMPLEX = complex(math.nan, math.nan)
 _NAN_QUATERNION = Quaternion(math.nan, math.nan, math.nan, math.nan)
 
-# the errors that give a scalar sample those values: math and domain errors.
-# A StepError, though a ValueError, propagates: a stencil step that rounds
-# away is the caller's to mend, on every path alike
+# the errors that give a scalar sample those values: math and domain errors
 _SAMPLE_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -295,8 +293,6 @@ def _fill_complex(name: str, evaluate, args: list) -> np.ndarray:
     for arg in args:
         try:
             value = evaluate(arg)
-        except StepError:
-            raise
         except _SAMPLE_ERRORS:
             value = NAN_COMPLEX
         out.append(value)
@@ -329,8 +325,6 @@ def _fill_rows(f: QFunction, points) -> np.ndarray:
     for p in map(_quaternion, *columns.tolist()):
         try:
             val = evaluate(p)
-        except StepError:
-            raise
         except _SAMPLE_ERRORS:
             val = _NAN_QUATERNION
         try:
@@ -380,7 +374,11 @@ def uv_at(f: QFunction, p: Quaternion) -> tuple:
     if r == 0.0:
         raise ChartSingularityError("u/v split undefined on the real axis")
     val = f(p)
-    return val.t, iota_coefficient((val.t, val.x, val.y, val.z), (p.t, p.x, p.y, p.z)) / r
+    q = (val.t, val.x, val.y, val.z)
+    v = iota_coefficient(q, (p.t, p.x, p.y, p.z)) / r
+    if not math.isfinite(v):  # the products overflow above about 1.3e154: take iota(p) first
+        v = iota_coefficient(q, (p.t / r, p.x / r, p.y / r, p.z / r))
+    return val.t, v
 
 
 def from_uv(u: Callable[[SphericalPoint], float],
@@ -414,8 +412,6 @@ def from_uv(u: Callable[[SphericalPoint], float],
                 try:
                     u_s = u(s)
                     v_s = v(s)
-                except StepError:
-                    raise
                 except _SAMPLE_ERRORS:
                     u_s = v_s = math.nan
                 us.append(u_s)

@@ -330,7 +330,7 @@ def coefficient_class_check(series: LaurentSeries,
     bounds the rounding of the quadrature, so the verdicts do not move when
     f is scaled.  The residuals of all orders are reduced in one pass.
     Returns per-order statistics and verdicts.  A step h that some window
-    angle rounds away raises StepError (a ValueError).
+    angle rounds away raises StepError.
     """
     region = series.region
     try:

@@ -49,14 +49,6 @@ class ChartSingularityError(DomainError):
     """The spherical chart is not defined at this point."""
 
 
-class StepError(ValueError):
-    """A stencil step that some coordinate rounds away.
-
-    diffops raises it; it lives here so that the samplers of function_model,
-    which diffops builds on, can tell it from a sample's own math error.
-    """
-
-
 class Quaternion:
     """A quaternion with real components (t, x, y, z)."""
 

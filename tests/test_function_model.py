@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,15 @@ def test_uv_split_keeps_the_written_out_projection(spec):
         val = f.at_spherical(s)
         want = complex(val.t, val.x * io.x + val.y * io.y + val.z * io.z)
         assert restrict_to_slice(f, s.alpha, s.beta)(complex(s.t, s.r)) == want
+
+
+def test_uv_split_of_a_huge_imaginary_part_does_not_overflow():
+    # the dot product with Im p overflows above about 1.3e154; v then comes
+    # from the unit vector p / |Im p|, in IEEE basic operations only
+    p = Quaternion(0.5, 1e200, 1e200, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert uv_at(power_function(1), p) == (0.5, 1.4142135623730949e+200)
 
 
 # ---------------------------------------------------------------------------

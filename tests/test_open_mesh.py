@@ -21,14 +21,13 @@ import pytest
 
 from fueterlab import diffops
 from fueterlab.classify import classify, jacobian_check
-from fueterlab.diffops import DiffConfig
+from fueterlab.diffops import DiffConfig, StepError
 from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, QFunction, SampleGrid,
                                       cullen_extend, from_uv, pointwise_product, pointwise_sum,
                                       sample_cartesian)
 from fueterlab.generators import chiral_difference, get_witness, mirror, resolve_function_spec
 from fueterlab.quaternion_core import (ChartSingularityError, DomainError, Quaternion,
-                                       SphericalPoint, StepError, from_spherical_array,
-                                       from_spherical_rows)
+                                       SphericalPoint, from_spherical_array, from_spherical_rows)
 from fueterlab.verification import conjugate_function, random_polynomial
 
 # axis values that reach every off-domain case: t < -1/2 (where the user v

@@ -7,8 +7,8 @@ objects a sample makes are freed with it, CPython's gen-0 count (container
 allocations minus deallocations) stays below its threshold, and a whole
 default-grid classify runs no collection in any generation.
 
-A math or domain error gives a NaN sample, but a StepError (a ValueError)
-propagates from every fill, as it does from the single point.  A callable
+A math or domain error gives a NaN sample, but a StepError, which is no
+ValueError, propagates from every fill, as it does from the single point.  A callable
 that returns no number raises one TypeError naming the function, the
 callable and the point.
 """
@@ -22,8 +22,9 @@ import pytest
 
 from fueterlab.classify import classify
 from fueterlab.diffops import DiffConfig, StepError
-from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, QFunction, SampleGrid,
-                                      cullen_extend, from_uv, sample_cartesian, sample_chart)
+from fueterlab.function_model import (_SAMPLE_ERRORS, DEFAULT_GRID, ComplexStem, QFunction,
+                                      SampleGrid, cullen_extend, from_uv, sample_cartesian,
+                                      sample_chart)
 from fueterlab.generators import chiral_difference, get_witness
 from fueterlab.quaternion_core import Quaternion, to_spherical
 
@@ -68,6 +69,12 @@ FAR_Z_MESSAGE = "does not move the Cartesian coordinate 1000000000000.0"
 
 def _step_error(*_):
     raise StepError("stencil step 1e-05 does not move the user's coordinate")
+
+
+def test_a_step_error_is_no_sample_error():
+    # the fills read these errors as a NaN sample; a StepError is none of them
+    assert not issubclass(StepError, ValueError)
+    assert not issubclass(StepError, _SAMPLE_ERRORS)
 
 
 def test_a_step_error_at_a_pole_column_propagates():
