@@ -7,15 +7,17 @@ rule's combinations of the x, y and z partials, r times the alpha and
 beta tangents of iota for the angles.  So every function is sampled at 9
 points a node under central and 17 under Richardson, whatever its kind.
 The nodes go through diffops.stencil as one batch, the grid's open mesh:
-four axis rows that broadcast to the whole grid.  The stencils start from
-the mesh's Cartesian rows, t on its own axis and x, y, z without it, so
-the chart map of a shifted point and the evaluator's trig run once per
-(x, y, z) point, not once per sample: the evaluator gets a t row with its
-own axis, and r, alpha, beta rows without it.  The shifted coordinates of
-all nodes are sampled together (through the function's array evaluator
-when it has one, else point by point, after materializing them) and
-differenced at once, and the verdicts reduce over arrays in the grid's
-beta-fastest node order.
+four axis rows that broadcast to the whole grid.  The center samples are
+the mesh's chart samples (function_model.sample_chart: a CE function's
+(u, v) view at the nodes' own angles).  The stencils start from the
+mesh's Cartesian rows, t on its own axis and x, y, z without it, and read
+the function's Cartesian view (sample_cartesian), so whatever it computes
+from x, y and z alone, such as a sweep's r or a chart map, runs once per
+(x, y, z) point, not once per sample.  The shifted coordinates of all nodes
+are sampled together (through the Cartesian view when the function has
+one, else point by point, after materializing them) and differenced at
+once, and the verdicts reduce over arrays in the grid's beta-fastest node
+order.
 
 * Class I   : |d/dt f + iota d/dr f|
 * Class II  : |fueter_left f + 2 v / r|

@@ -3,9 +3,15 @@
 All derivatives are 2nd-order central differences with step h, optionally
 sharpened to 4th order by one Richardson extrapolation step (combining the
 h and h/2 stencils; the magnitude of their disagreement is reported as the
-error estimate).  Cartesian partials differentiate the raw evaluator;
-(t, r, alpha, beta) partials differentiate the function composed with the
-chart.  The two views agree because the chart round-trips.
+error estimate).  Cartesian partials difference the function's Cartesian
+samples (function_model.sample_cartesian: its Cartesian array view, else
+its evaluator point by point), which no chart map enters, so fueter_left
+and fueter_right are defined on the k axis x = y = 0 wherever the function
+is (a sweep is; a function of the angles is not).  (t, r, alpha, beta)
+partials difference its chart samples (sample_chart: a CE function's
+(u, v) view at the chart's own angles, else its Cartesian samples at the
+chart's Cartesian rows).  The two agree, to rounding, because the chart
+round-trips.
 
 One function, stencil, takes every finite difference in the library: the
 operators here, classify's residuals, jacobian_check, chiral_difference,

@@ -14,41 +14,53 @@ Complex profiles ("stems") feed two constructions:
 * the slice restriction of a CE function at fixed (alpha, beta), which
   recovers a complex function of z = t + i r.
 
-A QFunction may also carry an array evaluator, the batched chart view used
-by grid sweeps and Laurent contours:
+A QFunction may also carry a Cartesian array view, cartesian_array, the
+batched evaluator that the samplers read:
 
-* input: four chart rows (t, r, alpha, beta) that broadcast together to a
-  shape S: an array (4, N), or the open mesh of a SampleGrid, whose rows
-  have shapes (n, 1, 1, 1) ... (1, 1, 1, n), or stencil shifts of either
-  (on a Cartesian stencil of the mesh, t keeps its own axis, and r, alpha
-  and beta, mapped from x, y and z alone, go without it),
-  or one point's rows of shape () (a row left unshifted is a numpy scalar),
-  or contour rings, t and r of shape (1, Q) against angles of shape (M, 1);
+* input: four quaternion rows (t, x, y, z) that broadcast together to a
+  shape S: an array (4, N), or the Cartesian rows of a SampleGrid's open
+  mesh (from_spherical_rows: t on its own axis of shape (n, 1, 1, 1), and
+  x, y and z, mapped from r, alpha and beta, without it), or stencil
+  shifts of either (a shifted row gains a leading axis), or one point's
+  rows of shape () (a row left unshifted is a numpy scalar), or the rows
+  of the Laurent contour rings;
 * output: value rows (t, x, y, z) as a full array of shape (4, *S), each
-  point's column equal to at_spherical of that point, so the evaluator
-  works element by element;
-* off the domain, where the scalar views raise, the column is NaN, and no
-  numpy floating-point warning escapes.
+  point's column equal to f of that point, so the view works element by
+  element;
+* off the domain, where the evaluator raises, the column is NaN, and no
+  numpy floating-point warning escapes.  The k axis (x = y = 0) is no
+  special case: a sweep is defined there, a from_uv function, whose chart
+  has no alpha there, gives NaN.
 
-The library's evaluators compute each intermediate on the rows it depends
-on: the trig of a grid's alpha and beta axes once per axis value, a stem on
-the t + i r plane once per (t, r) pair.
+Each sampler reads the view native to its coordinates.  sample_cartesian
+returns the Cartesian view, or else fills the rows from the evaluator.
+sample_chart (chart rows (t, r, alpha, beta), such as classify's nodes and
+the Laurent contour rings) assembles u + iota v of a CE function's (u, v)
+view at the chart's own angles, and otherwise samples the Cartesian rows
+of the chart.
 
-A CE function may also carry a (u, v) view, uv_array: the same chart rows
-in, the pair of real arrays (u, v) out, with f = u + iota v at each point.
-The two arrays broadcast with the rows and may keep only the axes they
-depend on (a sweep's the t and r axes).  from_uv takes its uv_array, or its
-per-point fill of u and v, as the view; cullen_extend gives (Re g, Im g) of
-its stem on the t and r rows alone; a product or sum of two CE functions
-gives the complex product or sum of their views, a mirror its input's view
-at the antipodal angles, and verification.conjugate_function (u, -v).  The
-Laurent quadrature reads u + i v from it.  A raw function has none.
+A CE function may carry that (u, v) view, uv_array: chart rows in, the
+pair of real arrays (u, v) out, with f = u + iota v at each point.  The two
+arrays broadcast with the rows and may keep only the axes they depend on
+(a sweep's the t and r axes).  from_uv takes its uv_array, or its
+per-point fill of u and v, as the view, and its Cartesian view is the same
+assembly at to_spherical_array of the rows; cullen_extend gives (Re g,
+Im g) of its stem on the t and r rows alone, and its Cartesian view is its
+evaluator's Re g + (x, y, z) Im g / r on the rows; a product or sum of two
+CE functions gives the complex product or sum of their views, a mirror its
+input's view at the antipodal angles, and verification.conjugate_function
+(u, -v).  The Laurent quadrature reads u + i v from it.  A raw function has
+none.
 
-from_uv and cullen_extend always supply an array evaluator, built from
-their (u, v) view; a product, sum, mirror or conjugate has a spherical,
-array or (u, v) view only when all its inputs have it.
-A scalar callable input is called with scalars, and the chart maps, the
-trig and the u + iota v assembly run on arrays:
+The library's views compute each intermediate on the rows it depends on:
+the trig of a grid's alpha and beta axes once per axis value, a stem on
+the t + i r plane once per (t, r) pair, the chart map of a Cartesian
+stencil once per (x, y, z) point.
+
+from_uv and cullen_extend always supply a Cartesian view; a product, sum,
+mirror or conjugate has a spherical, Cartesian or (u, v) view only when all
+its inputs have it.  A scalar callable input is called with scalars, and
+the chart maps, the trig and the u + iota v assembly run on arrays:
 
 * from_uv without uv_array materializes the rows and calls u, then v, once
   per point, each with one SphericalPoint (a named tuple), into two lists;
@@ -57,13 +69,13 @@ trig and the u + iota v assembly run on arrays:
   of z.
 
 Only a QFunction built directly from an evaluator (or a composite of one)
-has none; sample_chart/sample_cartesian then materialize the rows and fill
-the same arrays from its evaluator, one point at a time, appending each
-value's components to four lists.  Chart rows (the Laurent contours are
-chart rows too) are first mapped to quaternion rows by from_spherical_rows,
-whose floats are from_spherical's.  A spherical view of such a function is
-read only through at_spherical; it must agree with the evaluator through
-the chart.  No user callable is ever called with an array.
+has no Cartesian view; sample_cartesian then materializes the rows and
+fills the same arrays from its evaluator, one point at a time, appending
+each value's components to four lists, and sample_chart does so at
+from_spherical_rows of its chart rows, whose floats are from_spherical's.
+A spherical view of such a function is read only through at_spherical; it
+must agree with the evaluator through the chart.  No user callable is ever
+called with an array.
 
 These per-point fills read the points from the four flat row lists of
 rows.tolist(), building each point's SphericalPoint or Quaternion as the
@@ -98,10 +110,10 @@ from .quaternion_core import (
     SphericalPoint,
     _quaternion,
     from_spherical,
-    from_spherical_array,
     from_spherical_rows,
     iota,
     iota_coefficient,
+    qabs_array,
     qmul_array,
     rows_shape,
     stack_rows,
@@ -125,8 +137,8 @@ class QFunction:
     evaluates directly in chart coordinates and must agree with the
     Cartesian view through the chart; constructors here guarantee that by
     deriving one view from the other.  classes optionally records the
-    expected classification verdicts for catalog entries.  array_evaluator,
-    when given, is the batched chart view, and uv_array, only on a CE
+    expected classification verdicts for catalog entries.  cartesian_array,
+    when given, is the batched Cartesian view, and uv_array, only on a CE
     function, its (u, v) view, both described in the module docstring.
     """
 
@@ -135,7 +147,7 @@ class QFunction:
     kind: str = "raw"
     spherical_evaluator: Optional[Callable[[SphericalPoint], Quaternion]] = None
     classes: Optional[Mapping[str, bool]] = None
-    array_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    cartesian_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
     uv_array: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
@@ -182,7 +194,9 @@ class SampleGrid:
 
     Axis order is (t, r, alpha, beta); iteration runs beta fastest.
     Construction rejects grids that touch the chart margins r >= 0.1 and
-    sin(beta) >= 0.1, and grids of more than MAX_NODES nodes.
+    sin(beta) >= 0.1, an alpha range outside the chart's [-pi, pi], where
+    the azimuth of a Cartesian sample would not be the node's alpha, and
+    grids of more than MAX_NODES nodes.
     """
 
     t_range: tuple = (-1.0, 1.0)
@@ -209,6 +223,8 @@ class SampleGrid:
             raise ValueError(f"n_per_axis = {n} gives {n ** 4} nodes, more than {MAX_NODES}")
         if self.r_range[0] < self.R_MARGIN:
             raise ValueError(f"r range {self.r_range} enters the real-axis margin r >= {self.R_MARGIN}")
+        if not -math.pi <= self.alpha_range[0] <= self.alpha_range[1] <= math.pi:
+            raise ValueError(f"alpha range {self.alpha_range} leaves [-pi, pi]")
         check_beta_window(*self.beta_range, f"beta range {self.beta_range}")
 
     def _axis(self, lo: float, hi: float) -> list:
@@ -338,28 +354,31 @@ def _fill_rows(f: QFunction, points) -> np.ndarray:
     return np.array((t, x, y, z), dtype=float).reshape((4,) + shape)
 
 
+def _uv_values(uv_array: Callable[[np.ndarray], tuple], chart) -> np.ndarray:
+    """The value rows u + iota v of a (u, v) view at chart rows, a full array:
+    u and v need not depend on t and r, but every point gets its column."""
+    with np.errstate(all="ignore"):
+        u, v = uv_array(chart)
+        # NaN where r is, as on the k axis in the chart rows of Cartesian ones,
+        # though u may ignore the angles
+        u = np.where(np.isnan(chart[1]), math.nan, u)
+        return stack_rows(from_spherical_rows((u, v, chart[2], chart[3])), rows_shape(chart))
+
+
 def sample_chart(f: QFunction, chart) -> np.ndarray:
-    """ value rows of f at chart rows (t, r, alpha, beta), NaN where it fails """
-    if f.array_evaluator is not None:
-        return f.array_evaluator(chart)
-    return _fill_rows(f, from_spherical_rows(chart))
+    """Value rows of f at chart rows (t, r, alpha, beta), NaN where it fails:
+    u + iota v of f's (u, v) view at the chart's own angles, else f's
+    samples at the Cartesian rows of the chart."""
+    if f.uv_array is not None:
+        return _uv_values(f.uv_array, chart)
+    return sample_cartesian(f, from_spherical_rows(chart))
 
 
 def sample_cartesian(f: QFunction, points) -> np.ndarray:
-    """Value rows of f at quaternion rows (t, x, y, z), NaN where it fails.
-
-    The chart has no alpha where x = y = 0, so those columns go to f itself,
-    which may well be defined there (a profile sweep off the real axis).
-    """
-    if f.array_evaluator is None:
-        return _fill_rows(f, points)
-    values = f.array_evaluator(to_spherical_array(points))
-    pole = (points[1] == 0.0) & (points[2] == 0.0)
-    if pole.any():
-        pole = np.broadcast_to(pole, values.shape[1:])
-        values = np.array(values, dtype=float)
-        values[:, pole] = _fill_rows(f, stack_rows(points, pole.shape)[:, pole])
-    return values
+    """ value rows of f at quaternion rows (t, x, y, z), NaN where it fails """
+    if f.cartesian_array is not None:
+        return f.cartesian_array(points)
+    return _fill_rows(f, points)
 
 
 def uv_at(f: QFunction, p: Quaternion) -> tuple:
@@ -390,8 +409,9 @@ def from_uv(u: Callable[[SphericalPoint], float],
 
     uv_array, when given, maps chart rows to the pair of arrays (u, v); it
     must agree with u and v and return NaN where they raise.  Without it the
-    array evaluator calls u and v once per chart column (NaN where either
-    raises) and does the rest on arrays.
+    (u, v) view calls u and v once per chart column (NaN where either
+    raises).  The Cartesian view is u + iota v at to_spherical_array of its
+    rows, NaN on the real axis and the k axis, where the evaluator raises.
     """
 
     def at_spherical(s: SphericalPoint) -> Quaternion:
@@ -422,20 +442,8 @@ def from_uv(u: Callable[[SphericalPoint], float],
 
     return QFunction(name=name, evaluator=evaluator, kind="CE",
                      spherical_evaluator=at_spherical, classes=classes,
-                     array_evaluator=_uv_evaluator(uv_array), uv_array=uv_array)
-
-
-def _uv_evaluator(uv_array: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], np.ndarray]:
-    """ the array evaluator u + iota v of a (u, v) view """
-
-    def array_evaluator(chart) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            values = from_spherical_array((*uv_array(chart), chart[2], chart[3]))
-        # u and v need not depend on t and r, but every point gets its column
-        shape = rows_shape(chart)
-        return values if values.shape[1:] == shape else stack_rows(values, shape)
-
-    return array_evaluator
+                     cartesian_array=lambda points: _uv_values(uv_array, to_spherical_array(points)),
+                     uv_array=uv_array)
 
 
 class ComplexStem:
@@ -542,7 +550,7 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
     """Sweep a complex profile around the real axis.
 
     f(p) = Re g(t + i r) + iota(p) * Im g(t + i r): the same complex values
-    on every slice, kind "CI".
+    on every slice, kind "CI", defined on the k axis too.
     """
 
     def at(z: complex) -> complex:
@@ -565,7 +573,7 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         return Quaternion(w.real, scale * p.x, scale * p.y, scale * p.z)
 
     def uv_array(chart) -> tuple:
-        # z = t + i r over the t and r axes alone: every slice repeats it.
+        # z = t + i r over the t and r rows alone: every slice repeats it.
         # A 0-d z would put numpy's complex arithmetic on its scalar path,
         # whose floats can differ from the array loop's, so it goes as (1,)
         shape = np.broadcast(chart[0], chart[1]).shape
@@ -574,9 +582,17 @@ def cullen_extend(stem: ComplexStem, name: Optional[str] = None,
         w = stem.eval_array(z).reshape(shape)
         return w.real, w.imag
 
+    def cartesian_array(points) -> np.ndarray:
+        # the evaluator's Re g + (x, y, z) Im g / r on the rows
+        r = qabs_array(points[1:])
+        u, v = uv_array((points[0], r))
+        with np.errstate(all="ignore"):  # NaN / 0 on the real axis
+            scale = v / r
+            return stack_rows((u, *(scale * row for row in points[1:])), rows_shape(points))
+
     return QFunction(name=name or stem.label, evaluator=evaluator, kind="CI",
                      spherical_evaluator=at_spherical, classes=classes,
-                     array_evaluator=_uv_evaluator(uv_array), uv_array=uv_array)
+                     cartesian_array=cartesian_array, uv_array=uv_array)
 
 
 def power_function(n: int) -> QFunction:
@@ -609,9 +625,9 @@ def restrict_to_slice(f: QFunction, alpha: float, beta: float) -> Callable[[comp
     return slice_fn
 
 
-def _composite(inputs: tuple, spherical, array_evaluator, uv_array, **fields) -> QFunction:
-    """ the composite of inputs with the chart views that every input has """
-    views = {"spherical_evaluator": spherical, "array_evaluator": array_evaluator,
+def _composite(inputs: tuple, spherical, cartesian_array, uv_array, **fields) -> QFunction:
+    """ the composite of inputs with the views that every input has """
+    views = {"spherical_evaluator": spherical, "cartesian_array": cartesian_array,
              "uv_array": uv_array}
     for view in views:
         if any(getattr(f, view) is None for f in inputs):
@@ -629,8 +645,8 @@ def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction
     def spherical(s: SphericalPoint) -> Quaternion:
         return op(f.at_spherical(s), g.at_spherical(s))
 
-    def array_evaluator(chart) -> np.ndarray:
-        a, b = f.array_evaluator(chart), g.array_evaluator(chart)
+    def cartesian_array(points) -> np.ndarray:
+        a, b = f.cartesian_array(points), g.cartesian_array(points)
         with np.errstate(all="ignore"):
             return array_op(a, b)
 
@@ -644,7 +660,7 @@ def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction
         kind = "CI"
     else:
         kind = "CE" if f.is_ce and g.is_ce else "raw"
-    return _composite((f, g), spherical, array_evaluator, uv_array,
+    return _composite((f, g), spherical, cartesian_array, uv_array,
                       name=name, evaluator=evaluator, kind=kind)
 
 

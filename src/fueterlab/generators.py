@@ -50,8 +50,7 @@ from .function_model import (
     power_function,
     sample_cartesian,
 )
-from .quaternion_core import (DomainError, Quaternion, SphericalPoint, antipodal_angles,
-                              from_spherical_rows, qconj_array)
+from .quaternion_core import DomainError, Quaternion, SphericalPoint, antipodal_angles, qconj_array
 
 
 class SpecError(ValueError):
@@ -266,7 +265,7 @@ def chiral_difference(f: QFunction, inner: DiffConfig = DiffConfig()) -> QFuncti
     # called with delta, so its errors name chiral:<name>; the body differences at inner
     chiral = _operator(Quaternion, name)(lambda _, points, cfg: OperatorValue(chiral_rows(points)))
     delta = QFunction(name=name, evaluator=lambda p: chiral(delta, p).value, kind="raw",
-                      array_evaluator=lambda chart: chiral_rows(from_spherical_rows(chart)))
+                      cartesian_array=chiral_rows)
     return delta
 
 
@@ -281,9 +280,9 @@ def mirror(f: QFunction) -> QFunction:
         alpha, beta = antipodal_angles(s.alpha, s.beta)
         return f.at_spherical(SphericalPoint(s.t, s.r, float(alpha), beta)).conjugate()
 
-    def array_evaluator(chart) -> np.ndarray:
-        t, r, alpha, beta = chart
-        return qconj_array(f.array_evaluator((t, r, *antipodal_angles(alpha, beta))))
+    def cartesian_array(points) -> np.ndarray:
+        t, x, y, z = points
+        return qconj_array(f.cartesian_array((t, -x, -y, -z)))
 
     def uv_array(chart) -> tuple:
         # conj(u + (-iota) v) = u + iota v, with (u, v) read at -iota
@@ -293,7 +292,7 @@ def mirror(f: QFunction) -> QFunction:
     # left-handed class expectations do not transfer unless the function is
     # a pure slice sweep, which mirror fixes pointwise
     classes = f.classes if f.kind == "CI" else None
-    return _composite((f,), spherical, array_evaluator, uv_array, name=f"mirror:{f.name}",
+    return _composite((f,), spherical, cartesian_array, uv_array, name=f"mirror:{f.name}",
                       evaluator=evaluator, kind=f.kind, classes=classes)
 
 

@@ -16,8 +16,9 @@ FFT, which yields every order from one ring of samples.  The rings of many
 slices are sampled together in the chart, as the open mesh of the ring's
 (t, r) rows and the slices' angles.  The quadrature reads u + i v from the
 function's (u, v) view when it has one; otherwise it samples quaternion
-values (through the array evaluator when there is one) and projects them
-on the slice's iota, checking that they stay in the slice plane.
+values at the rings' Cartesian rows (through the Cartesian array view when
+there is one) and projects them on the slice's iota, checking that they
+stay in the slice plane.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     samples are u + i v.  A view without a slice axis, a sweep's, is sampled
     in one batch: when the samples of a batch of several slices have shape
     (1, Q), their one FFT serves every slice left.
-    Without the view they are quaternion rows, from the array evaluator or
-    point by point through the evaluator (sample_chart), projected on the
+    Without the view they are quaternion rows, from the Cartesian array view
+    or point by point through the evaluator (sample_chart), projected on the
     slice's iota by diffops.uv_rows.  A sample that is not finite, or
     (without the view) whose value leaves the slice plane, raises
     DomainError naming the slice; samples whose quadrature overflows to a

@@ -30,7 +30,10 @@ once per point.  to_spherical_array and from_spherical_rows return their
 rows, each as large as the rows it is computed from (so Cartesian rows of a
 chart mesh keep t on its own axis, and x, y, z without it);
 from_spherical_array and iota_array return the full array (4, *shape).
-Points where the scalar form raises come back as NaN columns.
+Points where the scalar form raises come back as NaN columns: the real axis
+and the k axis x = y = 0 for to_spherical_array, the chart map that a
+function defined on the chart (function_model.from_uv) takes of its
+Cartesian rows.
 """
 
 from __future__ import annotations
@@ -249,6 +252,7 @@ def qabs_array(q) -> np.ndarray:
         norm = np.sqrt(_sum_of_squares(q))
         over = np.isinf(norm)
         if over.any():
+            q = np.array(np.broadcast_arrays(*q))  # rows may have their own shapes
             over &= np.isfinite(q).all(axis=0)
             big = np.where(over, np.max(np.abs(q), axis=0), 1.0)
             norm = np.where(over, big * np.sqrt(_sum_of_squares(row / big for row in q)), norm)
@@ -294,11 +298,13 @@ def to_spherical_array(q):
 
     The four rows broadcast together, each in the shape of the rows it is
     computed from: t as given, alpha from x and y alone (an array (4, ...)
-    of quaternion rows gives one of chart rows).  Columns where to_spherical
-    raises (real axis, poles) are NaN in every row.
+    of quaternion rows gives one of chart rows).  r is qabs_array's norm,
+    as to_spherical's is vector_norm's, so it does not overflow below the
+    float maximum.  Columns where to_spherical raises (real axis, poles)
+    are NaN in every row.
     """
     t, x, y, z = q
-    chart = (t, np.sqrt(x * x + y * y + z * z), np.arctan2(y, x), np.arctan2(np.hypot(x, y), z))
+    chart = (t, qabs_array((x, y, z)), np.arctan2(y, x), np.arctan2(np.hypot(x, y), z))
     pole = (x == 0.0) & (y == 0.0)
     if pole.any():
         chart = tuple(np.where(pole, np.nan, row) for row in chart)

@@ -28,7 +28,7 @@ from .generators import (chiral_difference, get_witness, mirror, rinehart_L,
                          rinehart_condition_residual, ci_extend_rinehart)
 from .laurent import AnnulusRegion, coefficient_class_check, laurent_coefficients
 from .quaternion_core import (Quaternion, SphericalPoint, from_spherical,
-                              from_spherical_array, qabs_array, qconj_array)
+                              from_spherical_array, qabs_array, qconj_array, rows_shape)
 
 WITNESS_NAMES = ("rho", "varrho", "sigma")
 POWER_NAMES = tuple(f"pow:{n}" for n in (-2, -1, 0, 2, 3, 4)) + ("identity",)
@@ -71,15 +71,15 @@ def random_polynomial(rng) -> QFunction:
                                  * (p.y ** ey) * (p.z ** ez))
         return total
 
-    def array_evaluator(chart) -> np.ndarray:
-        t, x, y, z = from_spherical_array(chart)
+    def cartesian_array(points) -> np.ndarray:
+        t, x, y, z = points
         # each coefficient as a column (4, 1, ..., 1) against the point axes
-        return sum(point_rows(c).reshape((4,) + (1,) * t.ndim)
+        return sum(point_rows(c).reshape((4,) + (1,) * len(rows_shape(points)))
                    * ((t ** et) * (x ** ex) * (y ** ey) * (z ** ez))
                    for c, (et, ex, ey, ez) in terms)
 
     return QFunction(name=f"poly:{len(terms)}-terms", evaluator=evaluator, kind="raw",
-                     array_evaluator=array_evaluator)
+                     cartesian_array=cartesian_array)
 
 
 def conjugate_function(f: QFunction) -> QFunction:
@@ -88,14 +88,14 @@ def conjugate_function(f: QFunction) -> QFunction:
     def spherical(s: SphericalPoint) -> Quaternion:
         return f.at_spherical(s).conjugate()
 
-    def array_evaluator(chart) -> np.ndarray:
-        return qconj_array(f.array_evaluator(chart))
+    def cartesian_array(points) -> np.ndarray:
+        return qconj_array(f.cartesian_array(points))
 
     def uv_array(chart) -> tuple:
         u, v = f.uv_array(chart)
         return u, -v
 
-    return _composite((f,), spherical, array_evaluator, uv_array, name=f"conj:{f.name}",
+    return _composite((f,), spherical, cartesian_array, uv_array, name=f"conj:{f.name}",
                       evaluator=lambda p: f(p).conjugate(), kind=f.kind)
 
 

@@ -1,8 +1,10 @@
-"""Array evaluators agree with the scalar chart view they batch.
+"""The batched samplers agree with the scalar views they batch.
 
-Column k of f.array_evaluator(chart) must equal f.at_spherical of column k.
-Off the domain, where the scalar view raises, the column must come back
-non-finite, and the array evaluation must emit no numpy warning.
+Column k of sample_chart(f, chart) must equal f.at_spherical of column k,
+and column k of f's Cartesian array view at quaternion rows must equal
+f(p) of column k, the k axis x = y = 0 included.  Off the domain, where the
+scalar view raises, the column must come back non-finite, and the batch
+must emit no numpy warning.
 """
 
 import cmath
@@ -21,10 +23,11 @@ from fueterlab.function_model import (
     from_uv,
     pointwise_product,
     pointwise_sum,
+    sample_chart,
 )
 from fueterlab.generators import (chiral_difference, get_witness, mirror, resolve_function_spec,
                                   rinehart_L)
-from fueterlab.quaternion_core import SphericalPoint
+from fueterlab.quaternion_core import Quaternion, SphericalPoint, from_spherical_array
 from fueterlab.verification import conjugate_function, random_polynomial
 
 REL_TOL = 1e-12
@@ -65,7 +68,7 @@ def _seeded_chart(n=64, seed=20240601):
 def _array_values(f, chart):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = f.array_evaluator(chart)
+        values = sample_chart(f, chart)
     assert values.shape == chart.shape
     return values
 
@@ -85,7 +88,7 @@ def _assert_agrees(got, want, col):
 @pytest.mark.parametrize("name", sorted(MAKERS))
 def test_array_matches_scalar_inside_grid(name):
     f = MAKERS[name]()
-    assert f.array_evaluator is not None
+    assert f.cartesian_array is not None
     chart = _seeded_chart()
     values = _array_values(f, chart)
     for k, col in enumerate(chart.T.tolist()):
@@ -105,6 +108,44 @@ def test_array_is_non_finite_where_scalar_raises(name):
             assert not np.all(np.isfinite(values[:, k])), col
         else:
             _assert_agrees(values[:, k], want, col)
+
+
+# a point on the real axis, where no function here is defined, and points
+# on the k axis x = y = 0, where the chart has no alpha: a sweep is defined
+# there, a function of the angles is not
+REAL_AXIS = [(0.5, 0.0, 0.0, 0.0), (-0.25, -0.0, 0.0, -0.0)]
+K_AXIS = [(0.3, 0.0, 0.0, 0.8), (-0.4, -0.0, 0.0, -1.2), (0.1, 0.0, -0.0, 0.6)]
+# the sweeps, their mirror and sum, and the polynomial
+ON_THE_K_AXIS = {name for name in MAKERS
+                 if name.startswith(("pow:", "mirror:pow:", "sum:pow:", "poly"))}
+
+
+def _evaluator_value(f, col):
+    try:
+        val = f(Quaternion(*col))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    return np.array([val.t, val.x, val.y, val.z])
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_cartesian_view_matches_the_evaluator(name):
+    f = MAKERS[name]()
+    rows = np.hstack((from_spherical_array(_seeded_chart()), np.array(REAL_AXIS + K_AXIS).T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = f.cartesian_array(rows)
+    assert values.shape == rows.shape
+    for k, col in enumerate(rows.T.tolist()):
+        want = _evaluator_value(f, col)
+        if want is None:
+            assert np.isnan(values[:, k]).all(), col
+        else:
+            _assert_agrees(values[:, k], want, col)
+    on_axis = values[:, -len(K_AXIS):]
+    assert np.isfinite(on_axis).all() if name in ON_THE_K_AXIS else np.isnan(on_axis).all()
+    if name != "poly":
+        assert np.isnan(values[:, -len(K_AXIS + REAL_AXIS):-len(K_AXIS)]).all()
 
 
 def test_off_domain_points_reach_every_family():

@@ -1,8 +1,8 @@
 """The chart views of u + iota v functions keep their exact values.
 
 from_uv and cullen_extend assemble u + iota(alpha, beta) v in their scalar
-view (at_spherical) and their array view (array_evaluator).  Both views
-must give exactly what the formulas written out below give, result types
+view (at_spherical) and in their chart samples (sample_chart, which reads
+the (u, v) view).  Both must give exactly what the formulas written out below give, result types
 included, on seeded chart points inside the default grid box.
 """
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, NAMED_STEMS, cullen_extend,
-                                      from_uv)
+                                      from_uv, sample_chart)
 from fueterlab.generators import get_witness
 from fueterlab.quaternion_core import Quaternion, SphericalPoint
 
@@ -121,7 +121,7 @@ def test_scalar_chart_view_is_the_reference_assembly(name):
 @pytest.mark.parametrize("name", CASES)
 def test_array_chart_view_is_the_reference_assembly(name):
     f, _, array_uv = CASES[name]()
-    got = f.array_evaluator(CHART)
+    got = sample_chart(f, CHART)
     want = uv_rows(CHART, *array_uv(CHART))
     assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (4, len(POINTS))
     assert np.isfinite(want).all()

@@ -1,5 +1,6 @@
 """Grid classification, verdict policy, Jacobian and centrality checks."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -26,6 +27,9 @@ from fueterlab.function_model import (
 from fueterlab.generators import get_witness, resolve_function_spec
 from fueterlab.quaternion_core import DomainError, Quaternion, from_spherical_rows
 from fueterlab.verification import random_polynomial
+
+# the module, which the package's classify function shadows as an attribute
+classify_module = importlib.import_module("fueterlab.classify")
 
 CFG = DiffConfig()
 # a 4^4 grid keeps each classification cheap while straddling the chart the
@@ -137,12 +141,14 @@ def _counting(f: QFunction, points: list) -> QFunction:
             return view(p)
         return view and counted
 
-    def array_evaluator(chart):
-        points.append(np.broadcast(*chart).size)
-        return f.array_evaluator(chart)
+    def batched(view):
+        def counted(rows):
+            points.append(np.broadcast(*rows).size)
+            return view(rows)
+        return view and counted
 
     return replace(f, evaluator=each(f.evaluator), spherical_evaluator=each(f.spherical_evaluator),
-                   array_evaluator=f.array_evaluator and array_evaluator)
+                   cartesian_array=batched(f.cartesian_array), uv_array=batched(f.uv_array))
 
 
 KINDS = {
@@ -188,7 +194,7 @@ def test_chain_rule_partials_match_the_chart_stencils(name, scheme):
 
 @pytest.mark.parametrize("scheme", ["central", "richardson"])
 @pytest.mark.parametrize("name", ["rho", "pow:3"])
-def test_tolerance_scale_is_the_max_over_every_sample(name, scheme):
+def test_tolerance_scale_is_the_max_over_every_sample(name, scheme, monkeypatch):
     # the scale of a node is max |f| over its center and every stencil
     # sample, whichever stencil took it
     scales, outputs = [], []
@@ -198,14 +204,16 @@ def test_tolerance_scale_is_the_max_over_every_sample(name, scheme):
             scales.append(scale)
             return super().point_tolerance(scale)
 
-    f = get_witness(name).function
+    def recording(sample):
+        def sampler(f, rows):
+            values = sample(f, rows)
+            outputs.append(np.asarray(values))
+            return values
+        return sampler
 
-    def recording(chart):
-        values = f.array_evaluator(chart)
-        outputs.append(np.asarray(values))
-        return values
-
-    classify(replace(f, array_evaluator=recording), FAST_GRID, Recording(scheme=scheme))
+    for sample in ("sample_chart", "sample_cartesian"):
+        monkeypatch.setattr(classify_module, sample, recording(getattr(classify_module, sample)))
+    classify(get_witness(name).function, FAST_GRID, Recording(scheme=scheme))
     shape = (FAST_GRID.n_per_axis,) * 4
     norms = [np.sqrt(o[0] * o[0] + o[1] * o[1] + o[2] * o[2] + o[3] * o[3]) for o in outputs]
     want = norms[0]
@@ -250,7 +258,7 @@ def test_non_finite_array_samples_give_singular():
     rep = classify(f, grid=FAST_GRID)
     _assert_singular(rep)
     # both fill paths drop the same nodes
-    scalar = classify(replace(f, array_evaluator=None), grid=FAST_GRID)
+    scalar = classify(replace(f, cartesian_array=None, uv_array=None), grid=FAST_GRID)
     for key in ("class_I", "class_II", "class_III", "regular", "centrality"):
         assert getattr(scalar, key).max == pytest.approx(getattr(rep, key).max, rel=1e-9)
 

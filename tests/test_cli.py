@@ -151,8 +151,11 @@ def test_grid_flat_form_round_trip(capsys):
      "bad alpha range (-1e+308, 1e+308): need lo <= hi and a finite width hi - lo"),
     ("-1e308,1e308,0.5,1.5,-2.5,2.5,0.4,2.7,3",
      "bad t range (-1e+308, 1e+308): need lo <= hi and a finite width hi - lo"),
+    # the stencils' Cartesian samples read the azimuth in [-pi, pi], not alpha = 1e12
+    ("-1,1,0.5,1.5,1e12,1.000000000005e12,0.4,2.7,3",
+     "alpha range (1000000000000.0, 1000000000005.0) leaves [-pi, pi]"),
 ], ids=["count", "not-a-number", "nan-n", "r-margin", "one-node", "beta-outside",
-        "alpha-width-overflows", "t-width-overflows"])
+        "alpha-width-overflows", "t-width-overflows", "alpha-outside"])
 def test_grid_flat_form_errors(capsys, grid, message):
     assert run_cli(capsys, ["classify", "rho", f"--grid={grid}"]) == (2, None, f"error: {message}\n")
 

@@ -1,13 +1,13 @@
 """Products, sums, mirrors and conjugates keep exactly their inputs' views.
 
 A composite of QFunctions has a spherical_evaluator only when every input
-has one, an array_evaluator only when every input has one, and a (u, v)
-view uv_array only when every input has one.  Each view
+has one, a Cartesian array view (cartesian_array) only when every input has
+one, and a (u, v) view uv_array only when every input has one.  Each view
 it has must give, bit for bit, what the formula written out below gives
 from the inputs' own views, on seeded points inside the default grid box.
-The inputs cover every mix of views: a raw function (Cartesian only), a raw
+The inputs cover every mix of views: a raw function (evaluator only), a raw
 function with a chart view, a from_uv and a Cullen sweep (all four views)
-and a chiral difference (Cartesian and array views).
+and a chiral difference (evaluator and Cartesian array view).
 """
 
 import itertools
@@ -28,6 +28,7 @@ CHART_POINTS = [SphericalPoint(*column) for column in CHART.T.tolist()]
 CARTESIAN = [from_spherical(s) for s in CHART_POINTS]
 # the conjugates too, so the mirror's Cartesian view is read on both sides
 CARTESIAN += [p.conjugate() for p in CARTESIAN]
+CARTESIAN_ROWS = np.array([(p.t, p.x, p.y, p.z) for p in CARTESIAN]).T
 
 SHIFT = Quaternion(0.5, -0.25, 1.0, 0.125)
 
@@ -89,13 +90,14 @@ def _antipodal_chart(chart):
 
 
 def _assert_views(h, inputs, cartesian, spherical, array, uv):
-    """h has a chart view (array view, (u, v) view) exactly when every input
-    has one, and each of its views equals the written-out formula bit for bit"""
+    """h has a chart view (Cartesian array view, (u, v) view) exactly when
+    every input has one, and each of its views equals the written-out
+    formula bit for bit"""
     has_spherical = all(f.spherical_evaluator is not None for f in inputs)
-    has_array = all(f.array_evaluator is not None for f in inputs)
+    has_array = all(f.cartesian_array is not None for f in inputs)
     has_uv = all(f.uv_array is not None for f in inputs)
     assert (h.spherical_evaluator is not None) == has_spherical
-    assert (h.array_evaluator is not None) == has_array
+    assert (h.cartesian_array is not None) == has_array
     assert (h.uv_array is not None) == has_uv
     for p in CARTESIAN:
         assert _bits(h(p)) == _bits(cartesian(p)), p
@@ -103,7 +105,7 @@ def _assert_views(h, inputs, cartesian, spherical, array, uv):
         for s in CHART_POINTS:
             assert _bits(h.spherical_evaluator(s)) == _bits(spherical(s)), s
     if has_array:
-        assert _row_bits(h.array_evaluator(CHART)) == _row_bits(array(CHART))
+        assert _row_bits(h.cartesian_array(CARTESIAN_ROWS)) == _row_bits(array(CARTESIAN_ROWS))
     if has_uv:
         assert _row_bits(np.broadcast_arrays(*h.uv_array(CHART))) == \
             _row_bits(np.broadcast_arrays(*uv(CHART)))
@@ -123,7 +125,7 @@ def test_product_views(f, g):
     _assert_views(h, (f, g),
                   lambda p: f(p) * g(p),
                   lambda s: f.at_spherical(s) * g.at_spherical(s),
-                  lambda c: _hamilton_rows(f.array_evaluator(c), g.array_evaluator(c)),
+                  lambda q: _hamilton_rows(f.cartesian_array(q), g.cartesian_array(q)),
                   lambda c: _complex_rows(_complex(f.uv_array(c)) * _complex(g.uv_array(c))))
 
 
@@ -135,7 +137,7 @@ def test_sum_views(f, g):
     _assert_views(h, (f, g),
                   lambda p: f(p) + g(p),
                   lambda s: f.at_spherical(s) + g.at_spherical(s),
-                  lambda c: f.array_evaluator(c) + g.array_evaluator(c),
+                  lambda q: f.cartesian_array(q) + g.cartesian_array(q),
                   lambda c: _complex_rows(_complex(f.uv_array(c)) + _complex(g.uv_array(c))))
 
 
@@ -147,7 +149,7 @@ def test_mirror_views(f):
     _assert_views(h, (f,),
                   lambda p: f(p.conjugate()).conjugate(),
                   lambda s: f.at_spherical(_antipode(s)).conjugate(),
-                  lambda c: _conj_rows(f.array_evaluator(_antipodal_chart(c))),
+                  lambda q: _conj_rows(f.cartesian_array(_conj_rows(q))),
                   lambda c: f.uv_array(_antipodal_chart(c)))
 
 
@@ -158,5 +160,5 @@ def test_conjugate_views(f):
     _assert_views(h, (f,),
                   lambda p: f(p).conjugate(),
                   lambda s: f.at_spherical(s).conjugate(),
-                  lambda c: _conj_rows(f.array_evaluator(c)),
+                  lambda q: _conj_rows(f.cartesian_array(q)),
                   lambda c: (f.uv_array(c)[0], -f.uv_array(c)[1]))

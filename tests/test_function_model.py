@@ -304,6 +304,13 @@ def test_grid_point_count_and_margins():
     assert (np.sin(beta) >= 0.1).all()
 
 
+def test_an_array_view_of_chart_rows_is_no_field():
+    # the one array view reads Cartesian rows (t, x, y, z), so a view written
+    # for chart rows (t, r, alpha, beta) cannot be passed as one by its old name
+    with pytest.raises(TypeError, match="array_evaluator"):
+        QFunction("chart-rows", lambda p: p, array_evaluator=lambda chart: chart)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         SampleGrid(n_per_axis=1)
@@ -313,6 +320,10 @@ def test_grid_validation():
         SampleGrid(beta_range=(0.01, 2.0))  # sin(beta) too small
     with pytest.raises(ValueError):
         SampleGrid(t_range=(1.0, -1.0))
+    for alphas in ((-3.5, 0.0), (0.0, 3.2)):
+        with pytest.raises(ValueError, match=r"leaves \[-pi, pi\]"):
+            SampleGrid(alpha_range=alphas)
+    assert SampleGrid(alpha_range=(-math.pi, math.pi)).axes()[2][-1] == math.pi
 
 
 def test_grid_size_is_bounded_before_any_mesh():

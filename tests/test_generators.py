@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,15 @@ import pytest
 
 from fueterlab.diffops import DiffConfig, StepError, fueter_left, fueter_right, point_rows
 from fueterlab.function_model import (
+    DEFAULT_GRID,
     ComplexStem,
     FunctionKindError,
     QFunction,
     from_uv,
     pointwise_product,
     pointwise_sum,
+    sample_cartesian,
+    sample_chart,
     uv_at,
 )
 from fueterlab.generators import (
@@ -34,6 +38,7 @@ from fueterlab.quaternion_core import (
     Quaternion,
     SphericalPoint,
     from_spherical,
+    from_spherical_array,
     to_spherical,
     to_spherical_array,
 )
@@ -251,8 +256,8 @@ def test_chiral_difference_refuses_a_step_that_rounds_away():
     near = Quaternion(0.3, 0.6, -0.4, 0.5)
     rows = np.array([point_rows(near), point_rows(FAR_X), point_rows(near)]).T
     with pytest.raises(StepError, match=FAR_X_MESSAGE):
-        delta.array_evaluator(to_spherical_array(rows))
-    assert np.isfinite(delta.array_evaluator(to_spherical_array(rows[:, ::2]))).all()
+        delta.cartesian_array(rows)
+    assert np.isfinite(delta.cartesian_array(rows[:, ::2])).all()
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +282,30 @@ def test_mirror_is_an_involution():
             assert abs(twice(q) - f(q)) <= 1e-12 * (1 + abs(f(q)))
 
 
+# seeded Cartesian rows, with points on the k axis, on the real axis and
+# with signed zeros in x and y, where the azimuth of a point and of its
+# conjugate sit on the two sides of the alpha = +-pi cut
+MIRROR_ROWS = np.hstack((
+    from_spherical_array(DEFAULT_GRID.random_chart(np.random.default_rng(58), 40)),
+    np.array([[0.3, 0.0, 0.0, 0.8], [-0.2, -0.0, 0.0, -1.1], [0.5, 0.0, 0.0, 0.0],
+              [0.1, -0.7, 0.0, 0.4], [0.1, -0.7, -0.0, 0.4], [0.4, 0.0, -0.9, 0.2]]).T))
+
+
+@pytest.mark.parametrize("spec", ["rho", "varrho", "pow:3", "L:3:1:0", "product:rho*pow:2",
+                                  "chiral:rho", "raw"])
+def test_mirror_twice_is_the_function_on_cartesian_rows(spec):
+    # conjugation negates components, which is exact, so mirror(mirror(f))
+    # samples f at the very rows and gives its floats, NaN where f has none
+    f = QFunction("raw", lambda p: p * p * Quaternion(0.5, -1.0, 0.25, 2.0)) if spec == "raw" \
+        else resolve_function_spec(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_cartesian(mirror(mirror(f)), MIRROR_ROWS)
+        want = sample_cartesian(f, MIRROR_ROWS)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.nan_to_num(got).tobytes() == np.nan_to_num(want).tobytes()
+
+
 def test_mirror_swaps_chirality_of_rho():
     # the mirror image satisfies the right-handed Class II law
     m = mirror(get_witness("rho").function)
@@ -297,8 +326,9 @@ def test_mirror_views_agree_on_the_azimuth_cut(x, y):
     q = Quaternion(0.3, x, y, 0.4)
     want = m(q)
     assert abs(m.at_spherical(to_spherical(q)) - want) <= 1e-12
-    rows = m.array_evaluator(to_spherical_array(np.array([[q.t], [q.x], [q.y], [q.z]])))
-    assert abs(Quaternion(*rows[:, 0]) - want) <= 1e-12
+    rows = np.array([[q.t], [q.x], [q.y], [q.z]])
+    for values in (m.cartesian_array(rows), sample_chart(m, to_spherical_array(rows))):
+        assert abs(Quaternion(*values[:, 0]) - want) <= 1e-12
 
 
 def test_mirror_matches_conjugate_of_antipodal_value():

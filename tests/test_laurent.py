@@ -27,6 +27,7 @@ from fueterlab.quaternion_core import (
     Quaternion,
     SphericalPoint,
     from_spherical,
+    from_spherical_array,
     iota,
     iota_array,
     iota_coefficient,
@@ -407,7 +408,7 @@ def test_mirror_takes_the_series_of_the_antipodal_slice(spec):
 
 
 def _scalar_only(f):
-    return dataclasses.replace(f, array_evaluator=None, uv_array=None)
+    return dataclasses.replace(f, cartesian_array=None, uv_array=None)
 
 
 def _assert_grids_agree(got, want):
@@ -429,7 +430,7 @@ def _assert_verdicts_agree(batched, pointwise):
 @pytest.mark.parametrize("spec", ["rho", "pow:3", "stem:-1:0.5:-0.25,2:1:0.75", "mirror:rho"])
 def test_array_and_scalar_paths_agree(spec):
     f = resolve_function_spec(spec)
-    assert f.array_evaluator is not None
+    assert f.cartesian_array is not None
     batched = laurent_coefficients(f, REGION, n_range=(-4, 4), quadrature_points=64)
     pointwise = laurent_coefficients(_scalar_only(f), REGION, n_range=(-4, 4),
                                      quadrature_points=64)
@@ -575,11 +576,11 @@ def _relative_gap(got, want):
 
 
 @pytest.mark.parametrize("name", UV_FUNCTIONS)
-def test_the_uv_view_is_the_projection_of_the_array_view(name):
+def test_the_uv_view_is_the_projection_of_the_cartesian_view(name):
     f = UV_FUNCTIONS[name]
     assert f.uv_array is not None and f.is_ce
     chart = DEFAULT_GRID.random_chart(np.random.default_rng(22), 64)
-    w = f.array_evaluator(chart)
+    w = f.cartesian_array(from_spherical_array(chart))
     u, v = np.broadcast_arrays(*f.uv_array(chart), chart[0])[:2]
     assert _relative_gap(u, w[0]) <= 1e-12
     assert _relative_gap(v, iota_coefficient(w, iota_array(chart))) <= 1e-12

@@ -1,12 +1,13 @@
-"""Array evaluators on broadcast rows: an open mesh gives the values of the
+"""The samplers on broadcast rows: an open mesh gives the values of the
 materialized points, bit for bit.
 
-classify hands every array evaluator four chart rows that broadcast
-together (a grid's open mesh, and stencil shifts of it) instead of a
-(4, N) array.  Each evaluator must give the same value rows as on the
-materialized (4, N) rows: the same floats, NaN in the same places, and no
-numpy warning.  The user callables behind the per-point paths must see the
-same points, in the same order, the same number of times.
+classify samples four rows that broadcast together instead of a (4, N)
+array: a grid's open mesh through sample_chart, and the mesh's Cartesian
+rows and their stencil shifts through sample_cartesian.  Each must give
+the same value rows as on the materialized (4, N) rows: the same floats,
+NaN in the same places, and no numpy warning.  The user callables behind
+the per-point paths must see the same points, in the same order, the same
+number of times.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from fueterlab.classify import classify, jacobian_check
 from fueterlab.diffops import DiffConfig, StepError
 from fueterlab.function_model import (DEFAULT_GRID, ComplexStem, QFunction, SampleGrid,
                                       cullen_extend, from_uv, pointwise_product, pointwise_sum,
-                                      sample_cartesian)
+                                      sample_cartesian, sample_chart)
 from fueterlab.generators import chiral_difference, get_witness, mirror, resolve_function_spec
 from fueterlab.quaternion_core import (ChartSingularityError, DomainError, Quaternion,
                                        SphericalPoint, from_spherical_array, from_spherical_rows)
@@ -85,7 +86,7 @@ MAKERS = {
 def _evaluate(f, rows) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return f.array_evaluator(rows)
+        return sample_chart(f, rows)
 
 
 def _assert_same_floats(got, want):
@@ -111,7 +112,7 @@ def test_open_mesh_equals_materialized_rows(name, rows):
 @pytest.mark.parametrize("name", MAKERS)
 def test_cartesian_open_mesh_equals_materialized_rows(name, rows):
     # the Cartesian rows of the mesh keep t on its own axis and x, y, z
-    # without it; the pole columns (beta = 0) go to f.evaluator
+    # without it; the columns on the k axis (beta = 0) are no special case
     f = MAKERS[name]()
     points = from_spherical_rows(rows())
     full = _materialized(points)
@@ -181,7 +182,8 @@ def _user_function(kind, log):
 # recorded once classify took its r, alpha and beta partials from the
 # Cartesian stencil by the chain rule: the center and the t, x, y, z
 # stencils, 9 points a node under central and 17 under Richardson (a
-# from_uv point calls u and v, and a stem is called once per distinct t + i r)
+# from_uv point calls u and v, and a stem is called once per distinct t + i r);
+# the mirror's stencil samples call its input at the conjugate points
 USER_CALLS = {
     ("raw", "central"): (2304, "719647f147b280d5"),
     ("raw", "richardson"): (4352, "3652ac1cf00632ae"),
@@ -191,8 +193,8 @@ USER_CALLS = {
     ("stem", "richardson"): (1028, "0a3e48b61b9da227"),
     ("product", "central"): (2304, "719647f147b280d5"),
     ("product", "richardson"): (4352, "3652ac1cf00632ae"),
-    ("mirror", "central"): (4608, "2c6595651d113c32"),
-    ("mirror", "richardson"): (8704, "c4c3bdbb278a7f6d"),
+    ("mirror", "central"): (4608, "177b89a408d6e18e"),
+    ("mirror", "richardson"): (8704, "bf2bf894f296fb6b"),
 }
 
 
@@ -206,16 +208,17 @@ def test_user_callables_see_the_same_calls(kind, scheme):
 @pytest.mark.parametrize("scheme", ("central", "richardson"))
 def test_classify_maps_cartesian_stencils_once_per_point(scheme):
     # a Cartesian stencil shifts x, y or z, which t does not reach, so the
-    # r, alpha and beta rows the evaluator gets hold n_off * n**3 values at most
+    # x, y and z rows the Cartesian view gets, and the r, alpha and beta rows
+    # it maps them to, hold n_off * n**3 values at most
     sizes = []
     rho = _witness("rho")
 
-    def recording(chart):
-        sizes.append(max(np.size(row) for row in chart[1:]))
-        return rho.array_evaluator(chart)
+    def recording(points):
+        sizes.append(max(np.size(row) for row in points[1:]))
+        return rho.cartesian_array(points)
 
     cfg, n = DiffConfig(scheme=scheme), DEFAULT_GRID.n_per_axis
-    classify(dataclasses.replace(rho, array_evaluator=recording), DEFAULT_GRID, cfg)
+    classify(dataclasses.replace(rho, cartesian_array=recording), DEFAULT_GRID, cfg)
     assert sizes and max(sizes) <= len(diffops.stencil_offsets(cfg)) * n ** 3
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fueterlab.quaternion_core import (
     qabs_array,
     qmul_array,
     to_spherical,
+    to_spherical_array,
 )
 
 HALF_PI = math.pi / 2.0
@@ -144,6 +146,22 @@ def test_a_norm_whose_sum_of_squares_overflows_is_rescaled():
     assert p.vector_norm() == to_spherical(p).r == 1.414213562373095e+200
     assert Quaternion(0.0, math.inf, 1.0).vector_norm() == math.inf
     assert math.isnan(Quaternion(0.0, math.nan, 1e200).vector_norm())
+
+
+def test_chart_rows_of_a_huge_imaginary_part_take_the_rescaled_norm():
+    # r is the rescaled norm of to_spherical, not inf, with no overflow warning,
+    # on an array and on rows of their own shapes (z against x and y)
+    points = [Quaternion(0.5, 1e200, 1e200, 0.0), Quaternion(0.1, -3e180, 2e200, -1e300),
+              Quaternion(-0.2, 0.3, -0.4, 1.2)]
+    want = [list(to_spherical(p)) for p in points]
+    rows = np.array([[p.t, p.x, p.y, p.z] for p in points]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chart = to_spherical_array(rows)
+        mesh = to_spherical_array((rows[0], rows[1][:, None], rows[2][:, None], rows[3]))
+    assert chart.T.tolist() == want
+    assert want[0][1] == 1.414213562373095e+200
+    assert np.diagonal(mesh[1]).tolist() == [s[1] for s in want]
 
 
 def test_abs_equals_qabs_array_bit_for_bit():
