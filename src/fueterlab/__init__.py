@@ -26,7 +26,6 @@ from .function_model import (
     from_uv,
     power_function,
     restrict_to_slice,
-    uv_at,
     pointwise_product,
     pointwise_sum,
 )
@@ -70,7 +69,7 @@ __all__ = [
     "iota", "to_spherical", "from_spherical",
     "QFunction", "ComplexStem", "SampleGrid", "DEFAULT_GRID",
     "FunctionKindError", "cullen_extend", "from_uv", "power_function",
-    "restrict_to_slice", "uv_at", "pointwise_product", "pointwise_sum",
+    "restrict_to_slice", "pointwise_product", "pointwise_sum",
     "DiffConfig", "OperatorValue", "fueter_left", "fueter_right",
     "fueter_spherical", "class1_residual",
     "spherical_cr_residuals", "imaginary_derivative",

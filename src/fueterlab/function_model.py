@@ -57,10 +57,11 @@ the trig of a grid's alpha and beta axes once per axis value, a stem on
 the t + i r plane once per (t, r) pair, the chart map of a Cartesian
 stencil once per (x, y, z) point.
 
-from_uv and cullen_extend always supply a Cartesian view; a product, sum,
-mirror or conjugate has a spherical, Cartesian or (u, v) view only when all
-its inputs have it.  A scalar callable input is called with scalars, and
-the chart maps, the trig and the u + iota v assembly run on arrays:
+from_uv and cullen_extend always supply a Cartesian view, and so does a
+product, sum, mirror or conjugate: it reads each input through
+sample_cartesian.  Such a composite has a spherical or (u, v) view only when
+all its inputs have it.  A scalar callable input is called with scalars,
+and the chart maps, the trig and the u + iota v assembly run on arrays:
 
 * from_uv without uv_array materializes the rows and calls u, then v, once
   per point, each with one SphericalPoint (a named tuple), into two lists;
@@ -68,11 +69,13 @@ the chart maps, the trig and the u + iota v assembly run on arrays:
   (a sweep repeats t + i r on every slice), so it must be a pure function
   of z.
 
-Only a QFunction built directly from an evaluator (or a composite of one)
-has no Cartesian view; sample_cartesian then materializes the rows and
-fills the same arrays from its evaluator, one point at a time, appending
-each value's components to four lists, and sample_chart does so at
-from_spherical_rows of its chart rows, whose floats are from_spherical's.
+Only a QFunction built directly from an evaluator has no Cartesian view;
+sample_cartesian then materializes the rows and fills the same arrays from
+its evaluator, one point at a time, appending each value's components to
+four lists, and sample_chart does so at from_spherical_rows of its chart
+rows, whose floats are from_spherical's.  This per-point fill runs only a
+user's own evaluator: a composite of one fills that input alone, and
+samples each library input through its array view.
 A spherical view of such a function is read only through at_spherical; it
 must agree with the evaluator through the chart.  No user callable is ever
 called with an array.
@@ -381,25 +384,6 @@ def sample_cartesian(f: QFunction, points) -> np.ndarray:
     return _fill_rows(f, points)
 
 
-def uv_at(f: QFunction, p: Quaternion) -> tuple:
-    """Scalar components (u, v) of a CE function at p.
-
-    u is the real part of the value and v the coefficient of iota(p),
-    recovered as the dot product of the imaginary part with iota(p).
-    Meaningful only for CE/CI functions; the imaginary part of a raw
-    function need not be parallel to iota.
-    """
-    r = p.vector_norm()
-    if r == 0.0:
-        raise ChartSingularityError("u/v split undefined on the real axis")
-    val = f(p)
-    q = (val.t, val.x, val.y, val.z)
-    v = iota_coefficient(q, (p.t, p.x, p.y, p.z)) / r
-    if not math.isfinite(v):  # the products overflow above about 1.3e154: take iota(p) first
-        v = iota_coefficient(q, (p.t / r, p.x / r, p.y / r, p.z / r))
-    return val.t, v
-
-
 def from_uv(u: Callable[[SphericalPoint], float],
             v: Callable[[SphericalPoint], float],
             name: str = "from_uv",
@@ -625,10 +609,11 @@ def restrict_to_slice(f: QFunction, alpha: float, beta: float) -> Callable[[comp
     return slice_fn
 
 
-def _composite(inputs: tuple, spherical, cartesian_array, uv_array, **fields) -> QFunction:
-    """ the composite of inputs with the views that every input has """
-    views = {"spherical_evaluator": spherical, "cartesian_array": cartesian_array,
-             "uv_array": uv_array}
+def _composite(inputs: tuple, spherical, uv_array, **fields) -> QFunction:
+    """The composite of inputs, with a chart view (spherical, uv_array) only
+    when every input has it.  Its Cartesian view, among fields, samples each
+    input through sample_cartesian, so a composite always has one."""
+    views = {"spherical_evaluator": spherical, "uv_array": uv_array}
     for view in views:
         if any(getattr(f, view) is None for f in inputs):
             views[view] = None
@@ -646,7 +631,7 @@ def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction
         return op(f.at_spherical(s), g.at_spherical(s))
 
     def cartesian_array(points) -> np.ndarray:
-        a, b = f.cartesian_array(points), g.cartesian_array(points)
+        a, b = sample_cartesian(f, points), sample_cartesian(g, points)
         with np.errstate(all="ignore"):
             return array_op(a, b)
 
@@ -660,8 +645,8 @@ def _pointwise(f: QFunction, g: QFunction, name: str, op, array_op) -> QFunction
         kind = "CI"
     else:
         kind = "CE" if f.is_ce and g.is_ce else "raw"
-    return _composite((f, g), spherical, cartesian_array, uv_array,
-                      name=name, evaluator=evaluator, kind=kind)
+    return _composite((f, g), spherical, uv_array, name=name, evaluator=evaluator,
+                      kind=kind, cartesian_array=cartesian_array)
 
 
 def pointwise_product(f: QFunction, g: QFunction, name: Optional[str] = None) -> QFunction:

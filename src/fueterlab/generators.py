@@ -282,7 +282,7 @@ def mirror(f: QFunction) -> QFunction:
 
     def cartesian_array(points) -> np.ndarray:
         t, x, y, z = points
-        return qconj_array(f.cartesian_array((t, -x, -y, -z)))
+        return qconj_array(sample_cartesian(f, (t, -x, -y, -z)))
 
     def uv_array(chart) -> tuple:
         # conj(u + (-iota) v) = u + iota v, with (u, v) read at -iota
@@ -292,8 +292,8 @@ def mirror(f: QFunction) -> QFunction:
     # left-handed class expectations do not transfer unless the function is
     # a pure slice sweep, which mirror fixes pointwise
     classes = f.classes if f.kind == "CI" else None
-    return _composite((f,), spherical, cartesian_array, uv_array, name=f"mirror:{f.name}",
-                      evaluator=evaluator, kind=f.kind, classes=classes)
+    return _composite((f,), spherical, uv_array, name=f"mirror:{f.name}", evaluator=evaluator,
+                      kind=f.kind, classes=classes, cartesian_array=cartesian_array)
 
 
 _STEM_TERM_RE = re.compile(r"^(-?\d+):(-?[\d.eE+-]+):(-?[\d.eE+-]+)$")

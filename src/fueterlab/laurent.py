@@ -65,6 +65,9 @@ class AnnulusRegion:
             if not 0.0 < hi - lo < math.inf:
                 raise ValueError(f"bad {label} window {(lo, hi)}: "
                                  "need lo < hi and a finite width hi - lo")
+        if not -math.pi <= self.alpha_window[0] <= self.alpha_window[1] <= math.pi:
+            # the azimuth of a Cartesian sample is read in [-pi, pi]
+            raise ValueError(f"alpha window {self.alpha_window} leaves [-pi, pi]")
         check_beta_window(*self.beta_window, f"beta window {self.beta_window}")
         if self.n_alpha < 2 or self.n_beta < 2:
             raise ValueError("window needs at least 2 nodes per angle")

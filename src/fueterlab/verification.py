@@ -89,14 +89,14 @@ def conjugate_function(f: QFunction) -> QFunction:
         return f.at_spherical(s).conjugate()
 
     def cartesian_array(points) -> np.ndarray:
-        return qconj_array(f.cartesian_array(points))
+        return qconj_array(sample_cartesian(f, points))
 
     def uv_array(chart) -> tuple:
         u, v = f.uv_array(chart)
         return u, -v
 
-    return _composite((f,), spherical, cartesian_array, uv_array, name=f"conj:{f.name}",
-                      evaluator=lambda p: f(p).conjugate(), kind=f.kind)
+    return _composite((f,), spherical, uv_array, name=f"conj:{f.name}", kind=f.kind,
+                      evaluator=lambda p: f(p).conjugate(), cartesian_array=cartesian_array)
 
 
 def _grid_points(stride: int) -> np.ndarray:

@@ -7,8 +7,8 @@ them to make a regression green.
 
 The operator sweeps of criteria 3 to 7 and 10 are one batch call per
 function on every default-grid node (test_one_point_bits and test_open_mesh
-pin one point to its batch column, bit for bit); v is uv_at's formula on
-rows.  Three reads stay on scalar views, as each states an exact identity
+pin one point to its batch column, bit for bit); v is the iota coefficient
+of f over |Im p|, on rows.  Three reads stay on scalar views, as each states an exact identity
 of that view: criterion 5's closed forms of rinehart_L, criterion 7's pow:3
 image delta_p3(q) and criterion 10's involution, which is exactly 0.0
 through the scalar evaluators and rounding noise on array rows.
@@ -90,7 +90,7 @@ def class_ii_witnesses(reports):
 
 
 def v_rows(f):
-    """ uv_at's v at every grid node: the iota coefficient of f over |Im p| """
+    """ v at every grid node: the iota coefficient of f over |Im p| """
     return iota_coefficient(sample_cartesian(f, POINTS), POINTS) / np.sqrt(
         iota_coefficient(POINTS, POINTS))
 

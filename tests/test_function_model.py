@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fueterlab.diffops import point_rows, uv_rows
 from fueterlab.function_model import (
     ComplexStem,
     DEFAULT_GRID,
@@ -21,8 +22,8 @@ from fueterlab.function_model import (
     pointwise_sum,
     power_function,
     restrict_to_slice,
+    sample_cartesian,
     sample_chart,
-    uv_at,
 )
 from fueterlab.generators import resolve_function_spec
 from fueterlab.quaternion_core import (
@@ -32,6 +33,7 @@ from fueterlab.quaternion_core import (
     from_spherical,
     iota,
     to_spherical,
+    to_spherical_array,
 )
 
 Z_SQUARED = ComplexStem.laurent([(2, 1.0)])
@@ -112,7 +114,7 @@ def test_cullen_extension_of_z_squared():
     rng = random.Random(21)
     for _ in range(50):
         s = random_point(rng)
-        u, v = uv_at(f, from_spherical(s))
+        u, v = uv_rows(point_rows(f(from_spherical(s))), s)
         assert u == pytest.approx(s.t * s.t - s.r * s.r, abs=1e-12)
         assert v == pytest.approx(2.0 * s.t * s.r, abs=1e-12)
 
@@ -186,14 +188,14 @@ def test_restrict_to_slice_rejects_the_poles(beta):
         restrict_to_slice(power_function(2), 0.3, beta)
 
 
+def test_reprs_name_the_function():
+    assert repr(power_function(2)) == "QFunction('pow:2', kind='CI')"
+    assert repr(Z_SQUARED) == "ComplexStem('stem:2:1:0')"
+
+
 def test_qfunction_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown function kind 'CX'"):
         QFunction("f", lambda p: p, kind="CX")
-
-
-def test_uv_at_is_undefined_on_the_real_axis():
-    with pytest.raises(DomainError, match="u/v split undefined on the real axis"):
-        uv_at(power_function(2), Quaternion(0.5))
 
 
 def test_stem_derivative_off_its_domain_raises():
@@ -210,15 +212,12 @@ UV_FUNCTIONS = ("rho", "varrho", "x-over-r-iota", "pow:3", "L:-1:1:0,2:0.5:-0.25
 
 @pytest.mark.parametrize("spec", UV_FUNCTIONS)
 def test_uv_split_keeps_the_written_out_projection(spec):
-    # the formulas that uv_at and restrict_to_slice wrote out before they took
-    # the projection from quaternion_core.iota_coefficient, compared bit for bit
+    # the formula that restrict_to_slice wrote out before it took the
+    # projection from quaternion_core.iota_coefficient, compared bit for bit
     f = resolve_function_spec(spec)
     rng = random.Random(29)
     for _ in range(200):
         s = random_point(rng)
-        p = from_spherical(s)
-        val, r = f(p), p.vector_norm()
-        assert uv_at(f, p) == (val.t, (val.x * p.x + val.y * p.y + val.z * p.z) / r)
         io = iota(s.alpha, s.beta)
         val = f.at_spherical(s)
         want = complex(val.t, val.x * io.x + val.y * io.y + val.z * io.z)
@@ -226,12 +225,15 @@ def test_uv_split_keeps_the_written_out_projection(spec):
 
 
 def test_uv_split_of_a_huge_imaginary_part_does_not_overflow():
-    # the dot product with Im p overflows above about 1.3e154; v then comes
-    # from the unit vector p / |Im p|, in IEEE basic operations only
-    p = Quaternion(0.5, 1e200, 1e200, 0.0)
+    # a dot product with Im p would overflow above about 1.3e154; uv_rows
+    # projects on the unit iota of the chart, whose r to_spherical_array
+    # rescales
+    rows = point_rows(Quaternion(0.5, 1e200, 1e200, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert uv_at(power_function(1), p) == (0.5, 1.4142135623730949e+200)
+        u, v = uv_rows(sample_cartesian(power_function(1), rows), to_spherical_array(rows))
+    assert u == 0.5
+    assert v == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fueterlab.diffops import DiffConfig, StepError, fueter_left, fueter_right, point_rows
+from fueterlab.diffops import (DiffConfig, StepError, fueter_left, fueter_right, point_rows,
+                               uv_rows)
 from fueterlab.function_model import (
     DEFAULT_GRID,
     ComplexStem,
@@ -19,7 +20,6 @@ from fueterlab.function_model import (
     pointwise_sum,
     sample_cartesian,
     sample_chart,
-    uv_at,
 )
 from fueterlab.generators import (
     CATALOG,
@@ -91,7 +91,7 @@ def test_unknown_catalog_name_raises():
 def test_rho_closed_form():
     f = get_witness("rho").function
     for s in sample_points(51, 10):
-        u, v = uv_at(f, from_spherical(s))
+        u, v = uv_rows(point_rows(f(from_spherical(s))), s)
         assert u == pytest.approx(s.alpha, abs=1e-12)
         assert v == pytest.approx(math.log(math.tan(s.beta / 2.0)), abs=1e-12)
 
@@ -312,7 +312,7 @@ def test_mirror_swaps_chirality_of_rho():
     assert m.name == "mirror:rho"
     for s in sample_points(59, 10):
         q = from_spherical(s)
-        _, v = uv_at(m, q)
+        _, v = uv_rows(point_rows(m(q)), s)
         got = fueter_right(m, q, CFG).value
         assert abs(got + Quaternion(2.0 * v / s.r)) < 1e-5
 

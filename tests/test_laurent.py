@@ -80,6 +80,16 @@ def test_region_validation():
         coefficient_class_check(series, DiffConfig(h=1.0))
 
 
+def test_region_refuses_an_alpha_window_outside_the_chart():
+    # beyond pi the (u, v) view reads alpha as given, and the evaluator the
+    # azimuth of the Cartesian point: rho's a_0 at 3.5 would read 3.5 - 0.522i
+    # through one and -2.783 - 0.522i through the other
+    for window in ((3.5, 4.0), (-3.5, 0.0), (0.0, math.pi + 1e-9)):
+        with pytest.raises(ValueError, match=r"alpha window \(.*\) leaves \[-pi, pi\]"):
+            AnnulusRegion(0.0, 1.0, 0.2, 0.6, alpha_window=window)
+    AnnulusRegion(0.0, 1.0, 0.2, 0.6, alpha_window=(-math.pi, math.pi))
+
+
 def test_region_export():
     d = REGION.to_dict()
     assert d["center"] == [0.0, 1.0]

@@ -206,6 +206,24 @@ def test_user_callables_see_the_same_calls(kind, scheme):
 
 
 @pytest.mark.parametrize("scheme", ("central", "richardson"))
+def test_a_composite_samples_a_library_input_through_its_array_view(scheme):
+    # only the user's own evaluator runs point by point: rho's scalar
+    # evaluator is never called, inside a product with a user function too
+    log, rho_calls = CallLog(), []
+    rho = _witness("rho")
+
+    def counted(p):
+        rho_calls.append(p)
+        return rho.evaluator(p)
+
+    counted_rho = dataclasses.replace(rho, evaluator=counted)
+    classify(pointwise_product(_user_function("raw", log), counted_rho),
+             SampleGrid(n_per_axis=4), DiffConfig(scheme=scheme))
+    assert len(rho_calls) == 0
+    assert (log.calls, log.digest()) == USER_CALLS["product", scheme]
+
+
+@pytest.mark.parametrize("scheme", ("central", "richardson"))
 def test_classify_maps_cartesian_stencils_once_per_point(scheme):
     # a Cartesian stencil shifts x, y or z, which t does not reach, so the
     # x, y and z rows the Cartesian view gets, and the r, alpha and beta rows

@@ -1,6 +1,7 @@
 """Algebra, chart, and frame tests for the quaternion core."""
 
 import math
+import operator
 import random
 import warnings
 
@@ -109,6 +110,20 @@ def test_addition_subtraction_negation():
     assert -a == Quaternion(-1.0, 2.0, -3.0, 4.0)
     assert 1.0 - I == Quaternion(1.0, -1.0, 0.0, 0.0)
     assert a + 2.0 == Quaternion(3.0, -2.0, 3.0, -4.0)
+
+
+def test_repr_and_equality_with_other_types():
+    assert repr(Quaternion(1, -2, 0.5, 3)) == "Quaternion(1.0, -2.0, 0.5, 3.0)"
+    assert Quaternion(2.0) == 2 and Quaternion(2.0, 1.0) != 2.0 and Quaternion() != "0"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                lambda q, other: other - q],
+                         ids=["add", "sub", "mul", "truediv", "rsub"])
+def test_arithmetic_with_a_non_number_is_a_type_error(op):
+    # each operator returns NotImplemented, so Python raises the TypeError
+    with pytest.raises(TypeError):
+        op(Quaternion(1.0), "x")
 
 
 def test_inverse_closed_forms():
