@@ -49,7 +49,8 @@ and the chiral_difference evaluator included.
 * spherical_cr_residuals : the two scalar residuals
       S1 = (sin beta)^-1 dv/da + du/db
       S2 = (sin beta)^-1 du/da - dv/db
-  which vanish for Class II functions.
+  which vanish for Class II functions; u and v are read by
+  function_model.sample_uv.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .function_model import CALL_POINTS, QFunction, sample_cartesian, sample_chart
+from .function_model import (CALL_POINTS, QFunction, _first_failing, sample_cartesian,
+                             sample_chart, sample_uv)
 from .quaternion_core import (ChartSingularityError, DomainError, Quaternion, SphericalPoint,
-                              _quaternion, iota_array, iota_coefficient, qabs_array, qmul_array,
-                              rows_shape, stack_rows)
+                              _quaternion, qabs_array, qmul_array, rows_shape, stack_rows)
 
 SCHEMES = ("central", "richardson")
 
@@ -167,11 +168,6 @@ def stencil(f: QFunction, cfg: DiffConfig, base, rows: slice, sample, label: str
     return d, qabs_array(np.concatenate(spread, axis=1))
 
 
-def uv_rows(values: np.ndarray, chart) -> np.ndarray:
-    """ the rows (u, v) of value rows at chart rows, v against the iota of the chart's own angles """
-    return np.array((values[0], iota_coefficient(values, iota_array(chart))))
-
-
 def sphere_cr(du, dv, sin_beta) -> tuple:
     """The sphere-direction Cauchy-Riemann residuals (S1, S2) from the alpha
     and beta partials du = (du/da, du/db) and dv = (dv/da, dv/db):
@@ -196,14 +192,6 @@ def chart_ok(chart: np.ndarray, cfg: DiffConfig) -> np.ndarray:
     _, r, _, beta = chart
     return ((r - cfg.h > 0.0) & (beta - cfg.h > 0.0) & (beta + cfg.h < math.pi)
             & (np.sin(beta) > POLE_SIN_BETA_FLOOR))
-
-
-def _first_failing(rows, ok: np.ndarray) -> tuple:
-    """ the first point of rows where ok, which broadcasts with them, is False;
-    the rows are broadcast here, on the error path only """
-    shape = np.broadcast_shapes(rows_shape(rows), ok.shape)
-    at = np.argmin(np.broadcast_to(ok, shape))
-    return tuple(stack_rows(rows, shape).reshape(4, -1)[:, at].tolist())
 
 
 def _require_chart_margins(chart, cfg: DiffConfig):
@@ -349,9 +337,12 @@ def spherical_cr_residuals(f: QFunction, chart, cfg: DiffConfig = DiffConfig()) 
     """The two sphere-direction Cauchy-Riemann residuals (S1, S2).
 
     S1 = (sin b)^-1 dv/da + du/db, S2 = (sin b)^-1 du/da - dv/db; both
-    vanish wherever f is Class II.
+    vanish wherever f is Class II.  The stencil differences f's (u, v) pair
+    (function_model.sample_uv: its (u, v) view, else the projection of its
+    chart samples on iota), broadcast to the shifted rows; a sweep's view
+    repeats the same numbers on every shifted angle, so its residuals are 0.
     """
     _require_chart_margins(chart, cfg)
-    d = stencil(f, cfg, chart, slice(2, 4), lambda f, at: uv_rows(sample_chart(f, at), at),
-                "chart coordinate")[0]
+    d = stencil(f, cfg, chart, slice(2, 4),
+                lambda f, at: stack_rows(sample_uv(f, at), rows_shape(at)), "chart coordinate")[0]
     return sphere_cr(d[0], d[1], np.sin(chart[3]))

@@ -34,10 +34,13 @@ batched evaluator that the samplers read:
 
 Each sampler reads the view native to its coordinates.  sample_cartesian
 returns the Cartesian view, or else fills the rows from the evaluator.
-sample_chart (chart rows (t, r, alpha, beta), such as classify's nodes and
-the Laurent contour rings) assembles u + iota v of a CE function's (u, v)
-view at the chart's own angles, and otherwise samples the Cartesian rows
-of the chart.
+sample_chart (chart rows (t, r, alpha, beta), such as classify's nodes)
+assembles u + iota v of a CE function's (u, v) view at the chart's own
+angles, and otherwise samples the Cartesian rows of the chart.  sample_uv
+(chart rows, such as the Laurent contour rings) is the one reader of the
+pair (u, v): the (u, v) view as it is, else u and the iota coefficient of
+sample_chart's values (uv_rows), where a CE function's values must stay in
+the plane (1, iota) of their point.
 
 A CE function may carry that (u, v) view, uv_array: chart rows in, the
 pair of real arrays (u, v) out, with f = u + iota v at each point.  The two
@@ -49,8 +52,9 @@ Im g) of its stem on the t and r rows alone, and its Cartesian view is its
 evaluator's Re g + (x, y, z) Im g / r on the rows; a product or sum of two
 CE functions gives the complex product or sum of their views, a mirror its
 input's view at the antipodal angles, and verification.conjugate_function
-(u, -v).  The Laurent quadrature reads u + i v from it.  A raw function has
-none.
+(u, -v).  sample_uv returns it to spherical_cr_residuals, the
+verification checks that subtract 2 v and the Laurent quadrature.  A raw
+function has none.
 
 The library's views compute each intermediate on the rows it depends on:
 the trig of a grid's alpha and beta axes once per axis value, a stem on
@@ -115,6 +119,7 @@ from .quaternion_core import (
     from_spherical,
     from_spherical_rows,
     iota,
+    iota_array,
     iota_coefficient,
     qabs_array,
     qmul_array,
@@ -284,6 +289,10 @@ _NAN_QUATERNION = Quaternion(math.nan, math.nan, math.nan, math.nan)
 # the errors that give a scalar sample those values: math and domain errors
 _SAMPLE_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
+# how far a CE function's sample may leave the plane (1, iota) of its point,
+# relative to 1 + |w|, before sample_uv refuses it
+ALIGNMENT_TOL = 1e-6
+
 
 def _number_array(rows, dtype, name: str, labels: tuple, point_at) -> np.ndarray:
     """Array of dtype (float or complex) from rows of values that user callables returned.
@@ -382,6 +391,41 @@ def sample_cartesian(f: QFunction, points) -> np.ndarray:
     if f.cartesian_array is not None:
         return f.cartesian_array(points)
     return _fill_rows(f, points)
+
+
+def uv_rows(values: np.ndarray, chart) -> np.ndarray:
+    """ the rows (u, v) of value rows at chart rows, v against the iota of the chart's own angles """
+    return np.array((values[0], iota_coefficient(values, iota_array(chart))))
+
+
+def _first_failing(rows, ok: np.ndarray) -> tuple:
+    """ the first point of rows where ok, which broadcasts with them, is False;
+    the rows are broadcast here, on the error path only """
+    shape = np.broadcast_shapes(rows_shape(rows), ok.shape)
+    at = np.argmin(np.broadcast_to(ok, shape))
+    return tuple(stack_rows(rows, shape).reshape(4, -1)[:, at].tolist())
+
+
+def sample_uv(f: QFunction, chart) -> tuple:
+    """The pair (u, v) of f at chart rows (t, r, alpha, beta), NaN where it fails.
+
+    f's (u, v) view as it is: its arrays broadcast with the rows and may
+    keep fewer axes.  Else u and the iota coefficient of sample_chart.  For
+    a CE function, DomainError naming f and the first point whose sample
+    leaves the plane (1, iota) by more than ALIGNMENT_TOL (1 + |w|).
+    """
+    with np.errstate(all="ignore"):
+        if f.uv_array is not None:
+            return f.uv_array(chart)
+        w = sample_chart(f, chart)
+        u, v = uv_rows(w, chart)
+        if f.is_ce:
+            off = np.sqrt(np.maximum(0.0, iota_coefficient(w, w) - v * v))
+            ok = ~(off > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
+            if not ok.all():
+                raise DomainError(f"{f.name}: values leave the slice plane, by {off[~ok][0]:.3e}, "
+                                  f"at (t, r, alpha, beta) = {_first_failing(chart, ok)}")
+    return u, v
 
 
 def from_uv(u: Callable[[SphericalPoint], float],

@@ -14,29 +14,34 @@ taken on the mid-circle of the annulus.  With equispaced angles the
 trapezoid rule is exponentially accurate for analytic F and reduces to an
 FFT, which yields every order from one ring of samples.  The rings of many
 slices are sampled together in the chart, as the open mesh of the ring's
-(t, r) rows and the slices' angles.  The quadrature reads u + i v from the
-function's (u, v) view when it has one; otherwise it samples quaternion
-values at the rings' Cartesian rows (through the Cartesian array view when
-there is one) and projects them on the slice's iota, checking that they
-stay in the slice plane.
+(t, r) rows and the slices' angles.  The quadrature reads u + i v through
+function_model.sample_uv: the function's (u, v) view when it has one, else
+its quaternion samples at the rings projected on the slice's iota, which
+sample_uv checks stay in the slice plane.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .diffops import DiffConfig, sphere_cr, stencil, uv_rows
+from .diffops import DiffConfig, sphere_cr, stencil
 from .function_model import (CALL_POINTS, FunctionKindError, QFunction, check_beta_window,
-                             sample_chart)
-from .quaternion_core import DomainError, Quaternion, iota, qabs_array, to_spherical
+                             sample_uv)
+from .quaternion_core import DomainError, Quaternion, iota, to_spherical
 
 MIN_QUADRATURE_POINTS = 16
-ALIGNMENT_TOL = 1e-6
+
+# most nodes an AnnulusRegion window may have: the class check samples the
+# whole window once per stencil offset and holds every order's coefficients
+# of those windows at once (a 64 x 64 window's Richardson check of rho takes
+# about 0.15 s and 50 MB)
+MAX_WINDOW_NODES = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,12 @@ class AnnulusRegion:
             # the azimuth of a Cartesian sample is read in [-pi, pi]
             raise ValueError(f"alpha window {self.alpha_window} leaves [-pi, pi]")
         check_beta_window(*self.beta_window, f"beta window {self.beta_window}")
-        if self.n_alpha < 2 or self.n_beta < 2:
-            raise ValueError("window needs at least 2 nodes per angle")
+        for label, n in (("n_alpha", self.n_alpha), ("n_beta", self.n_beta)):
+            if not isinstance(n, numbers.Integral) or n < 2:
+                raise ValueError(f"{label} must be an integer >= 2, got {n!r}")
+        if self.n_alpha * self.n_beta > MAX_WINDOW_NODES:
+            raise ValueError(f"a window of {self.n_alpha} x {self.n_beta} nodes has more than "
+                             f"{MAX_WINDOW_NODES}")
 
     @property
     def center(self) -> complex:
@@ -123,16 +132,15 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     each (M, 1): an open mesh, so an evaluator maps each slice's angles once
     and each ring point once per batch.
 
-    The slices go in batches of whole contours.  With a (u, v) view the
-    samples are u + i v.  A view without a slice axis, a sweep's, is sampled
+    The slices go in batches of whole contours, each sampled once as u + i v
+    of function_model.sample_uv (f's (u, v) view, else its chart samples
+    projected on the slice's iota, which sample_uv refuses where they leave
+    the slice plane).  A view without a slice axis, a sweep's, is sampled
     in one batch: when the samples of a batch of several slices have shape
-    (1, Q), their one FFT serves every slice left.
-    Without the view they are quaternion rows, from the Cartesian array view
-    or point by point through the evaluator (sample_chart), projected on the
-    slice's iota by diffops.uv_rows.  A sample that is not finite, or
-    (without the view) whose value leaves the slice plane, raises
-    DomainError naming the slice; samples whose quadrature overflows to a
-    coefficient that is not finite raise OverflowError naming the slice.
+    (1, Q), their one FFT serves every slice left.  A sample that is not
+    finite raises DomainError naming the slice; samples whose quadrature
+    overflows to a coefficient that is not finite raise OverflowError
+    naming the slice.
     """
     if center.imag - radius <= 0.0:
         raise DomainError("contour leaves the upper half plane")
@@ -144,40 +152,25 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
     ring = center + radius * (np.cos(thetas) + 1j * np.sin(thetas))
     t, r = ring.real[None, :], ring.imag[None, :]
     alphas, betas = alphas[:, None], betas[:, None]
-    view = f.uv_array
     per_call = max(1, CALL_POINTS // npts)
     modes = []
     for start in range(0, len(alphas), per_call):
         part = slice(start, start + per_call)
         rows = (t, r, alphas[part], betas[part])
+        u, v = sample_uv(f, rows)
+        samples = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v), (1, npts)), complex)
+        samples.real, samples.imag = u, v
         with np.errstate(all="ignore"):
-            if view is not None:
-                u, v = view(rows)
-                samples = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v), (1, npts)),
-                                   complex)
-                samples.real, samples.imag = u, v
-                finite = np.isfinite(samples)
-                bad = ~finite
-            else:
-                w = sample_chart(f, rows)
-                u, v = uv_rows(w, rows)
-                misalign = np.sqrt(np.maximum(0.0, np.sum(w[1:] * w[1:], axis=0) - v * v))
-                finite = np.isfinite(w).all(axis=0)
-                bad = ~finite | (misalign > ALIGNMENT_TOL * (1.0 + qabs_array(w)))
-                samples = u + 1j * v
             coefficients = np.fft.fft(samples, axis=1)[:, columns] / scale
         # samples without a slice axis (a sweep's) serve every slice left
         stop = len(alphas) if len(samples) < len(rows[2]) else start + len(rows[2])
         modes.append(np.broadcast_to(coefficients, (stop - start, len(columns))))
-        if bad.any():
-            m, k = np.unravel_index(np.argmax(bad), bad.shape)
-            where = (f"z={ring[k]:.4f} on the slice (alpha, beta) = "
-                     f"({alphas[start + m, 0]:.4f}, {betas[start + m, 0]:.4f})")
-            if not finite[m, k]:
-                raise DomainError(f"{f.name}: no finite value at {where}")
-            raise DomainError(
-                f"{f.name}: values leave the slice plane at {where} "
-                f"(misalignment {misalign[m, k]:.3e}); not a CE function there")
+        finite = np.isfinite(samples)
+        if not finite.all():
+            m, k = np.unravel_index(np.argmin(finite), finite.shape)
+            raise DomainError(f"{f.name}: no finite value at z={ring[k]:.4f} on the slice "
+                              f"(alpha, beta) = ({alphas[start + m, 0]:.4f}, "
+                              f"{betas[start + m, 0]:.4f})")
         if stop == len(alphas):
             break
     coefficients = np.concatenate(modes, axis=0).T.copy()  # a contiguous row per order
@@ -190,6 +183,10 @@ def _ring_coefficients(f: QFunction, alphas: np.ndarray, betas: np.ndarray,
 
 
 def _validate_orders(n_range: Tuple[int, int], quadrature_points: int):
+    if not isinstance(quadrature_points, numbers.Integral):
+        raise ValueError(f"quadrature points must be an integer, got {quadrature_points!r}")
+    if len(n_range) != 2 or not all(isinstance(n, numbers.Integral) for n in n_range):
+        raise ValueError(f"order range must be two integers, got {n_range!r}")
     if quadrature_points < MIN_QUADRATURE_POINTS:
         raise ValueError(f"need at least {MIN_QUADRATURE_POINTS} quadrature points")
     if quadrature_points > CALL_POINTS:

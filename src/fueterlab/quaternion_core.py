@@ -267,9 +267,10 @@ def rows_shape(rows) -> tuple:
 
 
 def stack_rows(rows, shape: tuple) -> np.ndarray:
-    """ the float array (4, *shape) of four rows, each broadcast to shape """
-    out = np.empty((4,) + shape)
-    out[0], out[1], out[2], out[3] = rows
+    """ the float array (len(rows), *shape) of rows, each broadcast to shape """
+    out = np.empty((len(rows),) + shape)
+    for k, row in enumerate(rows):
+        out[k] = row
     return out
 
 

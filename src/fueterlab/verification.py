@@ -20,10 +20,10 @@ import numpy as np
 from .classify import ClassificationReport, classify, jacobian_check
 from .diffops import (DiffConfig, class1_residual, fueter_left, fueter_right,
                       fueter_spherical, imaginary_derivative, point_rows,
-                      spherical_cr_residuals, uv_rows)
+                      spherical_cr_residuals)
 from .function_model import (ComplexStem, DEFAULT_GRID, QFunction, SampleGrid, _composite,
                              cullen_extend, pointwise_product, pointwise_sum,
-                             power_function, sample_cartesian, sample_chart)
+                             power_function, sample_cartesian, sample_uv)
 from .generators import (chiral_difference, get_witness, mirror, rinehart_L,
                          rinehart_condition_residual, ci_extend_rinehart)
 from .laurent import AnnulusRegion, coefficient_class_check, laurent_coefficients
@@ -117,7 +117,7 @@ def _worst(values: np.ndarray) -> float:
 def _right_class2_residual(f: QFunction, chart: np.ndarray, cfg: DiffConfig) -> float:
     """ the largest |fueter_right f + 2 v / r| over chart rows: 0 for a right-Class II f """
     got = fueter_right(f, from_spherical_array(chart), cfg).value
-    got[0] += 2.0 * uv_rows(sample_chart(f, chart), chart)[1] / chart[1]
+    got[0] += 2.0 * sample_uv(f, chart)[1] / chart[1]
     return _worst(got)
 
 
@@ -273,7 +273,7 @@ def check_imaginary_derivative(cfg: DiffConfig = DiffConfig()) -> CheckResult:
     for name in ("identity",) + WITNESS_NAMES + ("pow:2",):
         f = get_witness(name).function
         got = imaginary_derivative(f, chart, cfg).value
-        got[0] -= 2.0 * uv_rows(sample_chart(f, chart), chart)[1]
+        got[0] -= 2.0 * sample_uv(f, chart)[1]
         worst = max(worst, _worst(got))
     return CheckResult("imaginary-derivative", worst <= tol, worst, tol,
                        "identity + angle witnesses + pow:2")

@@ -1,5 +1,6 @@
 """Finite-difference operator tests: flat and spherical forms, residuals."""
 
+import dataclasses
 import math
 import random
 
@@ -21,9 +22,9 @@ from fueterlab.diffops import (
     spherical_cr_residuals,
     stencil,
     stencil_offsets,
-    uv_rows,
 )
-from fueterlab.function_model import DEFAULT_GRID, QFunction, sample_cartesian, sample_chart
+from fueterlab.function_model import (DEFAULT_GRID, QFunction, sample_cartesian, sample_chart,
+                                      uv_rows)
 from fueterlab.generators import get_witness
 from fueterlab.quaternion_core import (
     ChartSingularityError,
@@ -206,9 +207,10 @@ def test_cr_residual_of_xri_is_minus_sin_alpha():
 
 
 def _reference_cr_residuals(f, chart, cfg):
-    """(S1, S2) written out: one sample_chart call per shifted row and offset,
-    v against the iota of the shifted angles, then the central difference
-    and, under Richardson, its extrapolation."""
+    """(S1, S2) written out: one sample per shifted row and offset, u and v
+    read from f's (u, v) view where it has one, else u and the coefficient
+    of sample_chart's values against the iota of the shifted angles; then
+    the central difference and, under Richardson, its extrapolation."""
     h = cfg.h
     offsets = [h, -h] if cfg.scheme == "central" else [h, -h, h / 2.0, -h / 2.0]
     du, dv = [], []
@@ -216,6 +218,11 @@ def _reference_cr_residuals(f, chart, cfg):
         u, v = [], []
         for offset in offsets:
             at = [row + (offset if j == k else 0.0) for j, row in enumerate(chart)]
+            if f.uv_array is not None:
+                u_at, v_at = np.broadcast_arrays(*f.uv_array(at), *at)[:2]
+                u.append(u_at)
+                v.append(v_at)
+                continue
             values = sample_chart(f, at)
             io = iota_array(at)
             u.append(values[0])
@@ -229,10 +236,15 @@ def _reference_cr_residuals(f, chart, cfg):
     return dv[0] / sb + du[1], du[0] / sb - dv[1]
 
 
+@pytest.mark.parametrize("path", ["view", "projected"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("name", ["rho", "varrho", "pow:3"])
-def test_cr_residuals_equal_the_written_out_reference(name, scheme):
+def test_cr_residuals_equal_the_written_out_reference(name, scheme, path):
+    # "projected" drops the (u, v) view, so the residuals difference the
+    # projection of the chart samples on iota
     f, cfg = get_witness(name).function, DiffConfig(scheme=scheme)
+    if path == "projected":
+        f = dataclasses.replace(f, uv_array=None)
     chart = DEFAULT_GRID.random_chart(np.random.default_rng(1717), 200)
     got, want = spherical_cr_residuals(f, chart, cfg), _reference_cr_residuals(f, chart, cfg)
     for g, w in zip(got, want):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fueterlab.diffops import point_rows, uv_rows
+from fueterlab.diffops import point_rows
 from fueterlab.function_model import (
     ComplexStem,
     DEFAULT_GRID,
@@ -24,6 +24,7 @@ from fueterlab.function_model import (
     restrict_to_slice,
     sample_cartesian,
     sample_chart,
+    uv_rows,
 )
 from fueterlab.generators import resolve_function_spec
 from fueterlab.quaternion_core import (

@@ -8,8 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fueterlab.diffops import (DiffConfig, StepError, fueter_left, fueter_right, point_rows,
-                               uv_rows)
+from fueterlab.diffops import DiffConfig, StepError, fueter_left, fueter_right, point_rows
 from fueterlab.function_model import (
     DEFAULT_GRID,
     ComplexStem,
@@ -20,6 +19,7 @@ from fueterlab.function_model import (
     pointwise_sum,
     sample_cartesian,
     sample_chart,
+    uv_rows,
 )
 from fueterlab.generators import (
     CATALOG,
@@ -39,6 +39,7 @@ from fueterlab.quaternion_core import (
     SphericalPoint,
     from_spherical,
     from_spherical_array,
+    qabs_array,
     to_spherical,
     to_spherical_array,
 )
@@ -196,6 +197,40 @@ def test_chiral_difference_gates_its_input():
         chiral_difference(QFunction("swap", lambda p: Quaternion(p.x, p.t, 0.0, 0.0)))
     with pytest.raises(DomainError):
         chiral_difference(get_witness("x-over-r-iota").function)
+
+
+def _v_partials(name, alpha, beta):
+    """ (dv/dalpha, dv/dbeta) of the angle witness v, written out """
+    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    if name == "rho":  # v = log tan(beta / 2)
+        return np.zeros_like(alpha), 1.0 / sb
+    if name == "varrho":  # v = artanh(cos(alpha) sin(beta))
+        x = ca * sb
+        return -sa * sb / (1.0 - x * x), ca * cb / (1.0 - x * x)
+    y = sa * sb  # sigma: v = artanh(sin(alpha) sin(beta))
+    return ca * sb / (1.0 - y * y), sa * cb / (1.0 - y * y)
+
+
+@pytest.mark.parametrize("name", ["rho", "varrho", "sigma"])
+def test_chiral_difference_is_twice_the_gradient_of_v_cross_iota(name):
+    # for f = u + iota v, fueter_left f - fueter_right f = 2 curl(v iota), and
+    # curl iota = 0, so it is 2 grad v x iota = (2 / r) [(1 / sin b) dv/da e_b
+    # - dv/db e_a], with e_a = (-sin a, cos a, 0) and e_b = (cos a cos b,
+    # sin a cos b, -sin b).  On these 50 points the stencils' truncation
+    # error reads at most 1.5e-11 (rho), 1.6e-10 (varrho) and 2.5e-7 (sigma)
+    # against values up to 5.3, 8.8 and 38.1, that is 2.4e-12, 1.7e-11 and
+    # 6.4e-9 of 1 + |value|; the tolerance is 1e-7 of it
+    chart = DEFAULT_GRID.random_chart(np.random.default_rng(3), 50)
+    _, r, alpha, beta = chart
+    delta = chiral_difference(get_witness(name).function,
+                              inner=DiffConfig(h=1e-3, scheme="richardson"))
+    got = delta.cartesian_array(from_spherical_array(chart))
+    dv_da, dv_db = _v_partials(name, alpha, beta)
+    zero = np.zeros_like(alpha)
+    e_a = np.array((zero, -np.sin(alpha), np.cos(alpha), zero))
+    e_b = np.array((zero, np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.cos(beta), -np.sin(beta)))
+    want = 2.0 / r * (dv_da / np.sin(beta) * e_b - dv_db * e_a)
+    assert np.all(qabs_array(got - want) <= 1e-7 * (1.0 + qabs_array(want)))
 
 
 def _without_classes(name):

@@ -174,12 +174,46 @@ def test_slice_extraction_validates_contour():
         laurent_coefficients(raw, REGION)
 
 
+def _expand_pow2(**kwargs):
+    return laurent_coefficients(get_witness("pow:2").function, REGION, **kwargs)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=3.0),
+     r"n_alpha must be an integer >= 2, got 3\.0"),
+    (lambda: AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_beta="9"),
+     r"n_beta must be an integer >= 2, got '9'"),
+    (lambda: AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=10 ** 5, n_beta=10 ** 5),
+     r"a window of 100000 x 100000 nodes has more than 4096"),
+    (lambda: AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=64, n_beta=65),
+     r"a window of 64 x 65 nodes has more than 4096"),
+    (lambda: _expand_pow2(n_range=(0.5, 2)), r"order range must be two integers, got \(0\.5, 2\)"),
+    (lambda: _expand_pow2(n_range=(-1, 0, 1)),
+     r"order range must be two integers, got \(-1, 0, 1\)"),
+    (lambda: _expand_pow2(quadrature_points=32.0), r"quadrature points must be an integer, got 32\.0"),
+], ids=("float-n_alpha", "str-n_beta", "huge-window", "window-past-the-bound", "float-order",
+        "three-orders", "float-quadrature-points"))
+def test_laurent_entry_points_refuse_what_they_cannot_sample(build, match):
+    # each of these used to be accepted, or to end in a bare TypeError from
+    # numpy or range
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        build()
+
+
+def test_laurent_entry_points_take_numpy_integers_up_to_the_window_bound():
+    region = AnnulusRegion(0.0, 1.0, 0.2, 0.6, n_alpha=np.int64(64), n_beta=64)
+    series = laurent_coefficients(get_witness("pow:2").function, region,
+                                  n_range=(np.int64(-1), 1), quadrature_points=np.int64(16))
+    assert series.coefficients[1].shape == (64, 64)
+
+
 def test_misaligned_values_are_rejected():
     # values off the (1, iota) plane make the slice projection meaningless; a
     # CE function without a (u, v) view is checked for them
     skew = QFunction("skew", lambda p: Quaternion(0.0, 0.0, 0.0, 1.0), kind="CE")
     assert skew.uv_array is None
-    with pytest.raises(DomainError, match="skew: values leave the slice plane at z="):
+    with pytest.raises(DomainError, match=r"^skew: values leave the slice plane, by 8\.776e-01, "
+                                          r"at \(t, r, alpha, beta\) = \(0\.4, 1\.0, -0\.5, "):
         laurent_coefficients(skew, REGION, n_range=(0, 1), quadrature_points=32)
 
 

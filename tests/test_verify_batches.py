@@ -7,13 +7,17 @@ rows and from the scalar form of the condition:
 
 * spherical_cr_residuals of the five witnesses of check_spherical_cr on
   a 4^4 grid, under both schemes, as a digest of the result bytes, on the
-  materialized rows and on the open mesh alike;
+  materialized rows and on the open mesh alike (the residuals difference
+  each witness's (u, v) view, function_model.sample_uv);
+* spherical_cr_residuals of every sweep, exactly 0.0 on both, and its
+  refusal of a CE-declared function whose values leave the slice plane;
 * the slice condition |dg/dx + i dg/dy - 2 Im(g)/y| against the scalar
   central difference written out below, at the (t, r) nodes of the
   default grid and at the samples of check_extension_functional;
 * the errors of ci_extend_rinehart, word for word where they name a node.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -21,28 +25,30 @@ import numpy as np
 import pytest
 
 from fueterlab.diffops import DiffConfig, StepError, spherical_cr_residuals
-from fueterlab.function_model import DEFAULT_GRID, NAMED_STEMS, ComplexStem, SampleGrid
-from fueterlab.generators import (ci_extend_rinehart, get_witness, rinehart_L,
-                                  rinehart_condition_residual)
-from fueterlab.quaternion_core import DomainError
+from fueterlab.function_model import (DEFAULT_GRID, NAMED_STEMS, ComplexStem, QFunction,
+                                      SampleGrid)
+from fueterlab.generators import (ci_extend_rinehart, get_witness, resolve_function_spec,
+                                  rinehart_L, rinehart_condition_residual)
+from fueterlab.quaternion_core import DomainError, Quaternion
 from fueterlab.verification import check_spherical_cr
 
 CR_GRID = SampleGrid(n_per_axis=4)
 
 # sha256 (first 16 hex digits) of the bytes of spherical_cr_residuals on
 # CR_GRID.chart_array(), the (2, 256) rows (S1, S2), as recorded from the
-# materialized chart rows
+# materialized chart rows; the open mesh gives the same bits.  A sweep's view
+# ignores the angles, so both pow:2 digests are those of 512 zeros
 SPHERE_CR_DIGESTS = {
-    ("rho", "central"): "336c4e53f9dbc1b8",
-    ("rho", "richardson"): "7246ac8e7c551d54",
-    ("varrho", "central"): "d590c6dc1c0e3b21",
-    ("varrho", "richardson"): "3cc734c15520714b",
-    ("sigma", "central"): "d6e199b3e904964c",
-    ("sigma", "richardson"): "ce7e291ee1e666d4",
-    ("pow:2", "central"): "40792cddc1a7a2cb",
-    ("pow:2", "richardson"): "b720c28634673a28",
-    ("x-over-r-iota", "central"): "368fd8ffa467b0d6",
-    ("x-over-r-iota", "richardson"): "a3106a7d088b63a4",
+    ("rho", "central"): "dca007d475e2068b",
+    ("rho", "richardson"): "9a10f630744c4c07",
+    ("varrho", "central"): "754b51902146c9ec",
+    ("varrho", "richardson"): "a667df573aa9b358",
+    ("sigma", "central"): "fb57a43549e07739",
+    ("sigma", "richardson"): "9c70a7aaade2a123",
+    ("pow:2", "central"): "ad7facb2586fc6e9",
+    ("pow:2", "richardson"): "ad7facb2586fc6e9",
+    ("x-over-r-iota", "central"): "4dfc93dc10d44a9c",
+    ("x-over-r-iota", "richardson"): "41a705da6a88eccc",
 }
 
 
@@ -63,7 +69,36 @@ def test_sphere_cr_check_keeps_its_numbers_on_the_default_mesh():
     # as recorded from the materialized default grid
     got = check_spherical_cr()
     assert (got.passed, got.max_residual, got.detail) == (
-        True, 2.9943616475236468e-09, "counterexample witness residual 0.977")
+        True, 3.0054638777698983e-09, "counterexample witness residual 0.977")
+
+
+SWEEPS = ("pow:-2", "pow:-1", "pow:0", "identity", "pow:2", "pow:3", "pow:4", "stem:log-tan",
+          "stem:arctan", "stem:2:1:0,-1:0:0.5", "L:3:1:0", "L:-1:0.5:0,2:1:0.25", "L:log-tan")
+
+
+@pytest.mark.parametrize("scheme", ("central", "richardson"))
+@pytest.mark.parametrize("spec", SWEEPS)
+def test_sphere_cr_residuals_of_a_sweep_are_exactly_zero(spec, scheme):
+    # a sweep's (u, v) view reads the stem on the t and r rows alone, so the
+    # angle stencils difference equal numbers
+    f = resolve_function_spec(spec)
+    for rows in (CR_GRID.chart_array(), CR_GRID.mesh()):
+        got = np.array(spherical_cr_residuals(f, rows, DiffConfig(scheme=scheme)))
+        assert got.shape == (2,) + np.broadcast(*rows).shape
+        assert not got.any(), rows
+
+
+def test_sphere_cr_residuals_refuse_values_off_the_slice_plane():
+    # the skew function of test_laurent.py: CE by declaration, its values k
+    # leave the plane (1, iota) wherever iota is not k
+    skew = QFunction("skew", lambda p: Quaternion(0.0, 0.0, 0.0, 1.0), kind="CE")
+    for rows in (CR_GRID.chart_array(), CR_GRID.mesh()):
+        with pytest.raises(DomainError, match=r"^skew: values leave the slice plane, by "
+                                              r"3\.894e-01, at \(t, r, alpha, beta\) = "
+                                              r"\(-1\.0, 0\.5, -2\.49999, 0\.4\)$"):
+            spherical_cr_residuals(skew, rows)
+    # a raw function is projected as it is
+    spherical_cr_residuals(dataclasses.replace(skew, kind="raw"), CR_GRID.mesh())
 
 
 def _scalar_condition(g: ComplexStem, z: complex, h: float = 1e-6) -> float:
